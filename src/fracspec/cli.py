@@ -90,7 +90,7 @@ def _cmd_denoise(args) -> int:
     cfg = _load_config(args.config)
     ctx = _context_from_config(cfg)
     family = cfg.get("family", "gcgfrft")
-    train_cfg = TrainConfig(**cfg.get("train", {}))
+    train_cfg = TrainConfig.from_dict(cfg.get("train", {}))
     y = TimeVertexSignal.from_array(fio.read_signal(args.noisy)[0])
     x = TimeVertexSignal.from_array(fio.read_signal(args.clean)[0])
     out = args.out or "."
@@ -98,7 +98,7 @@ def _cmd_denoise(args) -> int:
 
     if family == "gcgfrft" and "lambda" not in cfg:
         grid = cfg.get("lambda_grid", [round(0.1 * i, 1) for i in range(11)])
-        best_lam, params, table = lambda_grid_search(y, x, grid, train_cfg, ctx)
+        _, params, table = lambda_grid_search(y, x, grid, train_cfg, ctx)
         with open(os.path.join(out, "grid.csv"), "w") as fh:
             fh.write("lambda,loss,alpha,beta,status\n")
             for row in table:
@@ -107,7 +107,7 @@ def _cmd_denoise(args) -> int:
                 else:
                     fh.write(f"{row.lam:g},{row.loss:.17g},"
                              f"{row.params.alpha:.17g},{row.params.beta:.17g},ok\n")
-        _, trace = train(y, x, best_lam, train_cfg, ctx, family=family)
+        trace = next(row.trace for row in table if row.params is params)
     else:
         lam = cfg.get("lambda")
         params, trace = train(y, x, lam, train_cfg, ctx, family=family)
@@ -132,14 +132,10 @@ def _cmd_benchmark(args) -> int:
         if key in cfg:
             kwargs[key] = tuple(cfg[key])
     if "train" in cfg:
-        kwargs["train"] = TrainConfig(**cfg["train"])
+        kwargs["train"] = TrainConfig.from_dict(cfg["train"])
     for key in ("bandwidth", "persist_estimates"):
         if key in cfg:
             kwargs[key] = cfg[key]
-    if args.threads is not None:
-        kwargs["threads"] = args.threads
-    elif "threads" in cfg:
-        kwargs["threads"] = int(cfg["threads"])
     kwargs["output_dir"] = args.out or cfg.get("output_dir", "benchmark_out")
     try:
         bench = BenchmarkConfig(**kwargs)
@@ -197,7 +193,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="JSON configuration file")
         p.add_argument("--seed", type=int, help="override the config seed")
         p.add_argument("--out", help="output file or directory")
-        p.add_argument("--threads", type=int, help="worker cap (also FRFT_THREADS)")
 
     p = sub.add_parser("gen", help="synthesize a seeded band-limited signal")
     common(p)

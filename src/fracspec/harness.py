@@ -12,9 +12,7 @@ contract).
 from __future__ import annotations
 
 import math
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -181,7 +179,6 @@ class BenchmarkConfig:
     seeds: tuple = (0, 1, 2, 3, 4)
     bandwidth: float = 0.3
     output_dir: str | None = None
-    threads: int = 1
     persist_estimates: bool = False
 
     def __post_init__(self):
@@ -307,15 +304,7 @@ def run_benchmark(cfg: BenchmarkConfig) -> MetricReport:
             for family in tuple(cfg.families) + BASELINE_FAMILIES:
                 cells.append((ctx, cfg, x, y, family, sigma, seed))
 
-    threads = cfg.threads
-    env_cap = os.environ.get("FRFT_THREADS")
-    if env_cap:
-        threads = max(1, min(threads, int(env_cap)))
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            outcomes = list(pool.map(lambda c: _benchmark_cell(*c), cells))
-    else:
-        outcomes = [_benchmark_cell(*c) for c in cells]
+    outcomes = [_benchmark_cell(*c) for c in cells]
 
     rows = [row for row, _ in outcomes]
     estimates = {row.row_id: est for row, est in outcomes if est is not None}

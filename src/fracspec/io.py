@@ -206,8 +206,8 @@ def read_train_config_json(path: str) -> TrainConfig:
     with open(path) as fh:
         payload = json.load(fh)
     try:
-        return TrainConfig(**payload)
-    except TypeError as err:
+        return TrainConfig.from_dict(payload)
+    except ConfigError as err:
         raise ConfigError(f"{path}: {err}") from err
 
 

@@ -168,11 +168,16 @@ class FractionalOperator:
             x = x @ self.prefix.conj()
         return ((x @ self.phase_basis_h.T) * self.diag.conj()) @ self.phase_basis.T
 
-    def order_derivative(self) -> np.ndarray:
-        """d(matrix)/d(order) of the eigenphase family, as a dense matrix."""
-        p = self.phase_basis
-        core = (p * (1j * self.phases * self.diag)) @ p.conj().T
-        return core if self.prefix is None else self.prefix @ core
+    # -- order derivative: d(matrix)/d(order) = matrix @ G -------------------
+
+    def generator(self) -> np.ndarray:
+        """Dense generator ``G = P diag(j*phases) P^H`` of the eigenphase
+        family; without a prefix it commutes with the operator."""
+        return (self.phase_basis * (1j * self.phases)) @ self.phase_basis_h
+
+    def apply_generator(self, x: np.ndarray) -> np.ndarray:
+        """G @ x in the eigenbasis, without forming G."""
+        return self.phase_basis @ ((1j * self.phases)[:, None] * (self.phase_basis_h @ x))
 
 
 def reconstruction_error(op: FractionalOperator) -> float:

@@ -155,9 +155,7 @@ class TransformContext:
             )
             decomp = phase_decompose(w, margin_tol=self.margin_tol)
             if len(self._coupling_cache) >= self._coupling_cache_size:
-                # benign under concurrent sweeps: eviction of an already
-                # evicted key is a no-op
-                self._coupling_cache.pop(next(iter(self._coupling_cache)), None)
+                self._coupling_cache.pop(next(iter(self._coupling_cache)))
             self._coupling_cache[key] = decomp
         return decomp
 

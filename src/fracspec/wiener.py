@@ -24,7 +24,8 @@ import numpy as np
 
 from .errors import ConfigError, MarginViolationError
 from .operators import dfrft_matrix, graph_frft
-from .transforms import FAMILIES, TimeVertexSignal, TransformContext, forward, inverse
+from .transforms import (FAMILIES, TimeVertexSignal, TransformContext, TransformPlan, forward,
+                         inverse)
 
 __all__ = [
     "FilterParams",
@@ -83,27 +84,29 @@ class TrainConfig:
     lr_filter: float = 0.1
     epochs: int = 200
     optimizer: str = "gd"
-    fd_step: float = 1e-4
-    grad_mode: str = "fd"
-    seed: int = 0
 
     def __post_init__(self):
         if self.lr_orders < 0 or self.lr_filter < 0:
             raise ConfigError("learning rates must be nonnegative")
         if int(self.epochs) != self.epochs or self.epochs < 1:
             raise ConfigError(f"epochs must be a positive integer, got {self.epochs}")
-        if self.fd_step <= 0:
-            raise ConfigError("fd_step must be positive")
         if self.optimizer not in ("gd", "adam"):
             raise ConfigError(f"unknown optimizer {self.optimizer!r}")
-        if self.grad_mode not in ("fd", "analytic"):
-            raise ConfigError(f"unknown grad_mode {self.grad_mode!r}")
 
     @classmethod
     def adam(cls, **overrides) -> "TrainConfig":
         base = dict(lr_orders=2e-2, lr_filter=2e-2, epochs=100, optimizer="adam")
         base.update(overrides)
         return cls(**base)
+
+    @classmethod
+    def from_dict(cls, d) -> "TrainConfig":
+        """Build from a JSON mapping; an unknown key or a value of the wrong
+        type is a configuration error."""
+        try:
+            return cls(**d)
+        except TypeError as err:
+            raise ConfigError(f"bad train config: {err}") from err
 
 
 @dataclass(frozen=True)
@@ -135,12 +138,14 @@ class TrainStep:
 
 @dataclass(frozen=True)
 class GridRow:
-    """One entry of a coupling-parameter grid search."""
+    """One entry of a coupling-parameter grid search, with the training trace
+    of a feasible point."""
 
     lam: float
     loss: float | None
     params: FilterParams | None
     error: str | None = None
+    trace: list[TrainStep] | None = None
 
 
 def observe(x: TimeVertexSignal, d: DegradationModel | None = None,
@@ -169,14 +174,6 @@ def observe(x: TimeVertexSignal, d: DegradationModel | None = None,
 
 def _mean_sq(e: np.ndarray) -> float:
     return float(np.mean(e.real**2 + e.imag**2))
-
-
-def _order_vector(family: str, params: FilterParams) -> np.ndarray:
-    if family == "gfrft2d":
-        if params.alpha != params.beta:
-            raise ConfigError("gfrft2d shares one order; alpha and beta must agree")
-        return np.array([params.alpha])
-    return np.array([params.alpha, params.beta])
 
 
 def _vector_to_orders(family: str, v: np.ndarray) -> tuple[float, float]:
@@ -259,35 +256,6 @@ def closed_form_h(y: TimeVertexSignal, x_true: TimeVertexSignal, params: FilterP
     return h
 
 
-def _filter_loss(ctx, family, v, lam, h, y, x) -> float:
-    alpha, beta = _vector_to_orders(family, v)
-    _, yhat, xhat = _spectral_pair(ctx, family, alpha, beta, lam, y, x)
-    return _mean_sq(h * yhat - xhat)
-
-
-def _fd_order_gradient(ctx, family, v, lam, h, y, x, step, max_halvings=4) -> np.ndarray:
-    g = np.zeros_like(v)
-    for i in range(v.size):
-        s = step
-        for _ in range(max_halvings + 1):
-            vp = v.copy()
-            vm = v.copy()
-            vp[i] += s
-            vm[i] -= s
-            try:
-                g[i] = (_filter_loss(ctx, family, vp, lam, h, y, x)
-                        - _filter_loss(ctx, family, vm, lam, h, y, x)) / (2.0 * s)
-                break
-            except MarginViolationError:
-                s *= 0.5
-        else:
-            raise MarginViolationError(
-                f"coupling margin too small for a central difference on order {i} "
-                f"even at step {s:.3e}"
-            )
-    return g
-
-
 def _divided_difference_kernel(fvals: np.ndarray, points: np.ndarray,
                                fprime: np.ndarray) -> np.ndarray:
     """Matrix of divided differences (f(p_i) - f(p_j)) / (p_i - p_j), with the
@@ -300,79 +268,70 @@ def _divided_difference_kernel(fvals: np.ndarray, points: np.ndarray,
     return out
 
 
-def _analytic_order_gradient(ctx, family, v, lam, h, y, x) -> np.ndarray:
-    """Gradient of the risk with respect to the fractional orders.
+def _temporal_generator(ctx: TransformContext, plan: TransformPlan) -> np.ndarray:
+    """``D = (dC/dbeta) C^H`` for the plan's column operator ``C``.
 
-    The row derivative is the eigenphase-family derivative of the spatial
-    operator. The column derivative depends on the family; for the geodesic
-    family it follows the product rule through the coupling operator, with the
-    matrix-exponential and principal-logarithm derivatives evaluated as
-    divided-difference kernels in the coupling eigenbasis.
+    For the plain families ``D`` is the generator of C's eigenphase family.
+    The geodesic operator is ``C = F Q`` with ``F`` the temporal graph FRFT,
+    ``Q = exp(lam log W)`` and ``W = F^H E`` (``E`` the DFRFT), so the product
+    rule gives ``D = G_F + F (dQ Q^H) F^H`` with ``dW = F^H (G_E - G_F) E``.
+    In the eigenbasis ``S`` of ``W`` the derivatives of the principal
+    logarithm and of the exponential are Hadamard products with
+    divided-difference kernels (Daleckii-Krein; Higham, *Functions of
+    Matrices*, 2008, ch. 3).
     """
-    alpha, beta = _vector_to_orders(family, v)
-    clam = lam if family == "gcgfrft" else None
-    plan, yhat, xhat = _spectral_pair(ctx, family, alpha, beta, clam, y, x)
-    resid = h * yhat - xhat
-    scale = 2.0 / resid.size
-    row, col = plan.row_op, plan.col_op
-    ydata, xdata = y.data, x.data
+    col = plan.col_op
+    if plan.family != "gcgfrft":
+        return col.generator()
+    beta = plan.orders[1]
+    f_d = dfrft_matrix(ctx.temporal.n, beta, mode=ctx.dfrft_mode)
+    g_f = graph_frft(ctx.temporal, beta).generator()
+    # geodesic_temporal_basis holds C as prefix F, basis S, phases theta, order lam
+    s_t, theta, lam = col.phase_basis, col.phases, col.order
+    fs = col.prefix @ s_t
+    g_inner = fs.conj().T @ (f_d.generator() - g_f) @ (f_d.matrix @ s_t)
+    mu = np.exp(1j * theta)
+    k_log = _divided_difference_kernel(1j * theta, mu, 1.0 / mu)
+    a = 1j * lam * theta
+    k_exp = _divided_difference_kernel(np.exp(a), a, np.exp(a))
+    # S^H dQ S, right-multiplied by S^H Q^H S = diag(exp(-a))
+    dq_qh = k_exp * (lam * (k_log * g_inner)) * np.exp(-a)
+    return g_f + fs @ dq_qh @ fs.conj().T
 
-    def risk_direction(d_yhat, d_xhat):
+
+def _order_gradient(ctx: TransformContext, plan: TransformPlan, h: np.ndarray,
+                    yhat: np.ndarray, xhat: np.ndarray, resid: np.ndarray) -> np.ndarray:
+    """Gradient of the risk with respect to the plan's fractional orders.
+
+    Every factor moves along a unitary one-parameter family, so an order
+    derivative is a generator times the spectra already computed:
+    ``dYhat/dalpha = G_row Yhat`` (applied in the spatial eigenbasis, never
+    formed) and ``dYhat/dbeta = Yhat D^T`` with the dense n2 x n2 ``D`` of
+    ``_temporal_generator``. The shared order of gfrft2d gets the sum.
+    """
+    scale = 2.0 / resid.size
+
+    def rate(d_yhat, d_xhat):
         return scale * float(np.sum((resid.conj() * (h * d_yhat - d_xhat)).real))
 
-    d_row = row.order_derivative()
-    dy_alpha = col.apply_right_transpose(d_row @ ydata)
-    dx_alpha = col.apply_right_transpose(d_row @ xdata)
-
-    if family == "gcgfrft":
-        f_g2 = graph_frft(ctx.temporal, beta)
-        f_d = dfrft_matrix(ctx.temporal.n, beta, mode=ctx.dfrft_mode)
-        decomp = ctx.coupling(beta)
-        s_t, theta = decomp.s, decomp.theta
-        q = (s_t * np.exp(1j * lam * theta)) @ s_t.conj().T
-        dw = f_g2.order_derivative().conj().T @ f_d.matrix \
-            + f_g2.matrix.conj().T @ f_d.order_derivative()
-        g_inner = s_t.conj().T @ dw @ s_t
-        mu = np.exp(1j * theta)
-        k_log = _divided_difference_kernel(1j * theta, mu, 1.0 / mu)
-        a = 1j * lam * theta
-        k_exp = _divided_difference_kernel(np.exp(a), a, np.exp(a))
-        dq = s_t @ (k_exp * (lam * (k_log * g_inner))) @ s_t.conj().T
-        d_col = f_g2.order_derivative() @ q + f_g2.matrix @ dq
-    else:
-        d_col = col.order_derivative()
-
-    dy_beta = (row.apply_left(ydata)) @ d_col.T
-    dx_beta = (row.apply_left(xdata)) @ d_col.T
-
-    if family == "gfrft2d":
-        return np.array([risk_direction(dy_alpha + dy_beta, dx_alpha + dx_beta)])
-    return np.array([
-        risk_direction(dy_alpha, dx_alpha),
-        risk_direction(dy_beta, dx_beta),
-    ])
+    row = plan.row_op
+    g_alpha = rate(row.apply_generator(yhat), row.apply_generator(xhat))
+    d_t = _temporal_generator(ctx, plan).T
+    g_beta = rate(yhat @ d_t, xhat @ d_t)
+    if plan.family == "gfrft2d":
+        return np.array([g_alpha + g_beta])
+    return np.array([g_alpha, g_beta])
 
 
 def grad_orders(y: TimeVertexSignal, x_true: TimeVertexSignal, params: FilterParams,
-                ctx: TransformContext, mode: str = "fd", family: str = "gcgfrft",
-                fd_step: float = 1e-4) -> tuple[float, float]:
-    """Gradient of the risk with respect to the two fractional orders.
-
-    mode="fd" (default) uses central differences with step ``fd_step``; the
-    step is halved when a perturbed temporal order violates the coupling
-    margin, and the margin error propagates if shrinking does not help.
-    mode="analytic" evaluates the closed-form derivative chain instead.
-    """
+                ctx: TransformContext, family: str = "gcgfrft") -> tuple[float, float]:
+    """Analytic gradient of the risk with respect to the two fractional
+    orders."""
     if family == "gfrft2d":
         raise ConfigError("gfrft2d has a single shared order; train() handles it directly")
-    v = _order_vector(family, params)
     lam = params.lam if family == "gcgfrft" else None
-    if mode == "fd":
-        g = _fd_order_gradient(ctx, family, v, lam, params.h, y, x_true, fd_step)
-    elif mode == "analytic":
-        g = _analytic_order_gradient(ctx, family, v, lam, params.h, y, x_true)
-    else:
-        raise ConfigError(f"unknown grad mode {mode!r}")
+    plan, yhat, xhat = _spectral_pair(ctx, family, params.alpha, params.beta, lam, y, x_true)
+    g = _order_gradient(ctx, plan, params.h, yhat, xhat, params.h * yhat - xhat)
     return float(g[0]), float(g[1])
 
 
@@ -407,7 +366,7 @@ def train(y: TimeVertexSignal, x_true: TimeVertexSignal, lam: float | None,
     for epoch in range(config.epochs):
         alpha, beta = _vector_to_orders(family, v)
         try:
-            _, yhat, xhat = _spectral_pair(ctx, family, alpha, beta, clam, y, x_true)
+            plan, yhat, xhat = _spectral_pair(ctx, family, alpha, beta, clam, y, x_true)
         except MarginViolationError as err:
             raise MarginViolationError(
                 f"coupling margin violated at epoch {epoch}, temporal order {beta:.6g}: {err}",
@@ -417,20 +376,7 @@ def train(y: TimeVertexSignal, x_true: TimeVertexSignal, lam: float | None,
         trace.append(TrainStep(epoch, _mean_sq(resid), alpha, beta))
 
         g_h = (2.0 / resid.size) * (resid * yhat.conj()).real if config.lr_filter > 0 else None
-        if config.lr_orders > 0:
-            if config.grad_mode == "analytic":
-                g_v = _analytic_order_gradient(ctx, family, v, clam, h, y, x_true)
-            else:
-                try:
-                    g_v = _fd_order_gradient(ctx, family, v, clam, h, y, x_true, config.fd_step)
-                except MarginViolationError as err:
-                    raise MarginViolationError(
-                        f"coupling margin violated at epoch {epoch}, "
-                        f"temporal order {beta:.6g}: {err}",
-                        margin=err.margin, index=err.index,
-                    ) from err
-        else:
-            g_v = None
+        g_v = _order_gradient(ctx, plan, h, yhat, xhat, resid) if config.lr_orders > 0 else None
 
         if config.optimizer == "gd":
             if g_v is not None:
@@ -472,9 +418,9 @@ def lambda_grid_search(y: TimeVertexSignal, x_true: TimeVertexSignal, grid,
     table: list[GridRow] = []
     for lam in grid:
         try:
-            params, _ = train(y, x_true, lam, config, ctx, family=family)
+            params, trace = train(y, x_true, lam, config, ctx, family=family)
             final = loss(y, x_true, params, ctx, family=family)
-            table.append(GridRow(lam=lam, loss=final, params=params))
+            table.append(GridRow(lam=lam, loss=final, params=params, trace=trace))
         except MarginViolationError as err:
             table.append(GridRow(lam=lam, loss=None, params=None, error=str(err)))
     feasible = [row for row in table if row.loss is not None]

@@ -6,12 +6,19 @@ import pytest
 
 from fracspec import (
     FilterParams,
+    GraphSpec,
+    TimeVertexSignal,
+    TrainConfig,
     TrainStep,
+    TransformContext,
+    add_awgn,
     dfrft_matrix,
     knn_graph,
     path_graph,
     phase_decompose,
     random_planar_points,
+    synth_signal,
+    train,
 )
 from fracspec import io as fio
 from fracspec.cli import main
@@ -176,6 +183,51 @@ class TestCli:
         assert header == "family,sigma,seed,mse,psnr,ssim,alpha,beta,lambda,epochs,status"
         assert "wall_time" not in header
 
+    @pytest.mark.parametrize("command", ["denoise", "benchmark"])
+    @pytest.mark.parametrize("train_cfg", [{"grad_mode": "fd"}, {"bogus": 1}],
+                             ids=["grad_mode", "bogus"])
+    def test_unknown_train_key_exits_2(self, tmp_path, capsys, command, train_cfg):
+        cfg = {
+            "spatial": {"kind": "knn_random", "n": 6, "k": 2, "seed": 7},
+            "temporal": {"kind": "path", "n": 4},
+            "train": train_cfg,
+        }
+        cfg_path = str(tmp_path / "cfg.json")
+        with open(cfg_path, "w") as fh:
+            json.dump(cfg, fh)
+        sig = str(tmp_path / "sig.csv")
+        fio.write_signal(np.ones((6, 4)), sig)
+        args = [command, "--config", cfg_path, "--out", str(tmp_path / "out")]
+        if command == "denoise":
+            args += ["--noisy", sig, "--clean", sig]
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error") and "Traceback" not in err
+
+    def test_denoise_trace_is_the_best_grid_points(self, tmp_path):
+        spatial = {"kind": "knn_random", "n": 10, "k": 3, "seed": 7}
+        ctx = TransformContext(GraphSpec.from_dict(spatial).build(), path_graph(5))
+        x = synth_signal(ctx.spatial, 5, bandwidth=0.4, seed=1)
+        clean, noisy = str(tmp_path / "clean.csv"), str(tmp_path / "noisy.csv")
+        fio.write_signal(x.as_real(), clean)
+        fio.write_signal(add_awgn(x, 0.8, seed=2).as_real(), noisy)
+        cfg = {"spatial": spatial, "temporal": {"kind": "path", "n": 5},
+               "lambda_grid": [0.0, 0.5, 1.0], "train": {"epochs": 10}}
+        cfg_path = str(tmp_path / "run.json")
+        with open(cfg_path, "w") as fh:
+            json.dump(cfg, fh)
+        out = tmp_path / "out"
+        assert main(["denoise", "--config", cfg_path, "--noisy", noisy, "--clean", clean,
+                     "--out", str(out)]) == 0
+
+        best_lam = json.loads((out / "params.json").read_text())["lambda"]
+        y_in = TimeVertexSignal.from_array(fio.read_signal(noisy)[0])
+        x_in = TimeVertexSignal.from_array(fio.read_signal(clean)[0])
+        _, trace = train(y_in, x_in, best_lam, TrainConfig(epochs=10), ctx)
+        want = str(tmp_path / "want.csv")
+        fio.write_trace_csv(trace, want)
+        assert (out / "trace.csv").read_bytes() == open(want, "rb").read()
+
     def test_verify_subcommand_exit_codes(self, capsys):
         assert main(["verify"]) == 0
         assert "checks passed" in capsys.readouterr().out
@@ -250,18 +302,6 @@ class TestRemainingSurfaces:
         fio.write_signal(data, sig)
         assert main(["denoise", "--config", cfg_path, "--noisy", sig,
                      "--clean", sig, "--out", str(tmp_path / "out")]) == 3
-
-    def test_env_thread_cap(self, monkeypatch):
-        from fracspec import BenchmarkConfig, GraphSpec, TrainConfig, run_benchmark
-        monkeypatch.setenv("FRFT_THREADS", "1")
-        cfg = BenchmarkConfig(
-            spatial=GraphSpec(kind="knn_random", n=8, k=2, seed=1),
-            temporal=GraphSpec(kind="path", n=4),
-            sigma_list=(0.5,), lambda_grid=(0.0,), families=("gbfrft2d",),
-            train=TrainConfig(epochs=3), seeds=(0,), threads=8,
-        )
-        report = run_benchmark(cfg)  # capped to one worker; just must complete
-        assert len(report.rows) == 3
 
     def test_geodesic_operator_self_consistency(self):
         from fracspec import (TransformContext, path_graph, reconstruction_error,
