@@ -13,6 +13,7 @@ import numpy as np
 
 from fracspec import (
     MarginViolationError,
+    TransformContext,
     coupling_operator,
     dfrft_matrix,
     eigendecompose,
@@ -52,10 +53,14 @@ worst = max(
 )
 print(f"\nendpoint symmetry (swapped at lam vs direct at 1-lam): {worst:.2e}")
 
-# one decomposition serves every lam: only diagonal phases change
-a = geodesic_temporal_basis(fg, decomp, 0.3)
-b = geodesic_temporal_basis(fg, decomp, 0.9)
-print(f"decomposition shared across lam values: {a.phase_basis is b.phase_basis}")
+# one decomposition serves every lam: each F(lam) is L diag(exp(j lam theta)) S^H
+# with L = F_graph S, so a context forms L and S^H once per temporal order and
+# the plans of a coupling sweep only change the diagonal phases
+ctx = TransformContext(path_graph(6), tbasis)
+a = ctx.plan("gcgfrft", (0.0, beta), lam=0.3).col_op
+b = ctx.plan("gcgfrft", (0.0, beta), lam=0.9).col_op
+print(f"factors L and S^H shared across lam values: "
+      f"{a.left is b.left and a.right is b.right}")
 
 # some (size, order) pairings put -1 in the coupling spectrum; there the
 # geodesic is genuinely undefined and the construction refuses loudly

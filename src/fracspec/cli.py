@@ -11,6 +11,7 @@ Exit codes: 0 success, 1 invariant failure, 2 configuration error,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -28,14 +29,27 @@ from .properties import verify_properties
 __all__ = ["main"]
 
 
-def _load_config(path: str | None) -> dict:
+#: top-level keys of a ``gen`` config
+_GEN_KEYS = ("spatial", "n2", "bandwidth", "sigma", "seed")
+
+
+def _load_config(path: str | None, allowed=None) -> dict:
+    """Read a JSON config object. With ``allowed``, any other top-level key
+    is a configuration error rather than a silently ignored setting."""
     if path is None:
         return {}
     try:
         with open(path) as fh:
-            return json.load(fh)
+            cfg = json.load(fh)
     except (OSError, json.JSONDecodeError) as err:
         raise ConfigError(f"cannot read config {path}: {err}") from err
+    if not isinstance(cfg, dict):
+        raise ConfigError(f"config {path} must hold a JSON object")
+    unknown = sorted(set(cfg) - set(allowed)) if allowed is not None else []
+    if unknown:
+        raise ConfigError(f"unknown config key(s) {', '.join(map(repr, unknown))} in {path}; "
+                          f"expected some of {', '.join(allowed)}")
+    return cfg
 
 
 def _context_from_config(cfg: dict) -> TransformContext:
@@ -48,7 +62,7 @@ def _context_from_config(cfg: dict) -> TransformContext:
 
 
 def _cmd_gen(args) -> int:
-    cfg = _load_config(args.config)
+    cfg = _load_config(args.config, allowed=_GEN_KEYS)
     spatial = GraphSpec.from_dict(cfg.get("spatial", {"kind": "knn_random", "n": 30, "k": 4, "seed": 7}))
     n2 = int(cfg.get("n2", 10))
     bandwidth = float(cfg.get("bandwidth", 0.3))
@@ -122,7 +136,8 @@ def _cmd_denoise(args) -> int:
 
 
 def _cmd_benchmark(args) -> int:
-    cfg = _load_config(args.config)
+    cfg = _load_config(args.config,
+                       allowed=tuple(f.name for f in dataclasses.fields(BenchmarkConfig)))
     kwargs = {}
     if "spatial" in cfg:
         kwargs["spatial"] = GraphSpec.from_dict(cfg["spatial"])

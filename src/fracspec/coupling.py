@@ -58,13 +58,19 @@ def _as_matrix(op) -> np.ndarray:
 
 
 def coupling_operator(f_graph, f_dfrft) -> np.ndarray:
-    """Relative change-of-basis operator ``W = (F_graph)^H F_dfrft``."""
+    """Relative change-of-basis operator ``W = (F_graph)^H F_dfrft``.
+
+    A ``FractionalOperator`` is unitary by construction; a raw array input is
+    checked against the unitarity tolerance.
+    """
     a = _as_matrix(f_graph)
     b = _as_matrix(f_dfrft)
     if a.shape != b.shape:
         raise ValueError(f"size mismatch: {a.shape} vs {b.shape}")
     n = a.shape[0]
-    for name, m in (("graph basis", a), ("dfrft basis", b)):
+    for name, op, m in (("graph basis", f_graph, a), ("dfrft basis", f_dfrft, b)):
+        if isinstance(op, FractionalOperator):
+            continue
         err = unitarity_error(m)
         if err > INPUT_UNITARITY_TOL * n:
             raise NotUnitaryError(f"{name} is not unitary: ||U^H U - I|| = {err:.3e}")
@@ -96,26 +102,29 @@ def phase_decompose(w: np.ndarray, margin_tol: float = DEFAULT_MARGIN_TOL) -> Co
     return CouplingDecomposition(s=s, theta=theta, margin=margin)
 
 
+def _coupling_parameter(lam) -> float:
+    """Validate a coupling parameter: the geodesic is defined on [0, 1]."""
+    if not 0.0 <= lam <= 1.0:
+        raise ValueError(f"coupling parameter must lie in [0, 1], got {lam}")
+    return float(lam)
+
+
 def geodesic_temporal_basis(f_graph_beta: FractionalOperator,
                             decomp: CouplingDecomposition,
                             lam: float) -> FractionalOperator:
     """Coupled temporal basis ``F_graph S diag(exp(j lam theta)) S^H``.
 
     The curve interpolates the graph-induced temporal basis (lam=0) and the
-    DFRFT (lam=1) along the unitary geodesic; sweeping lam over a fixed
-    decomposition only changes the diagonal phase factors.
+    DFRFT (lam=1) along the unitary geodesic. It is one two-sided factored
+    operator with ``left = F_graph S`` and ``right = S^H``, so sweeping lam
+    over a fixed decomposition (``with_order``) only changes the diagonal
+    phase factors.
     """
-    if not 0.0 <= lam <= 1.0:
-        raise ValueError(f"coupling parameter must lie in [0, 1], got {lam}")
+    lam = _coupling_parameter(lam)
     if f_graph_beta.n != decomp.n:
         raise ValueError(f"size mismatch: basis {f_graph_beta.n} vs decomposition {decomp.n}")
-    return FractionalOperator(
-        order=float(lam),
-        phases=decomp.theta,
-        phase_basis=decomp.s,
-        kind="geodesic",
-        prefix=f_graph_beta.matrix,
-    )
+    return FractionalOperator(lam, decomp.theta, f_graph_beta.matrix @ decomp.s,
+                              decomp.s.conj().T, kind="geodesic")
 
 
 def swapped_geodesic_temporal_basis(f_dfrft_beta: FractionalOperator,
@@ -125,14 +134,4 @@ def swapped_geodesic_temporal_basis(f_dfrft_beta: FractionalOperator,
     reaches the graph-induced basis at lam=1. ``swapped_decomp`` must decompose
     the reversed coupling operator ``(F_dfrft)^H F_graph``. Equals the direct
     geodesic evaluated at ``1 - lam``."""
-    if not 0.0 <= lam <= 1.0:
-        raise ValueError(f"coupling parameter must lie in [0, 1], got {lam}")
-    if f_dfrft_beta.n != swapped_decomp.n:
-        raise ValueError(f"size mismatch: basis {f_dfrft_beta.n} vs decomposition {swapped_decomp.n}")
-    return FractionalOperator(
-        order=float(lam),
-        phases=swapped_decomp.theta,
-        phase_basis=swapped_decomp.s,
-        kind="geodesic",
-        prefix=f_dfrft_beta.matrix,
-    )
+    return geodesic_temporal_basis(f_dfrft_beta, swapped_decomp, lam)

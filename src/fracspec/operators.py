@@ -1,18 +1,21 @@
 """Unitary fractional operators: graph fractional Fourier transforms and the
 discrete fractional Fourier transform.
 
-A fractional operator is kept in factored form ``M = [prefix] P
-diag(exp(j * order * theta)) P^H`` so that changing the order only rescales
-diagonal phase factors and applying the operator to a signal never requires
-re-running a spectral factorization. Graph operators come from the
-orthonormal adjacency eigenbasis; the DFRFT comes from the commuting-matrix
-eigenvector convention that reproduces the unitary DFT exactly at order 1.
+A fractional operator is kept in one two-sided factored form,
+``M = left diag(exp(j * order * theta)) right``, so that changing the order
+only rescales diagonal phase factors and applying the operator to a signal
+never requires re-running a spectral factorization. Eigenphase powers use
+``left = P`` and ``right = P^H``; the geodesic temporal basis of
+``coupling`` uses ``left = F_graph^beta S`` and ``right = S^H``. Graph
+operators come from the orthonormal adjacency eigenbasis; the DFRFT comes
+from the commuting-matrix eigenvector convention that reproduces the unitary
+DFT exactly at order 1.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 import scipy.linalg
@@ -68,125 +71,90 @@ class SpectralBasis:
     def n(self) -> int:
         return self.v.shape[0]
 
-    @property
+    @cached_property
     def fourier_phase_decomposition(self):
-        """Eigenphase decomposition (theta, P) of the graph Fourier matrix V^T.
-
-        Computed once per basis and cached; every fractional order reuses it.
+        """Eigenphase decomposition ``(theta, P, P^H)`` of the graph Fourier
+        matrix V^T, computed once per basis; every fractional order reuses it.
         """
-        cached = self.__dict__.get("_fourier_phases")
-        if cached is None:
-            cached = _unitary_eigendecomposition(self.v.T.astype(np.complex128))
-            self.__dict__["_fourier_phases"] = cached
-        return cached
-
-    @property
-    def _fourier_basis_h(self):
-        cached = self.__dict__.get("_fourier_ph")
-        if cached is None:
-            _, p = self.fourier_phase_decomposition
-            cached = _freeze(p.conj().T.copy())
-            self.__dict__["_fourier_ph"] = cached
-        return cached
+        theta, p = _unitary_eigendecomposition(self.v.T.astype(np.complex128))
+        return theta, p, _freeze(p.conj().T.copy())
 
 
 class FractionalOperator:
-    """Unitary operator held as ``[prefix] P diag(exp(j*order*phases)) P^H``.
+    """Unitary operator held as ``left diag(exp(j*order*phases)) right``.
 
-    ``phases`` are the generator phases of the one-parameter family: principal
-    arguments in (-pi, pi] for graph and geodesic kinds, and fixed-branch
-    multiples of pi/2 (possibly outside the principal range) for the DFRFT,
-    whose eigenvalue assignment intentionally unwraps the branch. ``prefix``
-    is only set for geodesic operators (the endpoint temporal basis times the
-    phase-interpolated coupling), where ``order`` is the interpolation
-    parameter. The dense ``matrix`` is materialized lazily; transforms apply
-    the factors directly.
+    ``left`` and ``right`` are unitary and ``phases`` are the generator phases
+    of the one-parameter family in ``order``: principal arguments in
+    (-pi, pi] for graph and geodesic kinds, and fixed-branch multiples of
+    pi/2 (possibly outside the principal range) for the DFRFT, whose
+    eigenvalue assignment intentionally unwraps the branch. Graph and DFRFT
+    operators are eigenphase powers, ``left = P`` and ``right = P^H``. A
+    geodesic temporal basis ``F S diag(exp(j*lam*theta)) S^H`` has
+    ``left = F S`` and ``right = S^H``, with ``order`` the coupling parameter.
+    The dense ``matrix`` is materialized lazily; transforms apply the factors
+    directly.
     """
 
-    def __init__(self, order, phases, phase_basis, kind, prefix=None, matrix=None,
-                 phase_basis_h=None):
+    def __init__(self, order, phases, left, right, kind, matrix=None):
         self.order = float(order)
         self.phases = _freeze(np.asarray(phases))
-        self.phase_basis = _freeze(np.asarray(phase_basis))
+        self.left = _freeze(np.asarray(left))
+        self.right = _freeze(np.asarray(right))
         self.kind = kind
-        self.prefix = None if prefix is None else _freeze(np.asarray(prefix))
         self._matrix = matrix
-        self._phase_basis_h = phase_basis_h
 
     @property
     def n(self) -> int:
-        return self.phase_basis.shape[0]
+        return self.left.shape[0]
 
     @property
     def diag(self) -> np.ndarray:
         return np.exp(1j * self.order * self.phases)
 
     @property
-    def phase_basis_h(self) -> np.ndarray:
-        if self._phase_basis_h is None:
-            self._phase_basis_h = _freeze(self.phase_basis.conj().T.copy())
-        return self._phase_basis_h
-
-    @property
     def matrix(self) -> np.ndarray:
         if self._matrix is None:
-            p = self.phase_basis
-            m = (p * self.diag) @ self.phase_basis_h
-            if self.prefix is not None:
-                m = self.prefix @ m
-            self._matrix = _freeze(m)
+            self._matrix = _freeze((self.left * self.diag) @ self.right)
         return self._matrix
 
     def with_order(self, order: float) -> "FractionalOperator":
         """Same operator family at a different order; only the diagonal phase
         factors change."""
-        return FractionalOperator(order, self.phases, self.phase_basis,
-                                  self.kind, prefix=self.prefix,
-                                  phase_basis_h=self._phase_basis_h)
+        return FractionalOperator(order, self.phases, self.left, self.right, self.kind)
 
     # -- factored application (never forms the dense operator) ---------------
+    # A^H x is evaluated as (A^T x^*)^*: the signal is conjugated, no factor is.
 
     def apply_left(self, x: np.ndarray) -> np.ndarray:
         """M @ x."""
-        y = self.phase_basis @ (self.diag[:, None] * (self.phase_basis_h @ x))
-        return y if self.prefix is None else self.prefix @ y
+        return self.left @ (self.diag[:, None] * (self.right @ x))
 
     def apply_left_inverse(self, x: np.ndarray) -> np.ndarray:
         """M^H @ x (closed-form inverse: the operator is unitary)."""
-        if self.prefix is not None:
-            x = self.prefix.conj().T @ x
-        return self.phase_basis @ (self.diag.conj()[:, None] * (self.phase_basis_h @ x))
+        return (self.right.T @ (self.diag[:, None] * (self.left.T @ x.conj()))).conj()
 
     def apply_right_transpose(self, x: np.ndarray) -> np.ndarray:
         """x @ M^T."""
-        y = ((x @ self.phase_basis_h.T) * self.diag) @ self.phase_basis.T
-        return y if self.prefix is None else y @ self.prefix.T
+        return ((x @ self.right.T) * self.diag) @ self.left.T
 
     def apply_right_conj(self, x: np.ndarray) -> np.ndarray:
         """x @ M^* (right factor of the inverse transform)."""
-        if self.prefix is not None:
-            x = x @ self.prefix.conj()
-        return ((x @ self.phase_basis_h.T) * self.diag.conj()) @ self.phase_basis.T
+        return (((x.conj() @ self.left) * self.diag) @ self.right).conj()
 
-    # -- order derivative: d(matrix)/d(order) = matrix @ G -------------------
+    # -- order derivative: d(matrix)/d(order) = G @ matrix -------------------
 
     def generator(self) -> np.ndarray:
-        """Dense generator ``G = P diag(j*phases) P^H`` of the eigenphase
-        family; without a prefix it commutes with the operator."""
-        return (self.phase_basis * (1j * self.phases)) @ self.phase_basis_h
+        """Dense generator ``G = left diag(j*phases) left^H = (dM/dorder) M^H``."""
+        return (self.left * (1j * self.phases)) @ self.left.conj().T
 
     def apply_generator(self, x: np.ndarray) -> np.ndarray:
-        """G @ x in the eigenbasis, without forming G."""
-        return self.phase_basis @ ((1j * self.phases)[:, None] * (self.phase_basis_h @ x))
+        """G @ x in the factored form, without forming G."""
+        return self.left @ ((1j * self.phases)[:, None] * (self.left.T @ x.conj()).conj())
 
 
 def reconstruction_error(op: FractionalOperator) -> float:
     """Frobenius distance between ``op.matrix`` and its cached factorization."""
-    p = op.phase_basis
-    rebuilt = (p * op.diag) @ p.conj().T
-    if op.prefix is not None:
-        rebuilt = op.prefix @ rebuilt
-    return float(np.linalg.norm(op.matrix - rebuilt))
+    return float(np.linalg.norm(op.matrix - (op.left * op.diag) @ op.right))
 
 
 def eigendecompose(g: Graph) -> SpectralBasis:
@@ -220,15 +188,9 @@ def eigendecompose(g: Graph) -> SpectralBasis:
 
 def gft_matrix(basis: SpectralBasis) -> FractionalOperator:
     """Graph Fourier matrix F = V^T as an order-1 fractional operator."""
-    theta, p = basis.fourier_phase_decomposition
-    return FractionalOperator(
-        order=1.0,
-        phases=theta,
-        phase_basis=p,
-        kind="graph",
-        matrix=_freeze(basis.v.T.astype(np.complex128)),
-        phase_basis_h=basis._fourier_basis_h,
-    )
+    theta, p, p_h = basis.fourier_phase_decomposition
+    return FractionalOperator(1.0, theta, p, p_h, kind="graph",
+                              matrix=_freeze(basis.v.T.astype(np.complex128)))
 
 
 def _unitary_eigendecomposition(u: np.ndarray, cluster_tol: float = PHASE_CLUSTER_TOL):
@@ -310,7 +272,7 @@ def unitary_fractional_power(u, order: float, kind: str = "graph") -> Fractional
             f"input is not unitary: ||U^H U - I|| = {err:.3e} > {INPUT_UNITARITY_TOL * n:.3e}"
         )
     theta, p = _unitary_eigendecomposition(mat)
-    return FractionalOperator(order, theta, p, kind)
+    return FractionalOperator(order, theta, p, p.conj().T, kind)
 
 
 def graph_frft(basis: SpectralBasis, order: float) -> FractionalOperator:
@@ -320,9 +282,7 @@ def graph_frft(basis: SpectralBasis, order: float) -> FractionalOperator:
     decomposition is cached on the basis, so sweeping orders only updates the
     diagonal phase factors.
     """
-    theta, p = basis.fourier_phase_decomposition
-    return FractionalOperator(order, theta, p, kind="graph",
-                              phase_basis_h=basis._fourier_basis_h)
+    return FractionalOperator(order, *basis.fourier_phase_decomposition, kind="graph")
 
 
 @lru_cache(maxsize=64)
@@ -418,4 +378,4 @@ def dfrft_matrix(n: int, order: float, mode: str = "candan") -> FractionalOperat
         phases, v, v_h = _dfrft_principal_shifted_structure(n)
     else:
         raise ValueError(f"unknown dfrft mode {mode!r}")
-    return FractionalOperator(order, phases, v, kind="dfrft", phase_basis_h=v_h)
+    return FractionalOperator(order, phases, v, v_h, kind="dfrft")

@@ -19,12 +19,14 @@ plan API fixes one naming to prevent silent transposition.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .coupling import (
     DEFAULT_MARGIN_TOL,
     CouplingDecomposition,
+    _coupling_parameter,
     coupling_operator,
     geodesic_temporal_basis,
     phase_decompose,
@@ -44,6 +46,8 @@ __all__ = [
 ]
 
 FAMILIES = ("gfrft2d", "gbfrft2d", "jfrft", "gcgfrft")
+#: temporal orders whose coupling decomposition and geodesic factors a context keeps
+COUPLING_CACHE_SIZE = 16
 
 
 @dataclass(frozen=True)
@@ -97,21 +101,27 @@ class TransformPlan:
     def shape(self):
         return (self.row_op.n, self.col_op.n)
 
+    def apply(self, x: np.ndarray) -> np.ndarray:
+        """``F_row X F_col^T`` on a raw n1 x n2 array, unchecked."""
+        return self.col_op.apply_right_transpose(self.row_op.apply_left(x))
+
+    def apply_inverse(self, xhat: np.ndarray) -> np.ndarray:
+        """``F_row^H Xhat F_col^*`` on a raw n1 x n2 array, unchecked."""
+        return self.col_op.apply_right_conj(self.row_op.apply_left_inverse(xhat))
+
 
 def forward(plan: TransformPlan, x: TimeVertexSignal) -> TimeVertexSignal:
     """Spectral representation ``Xhat = F_row X F_col^T``."""
     if x.shape != plan.shape:
         raise ValueError(f"signal shape {x.shape} does not match plan {plan.shape}")
-    out = plan.col_op.apply_right_transpose(plan.row_op.apply_left(x.data))
-    return TimeVertexSignal(out, real_flag=x.real_flag)
+    return TimeVertexSignal(plan.apply(x.data), real_flag=x.real_flag)
 
 
 def inverse(plan: TransformPlan, xhat: TimeVertexSignal) -> TimeVertexSignal:
     """Inverse transform ``X = F_row^H Xhat F_col^*`` (unitary closed form)."""
     if xhat.shape != plan.shape:
         raise ValueError(f"signal shape {xhat.shape} does not match plan {plan.shape}")
-    out = plan.col_op.apply_right_conj(plan.row_op.apply_left_inverse(xhat.data))
-    return TimeVertexSignal(out, real_flag=xhat.real_flag)
+    return TimeVertexSignal(plan.apply_inverse(xhat.data), real_flag=xhat.real_flag)
 
 
 def _as_basis(g) -> SpectralBasis:
@@ -128,36 +138,44 @@ class TransformContext:
     The two graph eigenbases and the DFRFT eigenstructure are computed once;
     changing a fractional order only rescales diagonal phases. The coupling
     decomposition used by the geodesic family depends on the temporal order,
-    so it is cached per order value and recomputed when the order moves.
+    so it is cached per order value, next to the geodesic factors
+    ``L = F_graph^beta S`` and ``S^H`` that every coupling value shares.
     """
 
-    def __init__(self, spatial, temporal, dfrft_mode: str = "candan",
-                 margin_tol: float = DEFAULT_MARGIN_TOL, coupling_cache_size: int = 16):
+    def __init__(self, spatial, temporal, margin_tol: float = DEFAULT_MARGIN_TOL):
         self.spatial = _as_basis(spatial)
         self.temporal = _as_basis(temporal)
-        self.dfrft_mode = dfrft_mode
         self.margin_tol = margin_tol
-        self._coupling_cache: dict[float, CouplingDecomposition] = {}
-        self._coupling_cache_size = coupling_cache_size
+        self._coupling_cache: dict[float, tuple[CouplingDecomposition, FractionalOperator]] = {}
 
     @property
     def shape(self):
         return (self.spatial.n, self.temporal.n)
 
+    @cached_property
+    def temporal_graph_generator(self) -> np.ndarray:
+        """``G_F = (dF/dbeta) F^H`` of the temporal graph FRFT; the same at
+        every order."""
+        return graph_frft(self.temporal, 0.0).generator()
+
+    @cached_property
+    def dfrft_generator(self) -> np.ndarray:
+        """``G_E = (dE/dbeta) E^H`` of the DFRFT; the same at every order."""
+        return dfrft_matrix(self.temporal.n, 0.0).generator()
+
     def coupling(self, temporal_order: float) -> CouplingDecomposition:
         """Decomposition of ``(F_graph^beta)^H F_dfrft^beta`` at this order."""
         key = float(temporal_order)
-        decomp = self._coupling_cache.get(key)
-        if decomp is None:
-            w = coupling_operator(
-                graph_frft(self.temporal, key),
-                dfrft_matrix(self.temporal.n, key, mode=self.dfrft_mode),
-            )
+        entry = self._coupling_cache.get(key)
+        if entry is None:
+            f_graph = graph_frft(self.temporal, key)
+            w = coupling_operator(f_graph, dfrft_matrix(self.temporal.n, key))
             decomp = phase_decompose(w, margin_tol=self.margin_tol)
-            if len(self._coupling_cache) >= self._coupling_cache_size:
+            entry = (decomp, geodesic_temporal_basis(f_graph, decomp, 0.0))
+            if len(self._coupling_cache) >= COUPLING_CACHE_SIZE:
                 self._coupling_cache.pop(next(iter(self._coupling_cache)))
-            self._coupling_cache[key] = decomp
-        return decomp
+            self._coupling_cache[key] = entry
+        return entry[0]
 
     def plan(self, family: str, orders, lam: float | None = None) -> TransformPlan:
         """Build a transform plan; ``orders`` is (spatial, temporal) or a
@@ -185,19 +203,19 @@ class TransformContext:
             col = graph_frft(self.temporal, temporal_order)
             return TransformPlan(family, row, col, orders)
         if family == "jfrft":
-            col = dfrft_matrix(self.temporal.n, temporal_order, mode=self.dfrft_mode)
+            col = dfrft_matrix(self.temporal.n, temporal_order)
             return TransformPlan(family, row, col, orders)
-        # gcgfrft
+        # gcgfrft: the coupling cache entry's lam = 0 geodesic holds the
+        # factors L and S^H that every coupling value shares
         if lam is None:
             raise ConfigError("gcgfrft needs the coupling parameter lam")
-        col = geodesic_temporal_basis(
-            graph_frft(self.temporal, temporal_order), self.coupling(temporal_order), lam
-        )
-        return TransformPlan(family, row, col, orders, lam=float(lam))
+        lam = _coupling_parameter(lam)
+        self.coupling(temporal_order)
+        col = self._coupling_cache[temporal_order][1].with_order(lam)
+        return TransformPlan(family, row, col, orders, lam=lam)
 
 
-def make_plan(family: str, spatial, temporal, orders, lam: float | None = None,
-              dfrft_mode: str = "candan") -> TransformPlan:
+def make_plan(family: str, spatial, temporal, orders, lam: float | None = None) -> TransformPlan:
     """One-shot plan construction from graphs or bases.
 
     ``temporal`` may be a Graph/SpectralBasis, or a plain integer size for the
@@ -206,7 +224,6 @@ def make_plan(family: str, spatial, temporal, orders, lam: float | None = None,
     if family == "jfrft" and isinstance(temporal, (int, np.integer)):
         spatial_basis = _as_basis(spatial)
         row = graph_frft(spatial_basis, float(np.atleast_1d(orders)[0]))
-        col = dfrft_matrix(int(temporal), float(np.atleast_1d(orders)[1]), mode=dfrft_mode)
+        col = dfrft_matrix(int(temporal), float(np.atleast_1d(orders)[1]))
         return TransformPlan("jfrft", row, col, tuple(float(o) for o in np.atleast_1d(orders)))
-    ctx = TransformContext(spatial, temporal, dfrft_mode=dfrft_mode)
-    return ctx.plan(family, orders, lam=lam)
+    return TransformContext(spatial, temporal).plan(family, orders, lam=lam)

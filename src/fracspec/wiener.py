@@ -23,9 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, MarginViolationError
-from .operators import dfrft_matrix, graph_frft
-from .transforms import (FAMILIES, TimeVertexSignal, TransformContext, TransformPlan, forward,
-                         inverse)
+from .transforms import FAMILIES, TimeVertexSignal, TransformContext, TransformPlan
 
 __all__ = [
     "FilterParams",
@@ -64,6 +62,8 @@ class FilterParams:
 
     def __post_init__(self):
         self.h = np.asarray(self.h, dtype=np.float64)
+        if not (np.isfinite(self.alpha) and np.isfinite(self.beta)):
+            raise ValueError(f"fractional orders must be finite, got ({self.alpha}, {self.beta})")
         if not np.all(np.isfinite(self.h)):
             raise ValueError("filter coefficients must be finite")
         if not 0.0 <= self.lam <= 1.0:
@@ -182,24 +182,23 @@ def _vector_to_orders(family: str, v: np.ndarray) -> tuple[float, float]:
     return float(v[0]), float(v[1])
 
 
-def _plan_orders(family: str, alpha: float, beta: float):
-    return (alpha,) if family == "gfrft2d" else (alpha, beta)
-
-
-def _spectral_pair(ctx: TransformContext, family: str, alpha: float, beta: float,
-                   lam: float | None, y: TimeVertexSignal, x: TimeVertexSignal):
-    plan = ctx.plan(family, _plan_orders(family, alpha, beta), lam=lam)
-    return plan, forward(plan, y).data, forward(plan, x).data
+def _spectra(ctx: TransformContext, family: str, alpha: float, beta: float,
+             lam: float | None, *signals: TimeVertexSignal):
+    """The plan at these parameters, then each signal's raw spectrum. Only the
+    geodesic family reads the coupling parameter."""
+    plan = ctx.plan(family, (alpha,) if family == "gfrft2d" else (alpha, beta),
+                    lam=lam if family == "gcgfrft" else None)
+    for sig in signals:
+        if sig.shape != plan.shape:
+            raise ValueError(f"signal shape {sig.shape} does not match plan {plan.shape}")
+    return (plan, *(plan.apply(sig.data) for sig in signals))
 
 
 def denoise_complex(y: TimeVertexSignal, params: FilterParams, ctx: TransformContext,
                     family: str = "gcgfrft") -> TimeVertexSignal:
     """Filtered estimate without the final real projection."""
-    lam = params.lam if family == "gcgfrft" else None
-    plan = ctx.plan(family, _plan_orders(family, params.alpha, params.beta), lam=lam)
-    yhat = forward(plan, y)
-    filtered = TimeVertexSignal(params.h * yhat.data, real_flag=y.real_flag)
-    return inverse(plan, filtered)
+    plan, yhat = _spectra(ctx, family, params.alpha, params.beta, params.lam, y)
+    return TimeVertexSignal(plan.apply_inverse(params.h * yhat), real_flag=y.real_flag)
 
 
 def denoise(y: TimeVertexSignal, params: FilterParams, ctx: TransformContext,
@@ -221,8 +220,7 @@ def loss(y: TimeVertexSignal, x_true: TimeVertexSignal, params: FilterParams,
     """
     if y.shape != x_true.shape:
         raise ValueError(f"shape mismatch: {y.shape} vs {x_true.shape}")
-    lam = params.lam if family == "gcgfrft" else None
-    _, yhat, xhat = _spectral_pair(ctx, family, params.alpha, params.beta, lam, y, x_true)
+    _, yhat, xhat = _spectra(ctx, family, params.alpha, params.beta, params.lam, y, x_true)
     return _mean_sq(params.h * yhat - xhat)
 
 
@@ -233,8 +231,7 @@ def grad_h(y: TimeVertexSignal, x_true: TimeVertexSignal, params: FilterParams,
     Unitarity collapses the inverse transform out of the quadratic, giving
     ``(2 / (n1 n2)) Re((h o Yhat - Xhat) o conj(Yhat))``.
     """
-    lam = params.lam if family == "gcgfrft" else None
-    _, yhat, xhat = _spectral_pair(ctx, family, params.alpha, params.beta, lam, y, x_true)
+    _, yhat, xhat = _spectra(ctx, family, params.alpha, params.beta, params.lam, y, x_true)
     resid = params.h * yhat - xhat
     return (2.0 / resid.size) * (resid * yhat.conj()).real
 
@@ -246,8 +243,7 @@ def closed_form_h(y: TimeVertexSignal, x_true: TimeVertexSignal, params: FilterP
     ``h_ij = Re(Xhat_ij conj(Yhat_ij)) / |Yhat_ij|^2`` on live bins; bins with
     negligible observed energy get the minimum-norm choice 0.
     """
-    lam = params.lam if family == "gcgfrft" else None
-    _, yhat, xhat = _spectral_pair(ctx, family, params.alpha, params.beta, lam, y, x_true)
+    _, yhat, xhat = _spectra(ctx, family, params.alpha, params.beta, params.lam, y, x_true)
     power = yhat.real**2 + yhat.imag**2
     floor = DEAD_BIN_REL_TOL * power.sum() / power.size
     h = np.zeros_like(power)
@@ -271,32 +267,34 @@ def _divided_difference_kernel(fvals: np.ndarray, points: np.ndarray,
 def _temporal_generator(ctx: TransformContext, plan: TransformPlan) -> np.ndarray:
     """``D = (dC/dbeta) C^H`` for the plan's column operator ``C``.
 
-    For the plain families ``D`` is the generator of C's eigenphase family.
-    The geodesic operator is ``C = F Q`` with ``F`` the temporal graph FRFT,
-    ``Q = exp(lam log W)`` and ``W = F^H E`` (``E`` the DFRFT), so the product
-    rule gives ``D = G_F + F (dQ Q^H) F^H`` with ``dW = F^H (G_E - G_F) E``.
-    In the eigenbasis ``S`` of ``W`` the derivatives of the principal
-    logarithm and of the exponential are Hadamard products with
-    divided-difference kernels (Daleckii-Krein; Higham, *Functions of
-    Matrices*, 2008, ch. 3).
+    For the plain families ``C`` is an eigenphase power, and ``D`` is the
+    order-independent generator ``G_F`` of the temporal graph FRFT or ``G_E``
+    of the DFRFT, both cached on the context. The geodesic operator is
+    ``C = F Q`` with ``F`` the temporal graph FRFT, ``Q = exp(lam log W)``
+    and ``W = F^H E`` (``E`` the DFRFT), so the product rule gives
+    ``D = G_F + F (dQ Q^H) F^H`` with ``dW = F^H (G_E - G_F) E``. In the
+    eigenbasis ``S`` of ``W`` the derivatives of the principal logarithm and
+    of the exponential are Hadamard products with divided-difference kernels
+    (Daleckii-Krein; Higham, *Functions of Matrices*, 2008, ch. 3). ``C``'s
+    left factor is ``L = F S``, and ``E S = F W S = L diag(exp(j theta))``,
+    so ``S^H dW S = (L^H (G_E - G_F) L) diag(exp(j theta))`` and
+    ``D = G_F + L (S^H dQ Q^H S) L^H``.
     """
-    col = plan.col_op
+    if plan.family == "jfrft":
+        return ctx.dfrft_generator
+    g_f = ctx.temporal_graph_generator
     if plan.family != "gcgfrft":
-        return col.generator()
-    beta = plan.orders[1]
-    f_d = dfrft_matrix(ctx.temporal.n, beta, mode=ctx.dfrft_mode)
-    g_f = graph_frft(ctx.temporal, beta).generator()
-    # geodesic_temporal_basis holds C as prefix F, basis S, phases theta, order lam
-    s_t, theta, lam = col.phase_basis, col.phases, col.order
-    fs = col.prefix @ s_t
-    g_inner = fs.conj().T @ (f_d.generator() - g_f) @ (f_d.matrix @ s_t)
+        return g_f
+    col = plan.col_op
+    left, theta, lam = col.left, col.phases, col.order
     mu = np.exp(1j * theta)
+    g_inner = (left.conj().T @ (ctx.dfrft_generator - g_f) @ left) * mu
     k_log = _divided_difference_kernel(1j * theta, mu, 1.0 / mu)
     a = 1j * lam * theta
     k_exp = _divided_difference_kernel(np.exp(a), a, np.exp(a))
     # S^H dQ S, right-multiplied by S^H Q^H S = diag(exp(-a))
     dq_qh = k_exp * (lam * (k_log * g_inner)) * np.exp(-a)
-    return g_f + fs @ dq_qh @ fs.conj().T
+    return g_f + left @ dq_qh @ left.conj().T
 
 
 def _order_gradient(ctx: TransformContext, plan: TransformPlan, h: np.ndarray,
@@ -329,8 +327,7 @@ def grad_orders(y: TimeVertexSignal, x_true: TimeVertexSignal, params: FilterPar
     orders."""
     if family == "gfrft2d":
         raise ConfigError("gfrft2d has a single shared order; train() handles it directly")
-    lam = params.lam if family == "gcgfrft" else None
-    plan, yhat, xhat = _spectral_pair(ctx, family, params.alpha, params.beta, lam, y, x_true)
+    plan, yhat, xhat = _spectra(ctx, family, params.alpha, params.beta, params.lam, y, x_true)
     g = _order_gradient(ctx, plan, params.h, yhat, xhat, params.h * yhat - xhat)
     return float(g[0]), float(g[1])
 
@@ -345,7 +342,8 @@ def train(y: TimeVertexSignal, x_true: TimeVertexSignal, lam: float | None,
     and applies one simultaneous update. The coupling parameter is fixed for
     the whole run. Spectral decompositions are cached on the context, so only
     the temporal coupling factorization is redone when the temporal order
-    moves.
+    moves. The spectra are not re-validated inside the loop; a non-finite
+    epoch risk (a diverged run) raises ``ValueError``.
     """
     if family not in FAMILIES:
         raise ConfigError(f"unknown family {family!r}")
@@ -353,7 +351,6 @@ def train(y: TimeVertexSignal, x_true: TimeVertexSignal, lam: float | None,
         raise ValueError(f"shape mismatch: {y.shape} vs {x_true.shape}")
     if family == "gcgfrft" and lam is None:
         raise ConfigError("gcgfrft training needs a fixed coupling parameter")
-    clam = lam if family == "gcgfrft" else None
 
     v = np.full(1 if family == "gfrft2d" else 2, 0.5)
     h = np.ones(y.shape, dtype=np.float64)
@@ -366,14 +363,17 @@ def train(y: TimeVertexSignal, x_true: TimeVertexSignal, lam: float | None,
     for epoch in range(config.epochs):
         alpha, beta = _vector_to_orders(family, v)
         try:
-            plan, yhat, xhat = _spectral_pair(ctx, family, alpha, beta, clam, y, x_true)
+            plan, yhat, xhat = _spectra(ctx, family, alpha, beta, lam, y, x_true)
         except MarginViolationError as err:
             raise MarginViolationError(
                 f"coupling margin violated at epoch {epoch}, temporal order {beta:.6g}: {err}",
                 margin=err.margin, index=err.index,
             ) from err
         resid = h * yhat - xhat
-        trace.append(TrainStep(epoch, _mean_sq(resid), alpha, beta))
+        risk = _mean_sq(resid)
+        if not np.isfinite(risk):
+            raise ValueError(f"training diverged at epoch {epoch}: the risk is {risk}")
+        trace.append(TrainStep(epoch, risk, alpha, beta))
 
         g_h = (2.0 / resid.size) * (resid * yhat.conj()).real if config.lr_filter > 0 else None
         g_v = _order_gradient(ctx, plan, h, yhat, xhat, resid) if config.lr_orders > 0 else None

@@ -204,6 +204,29 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("configuration error") and "Traceback" not in err
 
+    @pytest.mark.parametrize("command,key", [("benchmark", "sigmas"), ("benchmark", "threads"),
+                                             ("gen", "sigmaa")])
+    def test_unknown_top_level_key_exits_2(self, tmp_path, capsys, command, key):
+        # a misspelt or stale key must not be dropped in favour of a default
+        cfg = {"spatial": {"kind": "knn_random", "n": 6, "k": 2, "seed": 7}, key: 4}
+        if command == "benchmark":
+            cfg.update({"temporal": {"kind": "path", "n": 4}, "families": ["gbfrft2d"],
+                        "lambda_grid": [0.0], "seeds": [0], "train": {"epochs": 2}})
+        cfg_path = str(tmp_path / "cfg.json")
+        with open(cfg_path, "w") as fh:
+            json.dump(cfg, fh)
+        assert main([command, "--config", cfg_path, "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error") and repr(key) in err
+        assert not os.path.exists(tmp_path / "out")
+
+    def test_non_object_config_exits_2(self, tmp_path, capsys):
+        cfg_path = str(tmp_path / "cfg.json")
+        with open(cfg_path, "w") as fh:
+            json.dump([{"sigma_list": [0.5]}], fh)
+        assert main(["benchmark", "--config", cfg_path, "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err.startswith("configuration error")
+
     def test_denoise_trace_is_the_best_grid_points(self, tmp_path):
         spatial = {"kind": "knn_random", "n": 10, "k": 3, "seed": 7}
         ctx = TransformContext(GraphSpec.from_dict(spatial).build(), path_graph(5))

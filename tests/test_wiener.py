@@ -320,6 +320,21 @@ class TestTrain:
         assert abs(params.beta - 0.5) < 1.0
         assert loss(y, x, params, bench_ctx) < trace[100].loss
 
+    @pytest.mark.parametrize("family", ["gbfrft2d", "jfrft", "gcgfrft"])
+    def test_divergence_raises(self, family):
+        # the spectra are not re-checked inside the loop, so a run whose
+        # orders or filter blow up must still fail loudly
+        ctx = TransformContext(knn_graph(random_planar_points(8, seed=0), 3), path_graph(6))
+        x = synth_signal(ctx.spatial, 6, bandwidth=0.4, seed=0)
+        y = add_awgn(x, 0.8, seed=1)
+        cfg = TrainConfig(lr_orders=1e300, lr_filter=1e300, epochs=20)
+        with np.errstate(all="ignore"), pytest.raises(ValueError, match="diverged at epoch"):
+            train(y, x, 0.5 if family == "gcgfrft" else None, cfg, ctx, family=family)
+
+    def test_non_finite_orders_rejected(self):
+        with pytest.raises(ValueError, match="orders"):
+            FilterParams(alpha=np.inf, beta=0.5, h=np.ones((2, 2)))
+
 
 class TestLambdaGridSearch:
     def test_single_point_grid(self, instance):
