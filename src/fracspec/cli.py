@@ -31,6 +31,9 @@ __all__ = ["main"]
 
 #: top-level keys of a ``gen`` config
 _GEN_KEYS = ("spatial", "n2", "bandwidth", "sigma", "seed")
+#: top-level keys of a ``transform`` or ``denoise`` config; one set, so that
+#: a transform config can drive ``denoise`` too
+_RUN_KEYS = ("spatial", "temporal", "family", "orders", "lambda", "lambda_grid", "train")
 
 
 def _load_config(path: str | None, allowed=None) -> dict:
@@ -83,7 +86,7 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_transform(args) -> int:
-    cfg = _load_config(args.config)
+    cfg = _load_config(args.config, allowed=_RUN_KEYS)
     ctx = _context_from_config(cfg)
     family = cfg.get("family", "gcgfrft")
     orders = cfg.get("orders", [0.5, 0.5])
@@ -101,7 +104,7 @@ def _cmd_transform(args) -> int:
 
 
 def _cmd_denoise(args) -> int:
-    cfg = _load_config(args.config)
+    cfg = _load_config(args.config, allowed=_RUN_KEYS)
     ctx = _context_from_config(cfg)
     family = cfg.get("family", "gcgfrft")
     train_cfg = TrainConfig.from_dict(cfg.get("train", {}))
@@ -145,7 +148,10 @@ def _cmd_benchmark(args) -> int:
         kwargs["temporal"] = GraphSpec.from_dict(cfg["temporal"])
     for key in ("sigma_list", "lambda_grid", "families", "seeds"):
         if key in cfg:
-            kwargs[key] = tuple(cfg[key])
+            try:
+                kwargs[key] = tuple(cfg[key])
+            except TypeError as err:
+                raise ConfigError(f"{key!r} must be a list: {err}") from err
     if "train" in cfg:
         kwargs["train"] = TrainConfig.from_dict(cfg["train"])
     for key in ("bandwidth", "persist_estimates"):

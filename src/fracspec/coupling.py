@@ -58,7 +58,8 @@ def _as_matrix(op) -> np.ndarray:
 
 
 def coupling_operator(f_graph, f_dfrft) -> np.ndarray:
-    """Relative change-of-basis operator ``W = (F_graph)^H F_dfrft``.
+    """Relative change-of-basis operator ``W = (F_graph)^H F_dfrft``; a
+    (B, n, n) stack for operators that carry a batch of orders.
 
     A ``FractionalOperator`` is unitary by construction; a raw array input is
     checked against the unitarity tolerance.
@@ -67,46 +68,61 @@ def coupling_operator(f_graph, f_dfrft) -> np.ndarray:
     b = _as_matrix(f_dfrft)
     if a.shape != b.shape:
         raise ValueError(f"size mismatch: {a.shape} vs {b.shape}")
-    n = a.shape[0]
+    n = a.shape[-1]
     for name, op, m in (("graph basis", f_graph, a), ("dfrft basis", f_dfrft, b)):
         if isinstance(op, FractionalOperator):
             continue
         err = unitarity_error(m)
         if err > INPUT_UNITARITY_TOL * n:
             raise NotUnitaryError(f"{name} is not unitary: ||U^H U - I|| = {err:.3e}")
-    return _freeze(a.conj().T @ b)
+    return _freeze(a.conj().swapaxes(-1, -2) @ b)
 
 
-def phase_decompose(w: np.ndarray, margin_tol: float = DEFAULT_MARGIN_TOL) -> CouplingDecomposition:
+def phase_decompose(w: np.ndarray, margin_tol: float = DEFAULT_MARGIN_TOL):
     """Eigenphase decomposition of a unitary coupling operator.
 
     Fails hard (no silent perturbation) when any eigenphase comes within
     ``margin_tol`` radians of the -1 branch cut, reporting the margin and the
     offending phase index.
+
+    A (B, n, n) stack is checked and decomposed as a whole (one Schur form per
+    matrix) and gives a list of B results, in which a matrix that fails the
+    margin holds its ``MarginViolationError`` instead of raising it, so one
+    bad matrix does not cost the others their decomposition.
     """
     w = np.asarray(w, dtype=np.complex128)
-    n = w.shape[0]
-    err = unitarity_error(w)
+    n = w.shape[-1]
+    err = np.max(unitarity_error(w))
     if err > INPUT_UNITARITY_TOL * n:
         raise NotUnitaryError(f"coupling operator is not unitary: ||W^H W - I|| = {err:.3e}")
     theta, s = _unitary_eigendecomposition(w)
-    worst = int(np.argmax(np.abs(theta)))
-    margin = float(np.pi - abs(theta[worst]))
-    if margin <= margin_tol:
-        raise MarginViolationError(
-            f"coupling eigenphase {worst} is {margin:.3e} rad from the -1 branch cut "
+    distance = np.abs(theta)
+    worst = np.argmax(distance, axis=-1)
+    margin = np.pi - np.max(distance, axis=-1)
+    results = [
+        CouplingDecomposition(s=s_k, theta=theta_k, margin=float(m_k)) if m_k > margin_tol
+        else MarginViolationError(
+            f"coupling eigenphase {i_k} is {m_k:.3e} rad from the -1 branch cut "
             f"(tolerance {margin_tol:.3e}); the principal logarithm is ill-defined",
-            margin=margin,
-            index=worst,
+            margin=float(m_k),
+            index=int(i_k),
         )
-    return CouplingDecomposition(s=s, theta=theta, margin=margin)
+        for s_k, theta_k, m_k, i_k in zip(s.reshape(-1, n, n), theta.reshape(-1, n),
+                                          margin.reshape(-1), worst.reshape(-1))
+    ]
+    if w.ndim > 2:
+        return results
+    if isinstance(results[0], MarginViolationError):
+        raise results[0]
+    return results[0]
 
 
-def _coupling_parameter(lam) -> float:
-    """Validate a coupling parameter: the geodesic is defined on [0, 1]."""
-    if not 0.0 <= lam <= 1.0:
+def _coupling_parameter(lam):
+    """Validate a coupling parameter, or an array of them: the geodesic is
+    defined on [0, 1]."""
+    if not all(0.0 <= v <= 1.0 for v in np.atleast_1d(lam).tolist()):
         raise ValueError(f"coupling parameter must lie in [0, 1], got {lam}")
-    return float(lam)
+    return float(lam) if np.ndim(lam) == 0 else np.asarray(lam, dtype=np.float64)
 
 
 def geodesic_temporal_basis(f_graph_beta: FractionalOperator,

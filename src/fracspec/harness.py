@@ -12,6 +12,7 @@ contract).
 from __future__ import annotations
 
 import math
+import numbers
 import time
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -182,6 +183,11 @@ class BenchmarkConfig:
     persist_estimates: bool = False
 
     def __post_init__(self):
+        if not all(isinstance(s, numbers.Integral) and not isinstance(s, bool) for s in self.seeds):
+            raise ConfigError(f"seeds must be integers, got {self.seeds}")
+        values = (*self.sigma_list, *self.lambda_grid, self.bandwidth)
+        if not all(isinstance(v, numbers.Real) and not isinstance(v, bool) for v in values):
+            raise ConfigError("noise levels, coupling values and the bandwidth must be numbers")
         if not self.families:
             raise ConfigError("at least one transform family is required")
         unknown = set(self.families) - set(FAMILIES)

@@ -48,10 +48,11 @@ def _freeze(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def unitarity_error(m: np.ndarray) -> float:
-    """Frobenius norm of M^H M - I."""
-    n = m.shape[0]
-    return float(np.linalg.norm(m.conj().T @ m - np.eye(n)))
+def unitarity_error(m: np.ndarray):
+    """Frobenius norm of M^H M - I; one norm per matrix for a (B, n, n) stack."""
+    m = np.asarray(m)
+    err = np.linalg.norm(m.conj().swapaxes(-1, -2) @ m - np.eye(m.shape[-1]), axis=(-2, -1))
+    return float(err) if m.ndim == 2 else err
 
 
 @dataclass(frozen=True)
@@ -93,31 +94,40 @@ class FractionalOperator:
     ``left = F S`` and ``right = S^H``, with ``order`` the coupling parameter.
     The dense ``matrix`` is materialized lazily; transforms apply the factors
     directly.
+
+    A batch of B operators shares the leading axis: ``order`` of shape (B,),
+    and ``left``/``right`` (B, n, n) and ``phases`` (B, n) either stacked or
+    shared by every member. The ``apply_*`` methods then broadcast over it.
     """
 
     def __init__(self, order, phases, left, right, kind, matrix=None):
-        self.order = float(order)
         self.phases = _freeze(np.asarray(phases))
         self.left = _freeze(np.asarray(left))
         self.right = _freeze(np.asarray(right))
         self.kind = kind
+        order = np.array(order, dtype=np.float64)
+        self.order = float(order) if order.ndim == 0 else _freeze(order)
+        self._diag = None
         self._matrix = matrix
 
     @property
     def n(self) -> int:
-        return self.left.shape[0]
+        return self.left.shape[-1]
 
     @property
     def diag(self) -> np.ndarray:
-        return np.exp(1j * self.order * self.phases)
+        if self._diag is None:
+            order = self.order if isinstance(self.order, float) else self.order[:, None]
+            self._diag = _freeze(np.exp(1j * order * self.phases))
+        return self._diag
 
     @property
     def matrix(self) -> np.ndarray:
         if self._matrix is None:
-            self._matrix = _freeze((self.left * self.diag) @ self.right)
+            self._matrix = _freeze((self.left * self.diag[..., None, :]) @ self.right)
         return self._matrix
 
-    def with_order(self, order: float) -> "FractionalOperator":
+    def with_order(self, order) -> "FractionalOperator":
         """Same operator family at a different order; only the diagonal phase
         factors change."""
         return FractionalOperator(order, self.phases, self.left, self.right, self.kind)
@@ -127,34 +137,31 @@ class FractionalOperator:
 
     def apply_left(self, x: np.ndarray) -> np.ndarray:
         """M @ x."""
-        return self.left @ (self.diag[:, None] * (self.right @ x))
+        return self.left @ (self.diag[..., :, None] * (self.right @ x))
 
     def apply_left_inverse(self, x: np.ndarray) -> np.ndarray:
         """M^H @ x (closed-form inverse: the operator is unitary)."""
-        return (self.right.T @ (self.diag[:, None] * (self.left.T @ x.conj()))).conj()
+        return (self.right.swapaxes(-1, -2)
+                @ (self.diag[..., :, None] * (self.left.swapaxes(-1, -2) @ x.conj()))).conj()
 
     def apply_right_transpose(self, x: np.ndarray) -> np.ndarray:
         """x @ M^T."""
-        return ((x @ self.right.T) * self.diag) @ self.left.T
+        return ((x @ self.right.swapaxes(-1, -2)) * self.diag[..., None, :]) @ self.left.swapaxes(-1, -2)
 
     def apply_right_conj(self, x: np.ndarray) -> np.ndarray:
         """x @ M^* (right factor of the inverse transform)."""
-        return (((x.conj() @ self.left) * self.diag) @ self.right).conj()
+        return (((x.conj() @ self.left) * self.diag[..., None, :]) @ self.right).conj()
 
     # -- order derivative: d(matrix)/d(order) = G @ matrix -------------------
 
     def generator(self) -> np.ndarray:
         """Dense generator ``G = left diag(j*phases) left^H = (dM/dorder) M^H``."""
-        return (self.left * (1j * self.phases)) @ self.left.conj().T
-
-    def apply_generator(self, x: np.ndarray) -> np.ndarray:
-        """G @ x in the factored form, without forming G."""
-        return self.left @ ((1j * self.phases)[:, None] * (self.left.T @ x.conj()).conj())
+        return (self.left * (1j * self.phases)[..., None, :]) @ self.left.conj().swapaxes(-1, -2)
 
 
 def reconstruction_error(op: FractionalOperator) -> float:
     """Frobenius distance between ``op.matrix`` and its cached factorization."""
-    return float(np.linalg.norm(op.matrix - (op.left * op.diag) @ op.right))
+    return float(np.linalg.norm(op.matrix - (op.left * op.diag[..., None, :]) @ op.right))
 
 
 def eigendecompose(g: Graph) -> SpectralBasis:
@@ -206,18 +213,48 @@ def _unitary_eigendecomposition(u: np.ndarray, cluster_tol: float = PHASE_CLUSTE
 
     Returns (theta, P) with phases sorted descending (stable ties) and each
     column's largest-magnitude component rotated onto the positive real axis.
+    A (B, n, n) stack gives (B, n) phases and (B, n, n) bases: one Schur form
+    per matrix, everything else over the whole stack.
     """
-    n = u.shape[0]
-    t, z = scipy.linalg.schur(np.asarray(u, dtype=np.complex128), output="complex")
-    w = np.diag(t).copy()
+    u = np.asarray(u, dtype=np.complex128)
+    n = u.shape[-1]
+    stack = u.reshape(-1, n, n)
+    w = np.empty(stack.shape[:2], dtype=np.complex128)
+    z = np.empty_like(stack)
+    for k, m in enumerate(stack):
+        t, z[k] = scipy.linalg.schur(m, output="complex")
+        w[k] = np.diag(t)
     theta = np.angle(w)
     theta[theta == -np.pi] = np.pi  # signed-zero imaginary part; branch is (-pi, pi]
-    order = np.lexsort((np.arange(n), -theta))
-    theta = theta[order]
-    w = w[order]
-    z = z[:, order].copy()
+    rows = np.arange(len(stack))[:, None]
+    order = np.argsort(-theta, axis=-1, kind="stable")
+    theta, w = theta[rows, order], w[rows, order]
+    z = z.swapaxes(-1, -2)[rows, order].swapaxes(-1, -2)
 
-    # consecutive clusters on the sorted phases
+    # only matrices with a phase cluster (consecutive sorted phases closer
+    # than the tolerance, or a top and bottom phase meeting across the -1
+    # branch cut) need the per-matrix unification
+    close = (theta[:, :-1] - theta[:, 1:] < cluster_tol).any(axis=-1)
+    wraps = (np.pi - theta[:, 0]) + (theta[:, -1] + np.pi) < cluster_tol
+    for k in np.flatnonzero(close | wraps):
+        theta[k], z[k] = _unify_phase_clusters(theta[k], w[k], z[k], cluster_tol)
+
+    # canonical column phase: the first largest-magnitude entry is real positive
+    pivot = z[rows, np.argmax(np.abs(z), axis=-2), np.arange(n)]
+    z = z / (pivot / np.abs(pivot))[:, None, :]
+
+    ortho = np.max(unitarity_error(z))
+    if ortho > OUTPUT_UNITARITY_TOL * n:
+        raise DecompositionError(
+            f"eigenvector re-orthonormalization failed: ||P^H P - I|| = {ortho:.3e}"
+        )
+    return _freeze(theta.reshape(u.shape[:-1])), _freeze(z.reshape(u.shape))
+
+
+def _unify_phase_clusters(theta, w, z, cluster_tol):
+    """Give every eigenvalue cluster of one sorted decomposition a single
+    phase, the angle of its mean eigenvalue, and re-sort."""
+    n = theta.size
     bounds = [0]
     for i in range(1, n):
         if theta[i - 1] - theta[i] >= cluster_tol:
@@ -229,6 +266,7 @@ def _unitary_eigendecomposition(u: np.ndarray, cluster_tol: float = PHASE_CLUSTE
     if len(groups) > 1 and (np.pi - theta[0]) + (theta[n - 1] + np.pi) < cluster_tol:
         groups = [groups[0] + groups[-1]] + groups[1:-1]
 
+    theta = theta.copy()
     for grp in groups:
         if len(grp) == 1:
             continue
@@ -236,22 +274,8 @@ def _unitary_eigendecomposition(u: np.ndarray, cluster_tol: float = PHASE_CLUSTE
         if np.pi - abs(rep) < cluster_tol:
             rep = np.pi  # canonical branch for a -1 eigenspace
         theta[grp] = rep
-
-    # re-sort after unification, then canonical per-column phase
     order = np.lexsort((np.arange(n), -theta))
-    theta = theta[order]
-    z = z[:, order]
-    for k in range(n):
-        col = z[:, k]
-        i0 = int(np.argmax(np.abs(col)))
-        z[:, k] = col / (col[i0] / abs(col[i0]))
-
-    ortho = unitarity_error(z)
-    if ortho > OUTPUT_UNITARITY_TOL * n:
-        raise DecompositionError(
-            f"eigenvector re-orthonormalization failed: ||P^H P - I|| = {ortho:.3e}"
-        )
-    return _freeze(theta), _freeze(z)
+    return theta[order], z[:, order]
 
 
 def unitary_fractional_power(u, order: float, kind: str = "graph") -> FractionalOperator:

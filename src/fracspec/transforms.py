@@ -28,10 +28,9 @@ from .coupling import (
     CouplingDecomposition,
     _coupling_parameter,
     coupling_operator,
-    geodesic_temporal_basis,
     phase_decompose,
 )
-from .errors import ConfigError
+from .errors import ConfigError, MarginViolationError
 from .graphs import Graph
 from .operators import FractionalOperator, SpectralBasis, dfrft_matrix, eigendecompose, graph_frft
 
@@ -89,13 +88,14 @@ class TimeVertexSignal:
 
 @dataclass(frozen=True)
 class TransformPlan:
-    """A pair of unitary factor operators plus family metadata."""
+    """A pair of unitary factor operators plus family metadata; the orders
+    and ``lam`` of a batched plan are arrays over its leading axis."""
 
     family: str
     row_op: FractionalOperator
     col_op: FractionalOperator
     orders: tuple
-    lam: float | None = None
+    lam: float | np.ndarray | None = None
 
     @property
     def shape(self):
@@ -163,32 +163,65 @@ class TransformContext:
         """``G_E = (dE/dbeta) E^H`` of the DFRFT; the same at every order."""
         return dfrft_matrix(self.temporal.n, 0.0).generator()
 
-    def coupling(self, temporal_order: float) -> CouplingDecomposition:
-        """Decomposition of ``(F_graph^beta)^H F_dfrft^beta`` at this order."""
-        key = float(temporal_order)
-        entry = self._coupling_cache.get(key)
-        if entry is None:
-            f_graph = graph_frft(self.temporal, key)
-            w = coupling_operator(f_graph, dfrft_matrix(self.temporal.n, key))
-            decomp = phase_decompose(w, margin_tol=self.margin_tol)
-            entry = (decomp, geodesic_temporal_basis(f_graph, decomp, 0.0))
-            if len(self._coupling_cache) >= COUPLING_CACHE_SIZE:
-                self._coupling_cache.pop(next(iter(self._coupling_cache)))
-            self._coupling_cache[key] = entry
-        return entry[0]
+    def coupling(self, temporal_order):
+        """Decomposition of ``(F_graph^beta)^H F_dfrft^beta`` at this order.
 
-    def plan(self, family: str, orders, lam: float | None = None) -> TransformPlan:
+        An array of orders gives a list in the same order, in which an order
+        whose coupling violates the margin holds its ``MarginViolationError``
+        instead of raising it. The cache misses among the distinct orders are
+        built together: one ``W`` stack, one Schur form per order, and one
+        ``L`` stack. The cache keeps the most
+        recently requested orders, never fewer than one request's.
+        """
+        keys = np.atleast_1d(temporal_order).astype(np.float64).tolist()
+        distinct = list(dict.fromkeys(keys))
+        cache = self._coupling_cache
+        failed = {}
+        misses = [k for k in distinct if k not in cache]
+        if misses:
+            betas = np.array(misses)
+            f_graph = graph_frft(self.temporal, betas)
+            found = phase_decompose(coupling_operator(f_graph, dfrft_matrix(self.temporal.n, betas)),
+                                    margin_tol=self.margin_tol)
+            failed = {k: d for k, d in zip(misses, found) if isinstance(d, MarginViolationError)}
+            ok = [i for i, k in enumerate(misses) if k not in failed]
+            if ok:
+                s = np.stack([found[i].s for i in ok])
+                left = f_graph.matrix[ok] @ s
+                right = s.conj().swapaxes(-1, -2)
+                for j, i in enumerate(ok):
+                    # the lam = 0 geodesic holds the factors L = F_graph^beta S
+                    # and S^H that every coupling value shares
+                    cache[misses[i]] = (found[i], FractionalOperator(
+                        0.0, found[i].theta, left[j], right[j], kind="geodesic"))
+        for k in distinct:
+            if k in cache:
+                cache[k] = cache.pop(k)
+        while len(cache) > max(COUPLING_CACHE_SIZE, len(distinct)):
+            cache.pop(next(iter(cache)))
+        results = [failed[k] if k in failed else cache[k][0] for k in keys]
+        if np.ndim(temporal_order) > 0:
+            return results
+        if isinstance(results[0], MarginViolationError):
+            raise results[0]
+        return results[0]
+
+    def plan(self, family: str, orders, lam=None) -> TransformPlan:
         """Build a transform plan; ``orders`` is (spatial, temporal) or a
-        single shared order for the gfrft2d family."""
+        single shared order for the gfrft2d family.
+
+        Each order, and ``lam``, may also be an array over a batch of B
+        parameter settings; the plan's operators then carry that leading
+        axis and ``apply`` maps one n1 x n2 signal to B spectra.
+        """
         if family not in FAMILIES:
             raise ConfigError(f"unknown family {family!r}; expected one of {FAMILIES}")
-        if np.isscalar(orders):
-            orders = (float(orders),)
-        else:
-            orders = tuple(float(o) for o in orders)
+        orders = (orders,) if np.ndim(orders) == 0 else tuple(orders)
+        orders = tuple(float(o) if np.ndim(o) == 0 else np.asarray(o, dtype=np.float64)
+                       for o in orders)
 
         if family == "gfrft2d":
-            if len(orders) not in (1, 2) or (len(orders) == 2 and orders[0] != orders[1]):
+            if len(orders) not in (1, 2) or (len(orders) == 2 and np.any(orders[0] != orders[1])):
                 raise ConfigError("gfrft2d uses one shared order")
             shared = orders[0]
             row = graph_frft(self.spatial, shared)
@@ -210,8 +243,20 @@ class TransformContext:
         if lam is None:
             raise ConfigError("gcgfrft needs the coupling parameter lam")
         lam = _coupling_parameter(lam)
-        self.coupling(temporal_order)
-        col = self._coupling_cache[temporal_order][1].with_order(lam)
+        betas = np.atleast_1d(temporal_order).tolist()
+        distinct = list(dict.fromkeys(betas))
+        for found in self.coupling(distinct):
+            if isinstance(found, MarginViolationError):
+                raise found
+        geodesics = [self._coupling_cache[b][1] for b in distinct]
+        if len(geodesics) == 1:
+            col = geodesics[0].with_order(lam)
+        else:
+            position = {b: i for i, b in enumerate(distinct)}
+            member = [position[b] for b in betas]
+            col = FractionalOperator(
+                lam, *(np.stack([getattr(g, f) for g in geodesics])[member]
+                       for f in ("phases", "left", "right")), kind="geodesic")
         return TransformPlan(family, row, col, orders, lam=lam)
 
 

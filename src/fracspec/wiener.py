@@ -176,12 +176,6 @@ def _mean_sq(e: np.ndarray) -> float:
     return float(np.mean(e.real**2 + e.imag**2))
 
 
-def _vector_to_orders(family: str, v: np.ndarray) -> tuple[float, float]:
-    if family == "gfrft2d":
-        return float(v[0]), float(v[0])
-    return float(v[0]), float(v[1])
-
-
 def _spectra(ctx: TransformContext, family: str, alpha: float, beta: float,
              lam: float | None, *signals: TimeVertexSignal):
     """The plan at these parameters, then each signal's raw spectrum. Only the
@@ -255,17 +249,20 @@ def closed_form_h(y: TimeVertexSignal, x_true: TimeVertexSignal, params: FilterP
 def _divided_difference_kernel(fvals: np.ndarray, points: np.ndarray,
                                fprime: np.ndarray) -> np.ndarray:
     """Matrix of divided differences (f(p_i) - f(p_j)) / (p_i - p_j), with the
-    derivative value on (near-)coincident pairs."""
-    den = points[:, None] - points[None, :]
-    num = fvals[:, None] - fvals[None, :]
+    derivative value on (near-)coincident pairs; one matrix per row of a
+    (B, n) batch of points."""
+    den = points[..., :, None] - points[..., None, :]
     near = np.abs(den) < 1e-12
-    out = np.where(near, np.broadcast_to(fprime[:, None], den.shape),
-                   num / np.where(near, 1.0, den))
+    den[near] = 1.0
+    out = fvals[..., :, None] - fvals[..., None, :]
+    out /= den
+    out[near] = np.broadcast_to(fprime[..., :, None], out.shape)[near]
     return out
 
 
 def _temporal_generator(ctx: TransformContext, plan: TransformPlan) -> np.ndarray:
-    """``D = (dC/dbeta) C^H`` for the plan's column operator ``C``.
+    """``D = (dC/dbeta) C^H`` for the plan's column operator ``C``; one
+    n2 x n2 matrix per member of a batched plan.
 
     For the plain families ``C`` is an eigenphase power, and ``D`` is the
     order-independent generator ``G_F`` of the temporal graph FRFT or ``G_E``
@@ -286,39 +283,59 @@ def _temporal_generator(ctx: TransformContext, plan: TransformPlan) -> np.ndarra
     if plan.family != "gcgfrft":
         return g_f
     col = plan.col_op
-    left, theta, lam = col.left, col.phases, col.order
+    left, theta = col.left, col.phases
+    left_h = left.conj().swapaxes(-1, -2)
+    lam = np.expand_dims(col.order, -1)
     mu = np.exp(1j * theta)
-    g_inner = (left.conj().T @ (ctx.dfrft_generator - g_f) @ left) * mu
-    k_log = _divided_difference_kernel(1j * theta, mu, 1.0 / mu)
     a = 1j * lam * theta
-    k_exp = _divided_difference_kernel(np.exp(a), a, np.exp(a))
-    # S^H dQ S, right-multiplied by S^H Q^H S = diag(exp(-a))
-    dq_qh = k_exp * (lam * (k_log * g_inner)) * np.exp(-a)
-    return g_f + left @ dq_qh @ left.conj().T
+    # S^H dQ S = K_exp o (lam K_log o (S^H dW S)), right-multiplied by
+    # S^H Q^H S = diag(exp(-a)); built in place on K_exp, which already has
+    # one n2 x n2 matrix per lane
+    dq_qh = _divided_difference_kernel(np.exp(a), a, np.exp(a))
+    dq_qh *= lam[..., None]
+    dq_qh *= _divided_difference_kernel(1j * theta, mu, 1.0 / mu)
+    dq_qh *= left_h @ (ctx.dfrft_generator - g_f) @ left
+    dq_qh *= mu[..., None, :] * np.exp(-a)[..., None, :]
+    return g_f + left @ dq_qh @ left_h
+
+
+def _factored_spectra(plan: TransformPlan, ry: np.ndarray, rx: np.ndarray):
+    """Spectra of Y and X from ``ry = P^H Y`` and ``rx = P^H X``, where
+    ``P`` is the row operator's eigenbasis (its right factor is ``P^H`` at
+    every order). ``Yhat = P Z_Y`` with ``Z_Y = diag(d) (P^H Y) C^T``;
+    returns ``(Z_Y, Z_X, Yhat, Xhat)``, batched like the plan."""
+    d = plan.row_op.diag[..., :, None]
+    zy = plan.col_op.apply_right_transpose(d * ry)
+    zx = plan.col_op.apply_right_transpose(d * rx)
+    p = plan.row_op.left
+    return zy, zx, p @ zy, p @ zx
 
 
 def _order_gradient(ctx: TransformContext, plan: TransformPlan, h: np.ndarray,
-                    yhat: np.ndarray, xhat: np.ndarray, resid: np.ndarray) -> np.ndarray:
-    """Gradient of the risk with respect to the plan's fractional orders.
+                    spectra, resid: np.ndarray) -> np.ndarray:
+    """Gradient of the risk with respect to the plan's fractional orders,
+    shape (..., 2), or (..., 1) for the shared order of gfrft2d (the sum).
 
     Every factor moves along a unitary one-parameter family, so an order
-    derivative is a generator times the spectra already computed:
-    ``dYhat/dalpha = G_row Yhat`` (applied in the spatial eigenbasis, never
-    formed) and ``dYhat/dbeta = Yhat D^T`` with the dense n2 x n2 ``D`` of
-    ``_temporal_generator``. The shared order of gfrft2d gets the sum.
+    derivative is a generator times the spectra already computed. With
+    ``Yhat = P Z`` (``_factored_spectra``), ``dYhat/dalpha = G_row Yhat =
+    P (j phi o Z)``, and ``dYhat/dbeta = Yhat D^T`` with the dense n2 x n2
+    ``D`` of ``_temporal_generator``.
     """
-    scale = 2.0 / resid.size
+    zy, zx, yhat, xhat = spectra
+    scale = 2.0 / (resid.shape[-2] * resid.shape[-1])
 
     def rate(d_yhat, d_xhat):
-        return scale * float(np.sum((resid.conj() * (h * d_yhat - d_xhat)).real))
+        return scale * np.sum((resid.conj() * (h * d_yhat - d_xhat)).real, axis=(-2, -1))
 
     row = plan.row_op
-    g_alpha = rate(row.apply_generator(yhat), row.apply_generator(xhat))
-    d_t = _temporal_generator(ctx, plan).T
+    j_phi = (1j * row.phases)[:, None]
+    g_alpha = rate(row.left @ (j_phi * zy), row.left @ (j_phi * zx))
+    d_t = _temporal_generator(ctx, plan).swapaxes(-1, -2)
     g_beta = rate(yhat @ d_t, xhat @ d_t)
     if plan.family == "gfrft2d":
-        return np.array([g_alpha + g_beta])
-    return np.array([g_alpha, g_beta])
+        return (g_alpha + g_beta)[..., None]
+    return np.stack([g_alpha, g_beta], axis=-1)
 
 
 def grad_orders(y: TimeVertexSignal, x_true: TimeVertexSignal, params: FilterParams,
@@ -327,9 +344,101 @@ def grad_orders(y: TimeVertexSignal, x_true: TimeVertexSignal, params: FilterPar
     orders."""
     if family == "gfrft2d":
         raise ConfigError("gfrft2d has a single shared order; train() handles it directly")
-    plan, yhat, xhat = _spectra(ctx, family, params.alpha, params.beta, params.lam, y, x_true)
-    g = _order_gradient(ctx, plan, params.h, yhat, xhat, params.h * yhat - xhat)
+    (plan,) = _spectra(ctx, family, params.alpha, params.beta, params.lam)
+    p_h = plan.row_op.right
+    spectra = _factored_spectra(plan, p_h @ y.data, p_h @ x_true.data)
+    g = _order_gradient(ctx, plan, params.h, spectra, params.h * spectra[2] - spectra[3])
     return float(g[0]), float(g[1])
+
+
+def _adam_step(x, g, m, s, lr, t, b1=0.9, b2=0.999, eps=1e-8):
+    """One Adam update of ``x`` at step ``t``; returns ``(x, m, s)``."""
+    m = b1 * m + (1 - b1) * g
+    s = b2 * s + (1 - b2) * g**2
+    return x - lr * (m / (1 - b1**t)) / (np.sqrt(s / (1 - b2**t)) + eps), m, s
+
+
+def _train_lanes(y: TimeVertexSignal, x_true: TimeVertexSignal, lams: list,
+                 config: TrainConfig, ctx: TransformContext, family: str):
+    """Train one lane per coupling value in ``lams`` as one batched state.
+
+    Orders ``v`` (B, 2) (one column for gfrft2d), filters ``h`` (B, n1, n2)
+    and the Adam moments share the lane axis; forward spectra, risks,
+    gradients and updates are broadcast over it. Only the coupling build
+    loops, once per distinct new temporal order. ``P^H Y`` and ``P^H X`` are
+    the same for every lane and epoch and are computed once. A lane whose
+    coupling margin fails leaves the batch with its error and the others
+    train on unchanged; a non-finite risk in any lane raises ``ValueError``.
+    Returns ``(params, trace, error)`` per lane, with ``params`` None on a
+    margin failure.
+    """
+    if family not in FAMILIES:
+        raise ConfigError(f"unknown family {family!r}")
+    if y.shape != x_true.shape:
+        raise ValueError(f"shape mismatch: {y.shape} vs {x_true.shape}")
+    if y.shape != ctx.shape:
+        raise ValueError(f"signal shape {y.shape} does not match plan {ctx.shape}")
+    geodesic = family == "gcgfrft"
+    if geodesic and any(lam is None for lam in lams):
+        raise ConfigError("gcgfrft training needs a fixed coupling parameter")
+
+    lanes = np.arange(len(lams))
+    lam = np.array(lams, dtype=np.float64) if geodesic else None
+    v = np.full((len(lams), 1 if family == "gfrft2d" else 2), 0.5)
+    h = np.ones((len(lams), *y.shape), dtype=np.float64)
+    m_v, s_v, m_h, s_h = np.zeros_like(v), np.zeros_like(v), np.zeros_like(h), np.zeros_like(h)
+    # the row operator's right factor P^H is the same at every spatial order
+    p_h = ctx.spatial.fourier_phase_decomposition[2]
+    ry, rx = p_h @ y.data, p_h @ x_true.data
+
+    traces: list[list[TrainStep]] = [[] for _ in lams]
+    errors: list[MarginViolationError | None] = [None] * len(lams)
+    for epoch in range(config.epochs):
+        try:
+            plan = ctx.plan(family, tuple(v.T), lam=lam)
+        except MarginViolationError:
+            # failed orders are not cached, so only they are decomposed again
+            beta = v[:, -1]
+            found = ctx.coupling(beta)
+            keep = np.array([not isinstance(d, MarginViolationError) for d in found])
+            for i in np.flatnonzero(~keep):
+                errors[lanes[i]] = MarginViolationError(
+                    f"coupling margin violated at epoch {epoch}, temporal order {beta[i]:.6g}: "
+                    f"{found[i]}", margin=found[i].margin, index=found[i].index)
+            lanes, v, h, lam = lanes[keep], v[keep], h[keep], lam[keep]
+            m_v, s_v, m_h, s_h = m_v[keep], s_v[keep], m_h[keep], s_h[keep]
+            if not lanes.size:
+                break
+            plan = ctx.plan(family, tuple(v.T), lam=lam)
+        spectra = _factored_spectra(plan, ry, rx)
+        yhat, xhat = spectra[2], spectra[3]
+        resid = h * yhat - xhat
+        risk = np.mean(resid.real**2 + resid.imag**2, axis=(-2, -1))
+        if not np.all(np.isfinite(risk)):
+            raise ValueError(f"training diverged at epoch {epoch}: the risk is "
+                             f"{risk[~np.isfinite(risk)][0]}")
+        for lane, r, a, b in zip(lanes.tolist(), risk.tolist(), v[:, 0].tolist(), v[:, -1].tolist()):
+            traces[lane].append(TrainStep(epoch, r, a, b))
+
+        g_v = _order_gradient(ctx, plan, h, spectra, resid) if config.lr_orders > 0 else None
+        g_h = (2.0 / y.data.size) * (resid * yhat.conj()).real if config.lr_filter > 0 else None
+        if config.optimizer == "gd":
+            if g_v is not None:
+                v = v - config.lr_orders * g_v
+            if g_h is not None:
+                h = h - config.lr_filter * g_h
+        else:
+            if g_v is not None:
+                v, m_v, s_v = _adam_step(v, g_v, m_v, s_v, config.lr_orders, epoch + 1)
+            if g_h is not None:
+                h, m_h, s_h = _adam_step(h, g_h, m_h, s_h, config.lr_filter, epoch + 1)
+
+    results = [(None, traces[i], errors[i]) for i in range(len(lams))]
+    for i, lane in enumerate(lanes.tolist()):
+        params = FilterParams(alpha=float(v[i, 0]), beta=float(v[i, -1]), h=h[i],
+                              lam=lams[lane] if lams[lane] is not None else 0.0)
+        results[lane] = (params, traces[lane], None)
+    return results
 
 
 def train(y: TimeVertexSignal, x_true: TimeVertexSignal, lam: float | None,
@@ -343,66 +452,20 @@ def train(y: TimeVertexSignal, x_true: TimeVertexSignal, lam: float | None,
     the whole run. Spectral decompositions are cached on the context, so only
     the temporal coupling factorization is redone when the temporal order
     moves. The spectra are not re-validated inside the loop; a non-finite
-    epoch risk (a diverged run) raises ``ValueError``.
+    epoch risk (a diverged run) raises ``ValueError``. This is the one-lane
+    case of the batched state that ``lambda_grid_search`` trains.
     """
-    if family not in FAMILIES:
-        raise ConfigError(f"unknown family {family!r}")
-    if y.shape != x_true.shape:
-        raise ValueError(f"shape mismatch: {y.shape} vs {x_true.shape}")
-    if family == "gcgfrft" and lam is None:
-        raise ConfigError("gcgfrft training needs a fixed coupling parameter")
-
-    v = np.full(1 if family == "gfrft2d" else 2, 0.5)
-    h = np.ones(y.shape, dtype=np.float64)
-    if config.optimizer == "adam":
-        m_v, s_v = np.zeros_like(v), np.zeros_like(v)
-        m_h, s_h = np.zeros_like(h), np.zeros_like(h)
-        b1, b2, eps = 0.9, 0.999, 1e-8
-
-    trace: list[TrainStep] = []
-    for epoch in range(config.epochs):
-        alpha, beta = _vector_to_orders(family, v)
-        try:
-            plan, yhat, xhat = _spectra(ctx, family, alpha, beta, lam, y, x_true)
-        except MarginViolationError as err:
-            raise MarginViolationError(
-                f"coupling margin violated at epoch {epoch}, temporal order {beta:.6g}: {err}",
-                margin=err.margin, index=err.index,
-            ) from err
-        resid = h * yhat - xhat
-        risk = _mean_sq(resid)
-        if not np.isfinite(risk):
-            raise ValueError(f"training diverged at epoch {epoch}: the risk is {risk}")
-        trace.append(TrainStep(epoch, risk, alpha, beta))
-
-        g_h = (2.0 / resid.size) * (resid * yhat.conj()).real if config.lr_filter > 0 else None
-        g_v = _order_gradient(ctx, plan, h, yhat, xhat, resid) if config.lr_orders > 0 else None
-
-        if config.optimizer == "gd":
-            if g_v is not None:
-                v = v - config.lr_orders * g_v
-            if g_h is not None:
-                h = h - config.lr_filter * g_h
-        else:
-            t = epoch + 1
-            if g_v is not None:
-                m_v = b1 * m_v + (1 - b1) * g_v
-                s_v = b2 * s_v + (1 - b2) * g_v**2
-                v = v - config.lr_orders * (m_v / (1 - b1**t)) / (np.sqrt(s_v / (1 - b2**t)) + eps)
-            if g_h is not None:
-                m_h = b1 * m_h + (1 - b1) * g_h
-                s_h = b2 * s_h + (1 - b2) * g_h**2
-                h = h - config.lr_filter * (m_h / (1 - b1**t)) / (np.sqrt(s_h / (1 - b2**t)) + eps)
-
-    alpha, beta = _vector_to_orders(family, v)
-    params = FilterParams(alpha=alpha, beta=beta, h=h, lam=lam if lam is not None else 0.0)
+    ((params, trace, error),) = _train_lanes(y, x_true, [lam], config, ctx, family)
+    if error is not None:
+        raise error
     return params, trace
 
 
 def lambda_grid_search(y: TimeVertexSignal, x_true: TimeVertexSignal, grid,
                        config: TrainConfig, ctx: TransformContext,
                        family: str = "gcgfrft"):
-    """Train once per coupling value and keep the best final loss.
+    """Train every coupling value as one lane of a batched state and keep the
+    best final loss.
 
     Returns ``(best_lam, best_params, table)``; ties in the final loss break
     toward the smaller coupling value. Grid points whose coupling margin fails
@@ -416,13 +479,15 @@ def lambda_grid_search(y: TimeVertexSignal, x_true: TimeVertexSignal, grid,
         raise ConfigError("coupling grid values must lie in [0, 1]")
 
     table: list[GridRow] = []
-    for lam in grid:
-        try:
-            params, trace = train(y, x_true, lam, config, ctx, family=family)
-            final = loss(y, x_true, params, ctx, family=family)
-            table.append(GridRow(lam=lam, loss=final, params=params, trace=trace))
-        except MarginViolationError as err:
-            table.append(GridRow(lam=lam, loss=None, params=None, error=str(err)))
+    for lam, (params, trace, error) in zip(grid, _train_lanes(y, x_true, grid, config, ctx, family)):
+        if error is None:
+            try:
+                final = loss(y, x_true, params, ctx, family=family)
+                table.append(GridRow(lam=lam, loss=final, params=params, trace=trace))
+                continue
+            except MarginViolationError as err:
+                error = err
+        table.append(GridRow(lam=lam, loss=None, params=None, error=str(error)))
     feasible = [row for row in table if row.loss is not None]
     if not feasible:
         raise MarginViolationError(

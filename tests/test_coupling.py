@@ -75,6 +75,50 @@ class TestPhaseDecompose:
         assert np.allclose(sorted(d.theta, reverse=True), [np.pi / 2, -np.pi / 3])
         assert d.margin == pytest.approx(np.pi / 2)
 
+    def test_stack_equals_per_matrix(self, temporal_setup):
+        # W = I and a W with a repeated eigenphase have eigenvalue clusters,
+        # so the stack also runs the per-matrix cluster unification
+        fg, fd, _ = temporal_setup
+        q, _ = np.linalg.qr(np.random.default_rng(4).standard_normal((5, 5)) + 0j)
+        repeated = (q * np.exp(1j * np.array([0.3, 0.3, -1.0, 2.0, 0.0]))) @ q.conj().T
+        ws = [coupling_operator(fg, fd), np.eye(5, dtype=complex), repeated,
+              coupling_operator(fd, fg)]
+        stacked = phase_decompose(np.stack(ws))
+        assert len(stacked) == len(ws)
+        for w, got in zip(ws, stacked):
+            want = phase_decompose(w)
+            assert np.array_equal(got.theta, want.theta)
+            assert np.array_equal(got.s, want.s)
+            assert got.margin == want.margin
+        assert stacked[2].theta[1] == stacked[2].theta[2] == pytest.approx(0.3)
+
+    def test_stack_keeps_each_margin_failure(self):
+        fine = np.diag([np.exp(1j * np.pi / 2), np.exp(-1j * np.pi / 3)])
+        at_cut = np.diag([np.exp(1j * 3.1415926), 1.0])
+        got = phase_decompose(np.stack([fine, at_cut, fine]), margin_tol=1e-6)
+        assert isinstance(got[1], MarginViolationError)
+        assert got[1].index == 0 and got[1].margin < 1e-6
+        assert [d.margin for d in (got[0], got[2])] == [pytest.approx(np.pi / 2)] * 2
+
+    def test_stack_checks_inputs_and_outputs(self, monkeypatch):
+        from fracspec import DecompositionError, NotUnitaryError
+        import scipy.linalg
+        fine = np.diag([np.exp(1j * np.pi / 2), np.exp(-1j * np.pi / 3)])
+        with pytest.raises(NotUnitaryError):
+            phase_decompose(np.stack([fine, 1.01 * fine]))
+        # a Schur basis that lost orthonormality in one matrix of the stack
+        schur = scipy.linalg.schur
+        calls = []
+
+        def drifting_schur(a, output):
+            t, z = schur(a, output=output)
+            calls.append(a)
+            return t, (1.001 * z if len(calls) == 2 else z)
+
+        monkeypatch.setattr(scipy.linalg, "schur", drifting_schur)
+        with pytest.raises(DecompositionError):
+            phase_decompose(np.stack([fine, fine]))
+
     def test_reconstruction(self, temporal_setup):
         fg, fd, decomp = temporal_setup
         w = coupling_operator(fg, fd)

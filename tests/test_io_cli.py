@@ -220,6 +220,35 @@ class TestCli:
         assert err.startswith("configuration error") and repr(key) in err
         assert not os.path.exists(tmp_path / "out")
 
+    @pytest.mark.parametrize("key,value", [("seeds", 5), ("bandwidth", "x")])
+    def test_wrongly_typed_benchmark_value_exits_2(self, tmp_path, capsys, key, value):
+        cfg = {"spatial": {"kind": "knn_random", "n": 6, "k": 2, "seed": 7},
+               "temporal": {"kind": "path", "n": 4}, "families": ["gbfrft2d"],
+               "lambda_grid": [0.0], "seeds": [0], "train": {"epochs": 2}, key: value}
+        cfg_path = str(tmp_path / "cfg.json")
+        with open(cfg_path, "w") as fh:
+            json.dump(cfg, fh)
+        assert main(["benchmark", "--config", cfg_path, "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error") and "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["transform", "denoise"])
+    @pytest.mark.parametrize("key", ["orderz", "lambda_gird"])
+    def test_unknown_run_key_exits_2(self, tmp_path, capsys, command, key):
+        cfg = {"spatial": {"kind": "knn_random", "n": 6, "k": 2, "seed": 7},
+               "temporal": {"kind": "path", "n": 4}, "train": {"epochs": 2}, key: [0.5]}
+        cfg_path = str(tmp_path / "cfg.json")
+        with open(cfg_path, "w") as fh:
+            json.dump(cfg, fh)
+        sig = str(tmp_path / "sig.csv")
+        fio.write_signal(np.ones((6, 4)), sig)
+        inputs = ["--signal", sig] if command == "transform" else ["--noisy", sig, "--clean", sig]
+        out = tmp_path / "out"
+        assert main([command, "--config", cfg_path, "--out", str(out), *inputs]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error") and repr(key) in err
+        assert not os.path.exists(out)
+
     def test_non_object_config_exits_2(self, tmp_path, capsys):
         cfg_path = str(tmp_path / "cfg.json")
         with open(cfg_path, "w") as fh:

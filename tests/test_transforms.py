@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fracspec import (
+    FAMILIES,
     ConfigError,
     TimeVertexSignal,
     TransformContext,
@@ -157,6 +158,39 @@ class TestPlanConstruction:
         d1 = ctx.coupling(0.37)
         d2 = ctx.coupling(0.37)
         assert d1 is d2
+
+
+class TestBatchedPlans:
+    def test_coupling_batch_maps_each_order(self):
+        ctx = TransformContext(path_graph(4), path_graph(5))
+        orders = [0.45, 0.3, 0.45, 0.6, 0.3]
+        got = ctx.coupling(np.array(orders))
+        assert got[0] is got[2] and got[1] is got[4]
+        alone = TransformContext(path_graph(4), path_graph(5))
+        for beta, d in zip(orders, got):
+            want = alone.coupling(beta)
+            assert np.abs(d.theta - want.theta).max() <= 1e-12
+            assert np.abs(d.s - want.s).max() <= 1e-12
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_batched_plan_applies_each_member(self, ctx, rng, family):
+        alpha = np.array([0.2, 0.7, 0.2, 0.5])
+        beta = np.array([0.6, 0.3, 0.6, 0.45])
+        lam = np.array([0.1, 0.5, 0.9, 0.3])
+        orders = (alpha,) if family == "gfrft2d" else (alpha, beta)
+        plan = ctx.plan(family, orders, lam=lam)
+        x = random_signal(rng, 6, 4)
+        spectra = plan.apply(x.data)
+        back = plan.apply_inverse(spectra)
+        for i in range(len(alpha)):
+            one = ctx.plan(family, tuple(o[i] for o in orders), lam=lam[i])
+            assert np.abs(spectra[i] - one.apply(x.data)).max() <= 1e-12
+            assert np.abs(back[i] - x.data).max() <= 1e-10
+
+    def test_batched_plan_rejects_a_coupling_value_outside_the_unit_interval(self, ctx):
+        with pytest.raises(ValueError):
+            ctx.plan("gcgfrft", (np.array([0.5, 0.5]), np.array([0.5, 0.6])),
+                     lam=np.array([0.5, 1.5]))
 
 
 class TestTimeVertexSignal:

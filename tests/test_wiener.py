@@ -43,6 +43,15 @@ def unit_params(shape, lam=0.3, alpha=0.5, beta=0.5):
     return FilterParams(alpha=alpha, beta=beta, h=np.ones(shape), lam=lam)
 
 
+def assert_same_training(row, params, trace, tol=1e-12):
+    """A grid row's lane equals a single-lane training of its coupling value."""
+    assert abs(row.params.alpha - params.alpha) <= tol
+    assert abs(row.params.beta - params.beta) <= tol
+    assert np.abs(row.params.h - params.h).max() <= tol
+    assert len(row.trace) == len(trace)
+    assert max(abs(a.loss - b.loss) for a, b in zip(row.trace, trace)) <= tol
+
+
 class TestObserve:
     def test_identity_zero_noise(self, instance):
         _, x, _ = instance
@@ -363,6 +372,38 @@ class TestLambdaGridSearch:
         ctx, x, y = instance
         with pytest.raises(ConfigError):
             lambda_grid_search(y, x, [], TrainConfig(), ctx)
+
+    @pytest.mark.parametrize("config", [TrainConfig(), TrainConfig.adam()], ids=["gd", "adam"])
+    def test_rows_equal_single_lane_training(self, bench_ctx, config):
+        x = synth_signal(bench_ctx.spatial, 10, bandwidth=0.3, seed=11)
+        y = add_awgn(x, 0.9, seed=12)
+        _, _, table = lambda_grid_search(y, x, [round(0.1 * i, 1) for i in range(11)],
+                                         config, bench_ctx)
+        for row in table:
+            assert_same_training(row, *train(y, x, row.lam, config, bench_ctx))
+
+    def test_branch_cut_lane_leaves_the_batch(self, bench_ctx):
+        # a 1e-3 rad margin tolerance puts the cut in the path of the lam 0.1
+        # and 0.5 lanes (at epochs 69 and 150) and not of the other two
+        ctx = TransformContext(bench_ctx.spatial, bench_ctx.temporal, margin_tol=1e-3)
+        x = synth_signal(ctx.spatial, 10, bandwidth=0.3, seed=1001)
+        y = add_awgn(x, 0.9, seed=1002)
+        _, _, table = lambda_grid_search(y, x, [0.1, 0.5, 0.6, 1.0], TrainConfig(), ctx)
+        assert [row.params is None for row in table] == [True, True, False, False]
+        for row in table:
+            if row.params is None:
+                with pytest.raises(MarginViolationError) as err:
+                    train(y, x, row.lam, TrainConfig(), ctx)
+                assert row.error == str(err.value)
+                assert row.error.startswith("coupling margin violated at epoch")
+            else:
+                assert_same_training(row, *train(y, x, row.lam, TrainConfig(), ctx))
+
+    def test_divergence_in_the_grid_raises(self, instance):
+        ctx, x, y = instance
+        cfg = TrainConfig(lr_orders=1e300, lr_filter=1e300, epochs=20)
+        with np.errstate(all="ignore"), pytest.raises(ValueError, match="diverged at epoch"):
+            lambda_grid_search(y, x, [0.0, 0.5, 1.0], cfg, ctx)
 
 
 class TestMarginFailurePropagation:
