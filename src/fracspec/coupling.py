@@ -19,6 +19,7 @@ from .errors import MarginViolationError, NotUnitaryError
 from .operators import (
     INPUT_UNITARITY_TOL,
     FractionalOperator,
+    _cayley_eigenpairs,
     _freeze,
     _unitary_eigendecomposition,
     unitarity_error,
@@ -73,7 +74,7 @@ def coupling_operator(f_graph, f_dfrft) -> np.ndarray:
         if isinstance(op, FractionalOperator):
             continue
         err = unitarity_error(m)
-        if err > INPUT_UNITARITY_TOL * n:
+        if not err <= INPUT_UNITARITY_TOL * n:  # also rejects a non-finite matrix
             raise NotUnitaryError(f"{name} is not unitary: ||U^H U - I|| = {err:.3e}")
     return _freeze(a.conj().swapaxes(-1, -2) @ b)
 
@@ -85,17 +86,20 @@ def phase_decompose(w: np.ndarray, margin_tol: float = DEFAULT_MARGIN_TOL):
     ``margin_tol`` radians of the -1 branch cut, reporting the margin and the
     offending phase index.
 
-    A (B, n, n) stack is checked and decomposed as a whole (one Schur form per
-    matrix) and gives a list of B results, in which a matrix that fails the
-    margin holds its ``MarginViolationError`` instead of raising it, so one
-    bad matrix does not cost the others their decomposition.
+    A (B, n, n) stack is checked and decomposed as a whole: one batched
+    Cayley solve and one batched ``eigh`` (``operators._cayley_eigenpairs``),
+    with a matrix whose ``I + W`` is singular or whose eigen-residual is too
+    large going through the Schur form alone. It gives a list of B results,
+    in which a matrix that fails the margin holds its
+    ``MarginViolationError`` instead of raising it, so one bad matrix does
+    not cost the others their decomposition.
     """
     w = np.asarray(w, dtype=np.complex128)
     n = w.shape[-1]
     err = np.max(unitarity_error(w))
-    if err > INPUT_UNITARITY_TOL * n:
+    if not err <= INPUT_UNITARITY_TOL * n:  # also rejects a non-finite matrix
         raise NotUnitaryError(f"coupling operator is not unitary: ||W^H W - I|| = {err:.3e}")
-    theta, s = _unitary_eigendecomposition(w)
+    theta, s = _unitary_eigendecomposition(w, eigenpairs=_cayley_eigenpairs)
     distance = np.abs(theta)
     worst = np.argmax(distance, axis=-1)
     margin = np.pi - np.max(distance, axis=-1)
@@ -133,8 +137,7 @@ def geodesic_temporal_basis(f_graph_beta: FractionalOperator,
     The curve interpolates the graph-induced temporal basis (lam=0) and the
     DFRFT (lam=1) along the unitary geodesic. It is one two-sided factored
     operator with ``left = F_graph S`` and ``right = S^H``, so sweeping lam
-    over a fixed decomposition (``with_order``) only changes the diagonal
-    phase factors.
+    over a fixed decomposition only changes the diagonal phase factors.
     """
     lam = _coupling_parameter(lam)
     if f_graph_beta.n != decomp.n:

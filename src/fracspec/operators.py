@@ -41,6 +41,9 @@ INPUT_UNITARITY_TOL = 1e-8
 OUTPUT_UNITARITY_TOL = 1e-9
 #: eigenvalues whose phases differ by less than this are treated as one eigenspace
 PHASE_CLUSTER_TOL = 1e-8
+#: Cayley eigen-residual (per matrix dimension) above which the cut is moved;
+#: a basis far from the cut reaches about 5e-16 per dimension
+CAYLEY_RESIDUAL_TOL = 1e-13
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
@@ -127,11 +130,6 @@ class FractionalOperator:
             self._matrix = _freeze((self.left * self.diag[..., None, :]) @ self.right)
         return self._matrix
 
-    def with_order(self, order) -> "FractionalOperator":
-        """Same operator family at a different order; only the diagonal phase
-        factors change."""
-        return FractionalOperator(order, self.phases, self.left, self.right, self.kind)
-
     # -- factored application (never forms the dense operator) ---------------
     # A^H x is evaluated as (A^T x^*)^*: the signal is conjugated, no factor is.
 
@@ -200,33 +198,107 @@ def gft_matrix(basis: SpectralBasis) -> FractionalOperator:
                               matrix=_freeze(basis.v.T.astype(np.complex128)))
 
 
-def _unitary_eigendecomposition(u: np.ndarray, cluster_tol: float = PHASE_CLUSTER_TOL):
-    """Orthonormal eigendecomposition of a (numerically) unitary matrix.
-
-    Uses the complex Schur form, whose basis is orthonormal by construction
-    even for tightly clustered eigenvalues, and then unifies the phase inside
-    each eigenvalue cluster. Clusters are detected on the unit circle, so a
-    repeated eigenvalue straddling the -1 branch cut (phases near +pi and -pi
-    simultaneously) is recognized as one eigenspace and snapped to the
-    principal branch value +pi. This keeps fractional powers invariant under
-    re-mixing of eigenvectors inside a degenerate eigenspace.
-
-    Returns (theta, P) with phases sorted descending (stable ties) and each
-    column's largest-magnitude component rotated onto the positive real axis.
-    A (B, n, n) stack gives (B, n) phases and (B, n, n) bases: one Schur form
-    per matrix, everything else over the whole stack.
-    """
-    u = np.asarray(u, dtype=np.complex128)
-    n = u.shape[-1]
-    stack = u.reshape(-1, n, n)
+def _schur_eigenpairs(stack: np.ndarray):
+    """Eigenvalues ``(B, n)`` and orthonormal eigenvectors ``(B, n, n)`` of a
+    (B, n, n) stack of unitary matrices, one complex Schur form per matrix."""
     w = np.empty(stack.shape[:2], dtype=np.complex128)
     z = np.empty_like(stack)
     for k, m in enumerate(stack):
         t, z[k] = scipy.linalg.schur(m, output="complex")
         w[k] = np.diag(t)
+    return w, z
+
+
+def _cayley_eigenvectors(u: np.ndarray) -> np.ndarray:
+    """Orthonormal eigenvectors of each matrix of a (B, n, n) unitary stack
+    without the eigenvalue -1: one batched solve and one batched ``eigh``.
+
+    The Cayley transform ``H = i (I + U)^{-1} (I - U)`` is then Hermitian,
+    with ``U``'s eigenvectors and the eigenvalues ``tan(theta/2)`` (Higham,
+    *Functions of Matrices*, 2008), and ``eigh`` gives an orthonormal basis
+    even inside an eigenvalue cluster. Raises ``LinAlgError`` when some
+    ``I + U`` is exactly singular.
+    """
+    eye = np.eye(u.shape[-1])
+    x = np.linalg.solve(eye + u, eye - u)
+    # H = i X with X skew-Hermitian; its Hermitian part is i (X - X^H) / 2
+    return np.linalg.eigh(0.5j * (x - x.conj().swapaxes(-1, -2)))[1]
+
+
+def _rayleigh_eigenvalues(stack: np.ndarray, z: np.ndarray):
+    """Rayleigh quotients ``diag(Z^H W Z)`` of a unitary stack, normalized
+    onto the unit circle, and each matrix's residual ``||W Z - Z diag(w)||``."""
+    wz = stack @ z
+    w = np.sum(z.conj() * wz, axis=-2)
+    w /= np.abs(w)
+    return w, np.linalg.norm(wz - z * w[..., None, :], axis=(-2, -1))
+
+
+def _cayley_eigenpairs(stack: np.ndarray):
+    """Eigenvalues ``(B, n)`` and orthonormal eigenvectors ``(B, n, n)`` of a
+    (B, n, n) stack of unitary matrices, from the Cayley transform.
+
+    The eigenvalues are the Rayleigh quotients, not ``exp(2j arctan(.))``:
+    their error is quadratic in the eigenvector error. The Cayley basis loses
+    accuracy as ``eps / margin`` when an eigenphase nears the -1 cut, so a
+    matrix whose residual exceeds ``CAYLEY_RESIDUAL_TOL * n`` is decomposed
+    again with the cut moved into the widest gap between its eigenphases. A
+    matrix whose ``I + W`` is singular, or whose residual still exceeds
+    ``OUTPUT_UNITARITY_TOL * n``, goes through ``_schur_eigenpairs`` alone.
+    """
+    n = stack.shape[-1]
+    try:
+        z = _cayley_eigenvectors(stack)
+    except np.linalg.LinAlgError:
+        # an eigenvalue of exactly -1 fails the whole batched solve: take the
+        # matrices one at a time, so that only the singular one goes to Schur
+        if len(stack) == 1:
+            return _schur_eigenpairs(stack)
+        w, z = zip(*(_cayley_eigenpairs(m[None]) for m in stack))
+        return np.concatenate(w), np.concatenate(z)
+    w, resid = _rayleigh_eigenvalues(stack, z)
+    redo = np.flatnonzero(~(resid <= CAYLEY_RESIDUAL_TOL * n))
+    if redo.size:
+        theta = np.sort(np.angle(w[redo]), axis=-1)
+        gaps = np.diff(theta, axis=-1, append=theta[:, :1] + 2 * np.pi)
+        widest = np.argmax(gaps, axis=-1)[:, None]
+        cut = np.take_along_axis(theta + gaps / 2, widest, axis=-1)
+        # exp(-j cut) W has its eigenvalue -1 where W has exp(j cut)
+        z[redo] = _cayley_eigenvectors(-np.exp(-1j * cut)[..., None] * stack[redo])
+        w[redo], resid[redo] = _rayleigh_eigenvalues(stack[redo], z[redo])
+    for k in np.flatnonzero(~(resid <= OUTPUT_UNITARITY_TOL * n)):
+        w[k:k + 1], z[k:k + 1] = _schur_eigenpairs(stack[k:k + 1])
+    return w, z
+
+
+def _unitary_eigendecomposition(u: np.ndarray, cluster_tol: float = PHASE_CLUSTER_TOL,
+                                eigenpairs=_schur_eigenpairs):
+    """Orthonormal eigendecomposition of a (numerically) unitary matrix.
+
+    ``eigenpairs`` gives the raw eigenvalues and an orthonormal basis of a
+    (B, n, n) stack. The default, one complex Schur form per matrix, serves
+    any unitary input, including one with the eigenvalue -1, as the one-off
+    graph-Fourier bases may have. The coupling path
+    (``coupling.phase_decompose``), whose margin check excludes -1, passes
+    ``_cayley_eigenpairs``: one batched Cayley solve and ``eigh`` for the
+    whole stack. The phase inside each eigenvalue cluster is then unified.
+    Clusters are detected on the unit circle, so a repeated eigenvalue
+    straddling the -1 branch cut (phases near +pi and -pi simultaneously) is
+    recognized as one eigenspace and snapped to the principal branch value
+    +pi. This keeps fractional powers invariant under re-mixing of
+    eigenvectors inside a degenerate eigenspace.
+
+    Returns (theta, P) with phases sorted descending (stable ties) and each
+    column's largest-magnitude component rotated onto the positive real axis.
+    A (B, n, n) stack gives (B, n) phases and (B, n, n) bases; everything
+    after ``eigenpairs`` runs over the whole stack.
+    """
+    u = np.asarray(u, dtype=np.complex128)
+    n = u.shape[-1]
+    w, z = eigenpairs(u.reshape(-1, n, n))
     theta = np.angle(w)
     theta[theta == -np.pi] = np.pi  # signed-zero imaginary part; branch is (-pi, pi]
-    rows = np.arange(len(stack))[:, None]
+    rows = np.arange(len(w))[:, None]
     order = np.argsort(-theta, axis=-1, kind="stable")
     theta, w = theta[rows, order], w[rows, order]
     z = z.swapaxes(-1, -2)[rows, order].swapaxes(-1, -2)
@@ -291,7 +363,7 @@ def unitary_fractional_power(u, order: float, kind: str = "graph") -> Fractional
         raise NotUnitaryError(f"expected a square matrix, got shape {mat.shape}")
     n = mat.shape[0]
     err = unitarity_error(mat)
-    if err > INPUT_UNITARITY_TOL * n:
+    if not err <= INPUT_UNITARITY_TOL * n:  # also rejects a non-finite matrix
         raise NotUnitaryError(
             f"input is not unitary: ||U^H U - I|| = {err:.3e} > {INPUT_UNITARITY_TOL * n:.3e}"
         )

@@ -32,7 +32,14 @@ from .coupling import (
 )
 from .errors import ConfigError, MarginViolationError
 from .graphs import Graph
-from .operators import FractionalOperator, SpectralBasis, dfrft_matrix, eigendecompose, graph_frft
+from .operators import (
+    FractionalOperator,
+    SpectralBasis,
+    _freeze,
+    dfrft_matrix,
+    eigendecompose,
+    graph_frft,
+)
 
 __all__ = [
     "FAMILIES",
@@ -146,7 +153,7 @@ class TransformContext:
         self.spatial = _as_basis(spatial)
         self.temporal = _as_basis(temporal)
         self.margin_tol = margin_tol
-        self._coupling_cache: dict[float, tuple[CouplingDecomposition, FractionalOperator]] = {}
+        self._coupling_cache: dict[float, tuple[CouplingDecomposition, np.ndarray, np.ndarray, np.ndarray]] = {}
 
     @property
     def shape(self):
@@ -169,15 +176,34 @@ class TransformContext:
         An array of orders gives a list in the same order, in which an order
         whose coupling violates the margin holds its ``MarginViolationError``
         instead of raising it. The cache misses among the distinct orders are
-        built together: one ``W`` stack, one Schur form per order, and one
-        ``L`` stack. The cache keeps the most
-        recently requested orders, never fewer than one request's.
+        built together: one ``W`` stack, one batched Cayley eigensolve
+        (``phase_decompose``; Schur only for a matrix the Cayley basis cannot
+        resolve), and one ``L`` stack. The cache keeps the most recently
+        requested orders, never fewer than one request's.
         """
         keys = np.atleast_1d(temporal_order).astype(np.float64).tolist()
         distinct = list(dict.fromkeys(keys))
+        found = dict(zip(distinct, self._couplings(distinct)[0]))
+        results = [found[k] for k in keys]
+        if np.ndim(temporal_order) > 0:
+            return results
+        if isinstance(results[0], MarginViolationError):
+            raise results[0]
+        return results[0]
+
+    def _couplings(self, distinct: list):
+        """Coupling decompositions of distinct temporal orders, each a
+        ``CouplingDecomposition`` or its ``MarginViolationError``, and the
+        geodesic factor stacks ``(theta, L, S^H)`` of those orders when this
+        call built every one of them (else None).
+
+        A cache entry holds an order's decomposition and its rows of the
+        stacks ``theta``, ``L = F_graph^beta S`` and ``S^H`` that every
+        coupling value shares; failed orders are not cached.
+        """
         cache = self._coupling_cache
-        failed = {}
         misses = [k for k in distinct if k not in cache]
+        failed, built = {}, None
         if misses:
             betas = np.array(misses)
             f_graph = graph_frft(self.temporal, betas)
@@ -187,24 +213,19 @@ class TransformContext:
             ok = [i for i, k in enumerate(misses) if k not in failed]
             if ok:
                 s = np.stack([found[i].s for i in ok])
-                left = f_graph.matrix[ok] @ s
-                right = s.conj().swapaxes(-1, -2)
+                theta, left, right = (_freeze(f) for f in (np.stack([found[i].theta for i in ok]),
+                                                           f_graph.matrix[ok] @ s,
+                                                           s.conj().swapaxes(-1, -2)))
                 for j, i in enumerate(ok):
-                    # the lam = 0 geodesic holds the factors L = F_graph^beta S
-                    # and S^H that every coupling value shares
-                    cache[misses[i]] = (found[i], FractionalOperator(
-                        0.0, found[i].theta, left[j], right[j], kind="geodesic"))
+                    cache[misses[i]] = (found[i], theta[j], left[j], right[j])
+                if len(ok) == len(distinct):
+                    built = (theta, left, right)
         for k in distinct:
             if k in cache:
                 cache[k] = cache.pop(k)
         while len(cache) > max(COUPLING_CACHE_SIZE, len(distinct)):
             cache.pop(next(iter(cache)))
-        results = [failed[k] if k in failed else cache[k][0] for k in keys]
-        if np.ndim(temporal_order) > 0:
-            return results
-        if isinstance(results[0], MarginViolationError):
-            raise results[0]
-        return results[0]
+        return [failed[k] if k in failed else cache[k][0] for k in distinct], built
 
     def plan(self, family: str, orders, lam=None) -> TransformPlan:
         """Build a transform plan; ``orders`` is (spatial, temporal) or a
@@ -238,25 +259,27 @@ class TransformContext:
         if family == "jfrft":
             col = dfrft_matrix(self.temporal.n, temporal_order)
             return TransformPlan(family, row, col, orders)
-        # gcgfrft: the coupling cache entry's lam = 0 geodesic holds the
-        # factors L and S^H that every coupling value shares
+        # gcgfrft: the geodesic factors theta, L and S^H of each temporal
+        # order, shared by every coupling value
         if lam is None:
             raise ConfigError("gcgfrft needs the coupling parameter lam")
         lam = _coupling_parameter(lam)
         betas = np.atleast_1d(temporal_order).tolist()
         distinct = list(dict.fromkeys(betas))
-        for found in self.coupling(distinct):
-            if isinstance(found, MarginViolationError):
-                raise found
-        geodesics = [self._coupling_cache[b][1] for b in distinct]
-        if len(geodesics) == 1:
-            col = geodesics[0].with_order(lam)
+        found, factors = self._couplings(distinct)
+        for d in found:
+            if isinstance(d, MarginViolationError):
+                raise d
+        if len(distinct) == 1:
+            factors = self._coupling_cache[distinct[0]][1:]
         else:
-            position = {b: i for i, b in enumerate(distinct)}
-            member = [position[b] for b in betas]
-            col = FractionalOperator(
-                lam, *(np.stack([getattr(g, f) for g in geodesics])[member]
-                       for f in ("phases", "left", "right")), kind="geodesic")
+            if factors is None:
+                factors = [np.stack(f) for f in zip(*(self._coupling_cache[b][1:] for b in distinct))]
+            if len(betas) > len(distinct):
+                position = {b: i for i, b in enumerate(distinct)}
+                member = [position[b] for b in betas]
+                factors = [f[member] for f in factors]
+        col = FractionalOperator(lam, *factors, kind="geodesic")
         return TransformPlan(family, row, col, orders, lam=lam)
 
 

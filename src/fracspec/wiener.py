@@ -358,19 +358,38 @@ def _adam_step(x, g, m, s, lr, t, b1=0.9, b2=0.999, eps=1e-8):
     return x - lr * (m / (1 - b1**t)) / (np.sqrt(s / (1 - b2**t)) + eps), m, s
 
 
+def _lane_plan(ctx: TransformContext, family: str, v: np.ndarray, lam: np.ndarray | None):
+    """The batched plan at orders ``v`` (B, k) and coupling values ``lam``
+    for every lane whose coupling passes the margin.
+
+    Returns ``(plan, keep, found)``: ``keep`` masks the planned lanes, and
+    ``plan`` is None if no lane is left. When some lane's coupling fails,
+    ``found`` holds every lane's coupling result (a decomposition or its
+    ``MarginViolationError``); otherwise it is None.
+    """
+    try:
+        return ctx.plan(family, tuple(v.T), lam=lam), np.ones(len(v), dtype=bool), None
+    except MarginViolationError:
+        # failed orders are not cached, so only they are decomposed again
+        found = ctx.coupling(v[:, -1])
+        keep = np.array([not isinstance(d, MarginViolationError) for d in found])
+        plan = ctx.plan(family, tuple(v[keep].T), lam=lam[keep]) if keep.any() else None
+        return plan, keep, found
+
+
 def _train_lanes(y: TimeVertexSignal, x_true: TimeVertexSignal, lams: list,
                  config: TrainConfig, ctx: TransformContext, family: str):
     """Train one lane per coupling value in ``lams`` as one batched state.
 
     Orders ``v`` (B, 2) (one column for gfrft2d), filters ``h`` (B, n1, n2)
     and the Adam moments share the lane axis; forward spectra, risks,
-    gradients and updates are broadcast over it. Only the coupling build
-    loops, once per distinct new temporal order. ``P^H Y`` and ``P^H X`` are
-    the same for every lane and epoch and are computed once. A lane whose
-    coupling margin fails leaves the batch with its error and the others
-    train on unchanged; a non-finite risk in any lane raises ``ValueError``.
-    Returns ``(params, trace, error)`` per lane, with ``params`` None on a
-    margin failure.
+    gradients and updates are broadcast over it, and the epoch's new
+    temporal orders are decomposed by one batched coupling build. ``P^H Y``
+    and ``P^H X`` are the same for every lane and epoch and are computed
+    once. A lane whose coupling margin fails leaves the batch with its error
+    and the others train on unchanged; a non-finite risk in any lane raises
+    ``ValueError``. Returns ``(params, trace, error)`` per lane, with
+    ``params`` None on a margin failure.
     """
     if family not in FAMILIES:
         raise ConfigError(f"unknown family {family!r}")
@@ -394,22 +413,16 @@ def _train_lanes(y: TimeVertexSignal, x_true: TimeVertexSignal, lams: list,
     traces: list[list[TrainStep]] = [[] for _ in lams]
     errors: list[MarginViolationError | None] = [None] * len(lams)
     for epoch in range(config.epochs):
-        try:
-            plan = ctx.plan(family, tuple(v.T), lam=lam)
-        except MarginViolationError:
-            # failed orders are not cached, so only they are decomposed again
-            beta = v[:, -1]
-            found = ctx.coupling(beta)
-            keep = np.array([not isinstance(d, MarginViolationError) for d in found])
+        plan, keep, found = _lane_plan(ctx, family, v, lam)
+        if found is not None:
             for i in np.flatnonzero(~keep):
                 errors[lanes[i]] = MarginViolationError(
-                    f"coupling margin violated at epoch {epoch}, temporal order {beta[i]:.6g}: "
+                    f"coupling margin violated at epoch {epoch}, temporal order {v[i, -1]:.6g}: "
                     f"{found[i]}", margin=found[i].margin, index=found[i].index)
             lanes, v, h, lam = lanes[keep], v[keep], h[keep], lam[keep]
             m_v, s_v, m_h, s_h = m_v[keep], s_v[keep], m_h[keep], s_h[keep]
             if not lanes.size:
                 break
-            plan = ctx.plan(family, tuple(v.T), lam=lam)
         spectra = _factored_spectra(plan, ry, rx)
         yhat, xhat = spectra[2], spectra[3]
         resid = h * yhat - xhat
@@ -461,6 +474,25 @@ def train(y: TimeVertexSignal, x_true: TimeVertexSignal, lam: float | None,
     return params, trace
 
 
+def _final_losses(y: TimeVertexSignal, x_true: TimeVertexSignal, params: list,
+                  ctx: TransformContext, family: str) -> list:
+    """``loss()`` of each trained lane from one batched plan; a lane whose
+    final orders fail the coupling margin gets its ``MarginViolationError``
+    instead."""
+    if not params:
+        return []
+    v = np.array([(p.alpha, p.beta) for p in params])
+    lam = np.array([p.lam for p in params]) if family == "gcgfrft" else None
+    plan, keep, found = _lane_plan(ctx, family, v, lam)
+    finals = list(found) if found is not None else [None] * len(params)
+    if plan is not None:
+        resid = np.stack([p.h for p in params])[keep] * plan.apply(y.data) - plan.apply(x_true.data)
+        risk = np.mean(resid.real**2 + resid.imag**2, axis=(-2, -1))
+        for i, r in zip(np.flatnonzero(keep).tolist(), risk.tolist()):
+            finals[i] = r
+    return finals
+
+
 def lambda_grid_search(y: TimeVertexSignal, x_true: TimeVertexSignal, grid,
                        config: TrainConfig, ctx: TransformContext,
                        family: str = "gcgfrft"):
@@ -468,9 +500,10 @@ def lambda_grid_search(y: TimeVertexSignal, x_true: TimeVertexSignal, grid,
     best final loss.
 
     Returns ``(best_lam, best_params, table)``; ties in the final loss break
-    toward the smaller coupling value. Grid points whose coupling margin fails
-    are recorded in the table and skipped; if every point fails, the margin
-    error is re-raised as an aggregate failure.
+    toward the smaller coupling value. The final losses of all lanes come from
+    one batched plan. Grid points whose coupling margin fails, in training or
+    at the final orders, are recorded in the table and skipped; if every point
+    fails, the margin error is re-raised as an aggregate failure.
     """
     grid = [float(g) for g in grid]
     if not grid:
@@ -478,16 +511,17 @@ def lambda_grid_search(y: TimeVertexSignal, x_true: TimeVertexSignal, grid,
     if any(not 0.0 <= g <= 1.0 for g in grid):
         raise ConfigError("coupling grid values must lie in [0, 1]")
 
+    results = _train_lanes(y, x_true, grid, config, ctx, family)
+    trained = [i for i, (_, _, error) in enumerate(results) if error is None]
+    finals = dict(zip(trained, _final_losses(y, x_true, [results[i][0] for i in trained],
+                                             ctx, family)))
     table: list[GridRow] = []
-    for lam, (params, trace, error) in zip(grid, _train_lanes(y, x_true, grid, config, ctx, family)):
-        if error is None:
-            try:
-                final = loss(y, x_true, params, ctx, family=family)
-                table.append(GridRow(lam=lam, loss=final, params=params, trace=trace))
-                continue
-            except MarginViolationError as err:
-                error = err
-        table.append(GridRow(lam=lam, loss=None, params=None, error=str(error)))
+    for i, (lam, (params, trace, error)) in enumerate(zip(grid, results)):
+        final = finals.get(i, error)
+        if isinstance(final, float):
+            table.append(GridRow(lam=lam, loss=final, params=params, trace=trace))
+        else:
+            table.append(GridRow(lam=lam, loss=None, params=None, error=str(final)))
     feasible = [row for row in table if row.loss is not None]
     if not feasible:
         raise MarginViolationError(

@@ -18,6 +18,18 @@ from fracspec import (
 LAMBDAS = tuple(round(0.1 * i, 1) for i in range(11))
 
 
+def random_unitary(n, seed):
+    """A Haar-random unitary matrix."""
+    rng = np.random.default_rng(seed)
+    q, r = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def projector(s, columns):
+    """Orthogonal projector onto the span of the selected columns of ``s``."""
+    return s[:, columns] @ s[:, columns].conj().T
+
+
 @pytest.fixture(scope="module")
 def temporal_setup():
     basis = eigendecompose(path_graph(5))
@@ -54,6 +66,13 @@ class TestCouplingOperator:
         from fracspec import NotUnitaryError
         with pytest.raises(NotUnitaryError):
             coupling_operator(np.ones((3, 3)), np.eye(3))
+
+    def test_non_finite_rejected(self):
+        from fracspec import NotUnitaryError
+        nan = np.eye(3)
+        nan[0, 0] = np.nan
+        with pytest.raises(NotUnitaryError):
+            coupling_operator(nan, np.eye(3))
 
 
 class TestPhaseDecompose:
@@ -102,22 +121,96 @@ class TestPhaseDecompose:
 
     def test_stack_checks_inputs_and_outputs(self, monkeypatch):
         from fracspec import DecompositionError, NotUnitaryError
-        import scipy.linalg
         fine = np.diag([np.exp(1j * np.pi / 2), np.exp(-1j * np.pi / 3)])
         with pytest.raises(NotUnitaryError):
             phase_decompose(np.stack([fine, 1.01 * fine]))
-        # a Schur basis that lost orthonormality in one matrix of the stack
-        schur = scipy.linalg.schur
-        calls = []
+        # a Cayley eigenbasis that lost orthonormality in one matrix of the stack
+        eigh = np.linalg.eigh
 
-        def drifting_schur(a, output):
-            t, z = schur(a, output=output)
-            calls.append(a)
-            return t, (1.001 * z if len(calls) == 2 else z)
+        def drifting_eigh(h):
+            lam, z = eigh(h)
+            z[1] *= 1.001
+            return lam, z
 
-        monkeypatch.setattr(scipy.linalg, "schur", drifting_schur)
+        monkeypatch.setattr(np.linalg, "eigh", drifting_eigh)
         with pytest.raises(DecompositionError):
             phase_decompose(np.stack([fine, fine]))
+
+    def test_non_finite_input_rejected(self):
+        from fracspec import NotUnitaryError
+        w = np.eye(3, dtype=complex)
+        w[1, 2] = np.nan
+        with pytest.raises(NotUnitaryError):
+            phase_decompose(w)
+        with pytest.raises(NotUnitaryError):
+            phase_decompose(np.stack([np.eye(3), w]))
+
+    def test_residual_fallback_takes_only_that_member(self, monkeypatch):
+        # an eigensolver whose basis for the last matrix of every call is the
+        # identity leaves that matrix with a large residual after both Cayley
+        # passes, so it alone goes through the Schur form
+        import scipy.linalg
+        from fracspec.operators import _unitary_eigendecomposition
+        ws = np.stack([random_unitary(6, seed) for seed in (1, 2, 3)])
+        want = phase_decompose(ws)
+        eigh, schur = np.linalg.eigh, scipy.linalg.schur
+        schur_inputs = []
+
+        def identity_for_last(h):
+            lam, z = eigh(h)
+            z[-1] = np.eye(h.shape[-1])
+            return lam, z
+
+        def counting_schur(a, output):
+            schur_inputs.append(a)
+            return schur(a, output=output)
+
+        monkeypatch.setattr(np.linalg, "eigh", identity_for_last)
+        monkeypatch.setattr(scipy.linalg, "schur", counting_schur)
+        got = phase_decompose(ws)
+        assert len(schur_inputs) == 1 and np.array_equal(schur_inputs[0], ws[2])
+        for g, w in zip(got[:2], want[:2]):
+            assert np.array_equal(g.theta, w.theta) and np.array_equal(g.s, w.s)
+        theta, s = _unitary_eigendecomposition(ws[2])
+        assert np.array_equal(got[2].theta, theta) and np.array_equal(got[2].s, s)
+
+    def test_singular_member_fails_alone(self):
+        # I + W is exactly singular for the second matrix: a batched solve
+        # of the whole stack raises, the decomposition keeps it per matrix
+        ws = np.stack([random_unitary(4, 7), np.diag([-1, 1, 1j, -1j])])
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.solve(np.eye(4) + ws, np.eye(4) - ws)
+        got = phase_decompose(ws)
+        want = phase_decompose(ws[0])
+        assert np.array_equal(got[0].theta, want.theta) and np.array_equal(got[0].s, want.s)
+        assert isinstance(got[1], MarginViolationError)
+        assert got[1].margin == 0.0
+
+    @pytest.mark.parametrize("n", [6, 10, 32, 128])
+    @pytest.mark.parametrize("margin", [1.0, 1e-2, 1e-4, 1e-6])
+    def test_cayley_matches_schur(self, n, margin):
+        # random eigenbases with a triple eigenphase, a pair within the
+        # cluster tolerance, and one phase at the given margin from the cut
+        from fracspec.operators import _unitary_eigendecomposition
+        rng = np.random.default_rng(n)
+        ws = []
+        for _ in range(3):
+            phases = rng.uniform(-2.0, 2.0, n)
+            phases[:4] = [np.pi - margin, 0.7, 0.7, 0.7]
+            phases[4:6] = [-1.3, -1.3 + 3e-9]
+            q = random_unitary(n, rng)
+            ws.append((q * np.exp(1j * phases)) @ q.conj().T)
+        ws = np.stack(ws)
+        got = phase_decompose(ws, margin_tol=1e-7)
+        theta, s = _unitary_eigendecomposition(ws)
+        for g, t, p in zip(got, theta, s):
+            assert np.abs(g.theta - t).max() <= 1e-10
+            assert g.margin == pytest.approx(margin, rel=1e-6)
+            for phase in np.unique(t):
+                # one projector per eigenspace: unified cluster phases may
+                # differ in the last bits between the two decompositions
+                mine, ref = np.abs(g.theta - phase) < 1e-8, np.abs(t - phase) < 1e-8
+                assert np.abs(projector(g.s, mine) - projector(p, ref)).max() <= 1e-10
 
     def test_reconstruction(self, temporal_setup):
         fg, fd, decomp = temporal_setup

@@ -118,6 +118,10 @@ class TestUnitaryFractionalPower:
         with pytest.raises(NotUnitaryError):
             unitary_fractional_power(np.array([[1.0, 1.0], [0.0, 1.0]]), 0.5)
 
+    def test_rejects_non_finite(self):
+        with pytest.raises(NotUnitaryError):
+            unitary_fractional_power(np.array([[np.nan, 0.0], [0.0, 1.0]]), 0.5)
+
     def test_branch_cut_eigenspace_remix_invariance(self, rng):
         # exact -1 eigenvalue with multiplicity 2: remixing its eigenvectors
         # must leave the fractional power unchanged

@@ -399,6 +399,48 @@ class TestLambdaGridSearch:
             else:
                 assert_same_training(row, *train(y, x, row.lam, TrainConfig(), ctx))
 
+    def test_final_losses_equal_per_lane_loss(self, bench_ctx):
+        # with 69 epochs the lam 0.1 lane of the 1e-3 margin setting above
+        # trains through and fails the margin at its final orders
+        ctx = TransformContext(bench_ctx.spatial, bench_ctx.temporal, margin_tol=1e-3)
+        x = synth_signal(ctx.spatial, 10, bandwidth=0.3, seed=1001)
+        y = add_awgn(x, 0.9, seed=1002)
+        config = TrainConfig(epochs=69)
+        _, _, table = lambda_grid_search(y, x, [0.1, 0.5, 0.6, 1.0], config, ctx)
+        assert [row.params is None for row in table] == [True, False, False, False]
+        params, _ = train(y, x, 0.1, config, ctx)
+        with pytest.raises(MarginViolationError) as err:
+            loss(y, x, params, ctx)
+        assert table[0].error == str(err.value)
+        for row in table[1:]:
+            assert row.loss == pytest.approx(loss(y, x, row.params, ctx), rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("family", ["gbfrft2d", "gfrft2d"])
+    def test_final_losses_of_other_families(self, instance, family):
+        ctx, x, y = instance
+        _, _, table = lambda_grid_search(y, x, [0.0, 1.0], TrainConfig(epochs=5), ctx,
+                                         family=family)
+        for row in table:
+            assert row.loss == pytest.approx(loss(y, x, row.params, ctx, family=family),
+                                             rel=1e-12, abs=0)
+
+    def test_coupling_builds_never_call_schur(self, monkeypatch):
+        # the one-off graph-Fourier bases are decomposed before the patch;
+        # every coupling build of the desk grid then runs without Schur
+        import scipy.linalg
+        ctx = TransformContext(knn_graph(random_planar_points(30, seed=7), 4), path_graph(10))
+        ctx.plan("gbfrft2d", (0.5, 0.5))
+
+        def no_schur(*args, **kwargs):
+            raise AssertionError("scipy.linalg.schur called")
+
+        monkeypatch.setattr(scipy.linalg, "schur", no_schur)
+        x = synth_signal(ctx.spatial, 10, bandwidth=0.3, seed=11)
+        y = add_awgn(x, 0.9, seed=12)
+        _, _, table = lambda_grid_search(y, x, [round(0.1 * i, 1) for i in range(11)],
+                                         TrainConfig(), ctx)
+        assert all(row.loss is not None for row in table)
+
     def test_divergence_in_the_grid_raises(self, instance):
         ctx, x, y = instance
         cfg = TrainConfig(lr_orders=1e300, lr_filter=1e300, epochs=20)
