@@ -41,8 +41,8 @@ INPUT_UNITARITY_TOL = 1e-8
 OUTPUT_UNITARITY_TOL = 1e-9
 #: eigenvalues whose phases differ by less than this are treated as one eigenspace
 PHASE_CLUSTER_TOL = 1e-8
-#: Cayley eigen-residual (per matrix dimension) above which the cut is moved;
-#: a basis far from the cut reaches about 5e-16 per dimension
+#: Cayley eigen-residual (per matrix dimension) above which a matrix is
+#: decomposed by Schur instead; a basis far from the cut reaches about 5e-16
 CAYLEY_RESIDUAL_TOL = 1e-13
 
 
@@ -221,8 +221,11 @@ def _cayley_eigenvectors(u: np.ndarray) -> np.ndarray:
     """
     eye = np.eye(u.shape[-1])
     x = np.linalg.solve(eye + u, eye - u)
-    # H = i X with X skew-Hermitian; its Hermitian part is i (X - X^H) / 2
-    return np.linalg.eigh(0.5j * (x - x.conj().swapaxes(-1, -2)))[1]
+    # H = i X with X skew-Hermitian; its Hermitian part is i (X - X^H) / 2,
+    # formed in place to keep the stack's temporaries few
+    x -= x.conj().swapaxes(-1, -2)
+    x *= 0.5j
+    return np.linalg.eigh(x)[1]
 
 
 def _rayleigh_eigenvalues(stack: np.ndarray, z: np.ndarray):
@@ -231,7 +234,8 @@ def _rayleigh_eigenvalues(stack: np.ndarray, z: np.ndarray):
     wz = stack @ z
     w = np.sum(z.conj() * wz, axis=-2)
     w /= np.abs(w)
-    return w, np.linalg.norm(wz - z * w[..., None, :], axis=(-2, -1))
+    wz -= z * w[..., None, :]
+    return w, np.linalg.norm(wz, axis=(-2, -1))
 
 
 def _cayley_eigenpairs(stack: np.ndarray):
@@ -241,10 +245,8 @@ def _cayley_eigenpairs(stack: np.ndarray):
     The eigenvalues are the Rayleigh quotients, not ``exp(2j arctan(.))``:
     their error is quadratic in the eigenvector error. The Cayley basis loses
     accuracy as ``eps / margin`` when an eigenphase nears the -1 cut, so a
-    matrix whose residual exceeds ``CAYLEY_RESIDUAL_TOL * n`` is decomposed
-    again with the cut moved into the widest gap between its eigenphases. A
-    matrix whose ``I + W`` is singular, or whose residual still exceeds
-    ``OUTPUT_UNITARITY_TOL * n``, goes through ``_schur_eigenpairs`` alone.
+    matrix whose residual exceeds ``CAYLEY_RESIDUAL_TOL * n``, or whose
+    ``I + W`` is singular, goes through ``_schur_eigenpairs`` alone.
     """
     n = stack.shape[-1]
     try:
@@ -257,16 +259,7 @@ def _cayley_eigenpairs(stack: np.ndarray):
         w, z = zip(*(_cayley_eigenpairs(m[None]) for m in stack))
         return np.concatenate(w), np.concatenate(z)
     w, resid = _rayleigh_eigenvalues(stack, z)
-    redo = np.flatnonzero(~(resid <= CAYLEY_RESIDUAL_TOL * n))
-    if redo.size:
-        theta = np.sort(np.angle(w[redo]), axis=-1)
-        gaps = np.diff(theta, axis=-1, append=theta[:, :1] + 2 * np.pi)
-        widest = np.argmax(gaps, axis=-1)[:, None]
-        cut = np.take_along_axis(theta + gaps / 2, widest, axis=-1)
-        # exp(-j cut) W has its eigenvalue -1 where W has exp(j cut)
-        z[redo] = _cayley_eigenvectors(-np.exp(-1j * cut)[..., None] * stack[redo])
-        w[redo], resid[redo] = _rayleigh_eigenvalues(stack[redo], z[redo])
-    for k in np.flatnonzero(~(resid <= OUTPUT_UNITARITY_TOL * n)):
+    for k in np.flatnonzero(~(resid <= CAYLEY_RESIDUAL_TOL * n)):
         w[k:k + 1], z[k:k + 1] = _schur_eigenpairs(stack[k:k + 1])
     return w, z
 

@@ -147,8 +147,8 @@ class TestPhaseDecompose:
 
     def test_residual_fallback_takes_only_that_member(self, monkeypatch):
         # an eigensolver whose basis for the last matrix of every call is the
-        # identity leaves that matrix with a large residual after both Cayley
-        # passes, so it alone goes through the Schur form
+        # identity leaves that matrix with a large Cayley residual, so it
+        # alone goes through the Schur form
         import scipy.linalg
         from fracspec.operators import _unitary_eigendecomposition
         ws = np.stack([random_unitary(6, seed) for seed in (1, 2, 3)])

@@ -9,11 +9,12 @@ sizes 30x10 (the desk sweep, with 1 and 11 temporal orders), 256x16 and
 the workload. BLAS is pinned to one thread before numpy loads, every worker
 process pins itself to one CPU, and the record names the machine.
 
-    python tools/bench_layers.py [--baseline SRC] [--rounds N] [--reps N] [--out FILE]
+    python tools/bench_layers.py [--baseline SRC] > record.json
 
-Each round runs one worker process per checkout, alternating which goes
-first, because a shared host's speed drifts over seconds. A row reports the
-best time over all rounds and the median of the rounds' medians. With
+Each of the 5 rounds runs one worker process per checkout, alternating which
+goes first, because a shared host's speed drifts over seconds; a worker
+times 200 calls per row (10 at a temporal size of 128 and up). A row reports
+the best time over all rounds and the median of the rounds' medians. With
 ``--baseline`` (the ``src`` directory of another checkout, e.g. the parent
 commit) every row also holds the baseline's times and the speedup.
 """
@@ -36,6 +37,8 @@ SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), 
 #: (spatial n1, temporal n2, numbers of temporal orders per request)
 SIZES = ((30, 10, (1, 11)), (256, 16, (1,)), (512, 16, (1,)), (64, 128, (1, 3)), (128, 256, (1,)))
 LAYERS = ("phase_decompose", "coupling_miss")
+ROUNDS = 5
+REPS = 200
 
 
 def machine() -> dict:
@@ -58,7 +61,7 @@ def machine() -> dict:
             "blas_threads": os.environ["OPENBLAS_NUM_THREADS"]}
 
 
-def worker(reps: int) -> list:
+def worker() -> list:
     """Time every size in this process; ``fracspec`` is the one on sys.path."""
     import numpy as np
 
@@ -84,7 +87,7 @@ def worker(reps: int) -> list:
             betas = np.linspace(0.45, 0.55, b) if b > 1 else np.array([0.5])
             w = fs.coupling_operator(fs.graph_frft(ctx.temporal, betas), fs.dfrft_matrix(n2, betas))
             # n2 >= 128 takes tens of milliseconds per call: fewer repetitions
-            n = reps if n2 < 128 else max(5, reps // 20)
+            n = REPS if n2 < 128 else REPS // 20
             rows.append({"size": f"{n1}x{n2}", "orders": b, "reps": n,
                          "phase_decompose": timed(lambda: fs.phase_decompose(w), n),
                          "coupling_miss": timed(lambda: fs.TransformContext(
@@ -92,9 +95,9 @@ def worker(reps: int) -> list:
     return rows
 
 
-def run_worker(src: str, reps: int) -> list:
+def run_worker(src: str) -> list:
     env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
-    out = subprocess.run([sys.executable, os.path.abspath(__file__), "--worker", "--reps", str(reps)],
+    out = subprocess.run([sys.executable, os.path.abspath(__file__), "--worker"],
                          env=env, check=True, capture_output=True, text=True).stdout
     return json.loads(out)
 
@@ -114,20 +117,17 @@ def combine(rounds: list) -> list:
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--baseline", help="src directory of the checkout to compare against")
-    ap.add_argument("--rounds", type=int, default=5)
-    ap.add_argument("--reps", type=int, default=200)
-    ap.add_argument("--out")
     ap.add_argument("--worker", action="store_true", help=argparse.SUPPRESS)
     args = ap.parse_args(argv)
     if args.worker:
-        json.dump(worker(args.reps), sys.stdout)
+        json.dump(worker(), sys.stdout)
         return 0
 
     sides = {"after": SRC} if not args.baseline else {"before": args.baseline, "after": SRC}
     results = {side: [] for side in sides}
-    for r in range(args.rounds):
+    for r in range(ROUNDS):
         for side in (list(sides) if r % 2 == 0 else list(sides)[::-1]):
-            results[side].append(run_worker(sides[side], args.reps))
+            results[side].append(run_worker(sides[side]))
     combined = {side: combine(res) for side, res in results.items()}
     rows = []
     for i, after in enumerate(combined["after"]):
@@ -139,13 +139,8 @@ def main(argv=None) -> int:
             row["speedup_best"] = {layer: round(before[layer]["best_ms"] / after[layer]["best_ms"], 2)
                                    for layer in LAYERS}
         rows.append(row)
-    record = {"machine": machine(), "rounds": args.rounds, "rows": rows}
-    text = json.dumps(record, indent=1) + "\n"
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    record = {"machine": machine(), "rounds": ROUNDS, "rows": rows}
+    sys.stdout.write(json.dumps(record, indent=1) + "\n")
     return 0
 
 
