@@ -34,6 +34,8 @@ _GEN_KEYS = ("spatial", "n2", "bandwidth", "sigma", "seed")
 #: top-level keys of a ``transform`` or ``denoise`` config; one set, so that
 #: a transform config can drive ``denoise`` too
 _RUN_KEYS = ("spatial", "temporal", "family", "orders", "lambda", "lambda_grid", "train")
+#: top-level keys of a ``dump-operator`` config, over every operator kind
+_DUMP_KEYS = ("kind", "n", "order", "graph", "temporal", "lambda")
 
 
 def _load_config(path: str | None, allowed=None) -> dict:
@@ -180,12 +182,10 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_dump_operator(args) -> int:
-    cfg = _load_config(args.config)
+    cfg = _load_config(args.config, allowed=_DUMP_KEYS)
     kind = cfg.get("kind", "dfrft")
     if kind == "dfrft":
-        op = dfrft_matrix(int(cfg["n"]), float(cfg.get("order", 1.0)),
-                          mode=cfg.get("mode", "candan"))
-        matrix = op.matrix
+        matrix = dfrft_matrix(int(cfg["n"]), float(cfg.get("order", 1.0))).matrix
     elif kind in ("gft", "graph_frft"):
         basis = eigendecompose(GraphSpec.from_dict(cfg["graph"]).build())
         matrix = gft_matrix(basis).matrix if kind == "gft" \

@@ -19,7 +19,6 @@ from .errors import MarginViolationError, NotUnitaryError
 from .operators import (
     INPUT_UNITARITY_TOL,
     FractionalOperator,
-    _cayley_eigenpairs,
     _freeze,
     _unitary_eigendecomposition,
     unitarity_error,
@@ -79,7 +78,7 @@ def coupling_operator(f_graph, f_dfrft) -> np.ndarray:
     return _freeze(a.conj().swapaxes(-1, -2) @ b)
 
 
-def phase_decompose(w: np.ndarray, margin_tol: float = DEFAULT_MARGIN_TOL):
+def phase_decompose(w: np.ndarray, margin_tol: float = DEFAULT_MARGIN_TOL, *, stacked: bool = False):
     """Eigenphase decomposition of a unitary coupling operator.
 
     Fails hard (no silent perturbation) when any eigenphase comes within
@@ -87,33 +86,40 @@ def phase_decompose(w: np.ndarray, margin_tol: float = DEFAULT_MARGIN_TOL):
     offending phase index.
 
     A (B, n, n) stack is checked and decomposed as a whole: one batched
-    Cayley solve and one batched ``eigh`` (``operators._cayley_eigenpairs``),
-    with a matrix whose ``I + W`` is singular or whose eigen-residual is too
-    large going through the Schur form alone. It gives a list of B results,
-    in which a matrix that fails the margin holds its
-    ``MarginViolationError`` instead of raising it, so one bad matrix does
-    not cost the others their decomposition.
+    Cayley solve and one batched ``eigh``, cut at -1
+    (``operators._cayley_eigenpairs``). A matrix whose ``I + W`` is singular
+    or whose eigen-residual is too large is decomposed again alone, with the
+    cut in its widest eigenphase gap. It gives a list of B results, in which
+    a matrix that fails the margin holds its ``MarginViolationError`` instead
+    of raising it, so one bad matrix does not cost the others their
+    decomposition. With ``stacked`` it gives the batched arrays instead:
+    ``theta`` (B, n), ``S`` (B, n, n), the margins (B,) and a dict from the
+    index of each matrix that fails the margin to its error.
     """
     w = np.asarray(w, dtype=np.complex128)
     n = w.shape[-1]
     err = np.max(unitarity_error(w))
     if not err <= INPUT_UNITARITY_TOL * n:  # also rejects a non-finite matrix
         raise NotUnitaryError(f"coupling operator is not unitary: ||W^H W - I|| = {err:.3e}")
-    theta, s = _unitary_eigendecomposition(w, eigenpairs=_cayley_eigenpairs)
+    theta, s = _unitary_eigendecomposition(w, gap_cut=False)
     distance = np.abs(theta)
-    worst = np.argmax(distance, axis=-1)
     margin = np.pi - np.max(distance, axis=-1)
-    results = [
-        CouplingDecomposition(s=s_k, theta=theta_k, margin=float(m_k)) if m_k > margin_tol
-        else MarginViolationError(
-            f"coupling eigenphase {i_k} is {m_k:.3e} rad from the -1 branch cut "
+    worst, margins = np.argmax(distance, axis=-1).reshape(-1), margin.reshape(-1)
+    failed = {
+        int(k): MarginViolationError(
+            f"coupling eigenphase {worst[k]} is {margins[k]:.3e} rad from the -1 branch cut "
             f"(tolerance {margin_tol:.3e}); the principal logarithm is ill-defined",
-            margin=float(m_k),
-            index=int(i_k),
+            margin=float(margins[k]),
+            index=int(worst[k]),
         )
-        for s_k, theta_k, m_k, i_k in zip(s.reshape(-1, n, n), theta.reshape(-1, n),
-                                          margin.reshape(-1), worst.reshape(-1))
-    ]
+        for k in np.flatnonzero(~(margins > margin_tol))
+    }
+    if stacked:
+        return theta, s, margin, failed
+    results = [failed[k] if k in failed
+               else CouplingDecomposition(s=s_k, theta=theta_k, margin=float(m_k))
+               for k, (s_k, theta_k, m_k) in enumerate(zip(s.reshape(-1, n, n),
+                                                           theta.reshape(-1, n), margins))]
     if w.ndim > 2:
         return results
     if isinstance(results[0], MarginViolationError):

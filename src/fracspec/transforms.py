@@ -177,14 +177,14 @@ class TransformContext:
         whose coupling violates the margin holds its ``MarginViolationError``
         instead of raising it. The cache misses among the distinct orders are
         built together: one ``W`` stack, one batched Cayley eigensolve
-        (``phase_decompose``; Schur only for a matrix the Cayley basis cannot
-        resolve), and one ``L`` stack. The cache keeps the most recently
-        requested orders, never fewer than one request's.
+        (``phase_decompose``, which moves the cut of a matrix the cut at -1
+        cannot resolve into its widest eigenphase gap), and one ``L`` stack.
+        The cache keeps the most recently requested orders, never fewer than
+        one request's.
         """
         keys = np.atleast_1d(temporal_order).astype(np.float64).tolist()
-        distinct = list(dict.fromkeys(keys))
-        found = dict(zip(distinct, self._couplings(distinct)[0]))
-        results = [found[k] for k in keys]
+        failed = self._couplings(list(dict.fromkeys(keys)))[0]
+        results = [failed[k] if k in failed else self._coupling_cache[k][0] for k in keys]
         if np.ndim(temporal_order) > 0:
             return results
         if isinstance(results[0], MarginViolationError):
@@ -192,14 +192,16 @@ class TransformContext:
         return results[0]
 
     def _couplings(self, distinct: list):
-        """Coupling decompositions of distinct temporal orders, each a
-        ``CouplingDecomposition`` or its ``MarginViolationError``, and the
-        geodesic factor stacks ``(theta, L, S^H)`` of those orders when this
-        call built every one of them (else None).
+        """Build the coupling decompositions of those distinct temporal orders
+        that miss the cache. Returns the ``MarginViolationError`` of each
+        order that fails the margin, by order, and the geodesic factor stacks
+        ``(theta, L, S^H)`` of the orders when this call built every one of
+        them (else None).
 
         A cache entry holds an order's decomposition and its rows of the
         stacks ``theta``, ``L = F_graph^beta S`` and ``S^H`` that every
-        coupling value shares; failed orders are not cached.
+        coupling value shares, all views of the batched eigensolve's output;
+        failed orders are not cached.
         """
         cache = self._coupling_cache
         misses = [k for k in distinct if k not in cache]
@@ -207,17 +209,20 @@ class TransformContext:
         if misses:
             betas = np.array(misses)
             f_graph = graph_frft(self.temporal, betas)
-            found = phase_decompose(coupling_operator(f_graph, dfrft_matrix(self.temporal.n, betas)),
-                                    margin_tol=self.margin_tol)
-            failed = {k: d for k, d in zip(misses, found) if isinstance(d, MarginViolationError)}
-            ok = [i for i, k in enumerate(misses) if k not in failed]
+            theta, s, margin, errors = phase_decompose(
+                coupling_operator(f_graph, dfrft_matrix(self.temporal.n, betas)),
+                margin_tol=self.margin_tol, stacked=True)
+            failed = {misses[i]: e for i, e in errors.items()}
+            ok = [i for i in range(len(misses)) if i not in errors]
             if ok:
-                s = np.stack([found[i].s for i in ok])
-                theta, left, right = (_freeze(f) for f in (np.stack([found[i].theta for i in ok]),
-                                                           f_graph.matrix[ok] @ s,
-                                                           s.conj().swapaxes(-1, -2)))
+                f = f_graph.matrix
+                if errors:
+                    theta, s, f = theta[ok], s[ok], f[ok]
+                theta, s = _freeze(theta), _freeze(s)
+                left, right = _freeze(f @ s), _freeze(s.conj().swapaxes(-1, -2))
                 for j, i in enumerate(ok):
-                    cache[misses[i]] = (found[i], theta[j], left[j], right[j])
+                    decomp = CouplingDecomposition(s=s[j], theta=theta[j], margin=float(margin[i]))
+                    cache[misses[i]] = (decomp, theta[j], left[j], right[j])
                 if len(ok) == len(distinct):
                     built = (theta, left, right)
         for k in distinct:
@@ -225,7 +230,7 @@ class TransformContext:
                 cache[k] = cache.pop(k)
         while len(cache) > max(COUPLING_CACHE_SIZE, len(distinct)):
             cache.pop(next(iter(cache)))
-        return [failed[k] if k in failed else cache[k][0] for k in distinct], built
+        return failed, built
 
     def plan(self, family: str, orders, lam=None) -> TransformPlan:
         """Build a transform plan; ``orders`` is (spatial, temporal) or a
@@ -266,10 +271,9 @@ class TransformContext:
         lam = _coupling_parameter(lam)
         betas = np.atleast_1d(temporal_order).tolist()
         distinct = list(dict.fromkeys(betas))
-        found, factors = self._couplings(distinct)
-        for d in found:
-            if isinstance(d, MarginViolationError):
-                raise d
+        failed, factors = self._couplings(distinct)
+        if failed:
+            raise next(iter(failed.values()))
         if len(distinct) == 1:
             factors = self._coupling_cache[distinct[0]][1:]
         else:

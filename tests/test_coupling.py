@@ -1,7 +1,11 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 
 from fracspec import (
+    DecompositionError,
+    Graph,
     MarginViolationError,
     TransformContext,
     coupling_operator,
@@ -9,11 +13,14 @@ from fracspec import (
     eigendecompose,
     geodesic_temporal_basis,
     graph_frft,
+    knn_graph,
     path_graph,
     phase_decompose,
+    random_planar_points,
     swapped_geodesic_temporal_basis,
     unitarity_error,
 )
+from fracspec import operators
 
 LAMBDAS = tuple(round(0.1 * i, 1) for i in range(11))
 
@@ -28,6 +35,55 @@ def random_unitary(n, seed):
 def projector(s, columns):
     """Orthogonal projector onto the span of the selected columns of ``s``."""
     return s[:, columns] @ s[:, columns].conj().T
+
+
+def schur_eigendecomposition(u):
+    """Oracle: ``_unitary_eigendecomposition`` with one complex Schur form per
+    matrix (scipy) in place of the Cayley eigensolver, so that the branch
+    snap, cluster unification and column phases are the same on both sides."""
+    import scipy.linalg
+
+    def schur_eigenpairs(stack, cut=None):
+        t, z = zip(*(scipy.linalg.schur(m, output="complex") for m in stack))
+        return np.diagonal(np.array(t), axis1=-2, axis2=-1).copy(), np.array(z)
+
+    with mock.patch.object(operators, "_cayley_eigenpairs", schur_eigenpairs):
+        return operators._unitary_eigendecomposition(u)
+
+
+def assert_same_eigenspaces(theta, s, want_theta, want_s, tol=1e-10):
+    """Phases and eigenprojectors equal within ``tol``, one projector per
+    eigenspace: unified cluster phases may differ in the last bits."""
+    assert np.abs(theta - want_theta).max() <= tol
+    for phase in np.unique(want_theta):
+        mine, ref = np.abs(theta - phase) < 1e-8, np.abs(want_theta - phase) < 1e-8
+        assert np.abs(projector(s, mine) - projector(want_s, ref)).max() <= tol
+
+
+def with_phases(phases, seed):
+    """A unitary matrix with these eigenphases and a Haar-random eigenbasis."""
+    q = random_unitary(len(phases), seed)
+    return (q * np.exp(1j * np.asarray(phases))) @ q.conj().T
+
+
+def cycle_graph(n):
+    a = np.zeros((n, n))
+    i = np.arange(n)
+    a[i, (i + 1) % n] = a[(i + 1) % n, i] = 1.0
+    return Graph(a)
+
+
+#: unitary matrices decomposed with the cut in the widest eigenphase gap: the
+#: graph-Fourier matrices V^T of path, k-NN and cycle graphs (path and k-NN
+#: with an eigenvalue -1), and a -1 eigenvalue alone or three times repeated
+GAP_CUT_CASES = {
+    **{f"path{n}": lambda n=n: eigendecompose(path_graph(n)).v.T for n in (10, 16, 128)},
+    **{f"knn{n}": lambda n=n: eigendecompose(knn_graph(random_planar_points(n, seed=7), 4)).v.T
+       for n in (30, 64, 128)},
+    "cycle4": lambda: eigendecompose(cycle_graph(4)).v.T,
+    "minus_one": lambda: with_phases([np.pi, 2.0, 1.0, 0.3, -0.5, -2.9], 5),
+    "minus_one_x3": lambda: with_phases([np.pi, np.pi, np.pi, 1.0, -0.5, -2.9], 6),
+}
 
 
 @pytest.fixture(scope="module")
@@ -146,33 +202,50 @@ class TestPhaseDecompose:
             phase_decompose(np.stack([np.eye(3), w]))
 
     def test_residual_fallback_takes_only_that_member(self, monkeypatch):
-        # an eigensolver whose basis for the last matrix of every call is the
-        # identity leaves that matrix with a large Cayley residual, so it
-        # alone goes through the Schur form
-        import scipy.linalg
-        from fracspec.operators import _unitary_eigendecomposition
+        # an eigensolver whose basis for the last matrix of a three-matrix
+        # batch is the identity leaves that matrix with a large Cayley
+        # residual, so it alone is decomposed again, with its cut in its
+        # widest eigenphase gap
         ws = np.stack([random_unitary(6, seed) for seed in (1, 2, 3)])
         want = phase_decompose(ws)
-        eigh, schur = np.linalg.eigh, scipy.linalg.schur
-        schur_inputs = []
+        eigh, cayley = np.linalg.eigh, operators._cayley_eigenpairs
+        cuts = []
+
+        def identity_for_last(h):
+            lam, z = eigh(h)
+            if len(h) == 3:
+                z[-1] = np.eye(h.shape[-1])
+            return lam, z
+
+        def recording_cayley(stack, cut=None):
+            cuts.append((stack, cut))
+            return cayley(stack, cut)
+
+        monkeypatch.setattr(np.linalg, "eigh", identity_for_last)
+        monkeypatch.setattr(operators, "_cayley_eigenpairs", recording_cayley)
+        got = phase_decompose(ws)
+        assert len(cuts) == 2 and cuts[0][1] is None
+        assert np.array_equal(cuts[1][0], ws[2:]) and cuts[1][1].shape == (1,)
+        for g, w in zip(got[:2], want[:2]):
+            assert np.array_equal(g.theta, w.theta) and np.array_equal(g.s, w.s)
+        theta, s = operators._unitary_eigendecomposition(ws[2])
+        assert np.array_equal(got[2].theta, theta) and np.array_equal(got[2].s, s)
+        assert_same_eigenspaces(got[2].theta, got[2].s, want[2].theta, want[2].s)
+
+    def test_gap_cut_residual_is_checked(self, monkeypatch):
+        # a basis that stays wrong at the widest-gap cut has no further fallback
+        eigh = np.linalg.eigh
 
         def identity_for_last(h):
             lam, z = eigh(h)
             z[-1] = np.eye(h.shape[-1])
             return lam, z
 
-        def counting_schur(a, output):
-            schur_inputs.append(a)
-            return schur(a, output=output)
-
         monkeypatch.setattr(np.linalg, "eigh", identity_for_last)
-        monkeypatch.setattr(scipy.linalg, "schur", counting_schur)
-        got = phase_decompose(ws)
-        assert len(schur_inputs) == 1 and np.array_equal(schur_inputs[0], ws[2])
-        for g, w in zip(got[:2], want[:2]):
-            assert np.array_equal(g.theta, w.theta) and np.array_equal(g.s, w.s)
-        theta, s = _unitary_eigendecomposition(ws[2])
-        assert np.array_equal(got[2].theta, theta) and np.array_equal(got[2].s, s)
+        with pytest.raises(DecompositionError, match="widest eigenphase gap"):
+            phase_decompose(np.stack([random_unitary(6, 1), random_unitary(6, 2)]))
+        with pytest.raises(DecompositionError, match="widest eigenphase gap"):
+            operators._unitary_eigendecomposition(random_unitary(6, 3))
 
     def test_singular_member_fails_alone(self):
         # I + W is exactly singular for the second matrix: a batched solve
@@ -191,7 +264,6 @@ class TestPhaseDecompose:
     def test_cayley_matches_schur(self, n, margin):
         # random eigenbases with a triple eigenphase, a pair within the
         # cluster tolerance, and one phase at the given margin from the cut
-        from fracspec.operators import _unitary_eigendecomposition
         rng = np.random.default_rng(n)
         ws = []
         for _ in range(3):
@@ -202,15 +274,18 @@ class TestPhaseDecompose:
             ws.append((q * np.exp(1j * phases)) @ q.conj().T)
         ws = np.stack(ws)
         got = phase_decompose(ws, margin_tol=1e-7)
-        theta, s = _unitary_eigendecomposition(ws)
+        theta, s = schur_eigendecomposition(ws)
         for g, t, p in zip(got, theta, s):
-            assert np.abs(g.theta - t).max() <= 1e-10
             assert g.margin == pytest.approx(margin, rel=1e-6)
-            for phase in np.unique(t):
-                # one projector per eigenspace: unified cluster phases may
-                # differ in the last bits between the two decompositions
-                mine, ref = np.abs(g.theta - phase) < 1e-8, np.abs(t - phase) < 1e-8
-                assert np.abs(projector(g.s, mine) - projector(p, ref)).max() <= 1e-10
+            assert_same_eigenspaces(g.theta, g.s, t, p)
+
+    @pytest.mark.parametrize("case", list(GAP_CUT_CASES))
+    def test_gap_cut_matches_schur(self, case):
+        u = GAP_CUT_CASES[case]()
+        theta, s = operators._unitary_eigendecomposition(u)
+        assert_same_eigenspaces(theta, s, *schur_eigendecomposition(u))
+        if case.startswith(("path", "knn", "minus_one")):
+            assert theta[0] == np.pi
 
     def test_reconstruction(self, temporal_setup):
         fg, fd, decomp = temporal_setup

@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -293,6 +295,26 @@ class TestCli:
         assert main(["dump-operator", "--config", cfg_path, "--out", out]) == 0
         back = fio.read_operator_csv(out)
         assert np.array_equal(back, dfrft_matrix(6, 0.5).matrix)
+
+    def test_dump_operator_unknown_key_exits_2(self, tmp_path):
+        # "mode" selected a fallback DFRFT that no longer exists
+        cfg_path = str(tmp_path / "op.json")
+        with open(cfg_path, "w") as fh:
+            json.dump({"kind": "dfrft", "n": 6, "mode": "principal_shifted"}, fh)
+        assert main(["dump-operator", "--config", cfg_path, "--out", str(tmp_path / "op.csv")]) == 2
+
+    def test_import_leaves_scipy_out(self):
+        # scipy is a test-only oracle: importing it would cost every CLI
+        # process about a quarter of a second
+        import fracspec
+        src = os.path.dirname(os.path.dirname(os.path.abspath(fracspec.__file__)))
+        code = ("import sys, fracspec, fracspec.cli; "
+                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+        path = [src, *filter(None, os.environ.get("PYTHONPATH", "").split(os.pathsep))]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, check=True, timeout=60).stdout
+        assert out.strip() == "[]"
 
     def test_missing_config_is_config_error(self, tmp_path):
         assert main(["benchmark", "--config", str(tmp_path / "absent.json")]) == 2

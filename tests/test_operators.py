@@ -11,7 +11,9 @@ from fracspec import (
     eigendecompose,
     gft_matrix,
     graph_frft,
+    knn_graph,
     path_graph,
+    random_planar_points,
     reconstruction_error,
     unitarity_error,
     unitary_fractional_power,
@@ -137,6 +139,39 @@ class TestUnitaryFractionalPower:
         assert np.abs(p1.matrix - p2.matrix).max() <= 1e-8 * 6
 
 
+class TestPrincipalBranch:
+    @pytest.mark.parametrize("n", [30, 128])
+    def test_minus_one_eigenvalue_of_a_basis_is_plus_pi(self, n):
+        # det V = -1: V^T has one exact -1 eigenvalue, on the branch +pi
+        basis = eigendecompose(knn_graph(random_planar_points(n, seed=7), 4))
+        assert np.linalg.det(basis.v) == pytest.approx(-1.0)
+        theta = basis.fourier_phase_decomposition[0]
+        assert theta[0] == np.pi and theta[1] < np.pi - 1e-8 and theta[-1] > -np.pi + 1e-8
+
+    @pytest.mark.parametrize("graph", [path_graph(16), knn_graph(random_planar_points(30, seed=7), 4)],
+                             ids=["path16", "knn30"])
+    def test_basis_takes_one_gap_cut_eigensolve(self, monkeypatch, graph):
+        # a graph-Fourier matrix may have the eigenvalue -1, so its one
+        # Cayley eigensolve is cut in the widest eigenphase gap from the start
+        from fracspec import SpectralBasis, operators
+        basis = eigendecompose(graph)
+        cayley, cuts = operators._cayley_eigenpairs, []
+
+        def recording_cayley(stack, cut=None):
+            cuts.append(cut)
+            return cayley(stack, cut)
+
+        monkeypatch.setattr(operators, "_cayley_eigenpairs", recording_cayley)
+        SpectralBasis(v=basis.v, lam=basis.lam).fourier_phase_decomposition
+        assert len(cuts) == 1 and cuts[0] is not None
+
+    def test_singleton_just_past_the_cut_is_plus_pi(self, rng):
+        q, _ = np.linalg.qr(rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5)))
+        u = (q * np.exp(1j * np.array([-(np.pi - 1e-15), 2.0, 0.5, -1.0, -2.5]))) @ q.conj().T
+        out = unitary_fractional_power(u, 0.5)
+        assert out.phases[0] == np.pi and np.all(out.phases[1:] < 2.0 + 1e-12)
+
+
 class TestGraphFrft:
     def test_order_zero_is_identity(self, small_ctx):
         f = graph_frft(small_ctx.spatial, 0.0)
@@ -209,16 +244,6 @@ class TestDfrft:
     def test_too_small_rejected(self):
         with pytest.raises(ValueError):
             dfrft_matrix(1, 0.5)
-
-    def test_principal_shifted_mode(self):
-        for n in (4, 8, 9):
-            ps1 = dfrft_matrix(n, 1.0, mode="principal_shifted")
-            assert np.abs(ps1.matrix - dft(n)).max() <= 1e-8 * n
-            assert np.allclose(dfrft_matrix(n, 0.0, mode="principal_shifted").matrix,
-                               np.eye(n), atol=1e-9 * n)
-            half = dfrft_matrix(n, 0.5, mode="principal_shifted").matrix
-            assert np.abs(half @ half - ps1.matrix).max() <= 1e-8 * n
-            assert unitarity_error(half) <= 1e-9 * n
 
     def test_determinism(self):
         assert np.array_equal(dfrft_matrix(11, 0.43).matrix, dfrft_matrix(11, 0.43).matrix)

@@ -1,22 +1,34 @@
-"""Layer timings of the coupling decomposition at the fixed benchmark sizes.
+"""Layer timings of the unitary eigendecompositions at the fixed benchmark
+sizes, and of a cold import of the CLI.
 
-Times ``phase_decompose`` on a stack of coupling operators and a cache-miss
-``TransformContext.coupling`` (the ``W`` stack, its decomposition and the
-geodesic factors) in wall-clock milliseconds, at the spatial x temporal
-sizes 30x10 (the desk sweep, with 1 and 11 temporal orders), 256x16 and
-512x16 (spatial-heavy), 64x128 (temporal-heavy, with 1 and 3 orders) and
-128x256. Only the temporal size enters the coupling; the spatial size names
-the workload. BLAS is pinned to one thread before numpy loads, every worker
-process pins itself to one CPU, and the record names the machine.
+Times, in wall-clock milliseconds:
+
+- ``phase_decompose`` on a stack of coupling operators and a cache-miss
+  ``TransformContext.coupling`` (the ``W`` stack, its decomposition and the
+  geodesic factors), at the spatial x temporal sizes 30x10 (the desk sweep,
+  with 1 and 11 temporal orders), 256x16 and 512x16 (spatial-heavy), 64x128
+  (temporal-heavy, with 1 and 3 orders) and 128x256. Only the temporal size
+  enters the coupling; the spatial size names the workload.
+- the one-off eigenphase decomposition of a graph-Fourier basis
+  (``SpectralBasis.fourier_phase_decomposition``) of the k-NN graphs of 512
+  and 128 random points (the spatial graphs of ``spatial_heavy`` and
+  ``order_sweep``) and of path(256).
+- ``python -c "import fracspec.cli"`` in a child process: what every CLI
+  command pays before it starts.
+
+BLAS is pinned to one thread before numpy loads, every worker process pins
+itself to one CPU (its import children inherit the pin), and the record
+names the machine.
 
     python tools/bench_layers.py [--baseline SRC] > record.json
 
 Each of the 5 rounds runs one worker process per checkout, alternating which
 goes first, because a shared host's speed drifts over seconds; a worker
-times 200 calls per row (10 at a temporal size of 128 and up). A row reports
-the best time over all rounds and the median of the rounds' medians. With
-``--baseline`` (the ``src`` directory of another checkout, e.g. the parent
-commit) every row also holds the baseline's times and the speedup.
+times each row a fixed number of calls (``reps`` in the record). A row
+reports the best time over all rounds and the median of the rounds'
+medians. With ``--baseline`` (the ``src`` directory of another checkout,
+e.g. the parent commit) every row also holds the baseline's times and the
+speedup.
 """
 
 import os
@@ -36,7 +48,9 @@ SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), 
 
 #: (spatial n1, temporal n2, numbers of temporal orders per request)
 SIZES = ((30, 10, (1, 11)), (256, 16, (1,)), (512, 16, (1,)), (64, 128, (1, 3)), (128, 256, (1,)))
-LAYERS = ("phase_decompose", "coupling_miss")
+#: (row name, graph kind, n, repetitions) of the basis decompositions
+BASES = (("knn512", "knn", 512, 3), ("knn128", "knn", 128, 20), ("path256", "path", 256, 10))
+IMPORT_REPS = 10
 ROUNDS = 5
 REPS = 200
 
@@ -79,6 +93,15 @@ def worker() -> list:
         return {"best_ms": min(samples), "median_ms": statistics.median(samples)}
 
     rows = []
+    for name, kind, n, reps in BASES:
+        g = fs.knn_graph(fs.random_planar_points(n, seed=7), 4) if kind == "knn" else fs.path_graph(n)
+        basis = fs.eigendecompose(g)
+        rows.append({"row": f"basis {name}", "reps": reps, "layers": {
+            "fourier_phase_decomposition": timed(
+                lambda: fs.SpectralBasis(v=basis.v, lam=basis.lam).fourier_phase_decomposition, reps)}})
+    cold = [sys.executable, "-c", "import fracspec.cli"]
+    rows.append({"row": "import fracspec.cli", "reps": IMPORT_REPS, "layers": {
+        "cold_import": timed(lambda: subprocess.run(cold, check=True), IMPORT_REPS)}})
     for n1, n2, batches in SIZES:
         ctx = fs.TransformContext(fs.knn_graph(fs.random_planar_points(n1, seed=7), 4),
                                   fs.path_graph(n2))
@@ -88,10 +111,10 @@ def worker() -> list:
             w = fs.coupling_operator(fs.graph_frft(ctx.temporal, betas), fs.dfrft_matrix(n2, betas))
             # n2 >= 128 takes tens of milliseconds per call: fewer repetitions
             n = REPS if n2 < 128 else REPS // 20
-            rows.append({"size": f"{n1}x{n2}", "orders": b, "reps": n,
-                         "phase_decompose": timed(lambda: fs.phase_decompose(w), n),
-                         "coupling_miss": timed(lambda: fs.TransformContext(
-                             ctx.spatial, ctx.temporal).coupling(betas), n)})
+            rows.append({"row": f"coupling {n1}x{n2} x{b}", "reps": n, "layers": {
+                "phase_decompose": timed(lambda: fs.phase_decompose(w), n),
+                "coupling_miss": timed(lambda: fs.TransformContext(
+                    ctx.spatial, ctx.temporal).coupling(betas), n)}})
     return rows
 
 
@@ -106,11 +129,11 @@ def combine(rounds: list) -> list:
     """Best over all rounds and median of the rounds' medians, per row."""
     rows = []
     for per_round in zip(*rounds):
-        row = {k: per_round[0][k] for k in ("size", "orders", "reps")}
-        for layer in LAYERS:
-            row[layer] = {"best_ms": min(r[layer]["best_ms"] for r in per_round),
-                          "median_ms": statistics.median(r[layer]["median_ms"] for r in per_round)}
-        rows.append(row)
+        layers = {layer: {"best_ms": min(r["layers"][layer]["best_ms"] for r in per_round),
+                          "median_ms": statistics.median(r["layers"][layer]["median_ms"]
+                                                         for r in per_round)}
+                  for layer in per_round[0]["layers"]}
+        rows.append({"row": per_round[0]["row"], "reps": per_round[0]["reps"], "layers": layers})
     return rows
 
 
@@ -131,13 +154,12 @@ def main(argv=None) -> int:
     combined = {side: combine(res) for side, res in results.items()}
     rows = []
     for i, after in enumerate(combined["after"]):
-        row = {"size": after["size"], "orders": after["orders"], "reps": after["reps"],
-               "after": {layer: after[layer] for layer in LAYERS}}
+        row = {"row": after["row"], "reps": after["reps"], "after": after["layers"]}
         if args.baseline:
-            before = combined["before"][i]
-            row["before"] = {layer: before[layer] for layer in LAYERS}
-            row["speedup_best"] = {layer: round(before[layer]["best_ms"] / after[layer]["best_ms"], 2)
-                                   for layer in LAYERS}
+            before = combined["before"][i]["layers"]
+            row["before"] = before
+            row["speedup_best"] = {layer: round(before[layer]["best_ms"] / t["best_ms"], 2)
+                                   for layer, t in after["layers"].items()}
         rows.append(row)
     record = {"machine": machine(), "rounds": ROUNDS, "rows": rows}
     sys.stdout.write(json.dumps(record, indent=1) + "\n")
