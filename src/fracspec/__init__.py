@@ -43,7 +43,6 @@ from .operators import (
     eigendecompose,
     gft_matrix,
     graph_frft,
-    reconstruction_error,
     unitarity_error,
     unitary_fractional_power,
 )
@@ -55,7 +54,6 @@ from .transforms import (
     TransformPlan,
     forward,
     inverse,
-    make_plan,
 )
 from .wiener import (
     DegradationModel,
@@ -121,13 +119,11 @@ __all__ = [
     "knn_graph",
     "lambda_grid_search",
     "loss",
-    "make_plan",
     "metrics",
     "observe",
     "path_graph",
     "phase_decompose",
     "random_planar_points",
-    "reconstruction_error",
     "run_benchmark",
     "swapped_geodesic_temporal_basis",
     "synth_signal",

@@ -11,7 +11,7 @@ so one decomposition serves every lam.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -41,16 +41,19 @@ class CouplingDecomposition:
     coupling operator, with the margin of its phases from the -1 branch cut.
 
     ``margin = min_k (pi - |theta_k|)`` must stay positive for the geodesic
-    construction to be well defined.
+    construction to be well defined. A (B, n, n) stack has ``s`` (B, n, n),
+    ``theta`` (B, n), ``margin`` (B,), and ``failed``, which maps the index of
+    each matrix that fails the margin to its ``MarginViolationError``.
     """
 
     s: np.ndarray
     theta: np.ndarray
-    margin: float
+    margin: float | np.ndarray
+    failed: dict = field(default_factory=dict)
 
     @property
     def n(self) -> int:
-        return self.s.shape[0]
+        return self.s.shape[-1]
 
 
 def _as_matrix(op) -> np.ndarray:
@@ -78,7 +81,7 @@ def coupling_operator(f_graph, f_dfrft) -> np.ndarray:
     return _freeze(a.conj().swapaxes(-1, -2) @ b)
 
 
-def phase_decompose(w: np.ndarray, margin_tol: float = DEFAULT_MARGIN_TOL, *, stacked: bool = False):
+def phase_decompose(w: np.ndarray, margin_tol: float = DEFAULT_MARGIN_TOL) -> CouplingDecomposition:
     """Eigenphase decomposition of a unitary coupling operator.
 
     Fails hard (no silent perturbation) when any eigenphase comes within
@@ -89,12 +92,10 @@ def phase_decompose(w: np.ndarray, margin_tol: float = DEFAULT_MARGIN_TOL, *, st
     Cayley solve and one batched ``eigh``, cut at -1
     (``operators._cayley_eigenpairs``). A matrix whose ``I + W`` is singular
     or whose eigen-residual is too large is decomposed again alone, with the
-    cut in its widest eigenphase gap. It gives a list of B results, in which
-    a matrix that fails the margin holds its ``MarginViolationError`` instead
-    of raising it, so one bad matrix does not cost the others their
-    decomposition. With ``stacked`` it gives the batched arrays instead:
-    ``theta`` (B, n), ``S`` (B, n, n), the margins (B,) and a dict from the
-    index of each matrix that fails the margin to its error.
+    cut in its widest eigenphase gap. The stack gives one batched
+    decomposition, in which a matrix that fails the margin is listed in
+    ``failed`` instead of raising, so one bad matrix does not cost the others
+    their decomposition.
     """
     w = np.asarray(w, dtype=np.complex128)
     n = w.shape[-1]
@@ -114,25 +115,21 @@ def phase_decompose(w: np.ndarray, margin_tol: float = DEFAULT_MARGIN_TOL, *, st
         )
         for k in np.flatnonzero(~(margins > margin_tol))
     }
-    if stacked:
-        return theta, s, margin, failed
-    results = [failed[k] if k in failed
-               else CouplingDecomposition(s=s_k, theta=theta_k, margin=float(m_k))
-               for k, (s_k, theta_k, m_k) in enumerate(zip(s.reshape(-1, n, n),
-                                                           theta.reshape(-1, n), margins))]
-    if w.ndim > 2:
-        return results
-    if isinstance(results[0], MarginViolationError):
-        raise results[0]
-    return results[0]
+    if failed and w.ndim == 2:
+        raise failed[0]
+    return CouplingDecomposition(s, theta, margin if w.ndim > 2 else float(margin), failed)
 
 
 def _coupling_parameter(lam):
     """Validate a coupling parameter, or an array of them: the geodesic is
     defined on [0, 1]."""
-    if not all(0.0 <= v <= 1.0 for v in np.atleast_1d(lam).tolist()):
+    try:
+        value = np.asarray(lam, dtype=np.float64)
+    except (TypeError, ValueError) as err:
+        raise ValueError(f"coupling parameter must be a number, got {lam!r}") from err
+    if not np.all((value >= 0.0) & (value <= 1.0)):
         raise ValueError(f"coupling parameter must lie in [0, 1], got {lam}")
-    return float(lam) if np.ndim(lam) == 0 else np.asarray(lam, dtype=np.float64)
+    return float(value) if value.ndim == 0 else value
 
 
 def geodesic_temporal_basis(f_graph_beta: FractionalOperator,
@@ -148,8 +145,7 @@ def geodesic_temporal_basis(f_graph_beta: FractionalOperator,
     lam = _coupling_parameter(lam)
     if f_graph_beta.n != decomp.n:
         raise ValueError(f"size mismatch: basis {f_graph_beta.n} vs decomposition {decomp.n}")
-    return FractionalOperator(lam, decomp.theta, f_graph_beta.matrix @ decomp.s,
-                              decomp.s.conj().T, kind="geodesic")
+    return FractionalOperator(lam, decomp.theta, f_graph_beta.matrix @ decomp.s, decomp.s.conj().T)
 
 
 def swapped_geodesic_temporal_basis(f_dfrft_beta: FractionalOperator,

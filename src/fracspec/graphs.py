@@ -9,7 +9,7 @@ at small sizes, since all downstream transforms act separably on the factors.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,6 +22,9 @@ __all__ = [
     "knn_graph",
     "cartesian_product",
 ]
+
+#: largest product graph whose Kronecker-sum adjacency may be materialized
+MATERIALIZE_CAP = 4096
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
@@ -68,12 +71,11 @@ class ProductGraph:
     ``g1`` is the first (spatial) factor and ``g2`` the second (temporal)
     factor. ``adjacency`` materializes the Kronecker-sum adjacency in
     lexicographic vertex order ((1,1),(1,2),...), and is guarded by
-    ``materialize_cap`` because it is only needed for small-size validation.
+    ``MATERIALIZE_CAP`` because it is only needed for small-size validation.
     """
 
     g1: Graph
     g2: Graph
-    materialize_cap: int = field(default=4096, compare=False)
 
     @property
     def n(self) -> int:
@@ -81,10 +83,10 @@ class ProductGraph:
 
     @property
     def adjacency(self) -> np.ndarray:
-        if self.n > self.materialize_cap:
+        if self.n > MATERIALIZE_CAP:
             raise GraphError(
                 f"refusing to materialize a {self.n}x{self.n} product adjacency "
-                f"(cap {self.materialize_cap}); transforms operate on the factors"
+                f"(cap {MATERIALIZE_CAP}); transforms operate on the factors"
             )
         a1, a2 = self.g1.adjacency, self.g2.adjacency
         out = np.kron(a1, np.eye(self.g2.n)) + np.kron(np.eye(self.g1.n), a2)

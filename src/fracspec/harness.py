@@ -131,7 +131,7 @@ def metrics(x_true, x_est, max_value: float | None = None) -> Metrics:
 class GraphSpec:
     """Declarative factor-graph description for configs and the CLI.
 
-    kinds: path(n) | knn(points_file or points, k) | knn_random(n, k, seed) |
+    kinds: path(n) | knn(file or points, k) | knn_random(n, k, seed) |
     edge_list(file).
     """
 

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .graphs import Graph
-from .wiener import FilterParams, TrainConfig
+from .wiener import FilterParams
 
 __all__ = [
     "write_edge_list_csv",
@@ -30,9 +30,7 @@ __all__ = [
     "read_operator_csv",
     "write_params_json",
     "read_params_json",
-    "read_train_config_json",
     "write_trace_csv",
-    "write_coupling_csv",
     "write_benchmark_report",
 ]
 
@@ -61,7 +59,7 @@ def write_edge_list_csv(g: Graph, path: str) -> None:
             w.writerow([int(i), int(j), _fmt(a[i, j])])
 
 
-def read_edge_list_csv(path: str, n: int | None = None, label: str = "") -> Graph:
+def read_edge_list_csv(path: str) -> Graph:
     edges = []
     with open(path, newline="") as fh:
         r = csv.reader(fh)
@@ -71,14 +69,15 @@ def read_edge_list_csv(path: str, n: int | None = None, label: str = "") -> Grap
         for row in r:
             if not row:
                 continue
+            if len(row) != 3 or min(int(row[0]), int(row[1])) < 0:
+                raise ConfigError(f"{path}:{r.line_num}: expected src,dst,weight with ids >= 0, got {row}")
             edges.append((int(row[0]), int(row[1]), float(row[2])))
-    if n is None:
-        n = 1 + max((max(i, j) for i, j, _ in edges), default=0)
+    n = 1 + max((max(i, j) for i, j, _ in edges), default=0)
     a = np.zeros((n, n))
     for i, j, wgt in edges:
         a[i, j] = wgt
         a[j, i] = wgt
-    return Graph(a, label=label or os.path.basename(path))
+    return Graph(a, label=os.path.basename(path))
 
 
 def write_points_csv(points: np.ndarray, path: str) -> None:
@@ -97,9 +96,11 @@ def read_points_csv(path: str) -> np.ndarray:
     with open(path, newline="") as fh:
         r = csv.reader(fh)
         header = next(r, None)
-        if header is None or header[0].strip() != "id":
+        if not header or header[0].strip() != "id":
             raise ConfigError(f"{path}: expected header 'id,x1,...', got {header}")
         rows = sorted((int(row[0]), [float(v) for v in row[1:]]) for row in r if row)
+    if [i for i, _ in rows] != list(range(len(rows))):
+        raise ConfigError(f"{path}: point ids must be 0..{len(rows) - 1}, each once")
     return np.asarray([coords for _, coords in rows], dtype=np.float64)
 
 
@@ -202,15 +203,6 @@ def read_params_json(path: str) -> FilterParams:
                         h=h, lam=payload["lambda"])
 
 
-def read_train_config_json(path: str) -> TrainConfig:
-    with open(path) as fh:
-        payload = json.load(fh)
-    try:
-        return TrainConfig.from_dict(payload)
-    except ConfigError as err:
-        raise ConfigError(f"{path}: {err}") from err
-
-
 def write_trace_csv(trace, path: str) -> None:
     """Per-epoch training trace: ``epoch,loss,alpha,beta``."""
     with open(path, "w", newline="") as fh:
@@ -218,17 +210,6 @@ def write_trace_csv(trace, path: str) -> None:
         w.writerow(["epoch", "loss", "alpha", "beta"])
         for step in trace:
             w.writerow([step.epoch, _fmt(step.loss), _fmt(step.alpha), _fmt(step.beta)])
-
-
-def write_coupling_csv(decomp, path: str) -> None:
-    """Coupling eigenphases ``k,theta`` plus a trailing margin row, for
-    branch-cut forensics."""
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["k", "theta"])
-        for k, theta in enumerate(decomp.theta):
-            w.writerow([k, _fmt(theta)])
-        w.writerow(["margin", _fmt(decomp.margin)])
 
 
 # -- benchmark reports --------------------------------------------------------

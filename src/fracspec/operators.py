@@ -31,7 +31,6 @@ __all__ = [
     "graph_frft",
     "dfrft_matrix",
     "unitarity_error",
-    "reconstruction_error",
 ]
 
 #: unitarity tolerance accepted on *inputs* (per matrix dimension)
@@ -69,7 +68,6 @@ class SpectralBasis:
 
     v: np.ndarray
     lam: np.ndarray
-    source: str = ""
 
     @property
     def n(self) -> int:
@@ -89,7 +87,7 @@ class FractionalOperator:
 
     ``left`` and ``right`` are unitary and ``phases`` are the generator phases
     of the one-parameter family in ``order``: principal arguments in
-    (-pi, pi] for graph and geodesic kinds, and fixed-branch multiples of
+    (-pi, pi] for graph and geodesic operators, and fixed-branch multiples of
     pi/2 (possibly outside the principal range) for the DFRFT, whose
     eigenvalue assignment intentionally unwraps the branch. Graph and DFRFT
     operators are eigenphase powers, ``left = P`` and ``right = P^H``. A
@@ -103,11 +101,10 @@ class FractionalOperator:
     shared by every member. The ``apply_*`` methods then broadcast over it.
     """
 
-    def __init__(self, order, phases, left, right, kind, matrix=None):
+    def __init__(self, order, phases, left, right, matrix=None):
         self.phases = _freeze(np.asarray(phases))
         self.left = _freeze(np.asarray(left))
         self.right = _freeze(np.asarray(right))
-        self.kind = kind
         order = np.array(order, dtype=np.float64)
         self.order = float(order) if order.ndim == 0 else _freeze(order)
         self._diag = None
@@ -157,11 +154,6 @@ class FractionalOperator:
         return (self.left * (1j * self.phases)[..., None, :]) @ self.left.conj().swapaxes(-1, -2)
 
 
-def reconstruction_error(op: FractionalOperator) -> float:
-    """Frobenius distance between ``op.matrix`` and its cached factorization."""
-    return float(np.linalg.norm(op.matrix - (op.left * op.diag[..., None, :]) @ op.right))
-
-
 def eigendecompose(g: Graph) -> SpectralBasis:
     """Symmetric eigendecomposition of a graph adjacency.
 
@@ -188,14 +180,13 @@ def eigendecompose(g: Graph) -> SpectralBasis:
         raise DecompositionError(
             f"eigendecomposition residual {resid:.3e} exceeds 1e-9 * ||A||"
         )
-    return SpectralBasis(v=_freeze(v), lam=_freeze(lam), source=g.label)
+    return SpectralBasis(v=_freeze(v), lam=_freeze(lam))
 
 
 def gft_matrix(basis: SpectralBasis) -> FractionalOperator:
     """Graph Fourier matrix F = V^T as an order-1 fractional operator."""
     theta, p, p_h = basis.fourier_phase_decomposition
-    return FractionalOperator(1.0, theta, p, p_h, kind="graph",
-                              matrix=_freeze(basis.v.T.astype(np.complex128)))
+    return FractionalOperator(1.0, theta, p, p_h, matrix=_freeze(basis.v.T.astype(np.complex128)))
 
 
 def _widest_gap_cut(stack: np.ndarray) -> np.ndarray:
@@ -347,7 +338,7 @@ def _unify_phase_clusters(theta, w, z):
     return theta[order], z[:, order]
 
 
-def unitary_fractional_power(u, order: float, kind: str = "graph") -> FractionalOperator:
+def unitary_fractional_power(u, order: float) -> FractionalOperator:
     """Fractional power of a unitary matrix via per-eigenvalue principal phases.
 
     ``u`` is decomposed as ``P diag(exp(j theta_k)) P^H`` with theta_k the
@@ -365,7 +356,7 @@ def unitary_fractional_power(u, order: float, kind: str = "graph") -> Fractional
             f"input is not unitary: ||U^H U - I|| = {err:.3e} > {INPUT_UNITARITY_TOL * n:.3e}"
         )
     theta, p = _unitary_eigendecomposition(mat)
-    return FractionalOperator(order, theta, p, p.conj().T, kind)
+    return FractionalOperator(order, theta, p, p.conj().T)
 
 
 def graph_frft(basis: SpectralBasis, order: float) -> FractionalOperator:
@@ -375,7 +366,7 @@ def graph_frft(basis: SpectralBasis, order: float) -> FractionalOperator:
     decomposition is cached on the basis, so sweeping orders only updates the
     diagonal phase factors.
     """
-    return FractionalOperator(order, *basis.fourier_phase_decomposition, kind="graph")
+    return FractionalOperator(order, *basis.fourier_phase_decomposition)
 
 
 @lru_cache(maxsize=64)
@@ -450,4 +441,4 @@ def dfrft_matrix(n: int, order: float) -> FractionalOperator:
     """
     if int(n) != n or n < 2:
         raise ValueError(f"dfrft needs n >= 2, got {n}")
-    return FractionalOperator(order, *_dfrft_eigenstructure(int(n)), kind="dfrft")
+    return FractionalOperator(order, *_dfrft_eigenstructure(int(n)))

@@ -46,7 +46,6 @@ __all__ = [
     "TimeVertexSignal",
     "TransformPlan",
     "TransformContext",
-    "make_plan",
     "forward",
     "inverse",
 ]
@@ -200,8 +199,8 @@ class TransformContext:
 
         A cache entry holds an order's decomposition and its rows of the
         stacks ``theta``, ``L = F_graph^beta S`` and ``S^H`` that every
-        coupling value shares, all views of the batched eigensolve's output;
-        failed orders are not cached.
+        coupling value shares, all views of the misses' one batched
+        decomposition; failed orders are not cached.
         """
         cache = self._coupling_cache
         misses = [k for k in distinct if k not in cache]
@@ -209,19 +208,17 @@ class TransformContext:
         if misses:
             betas = np.array(misses)
             f_graph = graph_frft(self.temporal, betas)
-            theta, s, margin, errors = phase_decompose(
-                coupling_operator(f_graph, dfrft_matrix(self.temporal.n, betas)),
-                margin_tol=self.margin_tol, stacked=True)
-            failed = {misses[i]: e for i, e in errors.items()}
-            ok = [i for i in range(len(misses)) if i not in errors]
+            dec = phase_decompose(coupling_operator(f_graph, dfrft_matrix(self.temporal.n, betas)),
+                                  margin_tol=self.margin_tol)
+            failed = {misses[i]: e for i, e in dec.failed.items()}
+            ok = [i for i in range(len(misses)) if i not in dec.failed]
             if ok:
-                f = f_graph.matrix
-                if errors:
-                    theta, s, f = theta[ok], s[ok], f[ok]
-                theta, s = _freeze(theta), _freeze(s)
+                theta, s, f = dec.theta, dec.s, f_graph.matrix
+                if dec.failed:
+                    theta, s, f = _freeze(theta[ok]), _freeze(s[ok]), f[ok]
                 left, right = _freeze(f @ s), _freeze(s.conj().swapaxes(-1, -2))
                 for j, i in enumerate(ok):
-                    decomp = CouplingDecomposition(s=s[j], theta=theta[j], margin=float(margin[i]))
+                    decomp = CouplingDecomposition(s=s[j], theta=theta[j], margin=float(dec.margin[i]))
                     cache[misses[i]] = (decomp, theta[j], left[j], right[j])
                 if len(ok) == len(distinct):
                     built = (theta, left, right)
@@ -283,19 +280,6 @@ class TransformContext:
                 position = {b: i for i, b in enumerate(distinct)}
                 member = [position[b] for b in betas]
                 factors = [f[member] for f in factors]
-        col = FractionalOperator(lam, *factors, kind="geodesic")
+        col = FractionalOperator(lam, *factors)
         return TransformPlan(family, row, col, orders, lam=lam)
 
-
-def make_plan(family: str, spatial, temporal, orders, lam: float | None = None) -> TransformPlan:
-    """One-shot plan construction from graphs or bases.
-
-    ``temporal`` may be a Graph/SpectralBasis, or a plain integer size for the
-    jfrft family (whose column operator only needs the dimension).
-    """
-    if family == "jfrft" and isinstance(temporal, (int, np.integer)):
-        spatial_basis = _as_basis(spatial)
-        row = graph_frft(spatial_basis, float(np.atleast_1d(orders)[0]))
-        col = dfrft_matrix(int(temporal), float(np.atleast_1d(orders)[1]))
-        return TransformPlan("jfrft", row, col, tuple(float(o) for o in np.atleast_1d(orders)))
-    return TransformContext(spatial, temporal).plan(family, orders, lam=lam)

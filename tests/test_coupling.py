@@ -158,22 +158,23 @@ class TestPhaseDecompose:
         repeated = (q * np.exp(1j * np.array([0.3, 0.3, -1.0, 2.0, 0.0]))) @ q.conj().T
         ws = [coupling_operator(fg, fd), np.eye(5, dtype=complex), repeated,
               coupling_operator(fd, fg)]
-        stacked = phase_decompose(np.stack(ws))
-        assert len(stacked) == len(ws)
-        for w, got in zip(ws, stacked):
+        got = phase_decompose(np.stack(ws))
+        assert got.s.shape == (4, 5, 5) and got.theta.shape == (4, 5) and got.margin.shape == (4,)
+        assert got.failed == {} and got.n == 5
+        for k, w in enumerate(ws):
             want = phase_decompose(w)
-            assert np.array_equal(got.theta, want.theta)
-            assert np.array_equal(got.s, want.s)
-            assert got.margin == want.margin
-        assert stacked[2].theta[1] == stacked[2].theta[2] == pytest.approx(0.3)
+            assert np.array_equal(got.theta[k], want.theta)
+            assert np.array_equal(got.s[k], want.s)
+            assert got.margin[k] == want.margin
+        assert got.theta[2, 1] == got.theta[2, 2] == pytest.approx(0.3)
 
     def test_stack_keeps_each_margin_failure(self):
         fine = np.diag([np.exp(1j * np.pi / 2), np.exp(-1j * np.pi / 3)])
         at_cut = np.diag([np.exp(1j * 3.1415926), 1.0])
         got = phase_decompose(np.stack([fine, at_cut, fine]), margin_tol=1e-6)
-        assert isinstance(got[1], MarginViolationError)
-        assert got[1].index == 0 and got[1].margin < 1e-6
-        assert [d.margin for d in (got[0], got[2])] == [pytest.approx(np.pi / 2)] * 2
+        assert list(got.failed) == [1] and isinstance(got.failed[1], MarginViolationError)
+        assert got.failed[1].index == 0 and got.failed[1].margin < 1e-6
+        assert list(got.margin[[0, 2]]) == [pytest.approx(np.pi / 2)] * 2
 
     def test_stack_checks_inputs_and_outputs(self, monkeypatch):
         from fracspec import DecompositionError, NotUnitaryError
@@ -226,11 +227,10 @@ class TestPhaseDecompose:
         got = phase_decompose(ws)
         assert len(cuts) == 2 and cuts[0][1] is None
         assert np.array_equal(cuts[1][0], ws[2:]) and cuts[1][1].shape == (1,)
-        for g, w in zip(got[:2], want[:2]):
-            assert np.array_equal(g.theta, w.theta) and np.array_equal(g.s, w.s)
+        assert np.array_equal(got.theta[:2], want.theta[:2]) and np.array_equal(got.s[:2], want.s[:2])
         theta, s = operators._unitary_eigendecomposition(ws[2])
-        assert np.array_equal(got[2].theta, theta) and np.array_equal(got[2].s, s)
-        assert_same_eigenspaces(got[2].theta, got[2].s, want[2].theta, want[2].s)
+        assert np.array_equal(got.theta[2], theta) and np.array_equal(got.s[2], s)
+        assert_same_eigenspaces(got.theta[2], got.s[2], want.theta[2], want.s[2])
 
     def test_gap_cut_residual_is_checked(self, monkeypatch):
         # a basis that stays wrong at the widest-gap cut has no further fallback
@@ -255,9 +255,9 @@ class TestPhaseDecompose:
             np.linalg.solve(np.eye(4) + ws, np.eye(4) - ws)
         got = phase_decompose(ws)
         want = phase_decompose(ws[0])
-        assert np.array_equal(got[0].theta, want.theta) and np.array_equal(got[0].s, want.s)
-        assert isinstance(got[1], MarginViolationError)
-        assert got[1].margin == 0.0
+        assert np.array_equal(got.theta[0], want.theta) and np.array_equal(got.s[0], want.s)
+        assert list(got.failed) == [1] and isinstance(got.failed[1], MarginViolationError)
+        assert got.failed[1].margin == 0.0
 
     @pytest.mark.parametrize("n", [6, 10, 32, 128])
     @pytest.mark.parametrize("margin", [1.0, 1e-2, 1e-4, 1e-6])
@@ -274,10 +274,11 @@ class TestPhaseDecompose:
             ws.append((q * np.exp(1j * phases)) @ q.conj().T)
         ws = np.stack(ws)
         got = phase_decompose(ws, margin_tol=1e-7)
+        assert got.failed == {}
         theta, s = schur_eigendecomposition(ws)
-        for g, t, p in zip(got, theta, s):
-            assert g.margin == pytest.approx(margin, rel=1e-6)
-            assert_same_eigenspaces(g.theta, g.s, t, p)
+        for k in range(len(ws)):
+            assert got.margin[k] == pytest.approx(margin, rel=1e-6)
+            assert_same_eigenspaces(got.theta[k], got.s[k], theta[k], s[k])
 
     @pytest.mark.parametrize("case", list(GAP_CUT_CASES))
     def test_gap_cut_matches_schur(self, case):

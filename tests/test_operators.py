@@ -14,7 +14,6 @@ from fracspec import (
     knn_graph,
     path_graph,
     random_planar_points,
-    reconstruction_error,
     unitarity_error,
     unitary_fractional_power,
 )
@@ -216,10 +215,6 @@ class TestGraphFrft:
         b1 = eigendecompose(path_graph(9))
         b2 = eigendecompose(path_graph(9))
         assert np.array_equal(graph_frft(b1, 0.37).matrix, graph_frft(b2, 0.37).matrix)
-
-    def test_self_consistency_of_cached_decomposition(self, small_ctx):
-        op = graph_frft(small_ctx.spatial, 0.62)
-        assert reconstruction_error(op) <= 1e-9 * op.n
 
 
 class TestDfrft:

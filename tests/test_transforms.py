@@ -11,7 +11,6 @@ from fracspec import (
     forward,
     inverse,
     knn_graph,
-    make_plan,
     path_graph,
     random_planar_points,
 )
@@ -143,16 +142,6 @@ class TestPlanConstruction:
     def test_unknown_family_rejected(self, ctx):
         with pytest.raises(ConfigError):
             ctx.plan("nope", (0.5,))
-
-    def test_make_plan_from_graphs(self, rng):
-        plan = make_plan("gbfrft2d", path_graph(5), path_graph(3), (0.5, 0.5))
-        assert plan.shape == (5, 3)
-        x = random_signal(rng, 5, 3)
-        assert np.abs(inverse(plan, forward(plan, x)).data - x.data).max() <= 1e-10
-
-    def test_make_plan_jfrft_with_integer_size(self):
-        plan = make_plan("jfrft", path_graph(5), 3, (0.5, 0.5))
-        assert plan.shape == (5, 3)
 
     def test_coupling_cache_reused(self, ctx):
         d1 = ctx.coupling(0.37)
