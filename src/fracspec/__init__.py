@@ -23,7 +23,7 @@ from .errors import (
     MarginViolationError,
     NotUnitaryError,
 )
-from .graphs import Graph, ProductGraph, cartesian_product, knn_graph, path_graph
+from .graphs import Graph, cartesian_product, knn_graph, path_graph
 from .harness import (
     BenchmarkConfig,
     GraphSpec,
@@ -56,7 +56,6 @@ from .transforms import (
     inverse,
 )
 from .wiener import (
-    DegradationModel,
     FilterParams,
     GridRow,
     TrainConfig,
@@ -68,7 +67,6 @@ from .wiener import (
     grad_orders,
     lambda_grid_search,
     loss,
-    observe,
     train,
 )
 
@@ -79,7 +77,6 @@ __all__ = [
     "ConfigError",
     "CouplingDecomposition",
     "DecompositionError",
-    "DegradationModel",
     "FAMILIES",
     "FilterParams",
     "FracspecError",
@@ -93,7 +90,6 @@ __all__ = [
     "MetricRow",
     "Metrics",
     "NotUnitaryError",
-    "ProductGraph",
     "PropertyReport",
     "SpectralBasis",
     "TimeVertexSignal",
@@ -120,7 +116,6 @@ __all__ = [
     "lambda_grid_search",
     "loss",
     "metrics",
-    "observe",
     "path_graph",
     "phase_decompose",
     "random_planar_points",

@@ -99,7 +99,7 @@ def _cmd_transform(args) -> int:
     result = inverse(plan, sig) if args.inverse else forward(plan, sig)
     out = args.out or "transformed.csv"
     fio.write_signal(result.data, out,
-                     meta={"family": family, "orders": list(np.atleast_1d(orders)),
+                     meta={"family": family, "orders": np.atleast_1d(orders).tolist(),
                            "lambda": lam, "direction": "inverse" if args.inverse else "forward"})
     print(f"wrote {out}")
     return 0
@@ -212,11 +212,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--config", help="JSON configuration file")
-        p.add_argument("--seed", type=int, help="override the config seed")
         p.add_argument("--out", help="output file or directory")
 
     p = sub.add_parser("gen", help="synthesize a seeded band-limited signal")
     common(p)
+    p.add_argument("--seed", type=int, help="override the config seed")
     p.set_defaults(func=_cmd_gen)
 
     p = sub.add_parser("transform", help="apply a transform plan to a signal file")
@@ -236,7 +236,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_benchmark)
 
     p = sub.add_parser("verify", help="run the property suite")
-    common(p)
+    p.add_argument("--out", help="output file")
     p.add_argument("--fault", action="store_true",
                    help="inject a 1e-3 operator perturbation (the suite must fail)")
     p.set_defaults(func=_cmd_verify)

@@ -17,7 +17,6 @@ from .errors import GraphError
 
 __all__ = [
     "Graph",
-    "ProductGraph",
     "path_graph",
     "knn_graph",
     "cartesian_product",
@@ -25,11 +24,6 @@ __all__ = [
 
 #: largest product graph whose Kronecker-sum adjacency may be materialized
 MATERIALIZE_CAP = 4096
-
-
-def _freeze(a: np.ndarray) -> np.ndarray:
-    a.setflags(write=False)
-    return a
 
 
 @dataclass(frozen=True)
@@ -57,43 +51,15 @@ class Graph:
             raise GraphError("adjacency entries must be nonnegative")
         if np.any(np.diag(a) != 0):
             raise GraphError("adjacency must have a zero diagonal (no self-loops)")
-        object.__setattr__(self, "adjacency", _freeze(a))
+        a.setflags(write=False)
+        object.__setattr__(self, "adjacency", a)
 
     @property
     def n(self) -> int:
         return self.adjacency.shape[0]
 
 
-@dataclass(frozen=True)
-class ProductGraph:
-    """Cartesian product of two factor graphs.
-
-    ``g1`` is the first (spatial) factor and ``g2`` the second (temporal)
-    factor. ``adjacency`` materializes the Kronecker-sum adjacency in
-    lexicographic vertex order ((1,1),(1,2),...), and is guarded by
-    ``MATERIALIZE_CAP`` because it is only needed for small-size validation.
-    """
-
-    g1: Graph
-    g2: Graph
-
-    @property
-    def n(self) -> int:
-        return self.g1.n * self.g2.n
-
-    @property
-    def adjacency(self) -> np.ndarray:
-        if self.n > MATERIALIZE_CAP:
-            raise GraphError(
-                f"refusing to materialize a {self.n}x{self.n} product adjacency "
-                f"(cap {MATERIALIZE_CAP}); transforms operate on the factors"
-            )
-        a1, a2 = self.g1.adjacency, self.g2.adjacency
-        out = np.kron(a1, np.eye(self.g2.n)) + np.kron(np.eye(self.g1.n), a2)
-        return _freeze(out)
-
-
-def path_graph(n: int, label: str = "") -> Graph:
+def path_graph(n: int) -> Graph:
     """Unit-weight path graph on ``n >= 2`` nodes.
 
     adjacency[i, i+1] = adjacency[i+1, i] = 1, all other entries zero.
@@ -105,12 +71,11 @@ def path_graph(n: int, label: str = "") -> Graph:
     i = np.arange(n - 1)
     a[i, i + 1] = 1.0
     a[i + 1, i] = 1.0
-    return Graph(a, label=label or f"path({n})")
+    return Graph(a, label=f"path({n})")
 
 
-def knn_graph(points, k: int, weight_mode: str = "unit", sigma_w: float = 1.0,
-              label: str = "") -> Graph:
-    """k-nearest-neighbor graph over coordinate vectors.
+def knn_graph(points, k: int, label: str = "") -> Graph:
+    """Unit-weight k-nearest-neighbor graph over coordinate vectors.
 
     Each node selects its ``k`` nearest neighbors (Euclidean metric); the
     directed relation is symmetrized by union, so an edge exists when either
@@ -123,10 +88,6 @@ def knn_graph(points, k: int, weight_mode: str = "unit", sigma_w: float = 1.0,
         Pairwise-distinct coordinate vectors.
     k : int
         Neighbors per node; requires ``k < n``.
-    weight_mode : {"unit", "gaussian"}
-        Unit weights, or ``exp(-d^2 / (2 sigma_w^2))``.
-    sigma_w : float
-        Width of the gaussian weight kernel (ignored for unit weights).
     """
     pts = np.asarray(points, dtype=np.float64)
     if pts.ndim == 1:
@@ -134,8 +95,6 @@ def knn_graph(points, k: int, weight_mode: str = "unit", sigma_w: float = 1.0,
     n = pts.shape[0]
     if int(k) != k or k < 1 or k >= n:
         raise GraphError(f"k must satisfy 1 <= k < n = {n}, got {k}")
-    if weight_mode not in ("unit", "gaussian"):
-        raise GraphError(f"unknown weight_mode {weight_mode!r}")
     k = int(k)
 
     diff = pts[:, None, :] - pts[None, :, :]
@@ -152,16 +111,20 @@ def knn_graph(points, k: int, weight_mode: str = "unit", sigma_w: float = 1.0,
         row[i] = np.inf
         # stable tie-break: sort by (distance, node index)
         order = np.lexsort((idx, row))[:k]
-        if weight_mode == "unit":
-            a[i, order] = 1.0
-        else:
-            a[i, order] = np.exp(-d2[i, order] / (2.0 * sigma_w**2))
+        a[i, order] = 1.0
     a = np.maximum(a, a.T)  # union symmetrization
     return Graph(a, label=label or f"knn(n={n},k={k})")
 
 
-def cartesian_product(g1: Graph, g2: Graph) -> ProductGraph:
-    """Cartesian product of two graphs (adjacency = Kronecker sum)."""
+def cartesian_product(g1: Graph, g2: Graph) -> Graph:
+    """Cartesian product of two graphs: the Kronecker-sum adjacency in
+    lexicographic vertex order ((1,1),(1,2),...), with ``g1`` the spatial and
+    ``g2`` the temporal factor. Refused above ``MATERIALIZE_CAP`` nodes, since
+    it is only needed for small-size validation."""
     if not isinstance(g1, Graph) or not isinstance(g2, Graph):
         raise GraphError("cartesian_product expects two Graph values")
-    return ProductGraph(g1, g2)
+    n = g1.n * g2.n
+    if n > MATERIALIZE_CAP:
+        raise GraphError(f"refusing to materialize a {n}x{n} product adjacency "
+                         f"(cap {MATERIALIZE_CAP}); transforms operate on the factors")
+    return Graph(np.kron(g1.adjacency, np.eye(g2.n)) + np.kron(np.eye(g1.n), g2.adjacency))

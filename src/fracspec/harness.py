@@ -143,30 +143,40 @@ class GraphSpec:
     points: tuple | None = None
 
     def build(self) -> Graph:
-        if self.kind == "path":
-            return path_graph(self.n)
-        if self.kind == "knn_random":
-            pts = random_planar_points(self.n, seed=self.seed)
-            return knn_graph(pts, self.k, label=f"knn_random(n={self.n},k={self.k},seed={self.seed})")
-        if self.kind == "knn":
-            from .io import read_points_csv
-            pts = np.asarray(self.points) if self.points is not None else read_points_csv(self.file)
-            return knn_graph(pts, self.k)
-        if self.kind == "edge_list":
-            from .io import read_edge_list_csv
-            return read_edge_list_csv(self.file)
+        """The graph; a field of the wrong type, or a missing one, is a
+        configuration error."""
+        try:
+            if self.kind == "path":
+                return path_graph(self.n)
+            if self.kind == "knn_random":
+                pts = random_planar_points(self.n, seed=self.seed)
+                return knn_graph(pts, self.k, label=f"knn_random(n={self.n},k={self.k},seed={self.seed})")
+            if self.kind == "knn":
+                from .io import read_points_csv
+                pts = np.asarray(self.points) if self.points is not None else read_points_csv(self.file)
+                return knn_graph(pts, self.k)
+            if self.kind == "edge_list":
+                from .io import read_edge_list_csv
+                return read_edge_list_csv(self.file)
+        except TypeError as err:
+            raise ConfigError(f"bad {self.kind!r} graph spec: {err}") from err
         raise ConfigError(f"unknown graph spec kind {self.kind!r}")
 
     @classmethod
     def from_dict(cls, d: dict) -> "GraphSpec":
+        if not isinstance(d, dict):
+            raise ConfigError(f"a graph spec must be a JSON object, got {d!r}")
         allowed = {"kind", "n", "k", "seed", "file", "points"}
         unknown = set(d) - allowed
         if unknown:
             raise ConfigError(f"unknown graph spec fields {sorted(unknown)}")
         d = dict(d)
-        if "points" in d and d["points"] is not None:
-            d["points"] = tuple(tuple(p) for p in d["points"])
-        return cls(**d)
+        try:
+            if "points" in d and d["points"] is not None:
+                d["points"] = tuple(tuple(p) for p in d["points"])
+            return cls(**d)
+        except TypeError as err:
+            raise ConfigError(f"bad graph spec: {err}") from err
 
 
 @dataclass(frozen=True)

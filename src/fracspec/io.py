@@ -27,7 +27,6 @@ __all__ = [
     "write_signal",
     "read_signal",
     "write_operator_csv",
-    "read_operator_csv",
     "write_params_json",
     "read_params_json",
     "write_trace_csv",
@@ -72,7 +71,10 @@ def read_edge_list_csv(path: str) -> Graph:
             if len(row) != 3 or min(int(row[0]), int(row[1])) < 0:
                 raise ConfigError(f"{path}:{r.line_num}: expected src,dst,weight with ids >= 0, got {row}")
             edges.append((int(row[0]), int(row[1]), float(row[2])))
-    n = 1 + max((max(i, j) for i, j, _ in edges), default=0)
+    ids = {v for i, j, _ in edges for v in (i, j)}
+    n = 1 + max(ids, default=0)
+    if ids and len(ids) != n:
+        raise ConfigError(f"{path}: every vertex id from 0 to {n - 1} must appear in some row")
     a = np.zeros((n, n))
     for i, j, wgt in edges:
         a[i, j] = wgt
@@ -166,17 +168,6 @@ def write_operator_csv(matrix: np.ndarray, path: str) -> None:
                 flat.append(_fmt(v.real))
                 flat.append(_fmt(v.imag))
             w.writerow(flat)
-
-
-def read_operator_csv(path: str) -> np.ndarray:
-    rows = []
-    with open(path, newline="") as fh:
-        for row in csv.reader(fh):
-            if not row:
-                continue
-            vals = [float(v) for v in row]
-            rows.append([complex(r, i) for r, i in zip(vals[0::2], vals[1::2])])
-    return np.asarray(rows, dtype=np.complex128)
 
 
 # -- learned parameters and traces -------------------------------------------

@@ -239,9 +239,14 @@ class TransformContext:
         """
         if family not in FAMILIES:
             raise ConfigError(f"unknown family {family!r}; expected one of {FAMILIES}")
-        orders = (orders,) if np.ndim(orders) == 0 else tuple(orders)
-        orders = tuple(float(o) if np.ndim(o) == 0 else np.asarray(o, dtype=np.float64)
-                       for o in orders)
+        try:
+            orders = (orders,) if np.ndim(orders) == 0 else tuple(orders)
+            orders = tuple(float(o) if np.ndim(o) == 0 else np.asarray(o, dtype=np.float64)
+                           for o in orders)
+        except TypeError as err:
+            raise ConfigError(f"orders must be numbers, got {orders!r}") from err
+        if any(isinstance(o, np.ndarray) and o.size == 0 for o in orders):
+            raise ConfigError("orders must be numbers, got an empty list")
 
         if family == "gfrft2d":
             if len(orders) not in (1, 2) or (len(orders) == 2 and np.any(orders[0] != orders[1])):

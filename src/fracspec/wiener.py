@@ -18,6 +18,7 @@ standard 0.1 learning rate is stable on unit-mean-power signals.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,10 +29,8 @@ from .transforms import FAMILIES, TimeVertexSignal, TransformContext, TransformP
 __all__ = [
     "FilterParams",
     "TrainConfig",
-    "DegradationModel",
     "TrainStep",
     "GridRow",
-    "observe",
     "denoise",
     "denoise_complex",
     "loss",
@@ -110,25 +109,6 @@ class TrainConfig:
 
 
 @dataclass(frozen=True)
-class DegradationModel:
-    """Known linear system responses ``Y = G_S X G_T + N``; ``None`` factors
-    mean identity."""
-
-    g_s: np.ndarray | None = None
-    g_t: np.ndarray | None = None
-
-    def __post_init__(self):
-        for name, m in (("g_s", self.g_s), ("g_t", self.g_t)):
-            if m is not None:
-                m = np.asarray(m)
-                if m.ndim != 2 or m.shape[0] != m.shape[1]:
-                    raise ValueError(f"{name} must be square, got {m.shape}")
-                if not np.all(np.isfinite(m)):
-                    raise ValueError(f"{name} contains non-finite entries")
-                object.__setattr__(self, name, m)
-
-
-@dataclass(frozen=True)
 class TrainStep:
     epoch: int
     loss: float
@@ -146,30 +126,6 @@ class GridRow:
     params: FilterParams | None
     error: str | None = None
     trace: list[TrainStep] | None = None
-
-
-def observe(x: TimeVertexSignal, d: DegradationModel | None = None,
-            noise: TimeVertexSignal | None = None) -> TimeVertexSignal:
-    """Apply the observation model ``Y = G_S X G_T + N``."""
-    data = x.data
-    real = x.real_flag
-    if d is not None:
-        if d.g_s is not None:
-            if d.g_s.shape[0] != data.shape[0]:
-                raise ValueError(f"g_s shape {d.g_s.shape} does not match signal rows {data.shape[0]}")
-            data = d.g_s @ data
-            real = real and np.isrealobj(d.g_s)
-        if d.g_t is not None:
-            if d.g_t.shape[0] != data.shape[1]:
-                raise ValueError(f"g_t shape {d.g_t.shape} does not match signal columns {data.shape[1]}")
-            data = data @ d.g_t
-            real = real and np.isrealobj(d.g_t)
-    if noise is not None:
-        if noise.shape != data.shape:
-            raise ValueError(f"noise shape {noise.shape} does not match signal {data.shape}")
-        data = data + noise.data
-        real = real and noise.real_flag
-    return TimeVertexSignal(data, real_flag=real)
 
 
 def _mean_sq(e: np.ndarray) -> float:
@@ -400,6 +356,8 @@ def _train_lanes(y: TimeVertexSignal, x_true: TimeVertexSignal, lams: list,
     geodesic = family == "gcgfrft"
     if geodesic and any(lam is None for lam in lams):
         raise ConfigError("gcgfrft training needs a fixed coupling parameter")
+    if not all(isinstance(lam, numbers.Real) for lam in lams if lam is not None):
+        raise ConfigError(f"coupling parameters must be numbers, got {lams}")
 
     lanes = np.arange(len(lams))
     lam = np.array(lams, dtype=np.float64) if geodesic else None
@@ -505,7 +463,10 @@ def lambda_grid_search(y: TimeVertexSignal, x_true: TimeVertexSignal, grid,
     at the final orders, are recorded in the table and skipped; if every point
     fails, the margin error is re-raised as an aggregate failure.
     """
-    grid = [float(g) for g in grid]
+    try:
+        grid = [float(g) for g in grid]
+    except TypeError as err:
+        raise ConfigError(f"the coupling grid must be a list of numbers, got {grid!r}") from err
     if not grid:
         raise ConfigError("the coupling grid must be nonempty")
     if any(not 0.0 <= g <= 1.0 for g in grid):

@@ -65,12 +65,6 @@ class TestKnnGraph:
         for k in (1, 3, 5):
             assert np.array_equal(knn_graph(pts, k).adjacency, brute_force_knn(pts, k))
 
-    def test_gaussian_weights(self):
-        pts = np.array([[0.0], [1.0], [3.0]])
-        g = knn_graph(pts, 1, weight_mode="gaussian", sigma_w=1.0)
-        assert g.adjacency[0, 1] == pytest.approx(np.exp(-0.5))
-        assert g.adjacency[1, 0] == g.adjacency[0, 1]
-
     def test_duplicate_points_rejected(self):
         with pytest.raises(GraphError, match="duplicate"):
             knn_graph(np.array([[0.0], [0.0], [1.0]]), 1)
@@ -141,7 +135,5 @@ class TestCartesianProduct:
                         assert prod[i1 * 2 + i2, j1 * 2 + j2] == want
 
     def test_materialization_cap(self):
-        from fracspec import ProductGraph
-        prod = ProductGraph(path_graph(100), path_graph(100))
         with pytest.raises(GraphError, match="cap"):
-            _ = prod.adjacency
+            cartesian_product(path_graph(100), path_graph(100))

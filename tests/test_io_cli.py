@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fracspec import (
+    FAMILIES,
     FilterParams,
     GraphSpec,
     TimeVertexSignal,
@@ -54,28 +55,34 @@ class TestGraphFiles:
             fio.read_edge_list_csv(str(path))
 
 
-def run_transform(tmp, spatial, **cfg):
-    """``fracspec transform`` of a 3 x 4 signal over ``spatial`` and a 4-node
-    temporal path; returns the exit code and standard error."""
-    cfg = {"spatial": spatial, "temporal": {"kind": "path", "n": 4},
-           "family": "gbfrft2d", **cfg}
+def run_cli(tmp, command, cfg):
+    """``fracspec transform`` or ``fracspec denoise`` of a 3 x 4 signal
+    (noisy and clean alike) under ``cfg``; returns the exit code and standard
+    error."""
     cfg_path, sig = os.path.join(tmp, "cfg.json"), os.path.join(tmp, "sig.csv")
     with open(cfg_path, "w") as fh:
         json.dump(cfg, fh)
     fio.write_signal(np.ones((3, 4)), sig)
+    inputs = ["--signal", sig] if command == "transform" else ["--noisy", sig, "--clean", sig]
     err = io.StringIO()
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-        code = main(["transform", "--config", cfg_path, "--signal", sig,
-                     "--out", os.path.join(tmp, "out.csv")])
+        code = main([command, "--config", cfg_path, *inputs, "--out", os.path.join(tmp, "out")])
     return code, err.getvalue()
+
+
+def run_transform(tmp, spatial, **cfg):
+    """``fracspec transform`` over ``spatial`` and a 4-node temporal path."""
+    return run_cli(tmp, "transform", {"spatial": spatial, "temporal": {"kind": "path", "n": 4},
+                                      "family": "gbfrft2d", **cfg})
 
 
 class TestMalformedGraphFiles:
     @pytest.mark.parametrize("kind,text", [
         ("edge_list", "src,dst,weight\n0,1,1.0\n1,2,1.0\n-1,0,1.0\n"),
         ("edge_list", "src,dst,weight\n0,1,1.0\n1,2\n"),
+        ("edge_list", "src,dst,weight\n0,10000000,1.0\n"),
         ("knn", "id,x1\n0,0.0\n0,1.0\n2,2.0\n"),
-    ], ids=["negative_id", "two_fields", "repeated_point_id"])
+    ], ids=["negative_id", "two_fields", "unnamed_vertex_ids", "repeated_point_id"])
     def test_malformed_ids_exit_2(self, tmp_path, kind, text):
         path = tmp_path / "graph.csv"
         path.write_text(text)
@@ -131,6 +138,44 @@ class TestReaderFuzz:
             assert run_transform(tmp, {"kind": "knn", "file": path, "k": 1})[0] in (0, 2)
 
 
+# JSON values of the wrong type, for any config entry
+ODD = st.one_of(st.none(), st.booleans(), st.sampled_from(["", "x", "0.5"]),
+                st.lists(st.integers(0, 1), max_size=2),
+                st.dictionaries(st.sampled_from(["a", "n"]), st.integers(0, 2), max_size=1))
+NUMBER = st.one_of(st.integers(-1, 2), st.floats(-0.5, 1.5))
+# a graph spec with a kind and some of its size fields, or no object at all
+GRAPH_SPEC = st.one_of(st.fixed_dictionaries(
+    {"kind": st.one_of(st.sampled_from(["path", "knn_random", "knn", "edge_list", "x"]), ODD)},
+    optional={"n": st.one_of(st.integers(-1, 5), ODD), "k": st.one_of(st.integers(-1, 3), ODD)}),
+    ODD)
+# well-formed 3 x 4 graphs, one of which a generated spec replaces now and then
+GRAPHS = {"spatial": {"kind": "knn_random", "n": 3, "k": 1}, "temporal": {"kind": "path", "n": 4}}
+RUN_CONFIG = st.builds(
+    lambda graphs, run: {**GRAPHS, **graphs, **run},
+    st.one_of(st.just({}), st.dictionaries(st.sampled_from(sorted(GRAPHS)), GRAPH_SPEC,
+                                           min_size=1, max_size=1)),
+    st.fixed_dictionaries(
+        {"train": st.just({"epochs": 1})},
+        optional={"family": st.sampled_from([*FAMILIES, "x", None, 1, [], {}]),
+                  "orders": st.one_of(NUMBER, st.lists(st.one_of(NUMBER, ODD), max_size=3), ODD),
+                  "lambda": st.one_of(NUMBER, ODD),
+                  "lambda_grid": st.one_of(st.lists(st.one_of(NUMBER, ODD), max_size=3), ODD)}))
+
+
+class TestConfigFuzz:
+    """Generated ``transform`` and ``denoise`` configs through the CLI: every
+    config ends in exit code 0, 2 or 3, never in an exception."""
+
+    @pytest.mark.parametrize("command", ["transform", "denoise"])
+    def test_run_config(self, command):
+        @settings(max_examples=50, deadline=None)
+        @given(cfg=RUN_CONFIG)
+        def check(cfg):
+            with tempfile.TemporaryDirectory() as tmp:
+                assert run_cli(tmp, command, cfg)[0] in (0, 2, 3)
+        check()
+
+
 class TestSignalFiles:
     def test_real_round_trip(self, tmp_path, rng):
         data = rng.standard_normal((4, 3))
@@ -154,7 +199,7 @@ class TestOperatorFiles:
         op = dfrft_matrix(5, 0.37)
         path = str(tmp_path / "op.csv")
         fio.write_operator_csv(op.matrix, path)
-        back = fio.read_operator_csv(path)
+        back = np.loadtxt(path, delimiter=",").view(np.complex128)
         assert np.array_equal(back, op.matrix)
         with open(path) as fh:
             first = fh.readline().split(",")
@@ -322,6 +367,35 @@ class TestCli:
         assert err.startswith("configuration error") and repr(key) in err
         assert not os.path.exists(out)
 
+    @pytest.mark.parametrize("command,cfg", [
+        ("transform", {"orders": {"a": 1}}),
+        ("transform", {"orders": None}),
+        ("denoise", {"lambda_grid": 5}),
+        ("denoise", {"lambda_grid": [{}]}),
+        ("transform", {"spatial": {"kind": "knn_random", "n": 3, "k": None}}),
+        ("transform", {"spatial": {"kind": "knn_random", "n": 3}}),
+    ], ids=["orders_object", "orders_null", "grid_number", "grid_of_objects", "k_null", "k_missing"])
+    def test_wrongly_typed_run_value_exits_2(self, tmp_path, command, cfg):
+        cfg = {"spatial": {"kind": "path", "n": 3}, "temporal": {"kind": "path", "n": 4},
+               "train": {"epochs": 1}, **cfg}
+        code, err = run_cli(str(tmp_path), command, cfg)
+        assert code == 2 and err.startswith("configuration error")
+
+    @pytest.mark.parametrize("argv", [["benchmark", "--seed", "3"],
+                                      ["verify", "--config", "nothing.json", "--seed", "9"]],
+                             ids=["benchmark_seed", "verify_config"])
+    def test_ignored_flag_exits_2(self, tmp_path, argv, capsys):
+        # a flag the command would not read must not be accepted silently
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--out", str(tmp_path / "out")])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_integer_orders_in_sidecar(self, tmp_path):
+        code, _ = run_transform(str(tmp_path), {"kind": "path", "n": 3}, orders=[1, 0])
+        assert code == 0
+        assert json.loads((tmp_path / "out.json").read_text())["orders"] == [1, 0]
+
     def test_non_numeric_lambda_exits_2(self, tmp_path):
         code, err = run_transform(str(tmp_path), {"kind": "path", "n": 3},
                                   family="gcgfrft", **{"lambda": "x"})
@@ -369,7 +443,7 @@ class TestCli:
             json.dump({"kind": "dfrft", "n": 6, "order": 0.5}, fh)
         out = str(tmp_path / "op.csv")
         assert main(["dump-operator", "--config", cfg_path, "--out", out]) == 0
-        back = fio.read_operator_csv(out)
+        back = np.loadtxt(out, delimiter=",").view(np.complex128)
         assert np.array_equal(back, dfrft_matrix(6, 0.5).matrix)
 
     def test_dump_operator_unknown_key_exits_2(self, tmp_path):

@@ -3,7 +3,6 @@ import pytest
 
 from fracspec import (
     ConfigError,
-    DegradationModel,
     FilterParams,
     Graph,
     MarginViolationError,
@@ -19,7 +18,6 @@ from fracspec import (
     knn_graph,
     lambda_grid_search,
     loss,
-    observe,
     path_graph,
     random_planar_points,
     synth_signal,
@@ -50,35 +48,6 @@ def assert_same_training(row, params, trace, tol=1e-12):
     assert np.abs(row.params.h - params.h).max() <= tol
     assert len(row.trace) == len(trace)
     assert max(abs(a.loss - b.loss) for a, b in zip(row.trace, trace)) <= tol
-
-
-class TestObserve:
-    def test_identity_zero_noise(self, instance):
-        _, x, _ = instance
-        assert np.array_equal(observe(x).data, x.data)
-
-    def test_zero_system(self, instance):
-        _, x, _ = instance
-        d = DegradationModel(g_s=np.zeros((8, 8)))
-        assert np.abs(observe(x, d).data).max() == 0.0
-
-    def test_additive_noise_exact(self, instance, rng):
-        _, x, _ = instance
-        n = TimeVertexSignal(rng.standard_normal(x.shape))
-        y = observe(x, None, n)
-        assert np.allclose(y.data - x.data, n.data, rtol=0, atol=1e-14)
-
-    def test_degradation_matmuls(self, instance, rng):
-        _, x, _ = instance
-        gs = rng.standard_normal((8, 8))
-        gt = rng.standard_normal((5, 5))
-        y = observe(x, DegradationModel(g_s=gs, g_t=gt))
-        assert np.allclose(y.data, gs @ x.data @ gt)
-
-    def test_shape_mismatch(self, instance):
-        _, x, _ = instance
-        with pytest.raises(ValueError):
-            observe(x, DegradationModel(g_s=np.eye(3)))
 
 
 class TestDenoise:
