@@ -66,6 +66,14 @@ def _context_from_config(cfg: dict) -> TransformContext:
     return TransformContext(spatial, temporal)
 
 
+def _coupling_value(cfg: dict, family: str):
+    """The config's ``lambda``; only the gcgfrft family reads one."""
+    lam = cfg.get("lambda")
+    if lam is not None and family != "gcgfrft":
+        raise ConfigError(f"'lambda' applies to the gcgfrft family only, not to {family!r}")
+    return lam
+
+
 def _cmd_gen(args) -> int:
     cfg = _load_config(args.config, allowed=_GEN_KEYS)
     spatial = GraphSpec.from_dict(cfg.get("spatial", {"kind": "knn_random", "n": 30, "k": 4, "seed": 7}))
@@ -92,7 +100,7 @@ def _cmd_transform(args) -> int:
     ctx = _context_from_config(cfg)
     family = cfg.get("family", "gcgfrft")
     orders = cfg.get("orders", [0.5, 0.5])
-    lam = cfg.get("lambda")
+    lam = _coupling_value(cfg, family)
     plan = ctx.plan(family, orders, lam=lam)
     data, _ = fio.read_signal(args.signal)
     sig = TimeVertexSignal.from_array(data)
@@ -109,13 +117,14 @@ def _cmd_denoise(args) -> int:
     cfg = _load_config(args.config, allowed=_RUN_KEYS)
     ctx = _context_from_config(cfg)
     family = cfg.get("family", "gcgfrft")
+    lam = _coupling_value(cfg, family)
     train_cfg = TrainConfig.from_dict(cfg.get("train", {}))
     y = TimeVertexSignal.from_array(fio.read_signal(args.noisy)[0])
     x = TimeVertexSignal.from_array(fio.read_signal(args.clean)[0])
     out = args.out or "."
     os.makedirs(out, exist_ok=True)
 
-    if family == "gcgfrft" and "lambda" not in cfg:
+    if family == "gcgfrft" and lam is None:
         grid = cfg.get("lambda_grid", [round(0.1 * i, 1) for i in range(11)])
         _, params, table = lambda_grid_search(y, x, grid, train_cfg, ctx)
         with open(os.path.join(out, "grid.csv"), "w") as fh:
@@ -128,7 +137,6 @@ def _cmd_denoise(args) -> int:
                              f"{row.params.alpha:.17g},{row.params.beta:.17g},ok\n")
         trace = next(row.trace for row in table if row.params is params)
     else:
-        lam = cfg.get("lambda")
         params, trace = train(y, x, lam, train_cfg, ctx, family=family)
 
     est = denoise(y, params, ctx, family=family)

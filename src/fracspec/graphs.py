@@ -22,7 +22,8 @@ __all__ = [
     "cartesian_product",
 ]
 
-#: largest product graph whose Kronecker-sum adjacency may be materialized
+#: largest graph whose dense adjacency may be materialized: a product graph's
+#: Kronecker sum, or a path or random k-NN factor that a graph spec asks for
 MATERIALIZE_CAP = 4096
 
 

@@ -20,7 +20,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ConfigError, MarginViolationError
-from .graphs import Graph, knn_graph, path_graph
+from .graphs import MATERIALIZE_CAP, Graph, knn_graph, path_graph
 from .operators import SpectralBasis, eigendecompose
 from .transforms import FAMILIES, TimeVertexSignal, TransformContext
 from .wiener import FilterParams, TrainConfig, closed_form_h, denoise, lambda_grid_search, train
@@ -145,6 +145,10 @@ class GraphSpec:
     def build(self) -> Graph:
         """The graph; a field of the wrong type, or a missing one, is a
         configuration error."""
+        if self.kind in ("path", "knn_random") and isinstance(self.n, numbers.Real) \
+                and self.n > MATERIALIZE_CAP:
+            raise ConfigError(f"a {self.kind} graph of {self.n} nodes exceeds the cap of "
+                              f"{MATERIALIZE_CAP} nodes for a dense adjacency")
         try:
             if self.kind == "path":
                 return path_graph(self.n)
@@ -170,6 +174,9 @@ class GraphSpec:
         unknown = set(d) - allowed
         if unknown:
             raise ConfigError(f"unknown graph spec fields {sorted(unknown)}")
+        seed = d.get("seed", 0)
+        if not isinstance(seed, numbers.Integral) or isinstance(seed, bool):
+            raise ConfigError(f"a graph spec seed must be an integer, got {seed!r}")
         d = dict(d)
         try:
             if "points" in d and d["points"] is not None:

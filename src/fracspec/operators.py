@@ -2,14 +2,23 @@
 discrete fractional Fourier transform.
 
 A fractional operator is kept in one two-sided factored form,
-``M = left diag(exp(j * order * theta)) right``, so that changing the order
-only rescales diagonal phase factors and applying the operator to a signal
-never requires re-running a spectral factorization. Eigenphase powers use
-``left = P`` and ``right = P^H``; the geodesic temporal basis of
-``coupling`` uses ``left = F_graph^beta S`` and ``right = S^H``. Graph
-operators come from the orthonormal adjacency eigenbasis; the DFRFT comes
-from the commuting-matrix eigenvector convention that reproduces the unitary
-DFT exactly at order 1.
+``M = left R(order) right``, so that changing the order only changes the
+middle factor ``R`` and applying the operator to a signal never requires
+re-running a spectral factorization. ``R`` is diagonal, or a direct sum of
+2x2 rotations and scalars. The graph FRFTs and the DFRFT are eigenphase
+powers of real orthogonal matrices and keep one real orthogonal factor,
+``left = Q`` and ``right = Q^T``: a conjugate eigenvector pair ``p, conj(p)``
+with phases ``+-theta`` becomes the columns ``sqrt(2) Re p`` and
+``sqrt(2) Im p``, on which ``R`` rotates by ``order * theta`` (the real Schur
+form of an orthogonal matrix; Golub and Van Loan, *Matrix Computations*,
+section 7.4). A real factor times a complex signal is one real GEMM on the
+signal's float64 view, half the arithmetic of a complex one. The geodesic
+temporal basis of ``coupling`` uses ``left = F_graph^beta S`` and
+``right = S^H``, and a general unitary power ``left = P`` and
+``right = P^H``, both complex with a diagonal ``R``. Graph operators come
+from the orthonormal adjacency eigenbasis; the DFRFT comes from the
+commuting-matrix eigenvector convention that reproduces the unitary DFT
+exactly at order 1.
 """
 
 from __future__ import annotations
@@ -75,56 +84,122 @@ class SpectralBasis:
 
     @cached_property
     def fourier_phase_decomposition(self):
-        """Eigenphase decomposition ``(theta, P, P^H)`` of the graph Fourier
-        matrix V^T, computed once per basis; every fractional order reuses it.
+        """Real eigenphase decomposition ``(theta, Q, partner)`` of the graph
+        Fourier matrix, ``V^T = Q R(1) Q^T`` (``_sorted_eigenpairs``, then
+        ``_real_phase_factors``), computed once per basis; every fractional
+        order reuses it.
         """
-        theta, p = _unitary_eigendecomposition(self.v.T)
-        return theta, p, _freeze(p.conj().T.copy())
+        theta, p = _sorted_eigenpairs(self.v.T[None])
+        return _real_phase_factors(theta[0], p[0])
+
+
+def _lmul(f: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """``f @ x``. A real factor times a complex ``x`` is one real GEMM on the
+    float64 view of ``x``, ``(..., n, k)`` as ``(..., n, 2k)``; an ``x`` that
+    is not C-contiguous is copied first, since a view of a strided last axis
+    would be wrong or impossible."""
+    if f.dtype == np.float64 and x.dtype == np.complex128:
+        return (f @ np.ascontiguousarray(x).view(np.float64)).view(np.complex128)
+    return f @ x
+
+
+def _rmul(x: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """``x @ f``; a real factor and a complex ``x`` go through ``_lmul`` as
+    ``(f^T x^T)^T``, and the result is a transposed view."""
+    if f.dtype == np.float64 and x.dtype == np.complex128:
+        return _lmul(f.swapaxes(-1, -2), x.swapaxes(-1, -2)).swapaxes(-1, -2)
+    return x @ f
 
 
 class FractionalOperator:
-    """Unitary operator held as ``left diag(exp(j*order*phases)) right``.
+    """Unitary operator held as ``left R(order) right``.
 
     ``left`` and ``right`` are unitary and ``phases`` are the generator phases
     of the one-parameter family in ``order``: principal arguments in
     (-pi, pi] for graph and geodesic operators, and fixed-branch multiples of
     pi/2 (possibly outside the principal range) for the DFRFT, whose
-    eigenvalue assignment intentionally unwraps the branch. Graph and DFRFT
-    operators are eigenphase powers, ``left = P`` and ``right = P^H``. A
-    geodesic temporal basis ``F S diag(exp(j*lam*theta)) S^H`` has
-    ``left = F S`` and ``right = S^H``, with ``order`` the coupling parameter.
-    The dense ``matrix`` is materialized lazily; transforms apply the factors
-    directly.
+    eigenvalue assignment intentionally unwraps the branch.
+
+    Without ``partner`` the middle factor is ``R = diag(exp(j*order*phases))``.
+    With it, ``left = Q`` is real orthogonal and ``right = Q^T``, and
+    ``partner`` pairs the columns of ``Q`` that span a conjugate eigenvector
+    pair, with phases ``theta`` and ``-theta``: ``R`` rotates each pair by
+    ``order * theta``. An unpaired column is its own partner (phase 0 or pi)
+    and keeps ``exp(j*order*phase)``. Both are ``R w = a o w + b o
+    w[partner]`` with ``a = cos(order*phases)`` and ``b = unit *
+    sin(order*phases)``, ``unit`` 1 on a pair and j elsewhere (``rotation``).
+    Graph FRFTs are held that way; the DFRFT has a real ``left = V`` and no
+    partner. A geodesic temporal basis ``F S diag(exp(j*lam*theta)) S^H`` has
+    ``left = F S`` and ``right = S^H``, with ``order`` the coupling
+    parameter. The dense ``matrix`` is materialized lazily; transforms apply
+    the factors directly.
 
     A batch of B operators shares the leading axis: ``order`` of shape (B,),
     and ``left``/``right`` (B, n, n) and ``phases`` (B, n) either stacked or
     shared by every member. The ``apply_*`` methods then broadcast over it.
     """
 
-    def __init__(self, order, phases, left, right, matrix=None):
+    def __init__(self, order, phases, left, right, partner=None, matrix=None):
         self.phases = _freeze(np.asarray(phases))
         self.left = _freeze(np.asarray(left))
         self.right = _freeze(np.asarray(right))
+        self.partner = None if partner is None else _freeze(np.asarray(partner))
         order = np.array(order, dtype=np.float64)
         self.order = float(order) if order.ndim == 0 else _freeze(order)
-        self._diag = None
+        self._rotation = None
         self._matrix = matrix
 
     @property
     def n(self) -> int:
         return self.left.shape[-1]
 
+    @cached_property
+    def _unit(self) -> np.ndarray:
+        return np.where(self.partner == np.arange(self.n), 1j, 1.0)
+
     @property
-    def diag(self) -> np.ndarray:
-        if self._diag is None:
+    def rotation(self):
+        """``(a, b)`` of ``R w = a o w + b o w[partner]``, batched like
+        ``order``; ``a = exp(j*order*phases)`` and ``b`` None when ``R`` is
+        diagonal."""
+        if self._rotation is None:
             order = self.order if isinstance(self.order, float) else self.order[:, None]
-            self._diag = _freeze(np.exp(1j * order * self.phases))
-        return self._diag
+            if self.partner is None:
+                self._rotation = (np.exp(1j * order * self.phases), None)
+            else:
+                angle = order * self.phases
+                self._rotation = (np.cos(angle), np.sin(angle) * self._unit)
+        return self._rotation
+
+    @property
+    def generator_coefficients(self):
+        """``(a, b)`` of the generator ``dR/dorder R^H`` in factor
+        coordinates, for ``mix``; the same at every order. On a pair it is
+        ``theta`` times the quarter turn, ``(G w)_i = theta_i w_partner(i)``."""
+        if self.partner is None:
+            return 1j * self.phases, None
+        return None, self.phases * self._unit
+
+    def mix(self, w: np.ndarray, coefficients, axis: int = -2, transpose: bool = False):
+        """``a o w + b o w[partner]`` along ``axis``, for ``coefficients``
+        ``(a, b)`` (either may be None: zero): ``R w`` at -2, where the
+        columns of ``w`` are the vectors, and ``w R^T`` at -1. With
+        ``transpose`` it applies ``R^T``, whose ``b`` is ``b[partner]``."""
+        a, b = coefficients
+        index = (..., slice(None), None) if axis == -2 else (..., None, slice(None))
+        if b is None:
+            return a[index] * w
+        if transpose:
+            b = b[..., self.partner]
+        out = b[index] * np.take(w, self.partner, axis=axis)
+        if a is not None:
+            out += a[index] * w
+        return out
 
     @property
     def matrix(self) -> np.ndarray:
         if self._matrix is None:
-            self._matrix = _freeze((self.left * self.diag[..., None, :]) @ self.right)
+            self._matrix = _freeze(_lmul(self.left, self.mix(self.right, self.rotation)))
         return self._matrix
 
     # -- factored application (never forms the dense operator) ---------------
@@ -132,26 +207,29 @@ class FractionalOperator:
 
     def apply_left(self, x: np.ndarray) -> np.ndarray:
         """M @ x."""
-        return self.left @ (self.diag[..., :, None] * (self.right @ x))
+        return _lmul(self.left, self.mix(_lmul(self.right, x), self.rotation))
 
     def apply_left_inverse(self, x: np.ndarray) -> np.ndarray:
         """M^H @ x (closed-form inverse: the operator is unitary)."""
-        return (self.right.swapaxes(-1, -2)
-                @ (self.diag[..., :, None] * (self.left.swapaxes(-1, -2) @ x.conj()))).conj()
+        inner = self.mix(_lmul(self.left.swapaxes(-1, -2), x.conj()), self.rotation, transpose=True)
+        return _lmul(self.right.swapaxes(-1, -2), inner).conj()
 
     def apply_right_transpose(self, x: np.ndarray) -> np.ndarray:
         """x @ M^T."""
-        return ((x @ self.right.swapaxes(-1, -2)) * self.diag[..., None, :]) @ self.left.swapaxes(-1, -2)
+        inner = self.mix(_rmul(x, self.right.swapaxes(-1, -2)), self.rotation, axis=-1)
+        return _rmul(inner, self.left.swapaxes(-1, -2))
 
     def apply_right_conj(self, x: np.ndarray) -> np.ndarray:
         """x @ M^* (right factor of the inverse transform)."""
-        return (((x.conj() @ self.left) * self.diag[..., None, :]) @ self.right).conj()
+        inner = self.mix(_rmul(x.conj(), self.left), self.rotation, axis=-1, transpose=True)
+        return _rmul(inner, self.right).conj()
 
     # -- order derivative: d(matrix)/d(order) = G @ matrix -------------------
 
     def generator(self) -> np.ndarray:
-        """Dense generator ``G = left diag(j*phases) left^H = (dM/dorder) M^H``."""
-        return (self.left * (1j * self.phases)[..., None, :]) @ self.left.conj().swapaxes(-1, -2)
+        """Dense generator ``G = left (dR/dorder R^H) left^H = (dM/dorder) M^H``."""
+        left_h = self.left.conj().swapaxes(-1, -2)
+        return _lmul(self.left, self.mix(left_h, self.generator_coefficients))
 
 
 def eigendecompose(g: Graph) -> SpectralBasis:
@@ -169,11 +247,7 @@ def eigendecompose(g: Graph) -> SpectralBasis:
     lam = lam[order]
     v = v[:, order].copy()
     # deterministic signs
-    for k in range(v.shape[1]):
-        col = v[:, k]
-        i0 = int(np.argmax(np.abs(col)))
-        if col[i0] < 0:
-            v[:, k] = -col
+    v[:, v[np.argmax(np.abs(v), axis=0), np.arange(v.shape[1])] < 0] *= -1.0
     norm_a = np.linalg.norm(a)
     resid = np.linalg.norm((v * lam) @ v.T - a)
     if resid > 1e-9 * max(norm_a, 1.0):
@@ -185,8 +259,9 @@ def eigendecompose(g: Graph) -> SpectralBasis:
 
 def gft_matrix(basis: SpectralBasis) -> FractionalOperator:
     """Graph Fourier matrix F = V^T as an order-1 fractional operator."""
-    theta, p, p_h = basis.fourier_phase_decomposition
-    return FractionalOperator(1.0, theta, p, p_h, matrix=_freeze(basis.v.T.astype(np.complex128)))
+    theta, q, partner = basis.fourier_phase_decomposition
+    return FractionalOperator(1.0, theta, q, q.T, partner,
+                              matrix=_freeze(basis.v.T.astype(np.complex128)))
 
 
 def _widest_gap_cut(stack: np.ndarray) -> np.ndarray:
@@ -271,32 +346,26 @@ def _cayley_eigenpairs(stack: np.ndarray, cut: np.ndarray | None = None):
     return w, z
 
 
-def _unitary_eigendecomposition(u: np.ndarray, gap_cut: bool = True):
-    """Orthonormal eigendecomposition of a (numerically) unitary matrix, or of
-    a (B, n, n) stack of them, by the batched Cayley transform
-    (``_cayley_eigenpairs``).
+def _sorted_eigenpairs(stack: np.ndarray, gap_cut: bool = True):
+    """Eigenphases (B, n) and orthonormal eigenvectors (B, n, n) of a
+    (B, n, n) stack of (numerically) unitary matrices, by the batched Cayley
+    transform (``_cayley_eigenpairs``).
 
     With ``gap_cut`` each matrix is cut in its widest eigenphase gap, found
-    by one eigenvalue solve of ``u`` as given (real stays real). This serves
-    any unitary input, including one with the eigenvalue -1, as the one-off
-    graph-Fourier bases may have. Without it the cut is -1, for the coupling
-    path (``coupling.phase_decompose``), whose margin check excludes -1; the
-    rare matrix the cut at -1 cannot resolve moves its cut alone.
+    by one eigenvalue solve of the stack as given (real stays real). This
+    serves any unitary input, including one with the eigenvalue -1, as the
+    one-off graph-Fourier bases may have. Without it the cut is -1, for the
+    coupling path (``coupling.phase_decompose``), whose margin check excludes
+    -1; the rare matrix the cut at -1 cannot resolve moves its cut alone.
 
-    Phases are principal arguments in (-pi, pi]: every phase within
-    ``PHASE_CLUSTER_TOL`` of +-pi is +pi, so the branch of an eigenvalue at
-    -1 does not depend on rounding. The phase inside each eigenvalue cluster
-    is then unified, which keeps fractional powers invariant under re-mixing
-    of eigenvectors inside a degenerate eigenspace.
-
-    Returns (theta, P) with phases sorted descending (stable ties) and each
-    column's largest-magnitude component rotated onto the positive real axis.
-    A (B, n, n) stack gives (B, n) phases and (B, n, n) bases; everything
-    but the cluster unification runs over the whole stack.
+    Phases are principal arguments in (-pi, pi], sorted descending (stable
+    ties): every phase within ``PHASE_CLUSTER_TOL`` of +-pi is +pi, so the
+    branch of an eigenvalue at -1 does not depend on rounding. The phase
+    inside each eigenvalue cluster is then unified, which keeps fractional
+    powers invariant under re-mixing of eigenvectors inside a degenerate
+    eigenspace. Everything but the cluster unification runs over the whole
+    stack.
     """
-    u = np.asarray(u)
-    n = u.shape[-1]
-    stack = u.reshape(-1, n, n)
     w, z = _cayley_eigenpairs(stack.astype(np.complex128, copy=False),
                               _widest_gap_cut(stack) if gap_cut else None)
     theta = np.angle(w)
@@ -310,9 +379,22 @@ def _unitary_eigendecomposition(u: np.ndarray, gap_cut: bool = True):
     # than the tolerance) need the per-matrix unification
     for k in np.flatnonzero((theta[:, :-1] - theta[:, 1:] < PHASE_CLUSTER_TOL).any(axis=-1)):
         theta[k], z[k] = _unify_phase_clusters(theta[k], w[k], z[k])
+    return theta, z
+
+
+def _unitary_eigendecomposition(u: np.ndarray, gap_cut: bool = True):
+    """Orthonormal eigendecomposition ``(theta, P)`` of a (numerically)
+    unitary matrix, or of a (B, n, n) stack of them (``_sorted_eigenpairs``),
+    with each column's largest-magnitude component rotated onto the positive
+    real axis and ``P`` checked for unitarity. A (B, n, n) stack gives (B, n)
+    phases and (B, n, n) bases.
+    """
+    u = np.asarray(u)
+    n = u.shape[-1]
+    theta, z = _sorted_eigenpairs(u.reshape(-1, n, n), gap_cut)
 
     # canonical column phase: the first largest-magnitude entry is real positive
-    pivot = z[rows, np.argmax(np.abs(z), axis=-2), np.arange(n)]
+    pivot = z[np.arange(len(z))[:, None], np.argmax(np.abs(z), axis=-2), np.arange(n)]
     z = z / (pivot / np.abs(pivot))[:, None, :]
 
     ortho = np.max(unitarity_error(z))
@@ -336,6 +418,53 @@ def _unify_phase_clusters(theta, w, z):
             theta[a:b] = np.pi if np.pi - abs(rep) < PHASE_CLUSTER_TOL else rep
     order = np.lexsort((np.arange(n), -theta))
     return theta[order], z[:, order]
+
+
+def _real_phase_factors(theta, p):
+    """Real orthogonal factor ``Q`` of the eigendecomposition ``(theta, P)``
+    of a real orthogonal matrix (``_sorted_eigenpairs``), so that
+    ``P diag(exp(j*order*theta)) P^H = Q R(order) Q^T`` (``FractionalOperator``
+    with ``partner``).
+
+    The phases are sorted descending: ``k`` phases at +pi, ``m`` in (0, pi),
+    those within ``PHASE_CLUSTER_TOL`` of 0 (set to 0), and the ``m``
+    negative ones, whose order mirrors the positive ones. An eigenvector
+    ``p`` of a positive phase gives the column ``sqrt(2) Re p`` at its own
+    position and ``sqrt(2) Im p`` at its mirror, whose phase becomes exactly
+    ``-theta``; ``p`` and ``conj(p)`` lie in different eigenspaces, so the
+    columns are orthonormal. The eigenspaces at -1 and 1 are real: one
+    eigenvector is real once its largest entry is rotated onto the positive
+    real axis, and several get a real orthonormal basis from an SVD of their
+    real and imaginary parts. ``Q`` is checked for orthogonality.
+
+    Returns ``(theta, Q, partner)``, with ``partner[i] = i`` on the real
+    eigenspaces.
+    """
+    n = theta.size
+    theta = theta.copy()
+    theta[np.abs(theta) < PHASE_CLUSTER_TOL] = 0.0
+    k, m = int(np.count_nonzero(theta == np.pi)), int(np.count_nonzero(theta < 0))
+    mirrored = theta[k:]
+    if np.any(np.abs(mirrored + mirrored[::-1]) > PHASE_CLUSTER_TOL):
+        raise DecompositionError("the eigenphases of a real orthogonal matrix are not in conjugate pairs")
+    pos, neg = slice(k, k + m), slice(n - m, n)
+    theta[neg] = -theta[pos][::-1]
+    q = np.empty((n, n))
+    q[:, pos] = np.sqrt(2.0) * p[:, pos].real
+    q[:, neg] = np.sqrt(2.0) * p[:, pos][:, ::-1].imag
+    for real in (slice(0, k), slice(k + m, n - m)):
+        sub = p[:, real]
+        if sub.shape[1] == 1:
+            pivot = sub[np.argmax(np.abs(sub))]
+            q[:, real] = (sub * (pivot.conj() / np.abs(pivot))).real
+        elif sub.shape[1] > 1:
+            q[:, real] = np.linalg.svd(np.hstack([sub.real, sub.imag]), full_matrices=False)[0][:, :sub.shape[1]]
+    ortho = unitarity_error(q)
+    if ortho > OUTPUT_UNITARITY_TOL * n:
+        raise DecompositionError(f"real eigenvector basis is not orthonormal: ||Q^T Q - I|| = {ortho:.3e}")
+    partner = np.arange(n)
+    partner[pos], partner[neg] = np.arange(n - 1, n - m - 1, -1), np.arange(k + m - 1, k - 1, -1)
+    return _freeze(theta), _freeze(q), _freeze(partner)
 
 
 def unitary_fractional_power(u, order: float) -> FractionalOperator:
@@ -362,11 +491,13 @@ def unitary_fractional_power(u, order: float) -> FractionalOperator:
 def graph_frft(basis: SpectralBasis, order: float) -> FractionalOperator:
     """Graph fractional Fourier transform of a given order.
 
-    Fractional power of the unitary graph Fourier matrix; the eigenphase
-    decomposition is cached on the basis, so sweeping orders only updates the
-    diagonal phase factors.
+    Fractional power of the real orthogonal graph Fourier matrix, held as
+    ``Q R(order) Q^T``; the real eigenphase decomposition is cached on the
+    basis, so sweeping orders only updates the rotation angles and phases of
+    ``R``.
     """
-    return FractionalOperator(order, *basis.fourier_phase_decomposition)
+    theta, q, partner = basis.fourier_phase_decomposition
+    return FractionalOperator(order, theta, q, q.T, partner)
 
 
 @lru_cache(maxsize=64)
@@ -388,36 +519,22 @@ def _dfrft_eigenstructure(n: int):
     np.add.at(s, (k, (k + 1) % n), 1.0)
     np.add.at(s, (k, (k - 1) % n), 1.0)
 
-    n_even = n // 2 + 1
-    e = np.zeros((n, n_even))
+    half = np.arange(1, (n + 1) // 2)
+    e = np.zeros((n, n // 2 + 1))
     e[0, 0] = 1.0
-    c = 1
-    for i in range(1, (n + 1) // 2):
-        e[i, c] = e[n - i, c] = 1.0 / np.sqrt(2.0)
-        c += 1
+    e[half, half] = e[n - half, half] = 1.0 / np.sqrt(2.0)
     if n % 2 == 0:
-        e[n // 2, c] = 1.0
-    n_odd = n - n_even
-    o = np.zeros((n, n_odd))
-    c = 0
-    for i in range(1, (n + 1) // 2):
-        o[i, c] = 1.0 / np.sqrt(2.0)
-        o[n - i, c] = -1.0 / np.sqrt(2.0)
-        c += 1
+        e[n // 2, -1] = 1.0
+    o = np.zeros((n, half.size))
+    o[half, half - 1] = 1.0 / np.sqrt(2.0)
+    o[n - half, half - 1] = -1.0 / np.sqrt(2.0)
 
     we, ve = np.linalg.eigh(e.T @ s @ e)
-    ve = e @ ve[:, np.argsort(-we, kind="stable")]
-    if n_odd:
-        wo, vo = np.linalg.eigh(o.T @ s @ o)
-        vo = o @ vo[:, np.argsort(-wo, kind="stable")]
-    else:
-        vo = np.zeros((n, 0))
-
-    cols = [ve[:, i] for i in range(ve.shape[1])] + [vo[:, i] for i in range(vo.shape[1])]
-    khat = [2 * i for i in range(ve.shape[1])] + [2 * i + 1 for i in range(vo.shape[1])]
+    wo, vo = np.linalg.eigh(o.T @ s @ o)
+    v = np.hstack([e @ ve[:, np.argsort(-we, kind="stable")], o @ vo[:, np.argsort(-wo, kind="stable")]])
+    khat = np.concatenate([2.0 * np.arange(e.shape[1]), 2.0 * np.arange(o.shape[1]) + 1.0])
     order = np.argsort(khat, kind="stable")
-    v = np.column_stack([cols[i] for i in order]).astype(np.complex128)
-    khat = np.asarray(khat, dtype=np.float64)[order]
+    v, khat = v[:, order], khat[order]
     phases = -0.5 * np.pi * khat
 
     # order-1 must reproduce the unitary DFT; guard against ordering drift
@@ -430,7 +547,7 @@ def _dfrft_eigenstructure(n: int):
             f"order-1 DFRFT deviates from the DFT by {dev.max():.3e} at entry {bad}; "
             "eigenvector ordering is unstable for this size"
         )
-    return _freeze(phases), _freeze(v), _freeze(v.conj().T.copy())
+    return _freeze(phases), _freeze(v)
 
 
 def dfrft_matrix(n: int, order: float) -> FractionalOperator:
@@ -441,4 +558,5 @@ def dfrft_matrix(n: int, order: float) -> FractionalOperator:
     """
     if int(n) != n or n < 2:
         raise ValueError(f"dfrft needs n >= 2, got {n}")
-    return FractionalOperator(order, *_dfrft_eigenstructure(int(n)))
+    phases, v = _dfrft_eigenstructure(int(n))
+    return FractionalOperator(order, phases, v, v.T)

@@ -142,7 +142,8 @@ class TransformContext:
     """Caches the spectral machinery shared by every plan over one factor pair.
 
     The two graph eigenbases and the DFRFT eigenstructure are computed once;
-    changing a fractional order only rescales diagonal phases. The coupling
+    changing a fractional order only changes the middle factor of each
+    operator (phases and 2x2 rotation angles). The coupling
     decomposition used by the geodesic family depends on the temporal order,
     so it is cached per order value, next to the geodesic factors
     ``L = F_graph^beta S`` and ``S^H`` that every coupling value shares.

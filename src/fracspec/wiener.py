@@ -24,6 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, MarginViolationError
+from .operators import _lmul
 from .transforms import FAMILIES, TimeVertexSignal, TransformContext, TransformPlan
 
 __all__ = [
@@ -255,16 +256,19 @@ def _temporal_generator(ctx: TransformContext, plan: TransformPlan) -> np.ndarra
     return g_f + left @ dq_qh @ left_h
 
 
-def _factored_spectra(plan: TransformPlan, ry: np.ndarray, rx: np.ndarray):
-    """Spectra of Y and X from ``ry = P^H Y`` and ``rx = P^H X``, where
-    ``P`` is the row operator's eigenbasis (its right factor is ``P^H`` at
-    every order). ``Yhat = P Z_Y`` with ``Z_Y = diag(d) (P^H Y) C^T``;
-    returns ``(Z_Y, Z_X, Yhat, Xhat)``, batched like the plan."""
-    d = plan.row_op.diag[..., :, None]
-    zy = plan.col_op.apply_right_transpose(d * ry)
-    zx = plan.col_op.apply_right_transpose(d * rx)
-    p = plan.row_op.left
-    return zy, zx, p @ zy, p @ zx
+def _factored_spectra(plan: TransformPlan, r: np.ndarray):
+    """Spectra of Y and X side by side, ``[Yhat | Xhat]``, from
+    ``r = Q^T [Y | X]``, where ``Q`` is the row operator's real factor (its
+    right factor is ``Q^T`` at every order). With the row rotation ``R``,
+    ``[Yhat | Xhat] = Q Z`` and ``Z = R r (I_2 kron C^T)``; returns
+    ``(Z, [Yhat | Xhat], Yhat, Xhat)``, batched like the plan, the first two
+    ``(..., n1, 2 n2)``. The product with ``Q`` is one real GEMM per lane."""
+    row = plan.row_op
+    w = row.mix(r, row.rotation)
+    n1, n2 = plan.shape
+    z = plan.col_op.apply_right_transpose(w.reshape(*w.shape[:-2], 2 * n1, n2)).reshape(w.shape)
+    yx = _lmul(row.left, z)
+    return z, yx, yx[..., :n2], yx[..., n2:]
 
 
 def _order_gradient(ctx: TransformContext, plan: TransformPlan, h: np.ndarray,
@@ -274,24 +278,35 @@ def _order_gradient(ctx: TransformContext, plan: TransformPlan, h: np.ndarray,
 
     Every factor moves along a unitary one-parameter family, so an order
     derivative is a generator times the spectra already computed. With
-    ``Yhat = P Z`` (``_factored_spectra``), ``dYhat/dalpha = G_row Yhat =
-    P (j phi o Z)``, and ``dYhat/dbeta = Yhat D^T`` with the dense n2 x n2
-    ``D`` of ``_temporal_generator``.
+    ``[Yhat | Xhat] = Q Z`` (``_factored_spectra``), the alpha derivatives are
+    ``Q (G Z)``, ``G`` the row generator in factor coordinates, and
+    ``dYhat/dbeta = Yhat D^T`` with the dense n2 x n2 ``D`` of
+    ``_temporal_generator``.
     """
-    zy, zx, yhat, xhat = spectra
-    scale = 2.0 / (resid.shape[-2] * resid.shape[-1])
+    z, yx = spectra[:2]
+    n1, n2 = plan.shape
+    scale = 2.0 / (n1 * n2)
 
-    def rate(d_yhat, d_xhat):
-        return scale * np.sum((resid.conj() * (h * d_yhat - d_xhat)).real, axis=(-2, -1))
+    def rate(d_yx):
+        d = h * d_yx[..., :n2] - d_yx[..., n2:]
+        return scale * np.sum((resid.conj() * d).real, axis=(-2, -1))
 
     row = plan.row_op
-    j_phi = (1j * row.phases)[:, None]
-    g_alpha = rate(row.left @ (j_phi * zy), row.left @ (j_phi * zx))
+    g_alpha = rate(_lmul(row.left, row.mix(z, row.generator_coefficients)))
     d_t = _temporal_generator(ctx, plan).swapaxes(-1, -2)
-    g_beta = rate(yhat @ d_t, xhat @ d_t)
+    g_beta = rate((yx.reshape(*yx.shape[:-2], 2 * n1, n2) @ d_t).reshape(yx.shape))
     if plan.family == "gfrft2d":
         return (g_alpha + g_beta)[..., None]
     return np.stack([g_alpha, g_beta], axis=-1)
+
+
+def _stacked_coordinates(ctx: TransformContext, y: TimeVertexSignal, x: TimeVertexSignal):
+    """``Q^T [Y | X]`` for the spatial factor ``Q``: the same at every
+    spatial order, and real for real signals."""
+    yx = np.concatenate([y.data, x.data], axis=-1)
+    if not yx.imag.any():
+        yx = yx.real
+    return _lmul(ctx.spatial.fourier_phase_decomposition[1].T, yx)
 
 
 def grad_orders(y: TimeVertexSignal, x_true: TimeVertexSignal, params: FilterParams,
@@ -301,8 +316,7 @@ def grad_orders(y: TimeVertexSignal, x_true: TimeVertexSignal, params: FilterPar
     if family == "gfrft2d":
         raise ConfigError("gfrft2d has a single shared order; train() handles it directly")
     (plan,) = _spectra(ctx, family, params.alpha, params.beta, params.lam)
-    p_h = plan.row_op.right
-    spectra = _factored_spectra(plan, p_h @ y.data, p_h @ x_true.data)
+    spectra = _factored_spectra(plan, _stacked_coordinates(ctx, y, x_true))
     g = _order_gradient(ctx, plan, params.h, spectra, params.h * spectra[2] - spectra[3])
     return float(g[0]), float(g[1])
 
@@ -340,8 +354,8 @@ def _train_lanes(y: TimeVertexSignal, x_true: TimeVertexSignal, lams: list,
     Orders ``v`` (B, 2) (one column for gfrft2d), filters ``h`` (B, n1, n2)
     and the Adam moments share the lane axis; forward spectra, risks,
     gradients and updates are broadcast over it, and the epoch's new
-    temporal orders are decomposed by one batched coupling build. ``P^H Y``
-    and ``P^H X`` are the same for every lane and epoch and are computed
+    temporal orders are decomposed by one batched coupling build.
+    ``Q^T [Y | X]`` is the same for every lane and epoch and is computed
     once. A lane whose coupling margin fails leaves the batch with its error
     and the others train on unchanged; a non-finite risk in any lane raises
     ``ValueError``. Returns ``(params, trace, error)`` per lane, with
@@ -364,9 +378,7 @@ def _train_lanes(y: TimeVertexSignal, x_true: TimeVertexSignal, lams: list,
     v = np.full((len(lams), 1 if family == "gfrft2d" else 2), 0.5)
     h = np.ones((len(lams), *y.shape), dtype=np.float64)
     m_v, s_v, m_h, s_h = np.zeros_like(v), np.zeros_like(v), np.zeros_like(h), np.zeros_like(h)
-    # the row operator's right factor P^H is the same at every spatial order
-    p_h = ctx.spatial.fourier_phase_decomposition[2]
-    ry, rx = p_h @ y.data, p_h @ x_true.data
+    coords = _stacked_coordinates(ctx, y, x_true)
 
     traces: list[list[TrainStep]] = [[] for _ in lams]
     errors: list[MarginViolationError | None] = [None] * len(lams)
@@ -381,7 +393,7 @@ def _train_lanes(y: TimeVertexSignal, x_true: TimeVertexSignal, lams: list,
             m_v, s_v, m_h, s_h = m_v[keep], s_v[keep], m_h[keep], s_h[keep]
             if not lanes.size:
                 break
-        spectra = _factored_spectra(plan, ry, rx)
+        spectra = _factored_spectra(plan, coords)
         yhat, xhat = spectra[2], spectra[3]
         resid = h * yhat - xhat
         risk = np.mean(resid.real**2 + resid.imag**2, axis=(-2, -1))

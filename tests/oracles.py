@@ -21,3 +21,35 @@ def fd_order_gradient(y, x, params, ctx, family="gcgfrft", step=ORDER_FD_STEP):
             probes.append(loss(y, x, probe, ctx, family=family))
         grad.append((probes[0] - probes[1]) / (2.0 * step))
     return np.array(grad)
+
+
+def real_schur_eigenpairs(o):
+    """Eigenphases in (-pi, pi] and orthonormal complex eigenvectors of a
+    real orthogonal matrix, from its real Schur form ``O = Z T Z^T`` (scipy).
+    ``O`` is normal, so ``T`` is block diagonal: the eigenvalues 1 and -1
+    (phase +pi), and 2x2 rotations ``[[c, -s], [s, c]]`` by ``phi``, with the
+    eigenvectors ``(1, -j)/sqrt(2)`` at ``exp(j phi)`` and ``(1, j)/sqrt(2)``
+    at ``exp(-j phi)``. A rotation by +-pi (two eigenvalues -1) gets the
+    phase +pi twice."""
+    import scipy.linalg
+
+    t, z = scipy.linalg.schur(np.asarray(o, dtype=np.float64), output="real")
+    theta, p, i = [], [], 0
+    while i < len(t):
+        if i + 1 < len(t) and t[i + 1, i] != 0.0:
+            phi = np.arctan2(t[i + 1, i], t[i, i])
+            theta.extend([np.pi, np.pi] if np.pi - abs(phi) < 1e-8 else [phi, -phi])
+            p.extend([(z[:, i] - 1j * z[:, i + 1]) / np.sqrt(2), (z[:, i] + 1j * z[:, i + 1]) / np.sqrt(2)])
+            i += 2
+        else:
+            theta.append(np.pi if t[i, i] < 0 else 0.0)
+            p.append(z[:, i].astype(complex))
+            i += 1
+    return np.array(theta), np.column_stack(p)
+
+
+def eigenphase_power(theta, p, order):
+    """``P diag(exp(j order theta)) P^H``; a (B, n, n) stack for an array of
+    orders."""
+    order = np.asarray(order, dtype=np.float64)
+    return (p * np.exp(1j * order[..., None, None] * theta[None, :])) @ p.conj().T

@@ -401,6 +401,29 @@ class TestCli:
                                   family="gcgfrft", **{"lambda": "x"})
         assert code == 2 and "coupling parameter must be a number" in err
 
+    @pytest.mark.parametrize("kind", ["path", "knn_random"])
+    def test_oversized_graph_spec_exits_2(self, tmp_path, kind):
+        # a dense adjacency of 10^7 nodes would ask numpy for 728 TiB
+        code, err = run_transform(str(tmp_path), {"kind": kind, "n": 10_000_000, "k": 4, "seed": 1})
+        assert code == 2 and "exceeds the cap of 4096 nodes" in err
+
+    def test_null_graph_seed_exits_2(self, tmp_path, capsys):
+        # a null seed would draw fresh OS entropy on every run
+        cfg_path = str(tmp_path / "gen.json")
+        with open(cfg_path, "w") as fh:
+            json.dump({"spatial": {"kind": "knn_random", "n": 6, "k": 2, "seed": None}}, fh)
+        assert main(["gen", "--config", cfg_path, "--out", str(tmp_path / "out")]) == 2
+        assert "seed must be an integer, got None" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["transform", "denoise"])
+    def test_lambda_for_a_family_that_ignores_it_exits_2(self, tmp_path, command):
+        cfg = {"spatial": {"kind": "path", "n": 3}, "temporal": {"kind": "path", "n": 4},
+               "family": "jfrft", "lambda": 0.7, "train": {"epochs": 1}}
+        code, err = run_cli(str(tmp_path), command, cfg)
+        assert code == 2 and "'lambda' applies to the gcgfrft family only" in err
+        assert not (tmp_path / "out").exists()
+
     def test_non_object_config_exits_2(self, tmp_path, capsys):
         cfg_path = str(tmp_path / "cfg.json")
         with open(cfg_path, "w") as fh:

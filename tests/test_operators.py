@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -17,6 +19,8 @@ from fracspec import (
     unitarity_error,
     unitary_fractional_power,
 )
+
+from oracles import eigenphase_power, real_schur_eigenpairs
 
 SQRT2 = np.sqrt(2.0)
 
@@ -242,3 +246,97 @@ class TestDfrft:
 
     def test_determinism(self):
         assert np.array_equal(dfrft_matrix(11, 0.43).matrix, dfrft_matrix(11, 0.43).matrix)
+
+
+#: k-NN graphs of random points, and paths, whose graph Fourier matrices
+#: have the eigenvalues 1 and -1 with multiplicity 3
+REAL_FACTOR_GRAPHS = {
+    "knn30": lambda: knn_graph(random_planar_points(30, seed=7), 4),
+    "knn512": lambda: knn_graph(random_planar_points(512, seed=7), 4),
+    "path10": lambda: path_graph(10),
+    "path16": lambda: path_graph(16),
+}
+
+
+@functools.lru_cache(maxsize=None)
+def real_factor_case(name):
+    """(graph basis, Schur oracle phases, Schur oracle eigenvectors) of one
+    graph of ``REAL_FACTOR_GRAPHS``."""
+    basis = eigendecompose(REAL_FACTOR_GRAPHS[name]())
+    return (basis, *real_schur_eigenpairs(basis.v.T))
+
+
+def factor_error(op, want):
+    """Largest deviation of the operator from the dense oracle ``want`` (one
+    matrix per order): the dense matrix and the four factored applies to
+    unit-norm complex columns. The inputs are not C-contiguous: an F-ordered
+    array, a row-strided view, and a column-strided view, whose float64 view
+    cannot be taken at all."""
+    n = op.n
+    rng = np.random.default_rng(5)
+    x = rng.standard_normal((2 * n, 12)) + 1j * rng.standard_normal((2 * n, 12))
+    x /= np.linalg.norm(x, axis=0)
+    inputs = (np.asfortranarray(x[:n, :6]), x[::2, :6], x[n:, ::2])
+    errs = [np.abs(op.matrix - want).max()]
+    for x in inputs:
+        assert not x.flags.c_contiguous
+        errs += [np.abs(op.apply_left(x) - want @ x).max(),
+                 np.abs(op.apply_left_inverse(x) - want.conj().swapaxes(-1, -2) @ x).max(),
+                 np.abs(op.apply_right_transpose(x.T) - x.T @ want.swapaxes(-1, -2)).max(),
+                 np.abs(op.apply_right_conj(x.T) - x.T @ want.conj()).max()]
+    return max(errs)
+
+
+class TestRealFactors:
+    """Graph FRFTs and the DFRFT hold one real orthogonal factor ``Q`` and a
+    middle factor ``R`` of 2x2 rotations; scipy's real Schur form is the
+    oracle for ``P diag(exp(j order theta)) P^H``."""
+
+    CASES = list(REAL_FACTOR_GRAPHS)
+    ORDERS = np.array([-1.3, 0.0, 0.37, 1.0, 2.5])
+
+    @pytest.mark.parametrize("name", CASES)
+    def test_factor_is_real_orthogonal_and_order_one_is_the_gft(self, name):
+        basis, _, _ = real_factor_case(name)
+        theta, q, partner = basis.fourier_phase_decomposition
+        assert q.dtype == np.float64 and not np.iscomplexobj(graph_frft(basis, 0.5).right)
+        assert np.abs(q.T @ q - np.eye(basis.n)).max() <= 1e-12
+        assert np.array_equal(partner[partner], np.arange(basis.n))
+        assert np.array_equal(theta[partner], np.where(partner == np.arange(basis.n), theta, -theta))
+        assert np.abs(graph_frft(basis, 1.0).matrix - basis.v.T).max() <= 1e-12
+
+    @pytest.mark.parametrize("name", CASES)
+    def test_apply_matches_the_real_schur_oracle(self, name):
+        basis, theta, p = real_factor_case(name)
+        want = eigenphase_power(theta, p, self.ORDERS)
+        assert factor_error(graph_frft(basis, self.ORDERS), want) <= 1e-12
+        assert factor_error(graph_frft(basis, 0.37), want[2]) <= 1e-12
+
+    @pytest.mark.parametrize("n", [10, 256])
+    def test_dfrft_factor_is_real_and_order_one_is_the_dft(self, n):
+        op = dfrft_matrix(n, self.ORDERS)
+        assert op.left.dtype == np.float64 and op.partner is None
+        assert np.abs(op.left.T @ op.left - np.eye(n)).max() <= 1e-12
+        assert np.abs(dfrft_matrix(n, 1.0).matrix - dft(n)).max() <= 1e-12
+        want = (op.left * np.exp(1j * self.ORDERS[:, None, None] * op.phases)) @ op.left.T
+        assert factor_error(op, want) <= 1e-12
+
+    @pytest.mark.parametrize("mutation", ["rotation_sign", "partner_swap"])
+    @pytest.mark.parametrize("name", ["knn30", "path16"])
+    def test_oracle_check_trips_under_a_targeted_fault(self, monkeypatch, name, mutation):
+        basis, theta, p = real_factor_case(name)
+        want = eigenphase_power(theta, p, self.ORDERS)
+        op = graph_frft(basis, self.ORDERS)
+        if mutation == "rotation_sign":
+            # every pair rotates the wrong way, and -1 turns to exp(-j order pi)
+            a, b = op.rotation
+            monkeypatch.setattr(type(op), "rotation", property(lambda self: (a, -b)))
+        else:
+            # the first two pairs exchange partners
+            q_theta, q, partner = basis.fourier_phase_decomposition
+            i, j = np.flatnonzero(partner > np.arange(basis.n))[:2]
+            swapped = partner.copy()
+            swapped[[i, j]] = partner[[j, i]]
+            swapped[partner[[i, j]]] = [j, i]
+            op = type(op)(self.ORDERS, q_theta, q, q.T, swapped)
+        assert factor_error(op, want) > 1e-3

@@ -1,5 +1,5 @@
-"""Layer timings of the unitary eigendecompositions at the fixed benchmark
-sizes, and of a cold import of the CLI.
+"""Layer timings of the unitary eigendecompositions, the factored applies and
+training epochs at the fixed benchmark sizes, and of a cold import of the CLI.
 
 Times, in wall-clock milliseconds:
 
@@ -15,6 +15,13 @@ Times, in wall-clock milliseconds:
   ``order_sweep``) and of path(256).
 - ``python -c "import fracspec.cli"`` in a child process: what every CLI
   command pays before it starts.
+- ``forward`` and ``inverse`` of a ``gbfrft2d`` plan (real factors on both
+  sides) and a ``gcgfrft`` plan (complex geodesic factors on the columns) at
+  30x10, 256x16 and 512x16; one Adam epoch of ``train`` (gcgfrft, lambda
+  0.5) at 256x16 and 512x16; one epoch of the 11-lane GD grid of
+  ``lambda_grid_search`` at 30x10. An epoch row times ``EPOCHS`` epochs from
+  a fresh context (cold coupling cache, warm graph bases) and divides by
+  ``EPOCHS``.
 
 BLAS is pinned to one thread before numpy loads, every worker process pins
 itself to one CPU (its import children inherit the pin), and the record
@@ -28,7 +35,8 @@ times each row a fixed number of calls (``reps`` in the record). A row
 reports the best time over all rounds and the median of the rounds'
 medians. With ``--baseline`` (the ``src`` directory of another checkout,
 e.g. the parent commit) every row also holds the baseline's times and the
-speedup.
+speedups of both statistics. On a shared host the best time of a side can
+hinge on one quiet moment, so compare the medians first.
 """
 
 import os
@@ -53,6 +61,10 @@ BASES = (("knn512", "knn", 512, 3), ("knn128", "knn", 128, 20), ("path256", "pat
 IMPORT_REPS = 10
 ROUNDS = 5
 REPS = 200
+#: (spatial n1, temporal n2, repetitions of an epoch row) of the applies and epochs
+TRAIN_SIZES = ((30, 10, 10), (256, 16, 10), (512, 16, 5))
+#: epochs per timed training call
+EPOCHS = 10
 
 
 def machine() -> dict:
@@ -84,12 +96,12 @@ def worker() -> list:
     if hasattr(os, "sched_setaffinity"):
         os.sched_setaffinity(0, {max(os.sched_getaffinity(0))})
 
-    def timed(fn, n):
+    def timed(fn, n, per=1):
         samples = []
         for _ in range(n):
             t0 = time.perf_counter()
             fn()
-            samples.append((time.perf_counter() - t0) * 1e3)
+            samples.append((time.perf_counter() - t0) * 1e3 / per)
         return {"best_ms": min(samples), "median_ms": statistics.median(samples)}
 
     rows = []
@@ -115,6 +127,30 @@ def worker() -> list:
                 "phase_decompose": timed(lambda: fs.phase_decompose(w), n),
                 "coupling_miss": timed(lambda: fs.TransformContext(
                     ctx.spatial, ctx.temporal).coupling(betas), n)}})
+    for n1, n2, reps in TRAIN_SIZES:
+        ctx = fs.TransformContext(fs.knn_graph(fs.random_planar_points(n1, seed=7), 4),
+                                  fs.path_graph(n2))
+        x = fs.synth_signal(ctx.spatial, n2, bandwidth=0.3, seed=1)
+        y = fs.add_awgn(x, 0.9, seed=2)
+        layers = {}
+        for family, lam in (("gbfrft2d", None), ("gcgfrft", 0.5)):
+            plan = ctx.plan(family, (0.5, 0.5), lam=lam)
+            yhat = fs.forward(plan, y)
+            layers[f"forward_{family}"] = timed(lambda: fs.forward(plan, y), REPS)
+            layers[f"inverse_{family}"] = timed(lambda: fs.inverse(plan, yhat), REPS)
+        rows.append({"row": f"apply {n1}x{n2}", "reps": REPS, "layers": layers})
+
+        def epochs():
+            # a fresh context: the coupling cache starts cold, the bases are kept
+            fresh = fs.TransformContext(ctx.spatial, ctx.temporal)
+            if n1 == 30:
+                grid = [round(0.1 * i, 1) for i in range(11)]
+                fs.lambda_grid_search(y, x, grid, fs.TrainConfig(epochs=EPOCHS), fresh)
+            else:
+                fs.train(y, x, 0.5, fs.TrainConfig.adam(epochs=EPOCHS), fresh)
+
+        name = "gd_epoch_11_lanes" if n1 == 30 else "adam_epoch"
+        rows.append({"row": f"train {n1}x{n2}", "reps": reps, "layers": {name: timed(epochs, reps, EPOCHS)}})
     return rows
 
 
@@ -158,8 +194,9 @@ def main(argv=None) -> int:
         if args.baseline:
             before = combined["before"][i]["layers"]
             row["before"] = before
-            row["speedup_best"] = {layer: round(before[layer]["best_ms"] / t["best_ms"], 2)
-                                   for layer, t in after["layers"].items()}
+            for stat in ("best", "median"):
+                row[f"speedup_{stat}"] = {layer: round(before[layer][f"{stat}_ms"] / t[f"{stat}_ms"], 2)
+                                          for layer, t in after["layers"].items()}
         rows.append(row)
     record = {"machine": machine(), "rounds": ROUNDS, "rows": rows}
     sys.stdout.write(json.dumps(record, indent=1) + "\n")
