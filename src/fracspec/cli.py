@@ -118,6 +118,8 @@ def _cmd_denoise(args) -> int:
     ctx = _context_from_config(cfg)
     family = cfg.get("family", "gcgfrft")
     lam = _coupling_value(cfg, family)
+    if cfg.get("lambda_grid") is not None and (family != "gcgfrft" or lam is not None):
+        raise ConfigError("'lambda_grid' applies to the gcgfrft family without a 'lambda' only")
     train_cfg = TrainConfig.from_dict(cfg.get("train", {}))
     y = TimeVertexSignal.from_array(fio.read_signal(args.noisy)[0])
     x = TimeVertexSignal.from_array(fio.read_signal(args.clean)[0])

@@ -265,12 +265,25 @@ def gft_matrix(basis: SpectralBasis) -> FractionalOperator:
 
 
 def _widest_gap_cut(stack: np.ndarray) -> np.ndarray:
-    """The middle of the widest gap between consecutive eigenphases of each
-    matrix of a (B, n, n) unitary stack: the point of the unit circle
-    farthest from its spectrum, at least pi/n from every eigenphase. A real
-    stack is solved as real: LAPACK's real eigensolver is about 2.5 times
-    faster than the complex one at n = 512."""
-    phases = np.sort(np.angle(np.linalg.eigvals(stack)), axis=-1)
+    """A cut phase far from every eigenphase of each matrix of a (B, n, n)
+    unitary stack, from one Hermitian eigenvalues-only solve.
+
+    A normal matrix shares its eigenvectors with its Hermitian part
+    ``(U + U^H) / 2``, whose eigenvalues are ``cos(theta)`` (Golub and Van
+    Loan, *Matrix Computations*, section 8.1). So ``t = arccos(cos(theta))``
+    gives every ``|theta|``, and the cut is the middle of the widest gap of
+    the sorted set ``{-t, +t}``. The spectrum of a real orthogonal matrix is
+    conjugate-symmetric, so there the set is exactly its eigenphases: the cut
+    is the middle of its widest eigenphase gap, at least ``pi/n`` from every
+    eigenphase. For a complex unitary the set holds at most ``2n`` points and
+    contains the eigenphases, so its widest gap lies inside an eigenphase gap
+    and the cut is at least ``pi/(2n)`` from every eigenphase. ``cos(theta)``
+    may round past +-1 (a path graph's eigenvalues 1 and -1), hence the clip.
+    """
+    hermitian = stack + stack.conj().swapaxes(-1, -2)
+    hermitian *= 0.5
+    t = np.arccos(np.clip(np.linalg.eigvalsh(hermitian), -1.0, 1.0))
+    phases = np.sort(np.concatenate([-t, t], axis=-1), axis=-1)
     gaps = np.diff(phases, axis=-1, append=phases[:, :1] + 2 * np.pi)
     rows, widest = np.arange(len(stack)), np.argmax(gaps, axis=-1)
     return phases[rows, widest] + gaps[rows, widest] / 2
@@ -297,8 +310,9 @@ def _cayley_eigenvectors(u: np.ndarray) -> np.ndarray:
 
 def _rayleigh_eigenvalues(stack: np.ndarray, z: np.ndarray):
     """Rayleigh quotients ``diag(Z^H W Z)`` of a unitary stack, normalized
-    onto the unit circle, and each matrix's residual ``||W Z - Z diag(w)||``."""
-    wz = stack @ z
+    onto the unit circle, and each matrix's residual ``||W Z - Z diag(w)||``.
+    A real stack multiplies ``Z`` as one real GEMM (``_lmul``)."""
+    wz = _lmul(stack, z)
     w = np.sum(z.conj() * wz, axis=-2)
     w /= np.abs(w)
     wz -= z * w[..., None, :]
@@ -307,7 +321,8 @@ def _rayleigh_eigenvalues(stack: np.ndarray, z: np.ndarray):
 
 def _cayley_eigenpairs(stack: np.ndarray, cut: np.ndarray | None = None):
     """Eigenvalues ``(B, n)`` and orthonormal eigenvectors ``(B, n, n)`` of a
-    complex (B, n, n) stack of unitary matrices, from the Cayley transform.
+    (B, n, n) stack of unitary matrices, from the Cayley transform. The stack
+    may be real when ``cut`` is given: the rotation makes it complex.
 
     ``cut`` holds one phase per matrix at which its transform is singular:
     the transform is taken of ``-exp(-j cut) U``, whose eigenvalue -1 sits
@@ -351,12 +366,14 @@ def _sorted_eigenpairs(stack: np.ndarray, gap_cut: bool = True):
     (B, n, n) stack of (numerically) unitary matrices, by the batched Cayley
     transform (``_cayley_eigenpairs``).
 
-    With ``gap_cut`` each matrix is cut in its widest eigenphase gap, found
-    by one eigenvalue solve of the stack as given (real stays real). This
-    serves any unitary input, including one with the eigenvalue -1, as the
-    one-off graph-Fourier bases may have. Without it the cut is -1, for the
-    coupling path (``coupling.phase_decompose``), whose margin check excludes
-    -1; the rare matrix the cut at -1 cannot resolve moves its cut alone.
+    With ``gap_cut`` each matrix is cut in an eigenphase gap found from the
+    eigenvalues of its Hermitian part (``_widest_gap_cut``; the widest gap of
+    a real stack), and a real stack stays real until the cut rotates it.
+    This serves any unitary input, including one with the eigenvalue -1, as
+    the one-off graph-Fourier bases may have. Without it the cut is -1, for
+    the coupling path (``coupling.phase_decompose``), whose margin check
+    excludes -1; the rare matrix the cut at -1 cannot resolve moves its cut
+    alone.
 
     Phases are principal arguments in (-pi, pi], sorted descending (stable
     ties): every phase within ``PHASE_CLUSTER_TOL`` of +-pi is +pi, so the
@@ -366,8 +383,10 @@ def _sorted_eigenpairs(stack: np.ndarray, gap_cut: bool = True):
     eigenspace. Everything but the cluster unification runs over the whole
     stack.
     """
-    w, z = _cayley_eigenpairs(stack.astype(np.complex128, copy=False),
-                              _widest_gap_cut(stack) if gap_cut else None)
+    if gap_cut:
+        w, z = _cayley_eigenpairs(stack, _widest_gap_cut(stack))
+    else:
+        w, z = _cayley_eigenpairs(stack.astype(np.complex128, copy=False))
     theta = np.angle(w)
     theta[np.pi - np.abs(theta) < PHASE_CLUSTER_TOL] = np.pi
     rows = np.arange(len(w))[:, None]

@@ -176,6 +176,61 @@ class TestConfigFuzz:
         check()
 
 
+#: a finite number, in the form the signal writer uses
+CELL = st.floats(-10, 10).map(repr)
+
+
+@st.composite
+def malformed_signal_csv(draw):
+    """Text of a signal file that no 3 x 4 run accepts: a ragged row, a
+    non-finite or non-numeric cell, no rows at all, or another shape."""
+    defect = draw(st.sampled_from(["ragged", "non_finite", "text", "empty", "shape"]))
+    if defect == "empty":
+        return draw(st.sampled_from(["", "\n", "\n\n"]))
+    n1, n2 = 3, 4
+    if defect == "shape":
+        n1, n2 = draw(st.tuples(st.integers(1, 6), st.integers(1, 6)).filter(lambda s: s != (3, 4)))
+    rows = [[draw(CELL) for _ in range(n2)] for _ in range(n1)]
+    i, j = draw(st.integers(0, n1 - 1)), draw(st.integers(0, n2 - 1))
+    if defect == "ragged":
+        if draw(st.booleans()):
+            del rows[i][j]
+        else:
+            rows[i].append(draw(CELL))
+    elif defect == "non_finite":
+        rows[i][j] = draw(st.sampled_from(["nan", "NaN", "inf", "-inf", "1e400"]))
+    elif defect == "text":
+        rows[i][j] = draw(st.sampled_from(["", " ", "x", "one", "1.5.2", "0x1", "--1"]))
+    return "\n".join(",".join(row) for row in rows) + "\n"
+
+
+class TestSignalFileFuzz:
+    """Generated malformed signal files through ``fracspec denoise`` (as the
+    noisy or the clean signal) and ``fracspec transform``: each exits 2 with
+    a one-line error, never a traceback."""
+
+    @settings(max_examples=50, deadline=None)
+    @given(text=malformed_signal_csv(), flag=st.sampled_from(["--signal", "--noisy", "--clean"]))
+    def test_malformed_signal_exits_2(self, text, flag):
+        with tempfile.TemporaryDirectory() as tmp:
+            good, bad = os.path.join(tmp, "good.csv"), os.path.join(tmp, "bad.csv")
+            fio.write_signal(np.ones((3, 4)), good)
+            with open(bad, "w") as fh:
+                fh.write(text)
+            cfg_path = os.path.join(tmp, "cfg.json")
+            with open(cfg_path, "w") as fh:
+                json.dump({**GRAPHS, "family": "gbfrft2d", "train": {"epochs": 1}}, fh)
+            inputs = {"--signal": good} if flag == "--signal" else {"--noisy": good, "--clean": good}
+            inputs[flag] = bad
+            argv = ["transform" if flag == "--signal" else "denoise", "--config", cfg_path,
+                    *(arg for pair in inputs.items() for arg in pair), "--out", os.path.join(tmp, "out")]
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                code = main(argv)
+            assert code == 2 and err.getvalue().startswith("error: ")
+            assert "Traceback" not in err.getvalue()
+
+
 class TestSignalFiles:
     def test_real_round_trip(self, tmp_path, rng):
         data = rng.standard_normal((4, 3))
@@ -422,6 +477,16 @@ class TestCli:
                "family": "jfrft", "lambda": 0.7, "train": {"epochs": 1}}
         code, err = run_cli(str(tmp_path), command, cfg)
         assert code == 2 and "'lambda' applies to the gcgfrft family only" in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("run", [{"family": "jfrft"}, {"family": "gcgfrft", "lambda": 0.3}],
+                             ids=["family_jfrft", "with_lambda"])
+    def test_lambda_grid_that_no_search_reads_exits_2(self, tmp_path, run):
+        # only a gcgfrft denoise without a fixed lambda runs the grid search
+        cfg = {"spatial": {"kind": "path", "n": 3}, "temporal": {"kind": "path", "n": 4},
+               "lambda_grid": [0.2, 0.4], "train": {"epochs": 1}, **run}
+        code, err = run_cli(str(tmp_path), "denoise", cfg)
+        assert code == 2 and "'lambda_grid' applies to the gcgfrft family without a 'lambda'" in err
         assert not (tmp_path / "out").exists()
 
     def test_non_object_config_exits_2(self, tmp_path, capsys):

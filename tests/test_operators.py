@@ -175,6 +175,80 @@ class TestPrincipalBranch:
         assert out.phases[0] == np.pi and np.all(out.phases[1:] < 2.0 + 1e-12)
 
 
+#: graphs whose graph-Fourier bases the gap-cut tests decompose
+CUT_GRAPHS = {
+    "path10": lambda: path_graph(10),
+    "path16": lambda: path_graph(16),
+    "path128": lambda: path_graph(128),
+    "knn30": lambda: knn_graph(random_planar_points(30, seed=7), 4),
+    "knn128": lambda: knn_graph(random_planar_points(128, seed=7), 4),
+    "knn512": lambda: knn_graph(random_planar_points(512, seed=7), 4),
+}
+
+
+@functools.lru_cache(maxsize=None)
+def cut_basis(name):
+    return eigendecompose(CUT_GRAPHS[name]())
+
+
+def interleaved_unitaries(n):
+    """Two complex unitaries of size ``n`` whose eigenphases take one point
+    of each pair ``+-phi_j``, ``phi_j = pi (j + 1/2) / n``: every second
+    sign flipped, and random signs. The ``2n`` points ``+-phi_j`` are equally
+    spaced, so the widest gap that the Hermitian part shows is ``pi / n``."""
+    rng = np.random.default_rng(n)
+    phi = np.pi * (np.arange(n) + 0.5) / n
+    stack = []
+    for signs in (np.where(np.arange(n) % 2, -1.0, 1.0), rng.choice([-1.0, 1.0], n)):
+        q, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+        stack.append((q * np.exp(1j * signs * phi)) @ q.conj().T)
+    return np.array(stack)
+
+
+def cut_clearance(stack):
+    """Distance on the unit circle from each matrix's gap cut to its nearest
+    eigenphase; the eigenphases come from the nonsymmetric ``eigvals``."""
+    from fracspec import operators
+    cut = operators._widest_gap_cut(stack)
+    phases = np.angle(np.linalg.eigvals(stack))
+    return np.min(np.abs(np.angle(np.exp(1j * (phases - cut[:, None])))), axis=-1)
+
+
+class TestWidestGapCut:
+    """The cut of a gap-cut Cayley eigensolve comes from the eigenvalues
+    ``cos(theta)`` of the Hermitian part: exactly the eigenphases of a real
+    orthogonal matrix, a superset of those of a complex unitary."""
+
+    @pytest.mark.parametrize("name", list(CUT_GRAPHS))
+    def test_real_basis_cut_clears_every_eigenphase_by_pi_over_n(self, name):
+        v = cut_basis(name).v
+        n = len(v)
+        # arccos near +-1 is good to about sqrt(eps)
+        assert cut_clearance(v.T[None])[0] >= np.pi / n - 1e-7
+
+    @pytest.mark.parametrize("n", [16, 64, 256])
+    def test_complex_cut_clears_every_eigenphase_by_pi_over_2n(self, n):
+        u = interleaved_unitaries(n)
+        assert np.all(cut_clearance(u) >= np.pi / (2 * n) * (1 - 1e-9))
+        # the Cayley eigensolve at that cut meets its residual tolerance
+        for m in u:
+            assert np.abs(unitary_fractional_power(m, 1.0).matrix - m).max() <= 1e-12
+
+    @pytest.mark.parametrize("name", ["path16", "knn128"])
+    def test_decomposition_takes_no_nonsymmetric_eigensolve(self, monkeypatch, name):
+        from fracspec import SpectralBasis
+
+        def no_eigvals(*args, **kwargs):
+            raise AssertionError("np.linalg.eigvals called")
+
+        basis = cut_basis(name)
+        u = interleaved_unitaries(16)[0]
+        monkeypatch.setattr(np.linalg, "eigvals", no_eigvals)
+        fresh = SpectralBasis(v=basis.v, lam=basis.lam)
+        assert np.abs(graph_frft(fresh, 1.0).matrix - basis.v.T).max() <= 1e-12
+        assert np.abs(unitary_fractional_power(u, 1.0).matrix - u).max() <= 1e-12
+
+
 class TestGraphFrft:
     def test_order_zero_is_identity(self, small_ctx):
         f = graph_frft(small_ctx.spatial, 0.0)

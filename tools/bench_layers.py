@@ -12,7 +12,11 @@ Times, in wall-clock milliseconds:
 - the one-off eigenphase decomposition of a graph-Fourier basis
   (``SpectralBasis.fourier_phase_decomposition``) of the k-NN graphs of 512
   and 128 random points (the spatial graphs of ``spatial_heavy`` and
-  ``order_sweep``) and of path(256).
+  ``order_sweep``) and of path(256); for knn512 also its widest-gap cut
+  (``operators._widest_gap_cut``) alone.
+- the graph bases of a 64x128 context (k-NN graph of 64 random points and
+  path(128)): both adjacency eigendecompositions and both eigenphase
+  decompositions, the set-up of every ``temporal_cli`` child process.
 - ``python -c "import fracspec.cli"`` in a child process: what every CLI
   command pays before it starts.
 - ``forward`` and ``inverse`` of a ``gbfrft2d`` plan (real factors on both
@@ -58,6 +62,8 @@ SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), 
 SIZES = ((30, 10, (1, 11)), (256, 16, (1,)), (512, 16, (1,)), (64, 128, (1, 3)), (128, 256, (1,)))
 #: (row name, graph kind, n, repetitions) of the basis decompositions
 BASES = (("knn512", "knn", 512, 3), ("knn128", "knn", 128, 20), ("path256", "path", 256, 10))
+#: repetitions of the 64x128 context's basis set-up
+CONTEXT_REPS = 20
 IMPORT_REPS = 10
 ROUNDS = 5
 REPS = 200
@@ -108,9 +114,16 @@ def worker() -> list:
     for name, kind, n, reps in BASES:
         g = fs.knn_graph(fs.random_planar_points(n, seed=7), 4) if kind == "knn" else fs.path_graph(n)
         basis = fs.eigendecompose(g)
-        rows.append({"row": f"basis {name}", "reps": reps, "layers": {
-            "fourier_phase_decomposition": timed(
-                lambda: fs.SpectralBasis(v=basis.v, lam=basis.lam).fourier_phase_decomposition, reps)}})
+        layers = {"fourier_phase_decomposition": timed(
+            lambda: fs.SpectralBasis(v=basis.v, lam=basis.lam).fourier_phase_decomposition, reps)}
+        if n == 512:
+            layers["widest_gap_cut"] = timed(lambda: fs.operators._widest_gap_cut(basis.v.T[None]), reps)
+        rows.append({"row": f"basis {name}", "reps": reps, "layers": layers})
+    g1 = fs.GraphSpec.from_dict({"kind": "knn_random", "n": 64, "k": 4, "seed": 7}).build()
+    g2 = fs.path_graph(128)
+    rows.append({"row": "bases knn64 x path128", "reps": CONTEXT_REPS, "layers": {
+        "context_bases": timed(lambda: fs.TransformContext(g1, g2).plan("gbfrft2d", (0.5, 0.5)),
+                               CONTEXT_REPS)}})
     cold = [sys.executable, "-c", "import fracspec.cli"]
     rows.append({"row": "import fracspec.cli", "reps": IMPORT_REPS, "layers": {
         "cold_import": timed(lambda: subprocess.run(cold, check=True), IMPORT_REPS)}})
