@@ -21,9 +21,9 @@ import numpy as np
 from . import io as fio
 from .errors import ConfigError, FracspecError, MarginViolationError
 from .harness import BenchmarkConfig, GraphSpec, add_awgn, run_benchmark, synth_signal
-from .operators import dfrft_matrix, eigendecompose, gft_matrix, graph_frft
+from .operators import dfrft_matrix, eigendecompose, graph_frft
 from .transforms import TimeVertexSignal, TransformContext, forward, inverse
-from .wiener import TrainConfig, lambda_grid_search, denoise, train
+from .wiener import DEFAULT_LAMBDA_GRID, TrainConfig, lambda_grid_search, denoise, train
 from .properties import verify_properties
 
 __all__ = ["main"]
@@ -31,9 +31,10 @@ __all__ = ["main"]
 
 #: top-level keys of a ``gen`` config
 _GEN_KEYS = ("spatial", "n2", "bandwidth", "sigma", "seed")
-#: top-level keys of a ``transform`` or ``denoise`` config; one set, so that
-#: a transform config can drive ``denoise`` too
-_RUN_KEYS = ("spatial", "temporal", "family", "orders", "lambda", "lambda_grid", "train")
+#: top-level keys of a ``transform`` config
+_TRANSFORM_KEYS = ("spatial", "temporal", "family", "orders", "lambda")
+#: top-level keys of a ``denoise`` config; the orders are learned, not given
+_DENOISE_KEYS = ("spatial", "temporal", "family", "lambda", "lambda_grid", "train")
 #: top-level keys of a ``dump-operator`` config, over every operator kind
 _DUMP_KEYS = ("kind", "n", "order", "graph", "temporal", "lambda")
 
@@ -76,7 +77,7 @@ def _coupling_value(cfg: dict, family: str):
 
 def _cmd_gen(args) -> int:
     cfg = _load_config(args.config, allowed=_GEN_KEYS)
-    spatial = GraphSpec.from_dict(cfg.get("spatial", {"kind": "knn_random", "n": 30, "k": 4, "seed": 7}))
+    spatial = GraphSpec.from_dict(cfg["spatial"]) if "spatial" in cfg else BenchmarkConfig.spatial
     n2 = int(cfg.get("n2", 10))
     bandwidth = float(cfg.get("bandwidth", 0.3))
     sigma = float(cfg.get("sigma", 0.0))
@@ -96,7 +97,7 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_transform(args) -> int:
-    cfg = _load_config(args.config, allowed=_RUN_KEYS)
+    cfg = _load_config(args.config, allowed=_TRANSFORM_KEYS)
     ctx = _context_from_config(cfg)
     family = cfg.get("family", "gcgfrft")
     orders = cfg.get("orders", [0.5, 0.5])
@@ -114,7 +115,7 @@ def _cmd_transform(args) -> int:
 
 
 def _cmd_denoise(args) -> int:
-    cfg = _load_config(args.config, allowed=_RUN_KEYS)
+    cfg = _load_config(args.config, allowed=_DENOISE_KEYS)
     ctx = _context_from_config(cfg)
     family = cfg.get("family", "gcgfrft")
     lam = _coupling_value(cfg, family)
@@ -127,7 +128,7 @@ def _cmd_denoise(args) -> int:
     os.makedirs(out, exist_ok=True)
 
     if family == "gcgfrft" and lam is None:
-        grid = cfg.get("lambda_grid", [round(0.1 * i, 1) for i in range(11)])
+        grid = cfg.get("lambda_grid", DEFAULT_LAMBDA_GRID)
         _, params, table = lambda_grid_search(y, x, grid, train_cfg, ctx)
         with open(os.path.join(out, "grid.csv"), "w") as fh:
             fh.write("lambda,loss,alpha,beta,status\n")
@@ -198,8 +199,8 @@ def _cmd_dump_operator(args) -> int:
         matrix = dfrft_matrix(int(cfg["n"]), float(cfg.get("order", 1.0))).matrix
     elif kind in ("gft", "graph_frft"):
         basis = eigendecompose(GraphSpec.from_dict(cfg["graph"]).build())
-        matrix = gft_matrix(basis).matrix if kind == "gft" \
-            else graph_frft(basis, float(cfg.get("order", 1.0))).matrix
+        order = 1.0 if kind == "gft" else float(cfg.get("order", 1.0))
+        matrix = graph_frft(basis, order).matrix
     elif kind == "geodesic_temporal":
         ctx = _context_from_config({"spatial": cfg["temporal"], "temporal": cfg["temporal"]})
         plan = ctx.plan("gcgfrft", (0.0, float(cfg.get("order", 0.5))),

@@ -140,12 +140,15 @@ def geodesic_temporal_basis(f_graph_beta: FractionalOperator,
     The curve interpolates the graph-induced temporal basis (lam=0) and the
     DFRFT (lam=1) along the unitary geodesic. It is one two-sided factored
     operator with ``left = F_graph S`` and ``right = S^H``, so sweeping lam
-    over a fixed decomposition only changes the diagonal phase factors.
+    over a fixed decomposition only changes the diagonal phase factors. A
+    basis and decomposition that carry a batch of orders give the stacked
+    factors of every member.
     """
     lam = _coupling_parameter(lam)
     if f_graph_beta.n != decomp.n:
         raise ValueError(f"size mismatch: basis {f_graph_beta.n} vs decomposition {decomp.n}")
-    return FractionalOperator(lam, decomp.theta, f_graph_beta.matrix @ decomp.s, decomp.s.conj().T)
+    return FractionalOperator(lam, decomp.theta, f_graph_beta.matrix @ decomp.s,
+                              decomp.s.conj().swapaxes(-1, -2))
 
 
 def swapped_geodesic_temporal_basis(f_dfrft_beta: FractionalOperator,

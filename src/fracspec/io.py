@@ -158,16 +158,8 @@ def read_signal(path: str) -> tuple[np.ndarray, dict]:
 
 def write_operator_csv(matrix: np.ndarray, path: str) -> None:
     """Complex matrix as interleaved real/imag entries, row-major: each matrix
-    row becomes ``re, im, re, im, ...``."""
-    m = np.asarray(matrix, dtype=np.complex128)
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        for row in m:
-            flat = []
-            for v in row:
-                flat.append(_fmt(v.real))
-                flat.append(_fmt(v.imag))
-            w.writerow(flat)
+    row becomes ``re, im, re, im, ...``, the row of its float64 view."""
+    _matrix_to_csv(np.ascontiguousarray(matrix, dtype=np.complex128).view(np.float64), path)
 
 
 # -- learned parameters and traces -------------------------------------------

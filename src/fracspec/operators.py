@@ -139,15 +139,13 @@ class FractionalOperator:
     shared by every member. The ``apply_*`` methods then broadcast over it.
     """
 
-    def __init__(self, order, phases, left, right, partner=None, matrix=None):
+    def __init__(self, order, phases, left, right, partner=None):
         self.phases = _freeze(np.asarray(phases))
         self.left = _freeze(np.asarray(left))
         self.right = _freeze(np.asarray(right))
         self.partner = None if partner is None else _freeze(np.asarray(partner))
         order = np.array(order, dtype=np.float64)
         self.order = float(order) if order.ndim == 0 else _freeze(order)
-        self._rotation = None
-        self._matrix = matrix
 
     @property
     def n(self) -> int:
@@ -157,19 +155,16 @@ class FractionalOperator:
     def _unit(self) -> np.ndarray:
         return np.where(self.partner == np.arange(self.n), 1j, 1.0)
 
-    @property
+    @cached_property
     def rotation(self):
         """``(a, b)`` of ``R w = a o w + b o w[partner]``, batched like
         ``order``; ``a = exp(j*order*phases)`` and ``b`` None when ``R`` is
         diagonal."""
-        if self._rotation is None:
-            order = self.order if isinstance(self.order, float) else self.order[:, None]
-            if self.partner is None:
-                self._rotation = (np.exp(1j * order * self.phases), None)
-            else:
-                angle = order * self.phases
-                self._rotation = (np.cos(angle), np.sin(angle) * self._unit)
-        return self._rotation
+        order = self.order if isinstance(self.order, float) else self.order[:, None]
+        if self.partner is None:
+            return np.exp(1j * order * self.phases), None
+        angle = order * self.phases
+        return np.cos(angle), np.sin(angle) * self._unit
 
     @property
     def generator_coefficients(self):
@@ -196,11 +191,9 @@ class FractionalOperator:
             out += a[index] * w
         return out
 
-    @property
+    @cached_property
     def matrix(self) -> np.ndarray:
-        if self._matrix is None:
-            self._matrix = _freeze(_lmul(self.left, self.mix(self.right, self.rotation)))
-        return self._matrix
+        return _freeze(_lmul(self.left, self.mix(self.right, self.rotation)))
 
     # -- factored application (never forms the dense operator) ---------------
     # A^H x is evaluated as (A^T x^*)^*: the signal is conjugated, no factor is.
@@ -259,9 +252,7 @@ def eigendecompose(g: Graph) -> SpectralBasis:
 
 def gft_matrix(basis: SpectralBasis) -> FractionalOperator:
     """Graph Fourier matrix F = V^T as an order-1 fractional operator."""
-    theta, q, partner = basis.fourier_phase_decomposition
-    return FractionalOperator(1.0, theta, q, q.T, partner,
-                              matrix=_freeze(basis.v.T.astype(np.complex128)))
+    return graph_frft(basis, 1.0)
 
 
 def _widest_gap_cut(stack: np.ndarray) -> np.ndarray:

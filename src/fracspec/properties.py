@@ -26,12 +26,12 @@ from .operators import (
     unitary_fractional_power,
 )
 from .transforms import FAMILIES, TimeVertexSignal, TransformContext, forward, inverse
-from .wiener import FilterParams, TrainConfig, closed_form_h, denoise_complex, grad_h, loss, train
+from .wiener import (DEFAULT_LAMBDA_GRID, FilterParams, TrainConfig, closed_form_h,
+                     denoise_complex, grad_h, loss, train)
 
 __all__ = ["CheckResult", "PropertyReport", "verify_properties"]
 
 ORDER_GRID = (-1.5, -0.5, 0.0, 0.3, 0.5, 1.0, 2.0)
-LAMBDA_GRID = tuple(round(0.1 * i, 1) for i in range(11))
 
 
 @dataclass(frozen=True)
@@ -196,7 +196,7 @@ def verify_properties(n1_sizes=(5, 8, 12), n2_sizes=(4, 6, 8), seeds=(0, 1),
             fd = dfrft_matrix(n2, beta)
             dec = phase_decompose(coupling_operator(fg, fd))
             dec_swap = phase_decompose(coupling_operator(fd, fg))
-            for lam in LAMBDA_GRID:
+            for lam in DEFAULT_LAMBDA_GRID:
                 ft = geodesic_temporal_basis(fg, dec, lam)
                 worst = max(worst, unitarity_error(ft.matrix) / n2)
                 sw = swapped_geodesic_temporal_basis(fd, dec_swap, lam)

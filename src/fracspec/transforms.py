@@ -28,6 +28,7 @@ from .coupling import (
     CouplingDecomposition,
     _coupling_parameter,
     coupling_operator,
+    geodesic_temporal_basis,
     phase_decompose,
 )
 from .errors import ConfigError, MarginViolationError
@@ -35,7 +36,6 @@ from .graphs import Graph
 from .operators import (
     FractionalOperator,
     SpectralBasis,
-    _freeze,
     dfrft_matrix,
     eigendecompose,
     graph_frft,
@@ -138,97 +138,147 @@ def _as_basis(g) -> SpectralBasis:
     raise ConfigError(f"expected Graph or SpectralBasis, got {type(g).__name__}")
 
 
+def _divided_difference_kernel(fvals: np.ndarray, points: np.ndarray,
+                               fprime: np.ndarray) -> np.ndarray:
+    """Matrix of divided differences (f(p_i) - f(p_j)) / (p_i - p_j), with the
+    derivative value on (near-)coincident pairs; one matrix per row of a
+    (B, n) batch of points."""
+    den = points[..., :, None] - points[..., None, :]
+    near = np.abs(den) < 1e-12
+    den[near] = 1.0
+    out = fvals[..., :, None] - fvals[..., None, :]
+    out /= den
+    out[near] = np.broadcast_to(fprime[..., :, None], out.shape)[near]
+    return out
+
+
 class TransformContext:
     """Caches the spectral machinery shared by every plan over one factor pair.
 
     The two graph eigenbases and the DFRFT eigenstructure are computed once;
     changing a fractional order only changes the middle factor of each
-    operator (phases and 2x2 rotation angles). The coupling
-    decomposition used by the geodesic family depends on the temporal order,
-    so it is cached per order value, next to the geodesic factors
-    ``L = F_graph^beta S`` and ``S^H`` that every coupling value shares.
+    operator (phases and 2x2 rotation angles). The context owns each plan's
+    temporal (column) factor: how it is built, cached, refused at the branch
+    cut and differentiated. The coupling decomposition used by the geodesic
+    family depends on the temporal order, so it is cached per order value,
+    next to the geodesic factors ``L = F_graph^beta S`` and ``S^H`` that
+    every coupling value shares, or as the order's ``MarginViolationError``.
     """
 
     def __init__(self, spatial, temporal, margin_tol: float = DEFAULT_MARGIN_TOL):
         self.spatial = _as_basis(spatial)
         self.temporal = _as_basis(temporal)
         self.margin_tol = margin_tol
-        self._coupling_cache: dict[float, tuple[CouplingDecomposition, np.ndarray, np.ndarray, np.ndarray]] = {}
+        self._coupling_cache: dict[float, tuple | MarginViolationError] = {}
 
     @property
     def shape(self):
         return (self.spatial.n, self.temporal.n)
 
     @cached_property
-    def temporal_graph_generator(self) -> np.ndarray:
+    def _temporal_graph_generator(self) -> np.ndarray:
         """``G_F = (dF/dbeta) F^H`` of the temporal graph FRFT; the same at
         every order."""
         return graph_frft(self.temporal, 0.0).generator()
 
     @cached_property
-    def dfrft_generator(self) -> np.ndarray:
+    def _dfrft_generator(self) -> np.ndarray:
         """``G_E = (dE/dbeta) E^H`` of the DFRFT; the same at every order."""
         return dfrft_matrix(self.temporal.n, 0.0).generator()
 
+    def temporal_generator(self, plan: TransformPlan) -> np.ndarray:
+        """``D = (dC/dbeta) C^H`` for the plan's column operator ``C``; one
+        n2 x n2 matrix per member of a batched plan.
+
+        For the plain families ``C`` is an eigenphase power, and ``D`` is the
+        order-independent generator ``G_F`` of the temporal graph FRFT or
+        ``G_E`` of the DFRFT, both cached on the context. The geodesic
+        operator is ``C = F Q`` with ``F`` the temporal graph FRFT,
+        ``Q = exp(lam log W)`` and ``W = F^H E`` (``E`` the DFRFT), so the
+        product rule gives ``D = G_F + F (dQ Q^H) F^H`` with
+        ``dW = F^H (G_E - G_F) E``. In the eigenbasis ``S`` of ``W`` the
+        derivatives of the principal logarithm and of the exponential are
+        Hadamard products with divided-difference kernels (Daleckii-Krein;
+        Higham, *Functions of Matrices*, 2008, ch. 3). ``C``'s left factor is
+        ``L = F S``, and ``E S = F W S = L diag(exp(j theta))``, so
+        ``S^H dW S = (L^H (G_E - G_F) L) diag(exp(j theta))`` and
+        ``D = G_F + L (S^H dQ Q^H S) L^H``.
+        """
+        if plan.family == "jfrft":
+            return self._dfrft_generator
+        g_f = self._temporal_graph_generator
+        if plan.family != "gcgfrft":
+            return g_f
+        col = plan.col_op
+        left, theta = col.left, col.phases
+        left_h = left.conj().swapaxes(-1, -2)
+        lam = np.expand_dims(col.order, -1)
+        mu = np.exp(1j * theta)
+        a = 1j * lam * theta
+        # S^H dQ S = K_exp o (lam K_log o (S^H dW S)), right-multiplied by
+        # S^H Q^H S = diag(exp(-a)); built in place on K_exp, which already has
+        # one n2 x n2 matrix per lane
+        dq_qh = _divided_difference_kernel(np.exp(a), a, np.exp(a))
+        dq_qh *= lam[..., None]
+        dq_qh *= _divided_difference_kernel(1j * theta, mu, 1.0 / mu)
+        dq_qh *= left_h @ (self._dfrft_generator - g_f) @ left
+        dq_qh *= mu[..., None, :] * np.exp(-a)[..., None, :]
+        return g_f + left @ dq_qh @ left_h
+
     def coupling(self, temporal_order):
-        """Decomposition of ``(F_graph^beta)^H F_dfrft^beta`` at this order.
+        """Decomposition of ``(F_graph^beta)^H F_dfrft^beta`` at this order,
+        read from the order's cache entry.
 
         An array of orders gives a list in the same order, in which an order
         whose coupling violates the margin holds its ``MarginViolationError``
-        instead of raising it. The cache misses among the distinct orders are
-        built together: one ``W`` stack, one batched Cayley eigensolve
-        (``phase_decompose``, which moves the cut of a matrix the cut at -1
-        cannot resolve into its widest eigenphase gap), and one ``L`` stack.
-        The cache keeps the most recently requested orders, never fewer than
-        one request's.
+        instead of raising it.
         """
-        keys = np.atleast_1d(temporal_order).astype(np.float64).tolist()
-        failed = self._couplings(list(dict.fromkeys(keys)))[0]
-        results = [failed[k] if k in failed else self._coupling_cache[k][0] for k in keys]
+        entries = self._couplings(np.atleast_1d(temporal_order).astype(np.float64).tolist())[0]
+        results = [e if isinstance(e, MarginViolationError) else e[0] for e in entries]
         if np.ndim(temporal_order) > 0:
             return results
         if isinstance(results[0], MarginViolationError):
-            raise results[0]
+            raise results[0].with_traceback(None)
         return results[0]
 
-    def _couplings(self, distinct: list):
-        """Build the coupling decompositions of those distinct temporal orders
-        that miss the cache. Returns the ``MarginViolationError`` of each
-        order that fails the margin, by order, and the geodesic factor stacks
-        ``(theta, L, S^H)`` of the orders when this call built every one of
-        them (else None).
+    def _couplings(self, orders: list):
+        """The cache entries of the requested temporal orders, in request
+        order, and the fresh geodesic factor stacks ``(theta, L, S^H)`` when
+        the request was exactly this call's misses and none of them failed
+        (else None).
 
-        A cache entry holds an order's decomposition and its rows of the
-        stacks ``theta``, ``L = F_graph^beta S`` and ``S^H`` that every
-        coupling value shares, all views of the misses' one batched
-        decomposition; failed orders are not cached.
+        The cache misses among the distinct orders are built together: one
+        ``W`` stack, one batched Cayley eigensolve (``phase_decompose``, which
+        moves the cut of a matrix the cut at -1 cannot resolve into its widest
+        eigenphase gap), and one ``geodesic_temporal_basis`` of the stack. An
+        entry holds an order's decomposition and its rows of the stacks
+        ``theta``, ``L`` and ``S^H``, all views of the one batched build, or
+        the order's ``MarginViolationError``; so while an order is cached it
+        is decomposed only once. The cache keeps the most recently requested
+        orders, never fewer than one request's.
         """
         cache = self._coupling_cache
+        distinct = list(dict.fromkeys(orders))
         misses = [k for k in distinct if k not in cache]
-        failed, built = {}, None
+        fresh = None
         if misses:
             betas = np.array(misses)
             f_graph = graph_frft(self.temporal, betas)
             dec = phase_decompose(coupling_operator(f_graph, dfrft_matrix(self.temporal.n, betas)),
                                   margin_tol=self.margin_tol)
-            failed = {misses[i]: e for i, e in dec.failed.items()}
-            ok = [i for i in range(len(misses)) if i not in dec.failed]
-            if ok:
-                theta, s, f = dec.theta, dec.s, f_graph.matrix
-                if dec.failed:
-                    theta, s, f = _freeze(theta[ok]), _freeze(s[ok]), f[ok]
-                left, right = _freeze(f @ s), _freeze(s.conj().swapaxes(-1, -2))
-                for j, i in enumerate(ok):
-                    decomp = CouplingDecomposition(s=s[j], theta=theta[j], margin=float(dec.margin[i]))
-                    cache[misses[i]] = (decomp, theta[j], left[j], right[j])
-                if len(ok) == len(distinct):
-                    built = (theta, left, right)
+            basis = geodesic_temporal_basis(f_graph, dec, 0.0)
+            theta, left, right = basis.phases, basis.left, basis.right
+            for i, k in enumerate(misses):
+                cache[k] = dec.failed.get(i) or (
+                    CouplingDecomposition(s=dec.s[i], theta=theta[i], margin=float(dec.margin[i])),
+                    theta[i], left[i], right[i])
+            if misses == orders and not dec.failed:
+                fresh = (theta, left, right)
         for k in distinct:
-            if k in cache:
-                cache[k] = cache.pop(k)
+            cache[k] = cache.pop(k)
         while len(cache) > max(COUPLING_CACHE_SIZE, len(distinct)):
             cache.pop(next(iter(cache)))
-        return failed, built
+        return [cache[k] for k in orders], fresh
 
     def plan(self, family: str, orders, lam=None) -> TransformPlan:
         """Build a transform plan; ``orders`` is (spatial, temporal) or a
@@ -272,20 +322,15 @@ class TransformContext:
         if lam is None:
             raise ConfigError("gcgfrft needs the coupling parameter lam")
         lam = _coupling_parameter(lam)
-        betas = np.atleast_1d(temporal_order).tolist()
-        distinct = list(dict.fromkeys(betas))
-        failed, factors = self._couplings(distinct)
-        if failed:
-            raise next(iter(failed.values()))
-        if len(distinct) == 1:
-            factors = self._coupling_cache[distinct[0]][1:]
+        entries, fresh = self._couplings(np.atleast_1d(temporal_order).tolist())
+        for entry in entries:
+            if isinstance(entry, MarginViolationError):
+                raise entry.with_traceback(None)
+        if np.ndim(temporal_order) == 0:
+            factors = entries[0][1:]
+        elif fresh is not None:
+            factors = fresh
         else:
-            if factors is None:
-                factors = [np.stack(f) for f in zip(*(self._coupling_cache[b][1:] for b in distinct))]
-            if len(betas) > len(distinct):
-                position = {b: i for i, b in enumerate(distinct)}
-                member = [position[b] for b in betas]
-                factors = [f[member] for f in factors]
+            factors = [np.stack(f) for f in zip(*(entry[1:] for entry in entries))]
         col = FractionalOperator(lam, *factors)
         return TransformPlan(family, row, col, orders, lam=lam)
-

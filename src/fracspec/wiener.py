@@ -43,6 +43,8 @@ __all__ = [
 ]
 
 DEAD_BIN_REL_TOL = 1e-14
+#: coupling values a grid search tries when none are given
+DEFAULT_LAMBDA_GRID = tuple(round(0.1 * i, 1) for i in range(11))
 
 
 @dataclass
@@ -203,59 +205,6 @@ def closed_form_h(y: TimeVertexSignal, x_true: TimeVertexSignal, params: FilterP
     return h
 
 
-def _divided_difference_kernel(fvals: np.ndarray, points: np.ndarray,
-                               fprime: np.ndarray) -> np.ndarray:
-    """Matrix of divided differences (f(p_i) - f(p_j)) / (p_i - p_j), with the
-    derivative value on (near-)coincident pairs; one matrix per row of a
-    (B, n) batch of points."""
-    den = points[..., :, None] - points[..., None, :]
-    near = np.abs(den) < 1e-12
-    den[near] = 1.0
-    out = fvals[..., :, None] - fvals[..., None, :]
-    out /= den
-    out[near] = np.broadcast_to(fprime[..., :, None], out.shape)[near]
-    return out
-
-
-def _temporal_generator(ctx: TransformContext, plan: TransformPlan) -> np.ndarray:
-    """``D = (dC/dbeta) C^H`` for the plan's column operator ``C``; one
-    n2 x n2 matrix per member of a batched plan.
-
-    For the plain families ``C`` is an eigenphase power, and ``D`` is the
-    order-independent generator ``G_F`` of the temporal graph FRFT or ``G_E``
-    of the DFRFT, both cached on the context. The geodesic operator is
-    ``C = F Q`` with ``F`` the temporal graph FRFT, ``Q = exp(lam log W)``
-    and ``W = F^H E`` (``E`` the DFRFT), so the product rule gives
-    ``D = G_F + F (dQ Q^H) F^H`` with ``dW = F^H (G_E - G_F) E``. In the
-    eigenbasis ``S`` of ``W`` the derivatives of the principal logarithm and
-    of the exponential are Hadamard products with divided-difference kernels
-    (Daleckii-Krein; Higham, *Functions of Matrices*, 2008, ch. 3). ``C``'s
-    left factor is ``L = F S``, and ``E S = F W S = L diag(exp(j theta))``,
-    so ``S^H dW S = (L^H (G_E - G_F) L) diag(exp(j theta))`` and
-    ``D = G_F + L (S^H dQ Q^H S) L^H``.
-    """
-    if plan.family == "jfrft":
-        return ctx.dfrft_generator
-    g_f = ctx.temporal_graph_generator
-    if plan.family != "gcgfrft":
-        return g_f
-    col = plan.col_op
-    left, theta = col.left, col.phases
-    left_h = left.conj().swapaxes(-1, -2)
-    lam = np.expand_dims(col.order, -1)
-    mu = np.exp(1j * theta)
-    a = 1j * lam * theta
-    # S^H dQ S = K_exp o (lam K_log o (S^H dW S)), right-multiplied by
-    # S^H Q^H S = diag(exp(-a)); built in place on K_exp, which already has
-    # one n2 x n2 matrix per lane
-    dq_qh = _divided_difference_kernel(np.exp(a), a, np.exp(a))
-    dq_qh *= lam[..., None]
-    dq_qh *= _divided_difference_kernel(1j * theta, mu, 1.0 / mu)
-    dq_qh *= left_h @ (ctx.dfrft_generator - g_f) @ left
-    dq_qh *= mu[..., None, :] * np.exp(-a)[..., None, :]
-    return g_f + left @ dq_qh @ left_h
-
-
 def _factored_spectra(plan: TransformPlan, r: np.ndarray):
     """Spectra of Y and X side by side, ``[Yhat | Xhat]``, from
     ``r = Q^T [Y | X]``, where ``Q`` is the row operator's real factor (its
@@ -281,7 +230,7 @@ def _order_gradient(ctx: TransformContext, plan: TransformPlan, h: np.ndarray,
     ``[Yhat | Xhat] = Q Z`` (``_factored_spectra``), the alpha derivatives are
     ``Q (G Z)``, ``G`` the row generator in factor coordinates, and
     ``dYhat/dbeta = Yhat D^T`` with the dense n2 x n2 ``D`` of
-    ``_temporal_generator``.
+    ``TransformContext.temporal_generator``.
     """
     z, yx = spectra[:2]
     n1, n2 = plan.shape
@@ -293,7 +242,7 @@ def _order_gradient(ctx: TransformContext, plan: TransformPlan, h: np.ndarray,
 
     row = plan.row_op
     g_alpha = rate(_lmul(row.left, row.mix(z, row.generator_coefficients)))
-    d_t = _temporal_generator(ctx, plan).swapaxes(-1, -2)
+    d_t = ctx.temporal_generator(plan).swapaxes(-1, -2)
     g_beta = rate((yx.reshape(*yx.shape[:-2], 2 * n1, n2) @ d_t).reshape(yx.shape))
     if plan.family == "gfrft2d":
         return (g_alpha + g_beta)[..., None]
@@ -335,12 +284,13 @@ def _lane_plan(ctx: TransformContext, family: str, v: np.ndarray, lam: np.ndarra
     Returns ``(plan, keep, found)``: ``keep`` masks the planned lanes, and
     ``plan`` is None if no lane is left. When some lane's coupling fails,
     ``found`` holds every lane's coupling result (a decomposition or its
-    ``MarginViolationError``); otherwise it is None.
+    ``MarginViolationError``), read from the context's cache entries that
+    the failed plan left, so no order is decomposed again; otherwise it is
+    None.
     """
     try:
         return ctx.plan(family, tuple(v.T), lam=lam), np.ones(len(v), dtype=bool), None
     except MarginViolationError:
-        # failed orders are not cached, so only they are decomposed again
         found = ctx.coupling(v[:, -1])
         keep = np.array([not isinstance(d, MarginViolationError) for d in found])
         plan = ctx.plan(family, tuple(v[keep].T), lam=lam[keep]) if keep.any() else None

@@ -150,16 +150,26 @@ GRAPH_SPEC = st.one_of(st.fixed_dictionaries(
     ODD)
 # well-formed 3 x 4 graphs, one of which a generated spec replaces now and then
 GRAPHS = {"spatial": {"kind": "knn_random", "n": 3, "k": 1}, "temporal": {"kind": "path", "n": 4}}
-RUN_CONFIG = st.builds(
-    lambda graphs, run: {**GRAPHS, **graphs, **run},
-    st.one_of(st.just({}), st.dictionaries(st.sampled_from(sorted(GRAPHS)), GRAPH_SPEC,
-                                           min_size=1, max_size=1)),
-    st.fixed_dictionaries(
-        {"train": st.just({"epochs": 1})},
-        optional={"family": st.sampled_from([*FAMILIES, "x", None, 1, [], {}]),
-                  "orders": st.one_of(NUMBER, st.lists(st.one_of(NUMBER, ODD), max_size=3), ODD),
-                  "lambda": st.one_of(NUMBER, ODD),
-                  "lambda_grid": st.one_of(st.lists(st.one_of(NUMBER, ODD), max_size=3), ODD)}))
+#: the keys each command reads besides the graphs: required, then optional
+RUN_KEYS = {
+    "transform": ({}, {"orders": st.one_of(NUMBER, st.lists(st.one_of(NUMBER, ODD), max_size=3), ODD)}),
+    "denoise": ({"train": st.just({"epochs": 1})},
+                {"lambda_grid": st.one_of(st.lists(st.one_of(NUMBER, ODD), max_size=3), ODD)}),
+}
+
+
+def run_config(command):
+    """Configs of ``command``: well-formed graphs, one of which a generated
+    spec replaces now and then, and generated values of the keys it reads."""
+    required, optional = RUN_KEYS[command]
+    return st.builds(
+        lambda graphs, run: {**GRAPHS, **graphs, **run},
+        st.one_of(st.just({}), st.dictionaries(st.sampled_from(sorted(GRAPHS)), GRAPH_SPEC,
+                                               min_size=1, max_size=1)),
+        st.fixed_dictionaries(
+            required,
+            optional={"family": st.sampled_from([*FAMILIES, "x", None, 1, [], {}]),
+                      "lambda": st.one_of(NUMBER, ODD), **optional}))
 
 
 class TestConfigFuzz:
@@ -169,7 +179,7 @@ class TestConfigFuzz:
     @pytest.mark.parametrize("command", ["transform", "denoise"])
     def test_run_config(self, command):
         @settings(max_examples=50, deadline=None)
-        @given(cfg=RUN_CONFIG)
+        @given(cfg=run_config(command))
         def check(cfg):
             with tempfile.TemporaryDirectory() as tmp:
                 assert run_cli(tmp, command, cfg)[0] in (0, 2, 3)
@@ -218,8 +228,9 @@ class TestSignalFileFuzz:
             with open(bad, "w") as fh:
                 fh.write(text)
             cfg_path = os.path.join(tmp, "cfg.json")
+            train_cfg = {} if flag == "--signal" else {"train": {"epochs": 1}}
             with open(cfg_path, "w") as fh:
-                json.dump({**GRAPHS, "family": "gbfrft2d", "train": {"epochs": 1}}, fh)
+                json.dump({**GRAPHS, "family": "gbfrft2d", **train_cfg}, fh)
             inputs = {"--signal": good} if flag == "--signal" else {"--noisy": good, "--clean": good}
             inputs[flag] = bad
             argv = ["transform" if flag == "--signal" else "denoise", "--config", cfg_path,
@@ -321,7 +332,7 @@ class TestCli:
         assert np.abs(back - clean).max() <= 1e-9
 
         run_cfg = dict(plan_cfg)
-        del run_cfg["lambda"]
+        del run_cfg["lambda"], run_cfg["orders"]
         run_cfg["lambda_grid"] = [0.0, 1.0]
         run_cfg["train"] = {"epochs": 10}
         run_path = str(tmp_path / "run.json")
@@ -409,7 +420,9 @@ class TestCli:
     @pytest.mark.parametrize("key", ["orderz", "lambda_gird"])
     def test_unknown_run_key_exits_2(self, tmp_path, capsys, command, key):
         cfg = {"spatial": {"kind": "knn_random", "n": 6, "k": 2, "seed": 7},
-               "temporal": {"kind": "path", "n": 4}, "train": {"epochs": 2}, key: [0.5]}
+               "temporal": {"kind": "path", "n": 4}, key: [0.5]}
+        if command == "denoise":
+            cfg["train"] = {"epochs": 2}
         cfg_path = str(tmp_path / "cfg.json")
         with open(cfg_path, "w") as fh:
             json.dump(cfg, fh)
@@ -431,8 +444,9 @@ class TestCli:
         ("transform", {"spatial": {"kind": "knn_random", "n": 3}}),
     ], ids=["orders_object", "orders_null", "grid_number", "grid_of_objects", "k_null", "k_missing"])
     def test_wrongly_typed_run_value_exits_2(self, tmp_path, command, cfg):
-        cfg = {"spatial": {"kind": "path", "n": 3}, "temporal": {"kind": "path", "n": 4},
-               "train": {"epochs": 1}, **cfg}
+        cfg = {"spatial": {"kind": "path", "n": 3}, "temporal": {"kind": "path", "n": 4}, **cfg}
+        if command == "denoise":
+            cfg["train"] = {"epochs": 1}
         code, err = run_cli(str(tmp_path), command, cfg)
         assert code == 2 and err.startswith("configuration error")
 
@@ -474,9 +488,25 @@ class TestCli:
     @pytest.mark.parametrize("command", ["transform", "denoise"])
     def test_lambda_for_a_family_that_ignores_it_exits_2(self, tmp_path, command):
         cfg = {"spatial": {"kind": "path", "n": 3}, "temporal": {"kind": "path", "n": 4},
-               "family": "jfrft", "lambda": 0.7, "train": {"epochs": 1}}
+               "family": "jfrft", "lambda": 0.7}
+        if command == "denoise":
+            cfg["train"] = {"epochs": 1}
         code, err = run_cli(str(tmp_path), command, cfg)
         assert code == 2 and "'lambda' applies to the gcgfrft family only" in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command,key,value", [
+        ("transform", "lambda_grid", [0.2, 0.4]),
+        ("transform", "train", {"epochs": 1}),
+        ("denoise", "orders", [0.3, 0.9]),
+    ], ids=["transform_lambda_grid", "transform_train", "denoise_orders"])
+    def test_key_the_command_ignores_exits_2(self, tmp_path, command, key, value):
+        # transform applies the given orders and trains nothing; denoise
+        # learns the orders from 0.5
+        cfg = {"spatial": {"kind": "path", "n": 3}, "temporal": {"kind": "path", "n": 4},
+               "family": "gbfrft2d", key: value}
+        code, err = run_cli(str(tmp_path), command, cfg)
+        assert code == 2 and err.startswith("configuration error") and repr(key) in err
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("run", [{"family": "jfrft"}, {"family": "gcgfrft", "lambda": 0.3}],

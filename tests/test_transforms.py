@@ -1,3 +1,5 @@
+import traceback
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,6 +8,7 @@ from hypothesis import strategies as st
 from fracspec import (
     FAMILIES,
     ConfigError,
+    MarginViolationError,
     TimeVertexSignal,
     TransformContext,
     forward,
@@ -175,6 +178,37 @@ class TestBatchedPlans:
             one = ctx.plan(family, tuple(o[i] for o in orders), lam=lam[i])
             assert np.abs(spectra[i] - one.apply(x.data)).max() <= 1e-12
             assert np.abs(back[i] - x.data).max() <= 1e-10
+
+    def test_fresh_distinct_orders_share_the_cached_rows(self):
+        # a request built entirely by one call hands its fresh stacks to the
+        # plan, and the cache entries are views of the same stacks
+        ctx = TransformContext(path_graph(4), path_graph(5))
+        betas = [0.35, 0.55, 0.45]
+        plan = ctx.plan("gcgfrft", (np.full(3, 0.5), np.array(betas)), lam=np.array([0.2, 0.5, 0.8]))
+        col = plan.col_op
+        for i, beta in enumerate(betas):
+            _, theta, left, right = ctx._coupling_cache[beta]
+            assert np.shares_memory(col.phases, theta) and np.array_equal(col.phases[i], theta)
+            assert np.shares_memory(col.left, left) and np.array_equal(col.left[i], left)
+            assert np.shares_memory(col.right, right) and np.array_equal(col.right[i], right)
+
+    def test_cached_failure_is_raised_without_a_growing_traceback(self):
+        # a margin tolerance of pi fails every order; the order's cached
+        # error is raised again, its traceback reset each time
+        ctx = TransformContext(path_graph(4), path_graph(5), margin_tol=np.pi)
+        raised = []
+        for _ in range(3):
+            with pytest.raises(MarginViolationError) as err:
+                ctx.plan("gcgfrft", (0.5, 0.45), lam=0.5)
+            raised.append(err.value)
+        assert raised[0] is raised[1] is raised[2]
+        assert ctx._coupling_cache[0.45] is raised[0]
+        # each traceback holds this test's frame and the raising method's
+        # only, not the frames of the earlier raises
+        assert [len(traceback.extract_tb(e.__traceback__)) for e in raised] == [2, 2, 2]
+        with pytest.raises(MarginViolationError) as err:
+            ctx.coupling(0.45)
+        assert err.value is raised[0] and len(traceback.extract_tb(err.value.__traceback__)) == 2
 
     def test_batched_plan_rejects_a_coupling_value_outside_the_unit_interval(self, ctx):
         with pytest.raises(ValueError):

@@ -368,6 +368,26 @@ class TestLambdaGridSearch:
             else:
                 assert_same_training(row, *train(y, x, row.lam, TrainConfig(), ctx))
 
+    def test_failed_orders_are_decomposed_once(self, bench_ctx, monkeypatch):
+        # the grid above: a lane's failed order is cached with its error, so
+        # the fallback that plans the other lanes does not decompose it again
+        # (measured: 554 matrices; 556 when failures were not cached)
+        from fracspec import transforms
+
+        decompose, matrices = transforms.phase_decompose, []
+
+        def counting_decompose(w, **kwargs):
+            matrices.append(len(w))
+            return decompose(w, **kwargs)
+
+        monkeypatch.setattr(transforms, "phase_decompose", counting_decompose)
+        ctx = TransformContext(bench_ctx.spatial, bench_ctx.temporal, margin_tol=1e-3)
+        x = synth_signal(ctx.spatial, 10, bandwidth=0.3, seed=1001)
+        y = add_awgn(x, 0.9, seed=1002)
+        _, _, table = lambda_grid_search(y, x, [0.1, 0.3, 0.6, 1.0], TrainConfig(), ctx)
+        assert [row.params is None for row in table] == [True, True, False, False]
+        assert sum(matrices) == 554
+
     def test_final_losses_equal_per_lane_loss(self, bench_ctx):
         # with 93 epochs the lam 0.1 lane of the 1e-3 margin setting above
         # trains through and fails the margin at its final orders
