@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import numbers
 import os
 import sys
 
@@ -20,6 +21,7 @@ import numpy as np
 
 from . import io as fio
 from .errors import ConfigError, FracspecError, MarginViolationError
+from .graphs import MATERIALIZE_CAP
 from .harness import BenchmarkConfig, GraphSpec, add_awgn, run_benchmark, synth_signal
 from .operators import dfrft_matrix, eigendecompose, graph_frft
 from .transforms import TimeVertexSignal, TransformContext, forward, inverse
@@ -35,8 +37,9 @@ _GEN_KEYS = ("spatial", "n2", "bandwidth", "sigma", "seed")
 _TRANSFORM_KEYS = ("spatial", "temporal", "family", "orders", "lambda")
 #: top-level keys of a ``denoise`` config; the orders are learned, not given
 _DENOISE_KEYS = ("spatial", "temporal", "family", "lambda", "lambda_grid", "train")
-#: top-level keys of a ``dump-operator`` config, over every operator kind
-_DUMP_KEYS = ("kind", "n", "order", "graph", "temporal", "lambda")
+#: top-level keys of a ``dump-operator`` config besides ``kind``, per operator kind
+_DUMP_KEYS = {"dfrft": ("n", "order"), "gft": ("graph",), "graph_frft": ("graph", "order"),
+              "geodesic_temporal": ("temporal", "order", "lambda")}
 
 
 def _load_config(path: str | None, allowed=None) -> dict:
@@ -51,11 +54,36 @@ def _load_config(path: str | None, allowed=None) -> dict:
         raise ConfigError(f"cannot read config {path}: {err}") from err
     if not isinstance(cfg, dict):
         raise ConfigError(f"config {path} must hold a JSON object")
-    unknown = sorted(set(cfg) - set(allowed)) if allowed is not None else []
+    if allowed is not None:
+        _refuse_unknown(cfg, allowed, path)
+    return cfg
+
+
+def _refuse_unknown(cfg: dict, allowed, path: str | None) -> None:
+    unknown = sorted(set(cfg) - set(allowed))
     if unknown:
         raise ConfigError(f"unknown config key(s) {', '.join(map(repr, unknown))} in {path}; "
                           f"expected some of {', '.join(allowed)}")
-    return cfg
+
+
+def _number(cfg: dict, key: str, default) -> float:
+    """``cfg[key]``, or ``default`` when it is absent, as a finite JSON number."""
+    value = cfg.get(key, default)
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) \
+            or not abs(value) <= sys.float_info.max:
+        raise ConfigError(f"{key!r} must be a finite number, got {value!r}")
+    return float(value)
+
+
+def _integer(cfg: dict, key: str, default, cap: int | None = None) -> int:
+    """``cfg[key]``, or ``default`` when it is absent, as a JSON integer; a
+    size above ``cap`` is refused before anything of that size is allocated."""
+    value = cfg.get(key, default)
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ConfigError(f"{key!r} must be an integer, got {value!r}")
+    if cap is not None and value > cap:
+        raise ConfigError(f"{key!r} of {value} exceeds the cap of {cap} for a dense operator")
+    return value
 
 
 def _context_from_config(cfg: dict) -> TransformContext:
@@ -78,10 +106,10 @@ def _coupling_value(cfg: dict, family: str):
 def _cmd_gen(args) -> int:
     cfg = _load_config(args.config, allowed=_GEN_KEYS)
     spatial = GraphSpec.from_dict(cfg["spatial"]) if "spatial" in cfg else BenchmarkConfig.spatial
-    n2 = int(cfg.get("n2", 10))
-    bandwidth = float(cfg.get("bandwidth", 0.3))
-    sigma = float(cfg.get("sigma", 0.0))
-    seed = args.seed if args.seed is not None else int(cfg.get("seed", 0))
+    n2 = _integer(cfg, "n2", 10, cap=MATERIALIZE_CAP)
+    bandwidth = _number(cfg, "bandwidth", 0.3)
+    sigma = _number(cfg, "sigma", 0.0)
+    seed = args.seed if args.seed is not None else _integer(cfg, "seed", 0)
     out = args.out or "."
     os.makedirs(out, exist_ok=True)
 
@@ -193,21 +221,24 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_dump_operator(args) -> int:
-    cfg = _load_config(args.config, allowed=_DUMP_KEYS)
+    cfg = _load_config(args.config)
     kind = cfg.get("kind", "dfrft")
+    if not isinstance(kind, str) or kind not in _DUMP_KEYS:
+        raise ConfigError(f"unknown operator kind {kind!r}; "
+                          f"expected one of {', '.join(_DUMP_KEYS)}")
+    _refuse_unknown(cfg, ("kind", *_DUMP_KEYS[kind]), args.config)
     if kind == "dfrft":
-        matrix = dfrft_matrix(int(cfg["n"]), float(cfg.get("order", 1.0))).matrix
+        n = _integer(cfg, "n", None, cap=MATERIALIZE_CAP)
+        matrix = dfrft_matrix(n, _number(cfg, "order", 1.0)).matrix
     elif kind in ("gft", "graph_frft"):
         basis = eigendecompose(GraphSpec.from_dict(cfg["graph"]).build())
-        order = 1.0 if kind == "gft" else float(cfg.get("order", 1.0))
+        order = 1.0 if kind == "gft" else _number(cfg, "order", 1.0)
         matrix = graph_frft(basis, order).matrix
-    elif kind == "geodesic_temporal":
-        ctx = _context_from_config({"spatial": cfg["temporal"], "temporal": cfg["temporal"]})
-        plan = ctx.plan("gcgfrft", (0.0, float(cfg.get("order", 0.5))),
-                        lam=float(cfg.get("lambda", 0.5)))
-        matrix = plan.col_op.matrix
     else:
-        raise ConfigError(f"unknown operator kind {kind!r}")
+        ctx = _context_from_config({"spatial": cfg["temporal"], "temporal": cfg["temporal"]})
+        plan = ctx.plan("gcgfrft", (0.0, _number(cfg, "order", 0.5)),
+                        lam=_number(cfg, "lambda", 0.5))
+        matrix = plan.col_op.matrix
     out = args.out or "operator.csv"
     fio.write_operator_csv(matrix, out)
     print(f"wrote {out}")

@@ -19,12 +19,12 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ConfigError, MarginViolationError
+from .errors import ConfigError
 from .graphs import MATERIALIZE_CAP, Graph, knn_graph, path_graph
 from .operators import SpectralBasis, eigendecompose
 from .transforms import FAMILIES, TimeVertexSignal, TransformContext
-from .wiener import (DEFAULT_LAMBDA_GRID, FilterParams, TrainConfig, closed_form_h, denoise,
-                     lambda_grid_search, train)
+from .wiener import (DEFAULT_LAMBDA_GRID, FilterParams, TrainConfig, _grid_failure, _train_lanes,
+                     closed_form_h, denoise)
 
 __all__ = [
     "Metrics",
@@ -217,6 +217,11 @@ class BenchmarkConfig:
             raise ConfigError("noise levels must be nonnegative")
         if not self.lambda_grid:
             raise ConfigError("the coupling grid must be nonempty")
+        if any(not 0.0 <= lam <= 1.0 for lam in self.lambda_grid):
+            raise ConfigError("coupling grid values must lie in [0, 1]")
+        if not isinstance(self.persist_estimates, bool):
+            raise ConfigError(
+                f"persist_estimates must be true or false, got {self.persist_estimates!r}")
 
 
 @dataclass(frozen=True)
@@ -259,51 +264,44 @@ def _noise_seed(seed: int, sigma_index: int) -> int:
     return int(np.random.SeedSequence(entropy=(seed, 104729 + sigma_index)).generate_state(1)[0])
 
 
-def _score(x: TimeVertexSignal, est: TimeVertexSignal) -> Metrics:
-    return metrics(x.as_real(), est.as_real() if est.real_flag else est.data)
-
-
-def _benchmark_cell(ctx, cfg, x, y, family, sigma, seed):
-    """Train and score one (family, sigma, seed) cell; returns the metric row
-    and the real estimate. Margin failures are recorded, not raised."""
+def _family_rows(ctx, cfg, cells, family):
+    """Train every (sigma, seed) cell of ``family`` as one batched state, one
+    lane per cell and coupling value, and score the lanes from one batched
+    plan; yields each cell's metric row and real estimate. A cell reports its
+    lane with the lowest error on the reported metric, so endpoint membership
+    makes the grid's dominance claim exact; lanes that fail the coupling
+    margin are skipped, and a cell with none left gets a margin row."""
     t0 = time.perf_counter()
-    try:
-        if family == "noisy":
-            m = _score(x, y)
-            return MetricRow("noisy", sigma, seed, m.mse, m.psnr, m.ssim,
-                             None, None, None, None, time.perf_counter() - t0), y.as_real()
-        if family == "closed_form_gft":
-            params = FilterParams(alpha=1.0, beta=1.0, h=np.ones(x.shape), lam=0.0)
-            params.h = closed_form_h(y, x, params, ctx, family="gbfrft2d")
-            est = denoise(y, params, ctx, family="gbfrft2d")
-            m = _score(x, est)
-            return MetricRow("closed_form_gft", sigma, seed, m.mse, m.psnr, m.ssim,
-                             1.0, 1.0, 0.0, 0, time.perf_counter() - t0), est.as_real()
-        if family == "gcgfrft":
-            # report the grid point with the lowest error on the reported
-            # metric; endpoint membership then makes the dominance claim exact
-            _, _, table = lambda_grid_search(y, x, cfg.lambda_grid, cfg.train, ctx)
-            scored = []
-            for row in table:
-                if row.params is None:
-                    continue
-                est = denoise(y, row.params, ctx, family="gcgfrft")
-                scored.append((_score(x, est), row, est))
-            m, best, est = min(scored, key=lambda t: (t[0].mse, t[1].lam))
-            p = best.params
-            lam_mse = tuple((row.lam, sc.mse) for sc, row, _ in scored)
-            return MetricRow(family, sigma, seed, m.mse, m.psnr, m.ssim,
-                             p.alpha, p.beta, p.lam, cfg.train.epochs,
-                             time.perf_counter() - t0, lambda_mse=lam_mse), est.as_real()
-        params, _ = train(y, x, None, cfg.train, ctx, family=family)
-        est = denoise(y, params, ctx, family=family)
-        m = _score(x, est)
-        return MetricRow(family, sigma, seed, m.mse, m.psnr, m.ssim,
-                         params.alpha, params.beta, None, cfg.train.epochs,
-                         time.perf_counter() - t0), est.as_real()
-    except MarginViolationError as err:
-        return MetricRow(family, sigma, seed, None, None, None, None, None, None,
-                         None, time.perf_counter() - t0, status=f"margin: {err}"), None
+    geodesic = family == "gcgfrft"
+    lams = [float(lam) for lam in cfg.lambda_grid] if geodesic else [None]
+    results = _train_lanes([(y, x) for *_, x, y in cells for _ in lams], lams * len(cells),
+                           cfg.train, ctx, family)
+    ok = [i for i, (_, _, final) in enumerate(results) if isinstance(final, float)]
+    estimates = {}
+    if ok:
+        params = [results[i][0] for i in ok]
+        plan = ctx.plan(family, ([p.alpha for p in params], [p.beta for p in params]),
+                        lam=[p.lam for p in params] if geodesic else None)
+        y = np.stack([cells[i // len(lams)][3].data for i in ok])
+        h = np.stack([p.h for p in params])
+        # contiguous, as a per-cell estimate is: a strided view sums in another order
+        estimates = dict(zip(ok, np.ascontiguousarray(plan.apply_inverse(h * plan.apply(y)).real)))
+    share = (time.perf_counter() - t0) / len(cells)
+
+    for c, (sigma, seed, x, _) in enumerate(cells):
+        t1 = time.perf_counter()
+        scored = [(metrics(x.as_real(), estimates[i]), results[i][0], estimates[i])
+                  for i in range(c * len(lams), (c + 1) * len(lams)) if i in estimates]
+        if not scored:
+            yield MetricRow(family, sigma, seed, None, None, None, None, None, None, None,
+                            share + time.perf_counter() - t1,
+                            status=f"margin: {_grid_failure(lams)}"), None
+            continue
+        m, p, est = min(scored, key=lambda t: (t[0].mse, t[1].lam))
+        lambda_mse = tuple((q.lam, sc.mse) for sc, q, _ in scored) if geodesic else None
+        yield MetricRow(family, sigma, seed, m.mse, m.psnr, m.ssim, p.alpha, p.beta,
+                        p.lam if geodesic else None, cfg.train.epochs,
+                        share + time.perf_counter() - t1, lambda_mse=lambda_mse), est
 
 
 def run_benchmark(cfg: BenchmarkConfig) -> MetricReport:
@@ -312,7 +310,8 @@ def run_benchmark(cfg: BenchmarkConfig) -> MetricReport:
     Baselines: the noisy observation itself, and the closed-form filter in the
     plain (order-1, decoupled) spectral domain. Rows are deterministic
     functions of the configuration; estimates are optionally persisted for
-    score recomputation.
+    score recomputation. A row's wall time is its share of its family's
+    batched training and estimates plus its own scoring.
     """
     g1 = cfg.spatial.build()
     g2 = cfg.temporal.build()
@@ -322,11 +321,21 @@ def run_benchmark(cfg: BenchmarkConfig) -> MetricReport:
     for sigma_idx, sigma in enumerate(cfg.sigma_list):
         for seed in cfg.seeds:
             x = synth_signal(ctx.spatial, ctx.temporal.n, bandwidth=cfg.bandwidth, seed=seed)
-            y = add_awgn(x, sigma, seed=_noise_seed(seed, sigma_idx))
-            for family in tuple(cfg.families) + BASELINE_FAMILIES:
-                cells.append((ctx, cfg, x, y, family, sigma, seed))
+            cells.append((sigma, seed, x, add_awgn(x, sigma, seed=_noise_seed(seed, sigma_idx))))
 
-    outcomes = [_benchmark_cell(*c) for c in cells]
+    outcomes = [out for family in cfg.families for out in _family_rows(ctx, cfg, cells, family)]
+    for sigma, seed, x, y in cells:
+        t0 = time.perf_counter()
+        m = metrics(x.as_real(), y.as_real())
+        outcomes.append((MetricRow("noisy", sigma, seed, m.mse, m.psnr, m.ssim, None, None, None,
+                                   None, time.perf_counter() - t0), y.as_real()))
+        t0 = time.perf_counter()
+        params = FilterParams(alpha=1.0, beta=1.0, h=np.ones(x.shape), lam=0.0)
+        params.h = closed_form_h(y, x, params, ctx, family="gbfrft2d")
+        est = denoise(y, params, ctx, family="gbfrft2d").as_real()
+        m = metrics(x.as_real(), est)
+        outcomes.append((MetricRow("closed_form_gft", sigma, seed, m.mse, m.psnr, m.ssim,
+                                   1.0, 1.0, 0.0, 0, time.perf_counter() - t0), est))
 
     rows = [row for row, _ in outcomes]
     estimates = {row.row_id: est for row, est in outcomes if est is not None}

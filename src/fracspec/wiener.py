@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import ConfigError, MarginViolationError
 from .operators import _lmul
-from .transforms import FAMILIES, TimeVertexSignal, TransformContext, TransformPlan
+from .transforms import TimeVertexSignal, TransformContext, TransformPlan
 
 __all__ = [
     "FilterParams",
@@ -131,10 +131,6 @@ class GridRow:
     trace: list[TrainStep] | None = None
 
 
-def _mean_sq(e: np.ndarray) -> float:
-    return float(np.mean(e.real**2 + e.imag**2))
-
-
 def _spectra(ctx: TransformContext, family: str, alpha: float, beta: float,
              lam: float | None, *signals: TimeVertexSignal):
     """The plan at these parameters, then each signal's raw spectrum. Only the
@@ -174,7 +170,8 @@ def loss(y: TimeVertexSignal, x_true: TimeVertexSignal, params: FilterParams,
     if y.shape != x_true.shape:
         raise ValueError(f"shape mismatch: {y.shape} vs {x_true.shape}")
     _, yhat, xhat = _spectra(ctx, family, params.alpha, params.beta, params.lam, y, x_true)
-    return _mean_sq(params.h * yhat - xhat)
+    e = params.h * yhat - xhat
+    return float(np.mean(e.real**2 + e.imag**2))
 
 
 def grad_h(y: TimeVertexSignal, x_true: TimeVertexSignal, params: FilterParams,
@@ -277,46 +274,28 @@ def _adam_step(x, g, m, s, lr, t, b1=0.9, b2=0.999, eps=1e-8):
     return x - lr * (m / (1 - b1**t)) / (np.sqrt(s / (1 - b2**t)) + eps), m, s
 
 
-def _lane_plan(ctx: TransformContext, family: str, v: np.ndarray, lam: np.ndarray | None):
-    """The batched plan at orders ``v`` (B, k) and coupling values ``lam``
-    for every lane whose coupling passes the margin.
+def _train_lanes(pairs: list, lams: list, config: TrainConfig, ctx: TransformContext,
+                 family: str):
+    """Train one lane per pair ``(y, x_true)`` in ``pairs`` and coupling value
+    in ``lams`` as one batched state.
 
-    Returns ``(plan, keep, found)``: ``keep`` masks the planned lanes, and
-    ``plan`` is None if no lane is left. When some lane's coupling fails,
-    ``found`` holds every lane's coupling result (a decomposition or its
-    ``MarginViolationError``), read from the context's cache entries that
-    the failed plan left, so no order is decomposed again; otherwise it is
-    None.
+    Orders ``v`` (B, 2) (one column for gfrft2d), filters ``h`` (B, n1, n2),
+    the Adam moments and each lane's ``Q^T [Y | X]`` (B, n1, 2 n2) share the
+    lane axis; spectra, risks, gradients and updates are broadcast over it,
+    and the epoch's new temporal orders are decomposed by one batched
+    coupling build. After the last update the loop evaluates the risk once
+    more, at the final parameters. Returns ``(params, trace, final)`` per
+    lane. A lane whose coupling margin fails in training leaves the batch,
+    with ``params`` None and its error as ``final``; one whose final orders
+    fail keeps its parameters, with the error ``loss()`` would raise as
+    ``final``; otherwise ``final`` is the final risk. A non-finite risk in
+    any lane raises ``ValueError``.
     """
-    try:
-        return ctx.plan(family, tuple(v.T), lam=lam), np.ones(len(v), dtype=bool), None
-    except MarginViolationError:
-        found = ctx.coupling(v[:, -1])
-        keep = np.array([not isinstance(d, MarginViolationError) for d in found])
-        plan = ctx.plan(family, tuple(v[keep].T), lam=lam[keep]) if keep.any() else None
-        return plan, keep, found
-
-
-def _train_lanes(y: TimeVertexSignal, x_true: TimeVertexSignal, lams: list,
-                 config: TrainConfig, ctx: TransformContext, family: str):
-    """Train one lane per coupling value in ``lams`` as one batched state.
-
-    Orders ``v`` (B, 2) (one column for gfrft2d), filters ``h`` (B, n1, n2)
-    and the Adam moments share the lane axis; forward spectra, risks,
-    gradients and updates are broadcast over it, and the epoch's new
-    temporal orders are decomposed by one batched coupling build.
-    ``Q^T [Y | X]`` is the same for every lane and epoch and is computed
-    once. A lane whose coupling margin fails leaves the batch with its error
-    and the others train on unchanged; a non-finite risk in any lane raises
-    ``ValueError``. Returns ``(params, trace, error)`` per lane, with
-    ``params`` None on a margin failure.
-    """
-    if family not in FAMILIES:
-        raise ConfigError(f"unknown family {family!r}")
-    if y.shape != x_true.shape:
-        raise ValueError(f"shape mismatch: {y.shape} vs {x_true.shape}")
-    if y.shape != ctx.shape:
-        raise ValueError(f"signal shape {y.shape} does not match plan {ctx.shape}")
+    for y, x_true in pairs:
+        if y.shape != x_true.shape:
+            raise ValueError(f"shape mismatch: {y.shape} vs {x_true.shape}")
+        if y.shape != ctx.shape:
+            raise ValueError(f"signal shape {y.shape} does not match plan {ctx.shape}")
     geodesic = family == "gcgfrft"
     if geodesic and any(lam is None for lam in lams):
         raise ConfigError("gcgfrft training needs a fixed coupling parameter")
@@ -326,23 +305,37 @@ def _train_lanes(y: TimeVertexSignal, x_true: TimeVertexSignal, lams: list,
     lanes = np.arange(len(lams))
     lam = np.array(lams, dtype=np.float64) if geodesic else None
     v = np.full((len(lams), 1 if family == "gfrft2d" else 2), 0.5)
-    h = np.ones((len(lams), *y.shape), dtype=np.float64)
+    h = np.ones((len(lams), *ctx.shape), dtype=np.float64)
     m_v, s_v, m_h, s_h = np.zeros_like(v), np.zeros_like(v), np.zeros_like(h), np.zeros_like(h)
-    coords = _stacked_coordinates(ctx, y, x_true)
+    coords = np.stack([_stacked_coordinates(ctx, y, x_true) for y, x_true in pairs])
+
+    def lane_params(i, lane):
+        return FilterParams(alpha=float(v[i, 0]), beta=float(v[i, -1]), h=h[i],
+                            lam=lams[lane] if lams[lane] is not None else 0.0)
 
     traces: list[list[TrainStep]] = [[] for _ in lams]
-    errors: list[MarginViolationError | None] = [None] * len(lams)
-    for epoch in range(config.epochs):
-        plan, keep, found = _lane_plan(ctx, family, v, lam)
-        if found is not None:
+    results: list = [None] * len(lams)
+    for epoch in range(config.epochs + 1):
+        last = epoch == config.epochs
+        try:
+            plan = ctx.plan(family, tuple(v.T), lam=lam)
+        except MarginViolationError:
+            # the failed plan left every order's result in the coupling cache
+            found = ctx.coupling(v[:, -1])
+            keep = np.array([not isinstance(d, MarginViolationError) for d in found])
             for i in np.flatnonzero(~keep):
-                errors[lanes[i]] = MarginViolationError(
-                    f"coupling margin violated at epoch {epoch}, temporal order {v[i, -1]:.6g}: "
-                    f"{found[i]}", margin=found[i].margin, index=found[i].index)
-            lanes, v, h, lam = lanes[keep], v[keep], h[keep], lam[keep]
+                if last:
+                    results[lanes[i]] = (lane_params(i, lanes[i]), traces[lanes[i]], found[i])
+                else:
+                    results[lanes[i]] = (None, traces[lanes[i]], MarginViolationError(
+                        f"coupling margin violated at epoch {epoch}, temporal order "
+                        f"{v[i, -1]:.6g}: {found[i]}",
+                        margin=found[i].margin, index=found[i].index))
+            lanes, v, h, lam, coords = lanes[keep], v[keep], h[keep], lam[keep], coords[keep]
             m_v, s_v, m_h, s_h = m_v[keep], s_v[keep], m_h[keep], s_h[keep]
             if not lanes.size:
                 break
+            plan = ctx.plan(family, tuple(v.T), lam=lam)
         spectra = _factored_spectra(plan, coords)
         yhat, xhat = spectra[2], spectra[3]
         resid = h * yhat - xhat
@@ -350,11 +343,16 @@ def _train_lanes(y: TimeVertexSignal, x_true: TimeVertexSignal, lams: list,
         if not np.all(np.isfinite(risk)):
             raise ValueError(f"training diverged at epoch {epoch}: the risk is "
                              f"{risk[~np.isfinite(risk)][0]}")
-        for lane, r, a, b in zip(lanes.tolist(), risk.tolist(), v[:, 0].tolist(), v[:, -1].tolist()):
+        if last:
+            for i, (lane, r) in enumerate(zip(lanes.tolist(), risk.tolist())):
+                results[lane] = (lane_params(i, lane), traces[lane], r)
+            break
+        for lane, r, a, b in zip(lanes.tolist(), risk.tolist(),
+                                 v[:, 0].tolist(), v[:, -1].tolist()):
             traces[lane].append(TrainStep(epoch, r, a, b))
 
         g_v = _order_gradient(ctx, plan, h, spectra, resid) if config.lr_orders > 0 else None
-        g_h = (2.0 / y.data.size) * (resid * yhat.conj()).real if config.lr_filter > 0 else None
+        g_h = (2.0 / resid[0].size) * (resid * yhat.conj()).real if config.lr_filter > 0 else None
         if config.optimizer == "gd":
             if g_v is not None:
                 v = v - config.lr_orders * g_v
@@ -366,11 +364,6 @@ def _train_lanes(y: TimeVertexSignal, x_true: TimeVertexSignal, lams: list,
             if g_h is not None:
                 h, m_h, s_h = _adam_step(h, g_h, m_h, s_h, config.lr_filter, epoch + 1)
 
-    results = [(None, traces[i], errors[i]) for i in range(len(lams))]
-    for i, lane in enumerate(lanes.tolist()):
-        params = FilterParams(alpha=float(v[i, 0]), beta=float(v[i, -1]), h=h[i],
-                              lam=lams[lane] if lams[lane] is not None else 0.0)
-        results[lane] = (params, traces[lane], None)
     return results
 
 
@@ -388,29 +381,16 @@ def train(y: TimeVertexSignal, x_true: TimeVertexSignal, lam: float | None,
     epoch risk (a diverged run) raises ``ValueError``. This is the one-lane
     case of the batched state that ``lambda_grid_search`` trains.
     """
-    ((params, trace, error),) = _train_lanes(y, x_true, [lam], config, ctx, family)
-    if error is not None:
-        raise error
+    ((params, trace, final),) = _train_lanes([(y, x_true)], [lam], config, ctx, family)
+    if params is None:
+        raise final
     return params, trace
 
 
-def _final_losses(y: TimeVertexSignal, x_true: TimeVertexSignal, params: list,
-                  ctx: TransformContext, family: str) -> list:
-    """``loss()`` of each trained lane from one batched plan; a lane whose
-    final orders fail the coupling margin gets its ``MarginViolationError``
-    instead."""
-    if not params:
-        return []
-    v = np.array([(p.alpha, p.beta) for p in params])
-    lam = np.array([p.lam for p in params]) if family == "gcgfrft" else None
-    plan, keep, found = _lane_plan(ctx, family, v, lam)
-    finals = list(found) if found is not None else [None] * len(params)
-    if plan is not None:
-        resid = np.stack([p.h for p in params])[keep] * plan.apply(y.data) - plan.apply(x_true.data)
-        risk = np.mean(resid.real**2 + resid.imag**2, axis=(-2, -1))
-        for i, r in zip(np.flatnonzero(keep).tolist(), risk.tolist()):
-            finals[i] = r
-    return finals
+def _grid_failure(grid) -> MarginViolationError:
+    """The error of a coupling grid whose every point violated the margin."""
+    return MarginViolationError("every coupling grid point violated the margin: "
+                                + "; ".join(f"lam={lam:g}" for lam in grid))
 
 
 def lambda_grid_search(y: TimeVertexSignal, x_true: TimeVertexSignal, grid,
@@ -420,10 +400,11 @@ def lambda_grid_search(y: TimeVertexSignal, x_true: TimeVertexSignal, grid,
     best final loss.
 
     Returns ``(best_lam, best_params, table)``; ties in the final loss break
-    toward the smaller coupling value. The final losses of all lanes come from
-    one batched plan. Grid points whose coupling margin fails, in training or
-    at the final orders, are recorded in the table and skipped; if every point
-    fails, the margin error is re-raised as an aggregate failure.
+    toward the smaller coupling value. A table loss is the training loop's
+    last evaluation, at the final parameters. Grid points whose coupling
+    margin fails, in training or at the final orders, are recorded in the
+    table and skipped; if every point fails, the margin error is re-raised as
+    an aggregate failure.
     """
     try:
         grid = [float(g) for g in grid]
@@ -434,22 +415,15 @@ def lambda_grid_search(y: TimeVertexSignal, x_true: TimeVertexSignal, grid,
     if any(not 0.0 <= g <= 1.0 for g in grid):
         raise ConfigError("coupling grid values must lie in [0, 1]")
 
-    results = _train_lanes(y, x_true, grid, config, ctx, family)
-    trained = [i for i, (_, _, error) in enumerate(results) if error is None]
-    finals = dict(zip(trained, _final_losses(y, x_true, [results[i][0] for i in trained],
-                                             ctx, family)))
-    table: list[GridRow] = []
-    for i, (lam, (params, trace, error)) in enumerate(zip(grid, results)):
-        final = finals.get(i, error)
+    table = []
+    for lam, (params, trace, final) in zip(
+            grid, _train_lanes([(y, x_true)] * len(grid), grid, config, ctx, family)):
         if isinstance(final, float):
             table.append(GridRow(lam=lam, loss=final, params=params, trace=trace))
         else:
             table.append(GridRow(lam=lam, loss=None, params=None, error=str(final)))
     feasible = [row for row in table if row.loss is not None]
     if not feasible:
-        raise MarginViolationError(
-            "every coupling grid point violated the margin: "
-            + "; ".join(f"lam={row.lam:g}" for row in table)
-        )
+        raise _grid_failure(grid)
     best = min(feasible, key=lambda row: (row.loss, row.lam))
     return best.lam, best.params, table

@@ -1,22 +1,30 @@
+import functools
 import math
 
 import numpy as np
 import pytest
 
 from fracspec import (
+    FAMILIES,
     BenchmarkConfig,
     GraphSpec,
     TrainConfig,
+    TransformContext,
     add_awgn,
+    denoise,
     eigendecompose,
+    lambda_grid_search,
     metrics,
     path_graph,
     random_planar_points,
     run_benchmark,
     synth_signal,
+    train,
     verify_properties,
 )
+from fracspec import harness
 from fracspec.harness import BASELINE_FAMILIES
+from fracspec.io import _matrix_from_csv
 
 
 class TestSynthSignal:
@@ -172,6 +180,75 @@ class TestRunBenchmark:
             tiny_config(seeds=())
         with pytest.raises(Exception):
             tiny_config(sigma_list=(-1.0,))
+
+
+def cell_alone(ctx, cfg, x, y, family):
+    """One (sigma, seed) cell trained and scored on its own, through
+    ``lambda_grid_search`` or ``train`` and ``denoise``: its metrics, the
+    reported parameters, the per-coupling MSE table and the real estimate."""
+    if family != "gcgfrft":
+        params, _ = train(y, x, None, cfg.train, ctx, family=family)
+        est = denoise(y, params, ctx, family=family).as_real()
+        return metrics(x.as_real(), est), params, None, est
+    _, _, table = lambda_grid_search(y, x, cfg.lambda_grid, cfg.train, ctx)
+    ests = [(row.params, denoise(y, row.params, ctx).as_real())
+            for row in table if row.params is not None]
+    scored = [(metrics(x.as_real(), est), params, est) for params, est in ests]
+    m, params, est = min(scored, key=lambda t: (t[0].mse, t[1].lam))
+    return m, params, tuple((p.lam, sc.mse) for sc, p, _ in scored), est
+
+
+class TestBatchedCells:
+    """Every (sigma, seed) cell of a family, and every coupling value of a
+    gcgfrft cell, is one lane of the family's batched state."""
+
+    def test_rows_equal_each_cell_alone(self, tmp_path):
+        cfg = BenchmarkConfig(spatial=GraphSpec(kind="knn_random", n=30, k=4, seed=7),
+                              temporal=GraphSpec(kind="path", n=10), sigma_list=(0.6, 1.2),
+                              lambda_grid=(0.0, 0.5, 1.0), families=FAMILIES,
+                              train=TrainConfig(epochs=20), seeds=(0, 3),
+                              output_dir=str(tmp_path), persist_estimates=True)
+        report = run_benchmark(cfg)
+        ctx = TransformContext(cfg.spatial.build(), cfg.temporal.build())
+        for sigma_idx, sigma in enumerate(cfg.sigma_list):
+            for seed in cfg.seeds:
+                x = synth_signal(ctx.spatial, 10, bandwidth=cfg.bandwidth, seed=seed)
+                y = add_awgn(x, sigma, seed=harness._noise_seed(seed, sigma_idx))
+                for family in cfg.families:
+                    row = report.row(family, sigma, seed)
+                    m, params, lambda_mse, est = cell_alone(ctx, cfg, x, y, family)
+                    assert row.status == "ok"
+                    assert (row.mse, row.psnr, row.ssim) == tuple(m)
+                    assert (row.alpha, row.beta) == (params.alpha, params.beta)
+                    assert row.lam == (params.lam if family == "gcgfrft" else None)
+                    assert row.lambda_mse == lambda_mse
+                    persisted = _matrix_from_csv(str(tmp_path / "estimates" / f"{row.row_id}.csv"))
+                    assert np.array_equal(persisted, est)
+
+    def test_one_training_state_per_family(self, monkeypatch):
+        train_lanes, lanes = harness._train_lanes, []
+
+        def counting_train_lanes(pairs, lams, *args):
+            lanes.append(len(lams))
+            return train_lanes(pairs, lams, *args)
+
+        monkeypatch.setattr(harness, "_train_lanes", counting_train_lanes)
+        run_benchmark(tiny_config(families=FAMILIES))
+        # 2 sigmas x 2 seeds, times the 3 coupling values for gcgfrft
+        assert lanes == [4, 4, 4, 12]
+
+    def test_every_refused_coupling_gives_margin_rows(self, monkeypatch):
+        # a margin tolerance of pi refuses every coupling at epoch 0
+        monkeypatch.setattr(harness, "TransformContext",
+                            functools.partial(TransformContext, margin_tol=np.pi))
+        report = run_benchmark(tiny_config())
+        for row in report.rows:
+            if row.family == "gcgfrft":
+                assert row.status == ("margin: every coupling grid point violated the margin: "
+                                      "lam=0; lam=0.5; lam=1")
+                assert row.mse is None and row.alpha is None and row.lam is None
+            else:
+                assert row.status == "ok" and row.mse is not None
 
 
 class TestVerifyProperties:

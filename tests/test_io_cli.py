@@ -29,6 +29,7 @@ from fracspec import (
 )
 from fracspec import io as fio
 from fracspec.cli import main
+from fracspec.graphs import MATERIALIZE_CAP
 
 
 class TestGraphFiles:
@@ -56,14 +57,15 @@ class TestGraphFiles:
 
 
 def run_cli(tmp, command, cfg):
-    """``fracspec transform`` or ``fracspec denoise`` of a 3 x 4 signal
-    (noisy and clean alike) under ``cfg``; returns the exit code and standard
-    error."""
+    """``fracspec <command>`` under ``cfg``, writing to ``tmp/out``;
+    ``transform`` and ``denoise`` read a 3 x 4 signal (noisy and clean
+    alike). Returns the exit code and standard error."""
     cfg_path, sig = os.path.join(tmp, "cfg.json"), os.path.join(tmp, "sig.csv")
     with open(cfg_path, "w") as fh:
         json.dump(cfg, fh)
     fio.write_signal(np.ones((3, 4)), sig)
-    inputs = ["--signal", sig] if command == "transform" else ["--noisy", sig, "--clean", sig]
+    inputs = {"transform": ["--signal", sig],
+              "denoise": ["--noisy", sig, "--clean", sig]}.get(command, [])
     err = io.StringIO()
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
         code = main([command, "--config", cfg_path, *inputs, "--out", os.path.join(tmp, "out")])
@@ -172,9 +174,49 @@ def run_config(command):
                       "lambda": st.one_of(NUMBER, ODD), **optional}))
 
 
+# sizes above the dense cap, which no command may start to allocate
+SIZE = st.one_of(st.integers(-1, 6), st.integers(MATERIALIZE_CAP + 1, 10**12), ODD)
+#: generated values of the ``gen`` and ``dump-operator`` keys
+VALUES = {"spatial": GRAPH_SPEC, "graph": GRAPH_SPEC, "temporal": GRAPH_SPEC,
+          "n2": SIZE, "n": SIZE, "seed": st.one_of(st.integers(-1, 2**70), ODD),
+          **{key: st.one_of(NUMBER, ODD) for key in ("bandwidth", "sigma", "order", "lambda")}}
+#: the keys each ``dump-operator`` kind reads besides ``kind``
+DUMP_KINDS = {"dfrft": ("n", "order"), "gft": ("graph",), "graph_frft": ("graph", "order"),
+              "geodesic_temporal": ("temporal", "order", "lambda")}
+GEN_CONFIG = st.fixed_dictionaries({}, optional={
+    **{key: VALUES[key] for key in ("spatial", "n2", "bandwidth", "sigma", "seed")},
+    "sigmaa": NUMBER})
+
+
+def dump_kind_keys(cfg):
+    """The keys a ``dump-operator`` config may hold, by its kind."""
+    kind = cfg.get("kind", "dfrft")
+    return ("kind", *DUMP_KINDS[kind]) if isinstance(kind, str) and kind in DUMP_KINDS else ()
+
+
+@st.composite
+def dump_config(draw):
+    """A ``dump-operator`` config: a kind (mostly a known one, else absent
+    or malformed), generated values of the keys that kind reads, and now and
+    then a key it does not read."""
+    cfg = draw(st.one_of(st.sampled_from([{"kind": kind} for kind in DUMP_KINDS] + [{}]),
+                         st.fixed_dictionaries({"kind": st.one_of(st.just("x"), ODD)})))
+    keys = dump_kind_keys(cfg)
+    cfg.update(draw(st.fixed_dictionaries({}, optional={k: VALUES[k] for k in keys[1:]})))
+    others = sorted({"mode", *(k for ks in DUMP_KINDS.values() for k in ks)} - set(keys))
+    cfg.update(draw(st.dictionaries(st.sampled_from(others), NUMBER, max_size=1)))
+    return cfg
+
+
+def one_line_error(code, err):
+    """Standard error is empty on success and one line with no traceback
+    otherwise."""
+    return err == "" if code == 0 else err.count("\n") == 1 and "Traceback" not in err
+
+
 class TestConfigFuzz:
-    """Generated ``transform`` and ``denoise`` configs through the CLI: every
-    config ends in exit code 0, 2 or 3, never in an exception."""
+    """Generated configs through the CLI: every config ends in a documented
+    exit code, never in an exception."""
 
     @pytest.mark.parametrize("command", ["transform", "denoise"])
     def test_run_config(self, command):
@@ -184,6 +226,26 @@ class TestConfigFuzz:
             with tempfile.TemporaryDirectory() as tmp:
                 assert run_cli(tmp, command, cfg)[0] in (0, 2, 3)
         check()
+
+    @settings(max_examples=50, deadline=None)
+    @given(cfg=GEN_CONFIG)
+    def test_gen_config(self, cfg):
+        with tempfile.TemporaryDirectory() as tmp:
+            code, err = run_cli(tmp, "gen", cfg)
+        assert code in (0, 2) and one_line_error(code, err)
+
+    @settings(max_examples=50, deadline=None)
+    @given(cfg=dump_config())
+    def test_dump_operator_config(self, cfg):
+        # exit 3 is the documented code of a geodesic operator whose
+        # coupling has an eigenphase at the branch cut (a 2-node path)
+        with tempfile.TemporaryDirectory() as tmp:
+            code, err = run_cli(tmp, "dump-operator", cfg)
+        assert code in (0, 2, 3) and one_line_error(code, err)
+        if code == 3:
+            assert cfg["kind"] == "geodesic_temporal" and err.startswith("coupling margin violated")
+        if not set(cfg) <= set(dump_kind_keys(cfg)):
+            assert code == 2 and err.startswith("configuration error")
 
 
 #: a finite number, in the form the signal writer uses
@@ -563,6 +625,46 @@ class TestCli:
         assert main(["dump-operator", "--config", cfg_path, "--out", out]) == 0
         back = np.loadtxt(out, delimiter=",").view(np.complex128)
         assert np.array_equal(back, dfrft_matrix(6, 0.5).matrix)
+
+    @pytest.mark.parametrize("cfg,message", [
+        ({"n2": None}, "'n2' must be an integer, got None"),
+        ({"bandwidth": None}, "'bandwidth' must be a finite number, got None"),
+        ({"seed": None}, "'seed' must be an integer, got None"),
+        ({"n2": 100_000}, "'n2' of 100000 exceeds the cap of 4096"),
+    ], ids=["n2_null", "bandwidth_null", "seed_null", "n2_above_cap"])
+    def test_bad_gen_value_exits_2(self, tmp_path, cfg, message):
+        # n2 = 10^5 would ask numpy for a 74.5 GiB temporal adjacency
+        code, err = run_cli(str(tmp_path), "gen", cfg)
+        assert code == 2 and err.startswith("configuration error") and message in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("cfg,message", [
+        ({"kind": "dfrft", "n": None}, "'n' must be an integer, got None"),
+        ({"kind": "dfrft", "n": 6, "order": None}, "'order' must be a finite number, got None"),
+        ({"kind": "dfrft", "n": 6, "order": float("inf")}, "'order' must be a finite number, got inf"),
+        ({"kind": "dfrft", "n": 6, "order": 10**400}, "'order' must be a finite number, got 1000"),
+        ({"kind": "dfrft", "n": 100_000_000}, "'n' of 100000000 exceeds the cap of 4096"),
+        ({"kind": "gft", "graph": {"kind": "path", "n": 5}, "order": 0.3, "lambda": 0.9},
+         "unknown config key(s) 'lambda', 'order'"),
+        ({"kind": "dfrft", "n": 6, "graph": {"kind": "path", "n": 5}},
+         "unknown config key(s) 'graph'"),
+        ({"kind": ["dfrft"], "n": 6}, "unknown operator kind ['dfrft']"),
+    ], ids=["n_null", "order_null", "order_inf", "order_beyond_float", "n_above_cap",
+            "gft_order_lambda", "dfrft_graph", "kind_list"])
+    def test_bad_dump_operator_value_exits_2(self, tmp_path, cfg, message):
+        # n = 10^8 would ask numpy for a 71 PiB DFRFT eigenproblem
+        code, err = run_cli(str(tmp_path), "dump-operator", cfg)
+        assert code == 2 and err.startswith("configuration error") and message in err
+        assert not (tmp_path / "out").exists()
+
+    def test_non_boolean_persist_estimates_exits_2(self, tmp_path, capsys):
+        cfg = {"spatial": {"kind": "knn_random", "n": 6, "k": 2, "seed": 7},
+               "temporal": {"kind": "path", "n": 4}, "families": ["gbfrft2d"],
+               "lambda_grid": [0.0], "seeds": [0], "train": {"epochs": 2},
+               "persist_estimates": "yes"}
+        code, err = run_cli(str(tmp_path), "benchmark", cfg)
+        assert code == 2 and "persist_estimates must be true or false, got 'yes'" in err
+        assert not (tmp_path / "out").exists()
 
     def test_dump_operator_unknown_key_exits_2(self, tmp_path):
         # "mode" selected a fallback DFRFT that no longer exists

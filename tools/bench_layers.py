@@ -1,5 +1,6 @@
 """Layer timings of the unitary eigendecompositions, the factored applies and
-training epochs at the fixed benchmark sizes, and of a cold import of the CLI.
+training epochs at the fixed benchmark sizes, of a cold import of the CLI and
+of one graph of the desk-scale benchmark sweep.
 
 Times, in wall-clock milliseconds:
 
@@ -28,6 +29,14 @@ Times, in wall-clock milliseconds:
   ``lambda_grid_search`` at 30x10. An epoch row times ``EPOCHS`` epochs from
   a fresh context (cold coupling cache, warm graph bases) and divides by
   ``EPOCHS``.
+- ``run_benchmark`` on one graph of the desk-scale acceptance sweep:
+  knn_random(30, k=4, seed=7) x path(10), gcgfrft only, 3 noise levels x 5
+  seeds x 11 coupling values, 200 GD epochs. It runs once per round in a
+  fresh child process, which reports its time (every round's in
+  ``runs_ms``) and its peak resident set size (``peak_rss_mib``, the largest
+  over the rounds), imports included. The peak is the child's ``VmHWM``
+  (Linux): ``getrusage`` would report the worker's larger peak, which a
+  forked child inherits.
 
 BLAS is pinned to one thread before numpy loads, every worker process pins
 itself to one CPU (its import children inherit the pin), and the record
@@ -73,6 +82,21 @@ REPS = 200
 TRAIN_SIZES = ((30, 10, 10), (256, 16, 10), (512, 16, 5))
 #: epochs per timed training call
 EPOCHS = 10
+#: the desk-sweep child: its run_benchmark time and peak RSS, as JSON
+SWEEP = """
+import json, time
+import fracspec as fs
+cfg = fs.BenchmarkConfig(families=("gcgfrft",))
+t0 = time.perf_counter()
+fs.run_benchmark(cfg)
+ms = (time.perf_counter() - t0) * 1e3
+with open("/proc/self/status") as fh:
+    peak_kib = next(int(line.split()[1]) for line in fh if line.startswith("VmHWM:"))
+print(json.dumps({"ms": ms, "rss_mib": peak_kib / 1024}))
+"""
+#: how ``combine`` merges one statistic over the rounds
+MERGE = {"best_ms": min, "median_ms": statistics.median, "peak_rss_mib": max,
+         "runs_ms": lambda runs: [ms for run in runs for ms in run]}
 
 
 def machine() -> dict:
@@ -173,6 +197,11 @@ def worker() -> list:
 
         name = "gd_epoch_11_lanes" if n1 == 30 else "adam_epoch"
         rows.append({"row": f"train {n1}x{n2}", "reps": reps, "layers": {name: timed(epochs, reps, EPOCHS)}})
+    run = json.loads(subprocess.run([sys.executable, "-c", SWEEP], check=True, capture_output=True,
+                                    text=True).stdout)
+    rows.append({"row": "run_benchmark knn30 k=4 x path10 gcgfrft", "reps": 1, "layers": {
+        "desk_sweep_graph": {"best_ms": run["ms"], "median_ms": run["ms"], "runs_ms": [run["ms"]],
+                             "peak_rss_mib": run["rss_mib"]}}})
     return rows
 
 
@@ -184,13 +213,13 @@ def run_worker(src: str) -> list:
 
 
 def combine(rounds: list) -> list:
-    """Best over all rounds and median of the rounds' medians, per row."""
+    """Best over all rounds, median of the rounds' medians and the largest
+    peak RSS, per row."""
     rows = []
     for per_round in zip(*rounds):
-        layers = {layer: {"best_ms": min(r["layers"][layer]["best_ms"] for r in per_round),
-                          "median_ms": statistics.median(r["layers"][layer]["median_ms"]
-                                                         for r in per_round)}
-                  for layer in per_round[0]["layers"]}
+        layers = {layer: {stat: MERGE[stat](r["layers"][layer][stat] for r in per_round)
+                          for stat in stats}
+                  for layer, stats in per_round[0]["layers"].items()}
         rows.append({"row": per_round[0]["row"], "reps": per_round[0]["reps"], "layers": layers})
     return rows
 
