@@ -198,7 +198,10 @@ def _cmd_benchmark(args) -> int:
     for key in ("bandwidth", "persist_estimates"):
         if key in cfg:
             kwargs[key] = cfg[key]
-    kwargs["output_dir"] = args.out or cfg.get("output_dir", "benchmark_out")
+    output_dir = cfg.get("output_dir", "benchmark_out")
+    if not isinstance(output_dir, str) or not output_dir:
+        raise ConfigError(f"'output_dir' must be a nonempty path, got {output_dir!r}")
+    kwargs["output_dir"] = args.out or output_dir
     try:
         bench = BenchmarkConfig(**kwargs)
     except TypeError as err:

@@ -1,24 +1,12 @@
 """Unitary fractional operators: graph fractional Fourier transforms and the
 discrete fractional Fourier transform.
 
-A fractional operator is kept in one two-sided factored form,
-``M = left R(order) right``, so that changing the order only changes the
-middle factor ``R`` and applying the operator to a signal never requires
-re-running a spectral factorization. ``R`` is diagonal, or a direct sum of
-2x2 rotations and scalars. The graph FRFTs and the DFRFT are eigenphase
-powers of real orthogonal matrices and keep one real orthogonal factor,
-``left = Q`` and ``right = Q^T``: a conjugate eigenvector pair ``p, conj(p)``
-with phases ``+-theta`` becomes the columns ``sqrt(2) Re p`` and
-``sqrt(2) Im p``, on which ``R`` rotates by ``order * theta`` (the real Schur
-form of an orthogonal matrix; Golub and Van Loan, *Matrix Computations*,
-section 7.4). A real factor times a complex signal is one real GEMM on the
-signal's float64 view, half the arithmetic of a complex one. The geodesic
-temporal basis of ``coupling`` uses ``left = F_graph^beta S`` and
-``right = S^H``, and a general unitary power ``left = P`` and
-``right = P^H``, both complex with a diagonal ``R``. Graph operators come
-from the orthonormal adjacency eigenbasis; the DFRFT comes from the
-commuting-matrix eigenvector convention that reproduces the unitary DFT
-exactly at order 1.
+Every operator is held in one two-sided factored form ``left R(order)
+right`` (``FractionalOperator``), so changing the order only changes the
+middle factor and applying it never re-runs a spectral factorization. Graph
+operators come from the orthonormal adjacency eigenbasis; the DFRFT comes
+from the commuting-matrix eigenvector convention that reproduces the unitary
+DFT exactly at order 1.
 """
 
 from __future__ import annotations
@@ -62,7 +50,9 @@ def _freeze(a: np.ndarray) -> np.ndarray:
 def unitarity_error(m: np.ndarray):
     """Frobenius norm of M^H M - I; one norm per matrix for a (B, n, n) stack."""
     m = np.asarray(m)
-    err = np.linalg.norm(m.conj().swapaxes(-1, -2) @ m - np.eye(m.shape[-1]), axis=(-2, -1))
+    d = m.conj().swapaxes(-1, -2) @ m - np.eye(m.shape[-1])
+    d = d.view(d.real.dtype) if np.iscomplexobj(d) else d
+    err = np.sqrt(np.sum(d * d, axis=(-2, -1)))
     return float(err) if m.ndim == 2 else err
 
 
@@ -124,15 +114,18 @@ class FractionalOperator:
     With it, ``left = Q`` is real orthogonal and ``right = Q^T``, and
     ``partner`` pairs the columns of ``Q`` that span a conjugate eigenvector
     pair, with phases ``theta`` and ``-theta``: ``R`` rotates each pair by
-    ``order * theta``. An unpaired column is its own partner (phase 0 or pi)
-    and keeps ``exp(j*order*phase)``. Both are ``R w = a o w + b o
-    w[partner]`` with ``a = cos(order*phases)`` and ``b = unit *
-    sin(order*phases)``, ``unit`` 1 on a pair and j elsewhere (``rotation``).
-    Graph FRFTs are held that way; the DFRFT has a real ``left = V`` and no
-    partner. A geodesic temporal basis ``F S diag(exp(j*lam*theta)) S^H`` has
-    ``left = F S`` and ``right = S^H``, with ``order`` the coupling
-    parameter. The dense ``matrix`` is materialized lazily; transforms apply
-    the factors directly.
+    ``order * theta`` (the real Schur form of an orthogonal matrix; Golub
+    and Van Loan, *Matrix Computations*, section 7.4). An unpaired column is
+    its own partner (phase 0 or pi) and keeps ``exp(j*order*phase)``. Both
+    are ``R w = a o w + b o w[partner]`` with ``a = cos(order*phases)`` and
+    ``b = unit * sin(order*phases)``, ``unit`` 1 on a pair and j elsewhere
+    (``rotation``). Graph FRFTs are held that way, so a complex signal meets
+    only real GEMMs on its float64 view, half the arithmetic of complex
+    ones; the DFRFT has a real ``left = V`` and no partner. A geodesic
+    temporal basis ``F S diag(exp(j*lam*theta)) S^H`` has ``left = F S`` and
+    ``right = S^H``, with ``order`` the coupling parameter, and a general
+    unitary power ``left = P`` and ``right = P^H``. The dense ``matrix`` is
+    materialized lazily; transforms apply the factors directly.
 
     A batch of B operators shares the leading axis: ``order`` of shape (B,),
     and ``left``/``right`` (B, n, n) and ``phases`` (B, n) either stacked or
@@ -307,7 +300,7 @@ def _rayleigh_eigenvalues(stack: np.ndarray, z: np.ndarray):
     w = np.sum(z.conj() * wz, axis=-2)
     w /= np.abs(w)
     wz -= z * w[..., None, :]
-    return w, np.linalg.norm(wz, axis=(-2, -1))
+    return w, np.sqrt(np.sum(wz.real**2 + wz.imag**2, axis=(-2, -1)))
 
 
 def _cayley_eigenpairs(stack: np.ndarray, cut: np.ndarray | None = None):

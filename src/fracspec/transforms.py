@@ -27,8 +27,6 @@ from .coupling import (
     DEFAULT_MARGIN_TOL,
     CouplingDecomposition,
     _coupling_parameter,
-    coupling_operator,
-    geodesic_temporal_basis,
     phase_decompose,
 )
 from .errors import ConfigError, MarginViolationError
@@ -36,6 +34,7 @@ from .graphs import Graph
 from .operators import (
     FractionalOperator,
     SpectralBasis,
+    _lmul,
     dfrft_matrix,
     eigendecompose,
     graph_frft,
@@ -142,14 +141,36 @@ def _divided_difference_kernel(fvals: np.ndarray, points: np.ndarray,
                                fprime: np.ndarray) -> np.ndarray:
     """Matrix of divided differences (f(p_i) - f(p_j)) / (p_i - p_j), with the
     derivative value on (near-)coincident pairs; one matrix per row of a
-    (B, n) batch of points."""
+    (B, n) batch of points, built in place."""
     den = points[..., :, None] - points[..., None, :]
     near = np.abs(den) < 1e-12
     den[near] = 1.0
     out = fvals[..., :, None] - fvals[..., None, :]
     out /= den
-    out[near] = np.broadcast_to(fprime[..., :, None], out.shape)[near]
+    np.copyto(out, fprime[..., :, None], where=near)
     return out
+
+
+class _CouplingBatch:
+    """One batched coupling build: the decomposition ``dec`` of a ``W`` stack
+    and the factor stacks ``L = F S`` and ``S^H``. A row's factors and its
+    ``CouplingDecomposition`` are built when first asked for, then kept."""
+
+    def __init__(self, dec: CouplingDecomposition, left: np.ndarray, right: np.ndarray):
+        self.dec, self.left, self.right = dec, left, right
+        self._factors, self._decompositions = {}, {}
+
+    def factors(self, row: int) -> tuple:
+        """``(theta, L, S^H)`` of one row, as views of the stacks."""
+        if row not in self._factors:
+            self._factors[row] = (self.dec.theta[row], self.left[row], self.right[row])
+        return self._factors[row]
+
+    def decomposition(self, row: int) -> CouplingDecomposition:
+        if row not in self._decompositions:
+            self._decompositions[row] = CouplingDecomposition(
+                s=self.dec.s[row], theta=self.factors(row)[0], margin=float(self.dec.margin[row]))
+        return self._decompositions[row]
 
 
 class TransformContext:
@@ -158,11 +179,8 @@ class TransformContext:
     The two graph eigenbases and the DFRFT eigenstructure are computed once;
     changing a fractional order only changes the middle factor of each
     operator (phases and 2x2 rotation angles). The context owns each plan's
-    temporal (column) factor: how it is built, cached, refused at the branch
-    cut and differentiated. The coupling decomposition used by the geodesic
-    family depends on the temporal order, so it is cached per order value,
-    next to the geodesic factors ``L = F_graph^beta S`` and ``S^H`` that
-    every coupling value shares, or as the order's ``MarginViolationError``.
+    temporal (column) factor: how it is built, cached per temporal order
+    (``_couplings``), refused at the branch cut and differentiated.
     """
 
     def __init__(self, spatial, temporal, margin_tol: float = DEFAULT_MARGIN_TOL):
@@ -176,6 +194,13 @@ class TransformContext:
         return (self.spatial.n, self.temporal.n)
 
     @cached_property
+    def _coupling_constants(self) -> tuple:
+        """The temporal graph FRFT's phases, ``Q``, ``Q^T``, ``partner`` and
+        ``unit``, and the DFRFT's phases, ``V`` and ``V^T``."""
+        f, e = graph_frft(self.temporal, 0.0), dfrft_matrix(self.temporal.n, 0.0)
+        return f.phases, f.left, f.right, f.partner, f._unit, e.phases, e.left, e.right
+
+    @cached_property
     def _temporal_graph_generator(self) -> np.ndarray:
         """``G_F = (dF/dbeta) F^H`` of the temporal graph FRFT; the same at
         every order."""
@@ -185,6 +210,11 @@ class TransformContext:
     def _dfrft_generator(self) -> np.ndarray:
         """``G_E = (dE/dbeta) E^H`` of the DFRFT; the same at every order."""
         return dfrft_matrix(self.temporal.n, 0.0).generator()
+
+    @cached_property
+    def _generator_gap(self) -> np.ndarray:
+        """``G_E - G_F``, the generator of ``W`` in ``dW = F^H (G_E - G_F) E``."""
+        return self._dfrft_generator - self._temporal_graph_generator
 
     def temporal_generator(self, plan: TransformPlan) -> np.ndarray:
         """``D = (dC/dbeta) C^H`` for the plan's column operator ``C``; one
@@ -212,17 +242,18 @@ class TransformContext:
         col = plan.col_op
         left, theta = col.left, col.phases
         left_h = left.conj().swapaxes(-1, -2)
-        lam = np.expand_dims(col.order, -1)
+        lam = np.array(col.order)[..., None]
         mu = np.exp(1j * theta)
         a = 1j * lam * theta
+        exp_a = np.exp(a)
         # S^H dQ S = K_exp o (lam K_log o (S^H dW S)), right-multiplied by
-        # S^H Q^H S = diag(exp(-a)); built in place on K_exp, which already has
-        # one n2 x n2 matrix per lane
-        dq_qh = _divided_difference_kernel(np.exp(a), a, np.exp(a))
+        # S^H Q^H S = diag(exp(-a)), exp(-a) = conj(exp(a)) for imaginary a;
+        # built in place on K_exp, which already has one n2 x n2 matrix per lane
+        dq_qh = _divided_difference_kernel(exp_a, a, exp_a)
         dq_qh *= lam[..., None]
         dq_qh *= _divided_difference_kernel(1j * theta, mu, 1.0 / mu)
-        dq_qh *= left_h @ (self._dfrft_generator - g_f) @ left
-        dq_qh *= mu[..., None, :] * np.exp(-a)[..., None, :]
+        dq_qh *= left_h @ self._generator_gap @ left
+        dq_qh *= mu[..., None, :] * exp_a.conj()[..., None, :]
         return g_f + left @ dq_qh @ left_h
 
     def coupling(self, temporal_order):
@@ -233,52 +264,47 @@ class TransformContext:
         whose coupling violates the margin holds its ``MarginViolationError``
         instead of raising it.
         """
-        entries = self._couplings(np.atleast_1d(temporal_order).astype(np.float64).tolist())[0]
-        results = [e if isinstance(e, MarginViolationError) else e[0] for e in entries]
+        entries = self._couplings(np.atleast_1d(temporal_order).astype(np.float64).tolist())
+        results = [e if isinstance(e, MarginViolationError) else e[0].decomposition(e[1])
+                   for e in entries]
         if np.ndim(temporal_order) > 0:
             return results
         if isinstance(results[0], MarginViolationError):
             raise results[0].with_traceback(None)
         return results[0]
 
-    def _couplings(self, orders: list):
+    def _couplings(self, orders: list) -> list:
         """The cache entries of the requested temporal orders, in request
-        order, and the fresh geodesic factor stacks ``(theta, L, S^H)`` when
-        the request was exactly this call's misses and none of them failed
-        (else None).
-
-        The cache misses among the distinct orders are built together: one
-        ``W`` stack, one batched Cayley eigensolve (``phase_decompose``, which
-        moves the cut of a matrix the cut at -1 cannot resolve into its widest
-        eigenphase gap), and one ``geodesic_temporal_basis`` of the stack. An
-        entry holds an order's decomposition and its rows of the stacks
-        ``theta``, ``L`` and ``S^H``, all views of the one batched build, or
-        the order's ``MarginViolationError``; so while an order is cached it
-        is decomposed only once. The cache keeps the most recently requested
+        order: ``(batch, row)``, the order's row of a ``_CouplingBatch``, or
+        its ``MarginViolationError``; so while an order is cached it is
+        decomposed only once. The cache keeps the most recently requested
         orders, never fewer than one request's.
+
+        The misses are built together, in one array pass from the context's
+        constants: ``F = Q R(beta) Q^T`` and ``E = V diag(exp(j beta phases))
+        V^T`` as the operators' ``matrix`` forms them, one ``W = F^H E`` stack,
+        its batched eigensolve (``phase_decompose``), ``L = F S`` and ``S^H``.
         """
         cache = self._coupling_cache
         distinct = list(dict.fromkeys(orders))
         misses = [k for k in distinct if k not in cache]
-        fresh = None
         if misses:
-            betas = np.array(misses)
-            f_graph = graph_frft(self.temporal, betas)
-            dec = phase_decompose(coupling_operator(f_graph, dfrft_matrix(self.temporal.n, betas)),
-                                  margin_tol=self.margin_tol)
-            basis = geodesic_temporal_basis(f_graph, dec, 0.0)
-            theta, left, right = basis.phases, basis.left, basis.right
+            betas = np.array(misses)[:, None]
+            theta, q, q_t, partner, unit, phases, v, v_t = self._coupling_constants
+            angle = betas * theta
+            f = (np.sin(angle) * unit)[..., None] * np.take(q_t, partner, axis=-2)
+            f += np.cos(angle)[..., None] * q_t
+            f = _lmul(q, f)
+            dec = phase_decompose(f.conj().swapaxes(-1, -2) @ _lmul(
+                v, np.exp(1j * betas * phases)[..., None] * v_t), margin_tol=self.margin_tol)
+            batch = _CouplingBatch(dec, f @ dec.s, dec.s.conj().swapaxes(-1, -2))
             for i, k in enumerate(misses):
-                cache[k] = dec.failed.get(i) or (
-                    CouplingDecomposition(s=dec.s[i], theta=theta[i], margin=float(dec.margin[i])),
-                    theta[i], left[i], right[i])
-            if misses == orders and not dec.failed:
-                fresh = (theta, left, right)
+                cache[k] = dec.failed.get(i) or (batch, i)
         for k in distinct:
             cache[k] = cache.pop(k)
         while len(cache) > max(COUPLING_CACHE_SIZE, len(distinct)):
             cache.pop(next(iter(cache)))
-        return [cache[k] for k in orders], fresh
+        return [cache[k] for k in orders]
 
     def plan(self, family: str, orders, lam=None) -> TransformPlan:
         """Build a transform plan; ``orders`` is (spatial, temporal) or a
@@ -302,35 +328,41 @@ class TransformContext:
         if family == "gfrft2d":
             if len(orders) not in (1, 2) or (len(orders) == 2 and np.any(orders[0] != orders[1])):
                 raise ConfigError("gfrft2d uses one shared order")
-            shared = orders[0]
-            row = graph_frft(self.spatial, shared)
-            col = graph_frft(self.temporal, shared)
-            return TransformPlan("gfrft2d", row, col, (shared,))
-
-        if len(orders) != 2:
+            orders = orders[:1]
+        elif len(orders) != 2:
             raise ConfigError(f"{family} needs (spatial_order, temporal_order), got {orders}")
-        spatial_order, temporal_order = orders
-        row = graph_frft(self.spatial, spatial_order)
-        if family == "gbfrft2d":
-            col = graph_frft(self.temporal, temporal_order)
-            return TransformPlan(family, row, col, orders)
+        if family == "gcgfrft":
+            if lam is None:
+                raise ConfigError("gcgfrft needs the coupling parameter lam")
+            lam = _coupling_parameter(lam)
+        try:
+            return self._plan(family, orders, lam)
+        except MarginViolationError as err:
+            # the order's cached error, raised afresh: its traceback does not grow
+            raise err.with_traceback(None)
+
+    def _plan(self, family: str, orders: tuple, lam=None) -> TransformPlan:
+        """``plan`` for a known family, orders that are floats or float
+        arrays (one shared order for gfrft2d) and a checked ``lam``; the
+        training loop checks these once and calls this every epoch."""
+        row_op = graph_frft(self.spatial, orders[0])
+        if family in ("gfrft2d", "gbfrft2d"):
+            return TransformPlan(family, row_op, graph_frft(self.temporal, orders[-1]), orders)
         if family == "jfrft":
-            col = dfrft_matrix(self.temporal.n, temporal_order)
-            return TransformPlan(family, row, col, orders)
-        # gcgfrft: the geodesic factors theta, L and S^H of each temporal
-        # order, shared by every coupling value
-        if lam is None:
-            raise ConfigError("gcgfrft needs the coupling parameter lam")
-        lam = _coupling_parameter(lam)
-        entries, fresh = self._couplings(np.atleast_1d(temporal_order).tolist())
+            return TransformPlan(family, row_op, dfrft_matrix(self.temporal.n, orders[1]), orders)
+        # gcgfrft: each temporal order's rows of theta, L and S^H, shared by
+        # every coupling value; one batch requested in order is used uncopied
+        entries = self._couplings(np.atleast_1d(orders[1]).tolist())
         for entry in entries:
             if isinstance(entry, MarginViolationError):
                 raise entry.with_traceback(None)
-        if np.ndim(temporal_order) == 0:
-            factors = entries[0][1:]
-        elif fresh is not None:
-            factors = fresh
+        batch, rows = entries[0][0], [row for _, row in entries]
+        if np.ndim(orders[1]) == 0:
+            factors = batch.factors(rows[0])
+        elif any(b is not batch for b, _ in entries):
+            factors = [np.stack(f) for f in zip(*(b.factors(row) for b, row in entries))]
+        elif rows == list(range(len(batch.left))):
+            factors = batch.dec.theta, batch.left, batch.right
         else:
-            factors = [np.stack(f) for f in zip(*(entry[1:] for entry in entries))]
-        col = FractionalOperator(lam, *factors)
-        return TransformPlan(family, row, col, orders, lam=lam)
+            factors = batch.dec.theta[rows], batch.left[rows], batch.right[rows]
+        return TransformPlan(family, row_op, FractionalOperator(lam, *factors), orders, lam=lam)

@@ -23,9 +23,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .coupling import _coupling_parameter
 from .errors import ConfigError, MarginViolationError
-from .operators import _lmul
-from .transforms import TimeVertexSignal, TransformContext, TransformPlan
+from .operators import _lmul, _rmul
+from .transforms import FAMILIES, TimeVertexSignal, TransformContext, TransformPlan
 
 __all__ = [
     "FilterParams",
@@ -88,6 +89,8 @@ class TrainConfig:
     optimizer: str = "gd"
 
     def __post_init__(self):
+        if any(isinstance(v, bool) for v in (self.lr_orders, self.lr_filter, self.epochs)):
+            raise ConfigError(f"learning rates and epochs must be numbers, not booleans: {self}")
         if self.lr_orders < 0 or self.lr_filter < 0:
             raise ConfigError("learning rates must be nonnegative")
         if int(self.epochs) != self.epochs or self.epochs < 1:
@@ -202,17 +205,26 @@ def closed_form_h(y: TimeVertexSignal, x_true: TimeVertexSignal, params: FilterP
     return h
 
 
-def _factored_spectra(plan: TransformPlan, r: np.ndarray):
+def _factored_spectra(plan: TransformPlan, r: np.ndarray, r_partner: np.ndarray):
     """Spectra of Y and X side by side, ``[Yhat | Xhat]``, from
-    ``r = Q^T [Y | X]``, where ``Q`` is the row operator's real factor (its
-    right factor is ``Q^T`` at every order). With the row rotation ``R``,
-    ``[Yhat | Xhat] = Q Z`` and ``Z = R r (I_2 kron C^T)``; returns
-    ``(Z, [Yhat | Xhat], Yhat, Xhat)``, batched like the plan, the first two
-    ``(..., n1, 2 n2)``. The product with ``Q`` is one real GEMM per lane."""
-    row = plan.row_op
-    w = row.mix(r, row.rotation)
-    n1, n2 = plan.shape
-    z = plan.col_op.apply_right_transpose(w.reshape(*w.shape[:-2], 2 * n1, n2)).reshape(w.shape)
+    ``r = Q^T [Y | X]`` and ``r_partner`` (``_stacked_coordinates``), where
+    ``Q`` is the row operator's real factor (its right factor is ``Q^T`` at
+    every order). With the row rotation ``R``, ``[Yhat | Xhat] = Q Z`` and
+    ``Z = R r (I_2 kron C^T)``; returns ``(Z, [Yhat | Xhat], Yhat, Xhat)``,
+    batched like the plan, the first two ``(..., n1, 2 n2)``. The product
+    with ``Q`` is one real GEMM per lane."""
+    row, col = plan.row_op, plan.col_op
+    # R r = a o r + b o r[partner] (FractionalOperator.mix)
+    a, b = row.rotation
+    w = b[..., None] * r_partner
+    w += a[..., None] * r
+    shape, (n1, n2) = w.shape, plan.shape
+    # col.apply_right_transpose, releasing each (B, 2 n1, n2) temporary as
+    # soon as the next one exists: it sets the peak memory of a many-lane state
+    z = _rmul(w.reshape(*shape[:-2], 2 * n1, n2), col.right.swapaxes(-1, -2))
+    del w
+    z = col.mix(z, col.rotation, axis=-1)
+    z = _rmul(z, col.left.swapaxes(-1, -2)).reshape(shape)
     yx = _lmul(row.left, z)
     return z, yx, yx[..., :n2], yx[..., n2:]
 
@@ -234,8 +246,10 @@ def _order_gradient(ctx: TransformContext, plan: TransformPlan, h: np.ndarray,
     scale = 2.0 / (n1 * n2)
 
     def rate(d_yx):
-        d = h * d_yx[..., :n2] - d_yx[..., n2:]
-        return scale * np.sum((resid.conj() * d).real, axis=(-2, -1))
+        d = h * d_yx[..., :n2]
+        d -= d_yx[..., n2:]
+        d *= resid.conj()
+        return scale * np.sum(d.real, axis=(-2, -1))
 
     row = plan.row_op
     g_alpha = rate(_lmul(row.left, row.mix(z, row.generator_coefficients)))
@@ -247,12 +261,15 @@ def _order_gradient(ctx: TransformContext, plan: TransformPlan, h: np.ndarray,
 
 
 def _stacked_coordinates(ctx: TransformContext, y: TimeVertexSignal, x: TimeVertexSignal):
-    """``Q^T [Y | X]`` for the spatial factor ``Q``: the same at every
-    spatial order, and real for real signals."""
+    """``r = Q^T [Y | X]`` for the spatial factor ``Q``, and its rows
+    ``r[partner]`` gathered by the factor's column pairing: the same at
+    every spatial order, and real for real signals."""
     yx = np.concatenate([y.data, x.data], axis=-1)
     if not yx.imag.any():
         yx = yx.real
-    return _lmul(ctx.spatial.fourier_phase_decomposition[1].T, yx)
+    _, q, partner = ctx.spatial.fourier_phase_decomposition
+    r = _lmul(q.T, yx)
+    return r, r[partner]
 
 
 def grad_orders(y: TimeVertexSignal, x_true: TimeVertexSignal, params: FilterParams,
@@ -262,7 +279,7 @@ def grad_orders(y: TimeVertexSignal, x_true: TimeVertexSignal, params: FilterPar
     if family == "gfrft2d":
         raise ConfigError("gfrft2d has a single shared order; train() handles it directly")
     (plan,) = _spectra(ctx, family, params.alpha, params.beta, params.lam)
-    spectra = _factored_spectra(plan, _stacked_coordinates(ctx, y, x_true))
+    spectra = _factored_spectra(plan, *_stacked_coordinates(ctx, y, x_true))
     g = _order_gradient(ctx, plan, params.h, spectra, params.h * spectra[2] - spectra[3])
     return float(g[0]), float(g[1])
 
@@ -275,22 +292,25 @@ def _adam_step(x, g, m, s, lr, t, b1=0.9, b2=0.999, eps=1e-8):
 
 
 def _train_lanes(pairs: list, lams: list, config: TrainConfig, ctx: TransformContext,
-                 family: str):
+                 family: str, record: bool = False):
     """Train one lane per pair ``(y, x_true)`` in ``pairs`` and coupling value
-    in ``lams`` as one batched state.
+    in ``lams`` as one batched state, its arguments checked once, here.
 
     Orders ``v`` (B, 2) (one column for gfrft2d), filters ``h`` (B, n1, n2),
     the Adam moments and each lane's ``Q^T [Y | X]`` (B, n1, 2 n2) share the
-    lane axis; spectra, risks, gradients and updates are broadcast over it,
-    and the epoch's new temporal orders are decomposed by one batched
-    coupling build. After the last update the loop evaluates the risk once
-    more, at the final parameters. Returns ``(params, trace, final)`` per
-    lane. A lane whose coupling margin fails in training leaves the batch,
-    with ``params`` None and its error as ``final``; one whose final orders
-    fail keeps its parameters, with the error ``loss()`` would raise as
+    lane axis; each epoch is one array pass over it, with one batched
+    coupling build for its new temporal orders. After the last update the
+    loop evaluates the risk once more, at the final parameters. Returns
+    ``(params, trace, final)`` per lane, the trace (``TrainStep`` per epoch,
+    kept in preallocated (epochs, lanes) arrays) only with ``record``. A
+    lane whose coupling margin fails in training leaves the batch, with
+    ``params`` None and its error as ``final``; one whose final orders fail
+    keeps its parameters, with the error ``loss()`` would raise as
     ``final``; otherwise ``final`` is the final risk. A non-finite risk in
     any lane raises ``ValueError``.
     """
+    if family not in FAMILIES:
+        raise ConfigError(f"unknown family {family!r}; expected one of {FAMILIES}")
     for y, x_true in pairs:
         if y.shape != x_true.shape:
             raise ValueError(f"shape mismatch: {y.shape} vs {x_true.shape}")
@@ -303,40 +323,45 @@ def _train_lanes(pairs: list, lams: list, config: TrainConfig, ctx: TransformCon
         raise ConfigError(f"coupling parameters must be numbers, got {lams}")
 
     lanes = np.arange(len(lams))
-    lam = np.array(lams, dtype=np.float64) if geodesic else None
+    lam = _coupling_parameter(np.array(lams, dtype=np.float64)) if geodesic else None
     v = np.full((len(lams), 1 if family == "gfrft2d" else 2), 0.5)
     h = np.ones((len(lams), *ctx.shape), dtype=np.float64)
     m_v, s_v, m_h, s_h = np.zeros_like(v), np.zeros_like(v), np.zeros_like(h), np.zeros_like(h)
-    coords = np.stack([_stacked_coordinates(ctx, y, x_true) for y, x_true in pairs])
+    coords, coords_p = (np.stack(c) for c in zip(*(_stacked_coordinates(ctx, y, x_true)
+                                                    for y, x_true in pairs)))
+    # (loss, alpha, beta) per epoch and lane, and the epochs each lane recorded
+    steps = np.empty((3, config.epochs, len(lams))) if record else None
+    recorded = np.full(len(lams), config.epochs)
 
     def lane_params(i, lane):
         return FilterParams(alpha=float(v[i, 0]), beta=float(v[i, -1]), h=h[i],
                             lam=lams[lane] if lams[lane] is not None else 0.0)
 
-    traces: list[list[TrainStep]] = [[] for _ in lams]
     results: list = [None] * len(lams)
     for epoch in range(config.epochs + 1):
         last = epoch == config.epochs
         try:
-            plan = ctx.plan(family, tuple(v.T), lam=lam)
+            plan = ctx._plan(family, tuple(v.T), lam)
         except MarginViolationError:
             # the failed plan left every order's result in the coupling cache
-            found = ctx.coupling(v[:, -1])
+            found = ctx._couplings(v[:, -1].tolist())
             keep = np.array([not isinstance(d, MarginViolationError) for d in found])
             for i in np.flatnonzero(~keep):
+                recorded[lanes[i]] = epoch
                 if last:
-                    results[lanes[i]] = (lane_params(i, lanes[i]), traces[lanes[i]], found[i])
+                    results[lanes[i]] = (lane_params(i, lanes[i]), found[i])
                 else:
-                    results[lanes[i]] = (None, traces[lanes[i]], MarginViolationError(
+                    results[lanes[i]] = (None, MarginViolationError(
                         f"coupling margin violated at epoch {epoch}, temporal order "
                         f"{v[i, -1]:.6g}: {found[i]}",
                         margin=found[i].margin, index=found[i].index))
-            lanes, v, h, lam, coords = lanes[keep], v[keep], h[keep], lam[keep], coords[keep]
+            lanes, v, h, lam = lanes[keep], v[keep], h[keep], lam[keep]
+            coords, coords_p = coords[keep], coords_p[keep]
             m_v, s_v, m_h, s_h = m_v[keep], s_v[keep], m_h[keep], s_h[keep]
             if not lanes.size:
                 break
-            plan = ctx.plan(family, tuple(v.T), lam=lam)
-        spectra = _factored_spectra(plan, coords)
+            plan = ctx._plan(family, tuple(v.T), lam)
+        spectra = _factored_spectra(plan, coords, coords_p)
         yhat, xhat = spectra[2], spectra[3]
         resid = h * yhat - xhat
         risk = np.mean(resid.real**2 + resid.imag**2, axis=(-2, -1))
@@ -345,11 +370,10 @@ def _train_lanes(pairs: list, lams: list, config: TrainConfig, ctx: TransformCon
                              f"{risk[~np.isfinite(risk)][0]}")
         if last:
             for i, (lane, r) in enumerate(zip(lanes.tolist(), risk.tolist())):
-                results[lane] = (lane_params(i, lane), traces[lane], r)
+                results[lane] = (lane_params(i, lane), r)
             break
-        for lane, r, a, b in zip(lanes.tolist(), risk.tolist(),
-                                 v[:, 0].tolist(), v[:, -1].tolist()):
-            traces[lane].append(TrainStep(epoch, r, a, b))
+        if record:
+            steps[:, epoch, lanes] = risk, v[:, 0], v[:, -1]
 
         g_v = _order_gradient(ctx, plan, h, spectra, resid) if config.lr_orders > 0 else None
         g_h = (2.0 / resid[0].size) * (resid * yhat.conj()).real if config.lr_filter > 0 else None
@@ -364,7 +388,9 @@ def _train_lanes(pairs: list, lams: list, config: TrainConfig, ctx: TransformCon
             if g_h is not None:
                 h, m_h, s_h = _adam_step(h, g_h, m_h, s_h, config.lr_filter, epoch + 1)
 
-    return results
+    traces = [[TrainStep(epoch, *step) for epoch, step in enumerate(steps[:, :n, lane].T.tolist())]
+              for lane, n in enumerate(recorded)] if record else [None] * len(lams)
+    return [(params, trace, final) for (params, final), trace in zip(results, traces)]
 
 
 def train(y: TimeVertexSignal, x_true: TimeVertexSignal, lam: float | None,
@@ -375,13 +401,15 @@ def train(y: TimeVertexSignal, x_true: TimeVertexSignal, lam: float | None,
     Orders start at 0.5 and the filter at all-ones; each epoch evaluates the
     loss at the current parameters (the trace records these pre-update values)
     and applies one simultaneous update. The coupling parameter is fixed for
-    the whole run. Spectral decompositions are cached on the context, so only
-    the temporal coupling factorization is redone when the temporal order
-    moves. The spectra are not re-validated inside the loop; a non-finite
-    epoch risk (a diverged run) raises ``ValueError``. This is the one-lane
-    case of the batched state that ``lambda_grid_search`` trains.
+    the whole run. The arguments are checked once, before the first epoch,
+    and spectral decompositions are cached on the context, so only the
+    temporal coupling factorization is redone, in one array pass, when the
+    temporal order moves. A non-finite epoch risk (a diverged run) raises
+    ``ValueError``. This is the one-lane case of the batched state that
+    ``lambda_grid_search`` trains, with the trace recorded.
     """
-    ((params, trace, final),) = _train_lanes([(y, x_true)], [lam], config, ctx, family)
+    ((params, trace, final),) = _train_lanes([(y, x_true)], [lam], config, ctx, family,
+                                             record=True)
     if params is None:
         raise final
     return params, trace
@@ -417,7 +445,7 @@ def lambda_grid_search(y: TimeVertexSignal, x_true: TimeVertexSignal, grid,
 
     table = []
     for lam, (params, trace, final) in zip(
-            grid, _train_lanes([(y, x_true)] * len(grid), grid, config, ctx, family)):
+            grid, _train_lanes([(y, x_true)] * len(grid), grid, config, ctx, family, record=True)):
         if isinstance(final, float):
             table.append(GridRow(lam=lam, loss=final, params=params, trace=trace))
         else:

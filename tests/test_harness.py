@@ -228,9 +228,9 @@ class TestBatchedCells:
     def test_one_training_state_per_family(self, monkeypatch):
         train_lanes, lanes = harness._train_lanes, []
 
-        def counting_train_lanes(pairs, lams, *args):
+        def counting_train_lanes(pairs, lams, *args, **kwargs):
             lanes.append(len(lams))
-            return train_lanes(pairs, lams, *args)
+            return train_lanes(pairs, lams, *args, **kwargs)
 
         monkeypatch.setattr(harness, "_train_lanes", counting_train_lanes)
         run_benchmark(tiny_config(families=FAMILIES))

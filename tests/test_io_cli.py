@@ -478,6 +478,25 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("configuration error") and "Traceback" not in err
 
+    @pytest.mark.parametrize("setting", [{"output_dir": 5}, {"output_dir": None},
+                                         {"output_dir": ""}, {"train": {"epochs": True}},
+                                         {"train": {"lr_orders": True}}],
+                             ids=["dir_number", "dir_null", "dir_empty", "epochs_true",
+                                  "rate_true"])
+    def test_ill_typed_benchmark_setting_exits_2(self, tmp_path, monkeypatch, capsys, setting):
+        # no --out: the config's own output_dir is the one read
+        monkeypatch.chdir(tmp_path)
+        cfg = {"spatial": {"kind": "knn_random", "n": 6, "k": 2, "seed": 7},
+               "temporal": {"kind": "path", "n": 4}, "families": ["gbfrft2d"],
+               "lambda_grid": [0.0], "seeds": [0], "sigma_list": [0.5], "train": {"epochs": 2},
+               **setting}
+        with open("cfg.json", "w") as fh:
+            json.dump(cfg, fh)
+        assert main(["benchmark", "--config", "cfg.json"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error") and "Traceback" not in err
+        assert os.listdir(tmp_path) == ["cfg.json"]
+
     @pytest.mark.parametrize("command", ["transform", "denoise"])
     @pytest.mark.parametrize("key", ["orderz", "lambda_gird"])
     def test_unknown_run_key_exits_2(self, tmp_path, capsys, command, key):

@@ -181,16 +181,38 @@ class TestBatchedPlans:
 
     def test_fresh_distinct_orders_share_the_cached_rows(self):
         # a request built entirely by one call hands its fresh stacks to the
-        # plan, and the cache entries are views of the same stacks
+        # plan, and each cache entry is its order's row of the same stacks
         ctx = TransformContext(path_graph(4), path_graph(5))
         betas = [0.35, 0.55, 0.45]
         plan = ctx.plan("gcgfrft", (np.full(3, 0.5), np.array(betas)), lam=np.array([0.2, 0.5, 0.8]))
         col = plan.col_op
         for i, beta in enumerate(betas):
-            _, theta, left, right = ctx._coupling_cache[beta]
+            batch, row = ctx._coupling_cache[beta]
+            theta, left, right = batch.factors(row)
+            assert row == i
             assert np.shares_memory(col.phases, theta) and np.array_equal(col.phases[i], theta)
             assert np.shares_memory(col.left, left) and np.array_equal(col.left[i], left)
             assert np.shares_memory(col.right, right) and np.array_equal(col.right[i], right)
+
+    def test_cached_rows_map_to_their_orders(self):
+        # after one batched build, a request in another order and a single
+        # order each read their own rows, as a cold context builds them
+        betas = [0.35, 0.55, 0.45]
+        ctx = TransformContext(path_graph(4), path_graph(5))
+        ctx.plan("gcgfrft", (np.full(3, 0.5), np.array(betas)), lam=np.full(3, 0.5))
+        request, lams = [betas[2], betas[0]], [0.3, 0.7]
+        got = ctx.plan("gcgfrft", (np.full(2, 0.5), np.array(request)), lam=np.array(lams)).col_op
+        one = ctx.coupling(betas[1])
+        for i, (beta, lam) in enumerate(zip(request, lams)):
+            want = TransformContext(path_graph(4), path_graph(5)).plan(
+                "gcgfrft", (0.5, beta), lam=lam).col_op
+            for a, b in ((got.phases, want.phases), (got.left, want.left), (got.right, want.right)):
+                assert np.abs(a[i] - b).max() <= 1e-12
+        want = TransformContext(path_graph(4), path_graph(5)).coupling(betas[1])
+        assert np.abs(one.s - want.s).max() <= 1e-12
+        assert np.abs(one.theta - want.theta).max() <= 1e-12
+        assert abs(one.margin - want.margin) <= 1e-12
+        assert ctx.coupling(betas[1]) is one
 
     def test_cached_failure_is_raised_without_a_growing_traceback(self):
         # a margin tolerance of pi fails every order; the order's cached

@@ -23,6 +23,7 @@ from fracspec import (
     synth_signal,
     train,
 )
+from fracspec.wiener import _train_lanes
 from oracles import fd_order_gradient
 
 
@@ -367,6 +368,29 @@ class TestLambdaGridSearch:
                 assert row.error.startswith("coupling margin violated at epoch")
             else:
                 assert_same_training(row, *train(y, x, row.lam, TrainConfig(), ctx))
+
+    @pytest.mark.parametrize("config", [TrainConfig(epochs=120), TrainConfig.adam(epochs=30)],
+                             ids=["gd", "adam"])
+    def test_trace_recording_leaves_training_unchanged(self, bench_ctx, config):
+        # the margin setting above: in GD the lam 0.1 and 0.3 lanes leave the
+        # batch, and their traces stop at the epoch they left
+        ctx = TransformContext(bench_ctx.spatial, bench_ctx.temporal, margin_tol=1e-3)
+        x = synth_signal(ctx.spatial, 10, bandwidth=0.3, seed=1001)
+        y = add_awgn(x, 0.9, seed=1002)
+        lams = [0.1, 0.3, 0.6, 1.0]
+        recorded, plain = (_train_lanes([(y, x)] * len(lams), lams, config, ctx, "gcgfrft",
+                                        record=record) for record in (True, False))
+        for (params, trace, final), (same_params, no_trace, same_final) in zip(recorded, plain):
+            assert no_trace is None
+            if params is None:
+                assert same_params is None and str(final) == str(same_final)
+                assert len(trace) == int(str(final).split("epoch ")[1].split(",")[0])
+                continue
+            assert (params.alpha, params.beta) == (same_params.alpha, same_params.beta)
+            assert np.array_equal(params.h, same_params.h) and final == same_final
+            assert [step.epoch for step in trace] == list(range(config.epochs))
+        assert [p is None for p, _, _ in recorded] == ([True, True, False, False]
+                                                      if config.optimizer == "gd" else [False] * 4)
 
     def test_failed_orders_are_decomposed_once(self, bench_ctx, monkeypatch):
         # the grid above: a lane's failed order is cached with its error, so
