@@ -168,18 +168,20 @@ class FractionalOperator:
             return 1j * self.phases, None
         return None, self.phases * self._unit
 
-    def mix(self, w: np.ndarray, coefficients, axis: int = -2, transpose: bool = False):
+    def mix(self, w: np.ndarray, coefficients, axis: int = -2, transpose: bool = False,
+            gathered: np.ndarray | None = None):
         """``a o w + b o w[partner]`` along ``axis``, for ``coefficients``
         ``(a, b)`` (either may be None: zero): ``R w`` at -2, where the
         columns of ``w`` are the vectors, and ``w R^T`` at -1. With
-        ``transpose`` it applies ``R^T``, whose ``b`` is ``b[partner]``."""
+        ``transpose`` it applies ``R^T``, whose ``b`` is ``b[partner]``.
+        ``gathered`` is ``w[partner]`` along ``axis``, when already taken."""
         a, b = coefficients
         index = (..., slice(None), None) if axis == -2 else (..., None, slice(None))
         if b is None:
             return a[index] * w
         if transpose:
             b = b[..., self.partner]
-        out = b[index] * np.take(w, self.partner, axis=axis)
+        out = b[index] * (np.take(w, self.partner, axis=axis) if gathered is None else gathered)
         if a is not None:
             out += a[index] * w
         return out
@@ -201,8 +203,11 @@ class FractionalOperator:
         return _lmul(self.right.swapaxes(-1, -2), inner).conj()
 
     def apply_right_transpose(self, x: np.ndarray) -> np.ndarray:
-        """x @ M^T."""
-        inner = self.mix(_rmul(x, self.right.swapaxes(-1, -2)), self.rotation, axis=-1)
+        """x @ M^T. A temporary ``x`` is freed once the first factor is
+        applied, before the other two make their own temporaries."""
+        inner = _rmul(x, self.right.swapaxes(-1, -2))
+        del x
+        inner = self.mix(inner, self.rotation, axis=-1)
         return _rmul(inner, self.left.swapaxes(-1, -2))
 
     def apply_right_conj(self, x: np.ndarray) -> np.ndarray:

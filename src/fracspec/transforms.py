@@ -27,6 +27,7 @@ from .coupling import (
     DEFAULT_MARGIN_TOL,
     CouplingDecomposition,
     _coupling_parameter,
+    coupling_operator,
     phase_decompose,
 )
 from .errors import ConfigError, MarginViolationError
@@ -34,7 +35,6 @@ from .graphs import Graph
 from .operators import (
     FractionalOperator,
     SpectralBasis,
-    _lmul,
     dfrft_matrix,
     eigendecompose,
     graph_frft,
@@ -194,13 +194,6 @@ class TransformContext:
         return (self.spatial.n, self.temporal.n)
 
     @cached_property
-    def _coupling_constants(self) -> tuple:
-        """The temporal graph FRFT's phases, ``Q``, ``Q^T``, ``partner`` and
-        ``unit``, and the DFRFT's phases, ``V`` and ``V^T``."""
-        f, e = graph_frft(self.temporal, 0.0), dfrft_matrix(self.temporal.n, 0.0)
-        return f.phases, f.left, f.right, f.partner, f._unit, e.phases, e.left, e.right
-
-    @cached_property
     def _temporal_graph_generator(self) -> np.ndarray:
         """``G_F = (dF/dbeta) F^H`` of the temporal graph FRFT; the same at
         every order."""
@@ -280,24 +273,19 @@ class TransformContext:
         decomposed only once. The cache keeps the most recently requested
         orders, never fewer than one request's.
 
-        The misses are built together, in one array pass from the context's
-        constants: ``F = Q R(beta) Q^T`` and ``E = V diag(exp(j beta phases))
-        V^T`` as the operators' ``matrix`` forms them, one ``W = F^H E`` stack,
-        its batched eigensolve (``phase_decompose``), ``L = F S`` and ``S^H``.
+        The misses are built together: one ``W = F^H E`` stack of the
+        batched operators ``F`` (temporal graph FRFT) and ``E`` (DFRFT), its
+        batched eigensolve (``phase_decompose``), ``L = F S`` and ``S^H``.
         """
         cache = self._coupling_cache
         distinct = list(dict.fromkeys(orders))
         misses = [k for k in distinct if k not in cache]
         if misses:
-            betas = np.array(misses)[:, None]
-            theta, q, q_t, partner, unit, phases, v, v_t = self._coupling_constants
-            angle = betas * theta
-            f = (np.sin(angle) * unit)[..., None] * np.take(q_t, partner, axis=-2)
-            f += np.cos(angle)[..., None] * q_t
-            f = _lmul(q, f)
-            dec = phase_decompose(f.conj().swapaxes(-1, -2) @ _lmul(
-                v, np.exp(1j * betas * phases)[..., None] * v_t), margin_tol=self.margin_tol)
-            batch = _CouplingBatch(dec, f @ dec.s, dec.s.conj().swapaxes(-1, -2))
+            betas = np.array(misses)
+            f = graph_frft(self.temporal, betas)
+            dec = phase_decompose(coupling_operator(f, dfrft_matrix(self.temporal.n, betas)),
+                                  margin_tol=self.margin_tol)
+            batch = _CouplingBatch(dec, f.matrix @ dec.s, dec.s.conj().swapaxes(-1, -2))
             for i, k in enumerate(misses):
                 cache[k] = dec.failed.get(i) or (batch, i)
         for k in distinct:
@@ -361,8 +349,7 @@ class TransformContext:
             factors = batch.factors(rows[0])
         elif any(b is not batch for b, _ in entries):
             factors = [np.stack(f) for f in zip(*(b.factors(row) for b, row in entries))]
-        elif rows == list(range(len(batch.left))):
-            factors = batch.dec.theta, batch.left, batch.right
         else:
+            rows = slice(None) if rows == list(range(len(batch.left))) else rows
             factors = batch.dec.theta[rows], batch.left[rows], batch.right[rows]
         return TransformPlan(family, row_op, FractionalOperator(lam, *factors), orders, lam=lam)

@@ -25,7 +25,7 @@ import numpy as np
 
 from .coupling import _coupling_parameter
 from .errors import ConfigError, MarginViolationError
-from .operators import _lmul, _rmul
+from .operators import _lmul
 from .transforms import FAMILIES, TimeVertexSignal, TransformContext, TransformPlan
 
 __all__ = [
@@ -207,24 +207,16 @@ def closed_form_h(y: TimeVertexSignal, x_true: TimeVertexSignal, params: FilterP
 
 def _factored_spectra(plan: TransformPlan, r: np.ndarray, r_partner: np.ndarray):
     """Spectra of Y and X side by side, ``[Yhat | Xhat]``, from
-    ``r = Q^T [Y | X]`` and ``r_partner`` (``_stacked_coordinates``), where
-    ``Q`` is the row operator's real factor (its right factor is ``Q^T`` at
-    every order). With the row rotation ``R``, ``[Yhat | Xhat] = Q Z`` and
-    ``Z = R r (I_2 kron C^T)``; returns ``(Z, [Yhat | Xhat], Yhat, Xhat)``,
-    batched like the plan, the first two ``(..., n1, 2 n2)``. The product
-    with ``Q`` is one real GEMM per lane."""
-    row, col = plan.row_op, plan.col_op
-    # R r = a o r + b o r[partner] (FractionalOperator.mix)
-    a, b = row.rotation
-    w = b[..., None] * r_partner
-    w += a[..., None] * r
-    shape, (n1, n2) = w.shape, plan.shape
-    # col.apply_right_transpose, releasing each (B, 2 n1, n2) temporary as
-    # soon as the next one exists: it sets the peak memory of a many-lane state
-    z = _rmul(w.reshape(*shape[:-2], 2 * n1, n2), col.right.swapaxes(-1, -2))
-    del w
-    z = col.mix(z, col.rotation, axis=-1)
-    z = _rmul(z, col.left.swapaxes(-1, -2)).reshape(shape)
+    ``r = Q^T [Y | X]`` and ``r_partner`` (``_stacked_coordinates``), both
+    batched like the plan, where ``Q`` is the row operator's real factor (its
+    right factor is ``Q^T`` at every order). With the row rotation ``R``,
+    ``[Yhat | Xhat] = Q Z`` and ``Z = R r (I_2 kron C^T)``; returns
+    ``(Z, [Yhat | Xhat], Yhat, Xhat)``, batched like the plan, the first two
+    ``(..., n1, 2 n2)``. The product with ``Q`` is one real GEMM per lane."""
+    row, (n1, n2) = plan.row_op, plan.shape
+    # R r is left unnamed, so the column operator frees it early
+    z = plan.col_op.apply_right_transpose(row.mix(r, row.rotation, gathered=r_partner).reshape(
+        *r.shape[:-2], 2 * n1, n2)).reshape(r.shape)
     yx = _lmul(row.left, z)
     return z, yx, yx[..., :n2], yx[..., n2:]
 
