@@ -11,40 +11,49 @@ Exit codes: 0 success, 1 invariant failure, 2 configuration error,
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
-import numbers
 import os
 import sys
+from dataclasses import MISSING
 
 import numpy as np
 
 from . import io as fio
-from .errors import ConfigError, FracspecError, MarginViolationError
-from .graphs import MATERIALIZE_CAP
-from .harness import BenchmarkConfig, GraphSpec, add_awgn, run_benchmark, synth_signal
+from .errors import ConfigError, FracspecError, MarginViolationError, read_config, with_default
+from .harness import (BENCHMARK, GRAPH_SPEC, BenchmarkConfig, GraphSpec, add_awgn, run_benchmark,
+                      synth_signal)
 from .operators import dfrft_matrix, eigendecompose, graph_frft
-from .transforms import TimeVertexSignal, TransformContext, forward, inverse
-from .wiener import DEFAULT_LAMBDA_GRID, TrainConfig, lambda_grid_search, denoise, train
+from .transforms import FAMILIES, TimeVertexSignal, TransformContext, forward, inverse
+from .wiener import lambda_grid_search, denoise, train
 from .properties import verify_properties
 
 __all__ = ["main"]
 
 
-#: top-level keys of a ``gen`` config
-_GEN_KEYS = ("spatial", "n2", "bandwidth", "sigma", "seed")
-#: top-level keys of a ``transform`` config
-_TRANSFORM_KEYS = ("spatial", "temporal", "family", "orders", "lambda")
-#: top-level keys of a ``denoise`` config; the orders are learned, not given
-_DENOISE_KEYS = ("spatial", "temporal", "family", "lambda", "lambda_grid", "train")
-#: top-level keys of a ``dump-operator`` config besides ``kind``, per operator kind
-_DUMP_KEYS = {"dfrft": ("n", "order"), "gft": ("graph",), "graph_frft": ("graph", "order"),
-              "geodesic_temporal": ("temporal", "order", "lambda")}
+#: a required graph spec
+_SPEC = (GraphSpec, MISSING, GRAPH_SPEC)
+#: the keys that transform and denoise share; only the gcgfrft family reads "lambda"
+_RUN = {"spatial": _SPEC, "temporal": _SPEC, "family": (str, "gcgfrft", FAMILIES),
+        "lambda": (float, None, "[0, 1]", None, "coupling parameter must be a number in [0, 1]")}
+#: the config table of each ``dump-operator`` kind
+_DUMP = {"dfrft": {"n": with_default(GRAPH_SPEC["n"], MISSING), "order": (float, 1.0)},
+         "gft": {"graph": _SPEC}, "graph_frft": {"graph": _SPEC, "order": (float, 1.0)},
+         "geodesic_temporal": {"temporal": _SPEC, "order": (float, 0.5),
+                               "lambda": with_default(_RUN["lambda"], 0.5)}}
+#: the config table of each command (see ``errors.read_config``)
+TABLES = {
+    "gen": {"spatial": BENCHMARK["spatial"], "n2": with_default(GRAPH_SPEC["n"], 10),
+            "bandwidth": BENCHMARK["bandwidth"], "sigma": (float, 0.0, "[0, inf)"),
+            "seed": GRAPH_SPEC["seed"]},
+    "transform": {**_RUN, "orders": ((float, [float]), (0.5, 0.5))},
+    "denoise": {**_RUN, "lambda_grid": BENCHMARK["lambda_grid"], "train": BENCHMARK["train"]},
+    "benchmark": BENCHMARK,
+    **{f"dump-operator {kind}": table for kind, table in _DUMP.items()},
+}
 
 
-def _load_config(path: str | None, allowed=None) -> dict:
-    """Read a JSON config object. With ``allowed``, any other top-level key
-    is a configuration error rather than a silently ignored setting."""
+def _load_config(path: str | None) -> dict:
+    """The JSON object in the file ``path``; none is an empty one."""
     if path is None:
         return {}
     try:
@@ -54,68 +63,26 @@ def _load_config(path: str | None, allowed=None) -> dict:
         raise ConfigError(f"cannot read config {path}: {err}") from err
     if not isinstance(cfg, dict):
         raise ConfigError(f"config {path} must hold a JSON object")
-    if allowed is not None:
-        _refuse_unknown(cfg, allowed, path)
     return cfg
 
 
-def _refuse_unknown(cfg: dict, allowed, path: str | None) -> None:
-    unknown = sorted(set(cfg) - set(allowed))
-    if unknown:
-        raise ConfigError(f"unknown config key(s) {', '.join(map(repr, unknown))} in {path}; "
-                          f"expected some of {', '.join(allowed)}")
-
-
-def _number(cfg: dict, key: str, default) -> float:
-    """``cfg[key]``, or ``default`` when it is absent, as a finite JSON number."""
-    value = cfg.get(key, default)
-    if isinstance(value, bool) or not isinstance(value, numbers.Real) \
-            or not abs(value) <= sys.float_info.max:
-        raise ConfigError(f"{key!r} must be a finite number, got {value!r}")
-    return float(value)
-
-
-def _integer(cfg: dict, key: str, default, cap: int | None = None) -> int:
-    """``cfg[key]``, or ``default`` when it is absent, as a JSON integer; a
-    size above ``cap`` is refused before anything of that size is allocated."""
-    value = cfg.get(key, default)
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ConfigError(f"{key!r} must be an integer, got {value!r}")
-    if cap is not None and value > cap:
-        raise ConfigError(f"{key!r} of {value} exceeds the cap of {cap} for a dense operator")
-    return value
-
-
 def _context_from_config(cfg: dict) -> TransformContext:
-    try:
-        spatial = GraphSpec.from_dict(cfg["spatial"]).build()
-        temporal = GraphSpec.from_dict(cfg["temporal"]).build()
-    except KeyError as err:
-        raise ConfigError(f"config is missing the {err} graph spec") from err
-    return TransformContext(spatial, temporal)
-
-
-def _coupling_value(cfg: dict, family: str):
-    """The config's ``lambda``; only the gcgfrft family reads one."""
-    lam = cfg.get("lambda")
-    if lam is not None and family != "gcgfrft":
-        raise ConfigError(f"'lambda' applies to the gcgfrft family only, not to {family!r}")
-    return lam
+    if cfg["lambda"] is not None and cfg["family"] != "gcgfrft":
+        raise ConfigError(f"'lambda' applies to the gcgfrft family only, not to {cfg['family']!r}")
+    return TransformContext(cfg["spatial"].build(), cfg["temporal"].build())
 
 
 def _cmd_gen(args) -> int:
-    cfg = _load_config(args.config, allowed=_GEN_KEYS)
-    spatial = GraphSpec.from_dict(cfg["spatial"]) if "spatial" in cfg else BenchmarkConfig.spatial
-    n2 = _integer(cfg, "n2", 10, cap=MATERIALIZE_CAP)
-    bandwidth = _number(cfg, "bandwidth", 0.3)
-    sigma = _number(cfg, "sigma", 0.0)
-    seed = args.seed if args.seed is not None else _integer(cfg, "seed", 0)
+    raw = _load_config(args.config)
+    cfg = read_config(TABLES["gen"], raw)
+    bandwidth, sigma = float(cfg["bandwidth"]), float(cfg["sigma"])
+    seed = args.seed if args.seed is not None else cfg["seed"]
     out = args.out or "."
     os.makedirs(out, exist_ok=True)
 
-    g1 = spatial.build()
-    x = synth_signal(g1, n2, bandwidth=bandwidth, seed=seed)
-    meta = {"bandwidth": bandwidth, "seed": seed, "spatial": cfg.get("spatial"), "sigma": sigma}
+    g1 = cfg["spatial"].build()
+    x = synth_signal(g1, cfg["n2"], bandwidth=bandwidth, seed=seed)
+    meta = {"bandwidth": bandwidth, "seed": seed, "spatial": raw.get("spatial"), "sigma": sigma}
     fio.write_signal(x.as_real(), os.path.join(out, "clean.csv"), meta=meta)
     if sigma > 0:
         y = add_awgn(x, sigma, seed=seed + 1)
@@ -125,14 +92,11 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_transform(args) -> int:
-    cfg = _load_config(args.config, allowed=_TRANSFORM_KEYS)
+    cfg = read_config(TABLES["transform"], _load_config(args.config))
     ctx = _context_from_config(cfg)
-    family = cfg.get("family", "gcgfrft")
-    orders = cfg.get("orders", [0.5, 0.5])
-    lam = _coupling_value(cfg, family)
+    family, orders, lam = cfg["family"], cfg["orders"], cfg["lambda"]
     plan = ctx.plan(family, orders, lam=lam)
-    data, _ = fio.read_signal(args.signal)
-    sig = TimeVertexSignal.from_array(data)
+    sig = TimeVertexSignal.from_array(fio.read_signal(args.signal)[0])
     result = inverse(plan, sig) if args.inverse else forward(plan, sig)
     out = args.out or "transformed.csv"
     fio.write_signal(result.data, out,
@@ -143,21 +107,19 @@ def _cmd_transform(args) -> int:
 
 
 def _cmd_denoise(args) -> int:
-    cfg = _load_config(args.config, allowed=_DENOISE_KEYS)
-    ctx = _context_from_config(cfg)
-    family = cfg.get("family", "gcgfrft")
-    lam = _coupling_value(cfg, family)
-    if cfg.get("lambda_grid") is not None and (family != "gcgfrft" or lam is not None):
+    raw = _load_config(args.config)
+    cfg = read_config(TABLES["denoise"], raw)
+    family, lam, train_cfg = cfg["family"], cfg["lambda"], cfg["train"]
+    if "lambda_grid" in raw and (family != "gcgfrft" or lam is not None):
         raise ConfigError("'lambda_grid' applies to the gcgfrft family without a 'lambda' only")
-    train_cfg = TrainConfig.from_dict(cfg.get("train", {}))
+    ctx = _context_from_config(cfg)
     y = TimeVertexSignal.from_array(fio.read_signal(args.noisy)[0])
     x = TimeVertexSignal.from_array(fio.read_signal(args.clean)[0])
     out = args.out or "."
     os.makedirs(out, exist_ok=True)
 
     if family == "gcgfrft" and lam is None:
-        grid = cfg.get("lambda_grid", DEFAULT_LAMBDA_GRID)
-        _, params, table = lambda_grid_search(y, x, grid, train_cfg, ctx)
+        _, params, table = lambda_grid_search(y, x, cfg["lambda_grid"], train_cfg, ctx)
         with open(os.path.join(out, "grid.csv"), "w") as fh:
             fh.write("lambda,loss,alpha,beta,status\n")
             for row in table:
@@ -180,36 +142,11 @@ def _cmd_denoise(args) -> int:
 
 
 def _cmd_benchmark(args) -> int:
-    cfg = _load_config(args.config,
-                       allowed=tuple(f.name for f in dataclasses.fields(BenchmarkConfig)))
-    kwargs = {}
-    if "spatial" in cfg:
-        kwargs["spatial"] = GraphSpec.from_dict(cfg["spatial"])
-    if "temporal" in cfg:
-        kwargs["temporal"] = GraphSpec.from_dict(cfg["temporal"])
-    for key in ("sigma_list", "lambda_grid", "families", "seeds"):
-        if key in cfg:
-            try:
-                kwargs[key] = tuple(cfg[key])
-            except TypeError as err:
-                raise ConfigError(f"{key!r} must be a list: {err}") from err
-    if "train" in cfg:
-        kwargs["train"] = TrainConfig.from_dict(cfg["train"])
-    for key in ("bandwidth", "persist_estimates"):
-        if key in cfg:
-            kwargs[key] = cfg[key]
-    output_dir = cfg.get("output_dir", "benchmark_out")
-    if not isinstance(output_dir, str) or not output_dir:
-        raise ConfigError(f"'output_dir' must be a nonempty path, got {output_dir!r}")
-    kwargs["output_dir"] = args.out or output_dir
-    try:
-        bench = BenchmarkConfig(**kwargs)
-    except TypeError as err:
-        raise ConfigError(str(err)) from err
+    cfg = read_config(BENCHMARK, _load_config(args.config), "benchmark config")
+    bench = BenchmarkConfig(**{**cfg, "output_dir": args.out or cfg["output_dir"] or "benchmark_out"})
     report = run_benchmark(bench)
     bad = [r for r in report.rows if r.status != "ok"]
-    print(f"wrote {kwargs['output_dir']}/report.csv ({len(report.rows)} rows, "
-          f"{len(bad)} failed)")
+    print(f"wrote {bench.output_dir}/report.csv ({len(report.rows)} rows, {len(bad)} failed)")
     return 0
 
 
@@ -225,23 +162,18 @@ def _cmd_verify(args) -> int:
 
 def _cmd_dump_operator(args) -> int:
     cfg = _load_config(args.config)
-    kind = cfg.get("kind", "dfrft")
-    if not isinstance(kind, str) or kind not in _DUMP_KEYS:
-        raise ConfigError(f"unknown operator kind {kind!r}; "
-                          f"expected one of {', '.join(_DUMP_KEYS)}")
-    _refuse_unknown(cfg, ("kind", *_DUMP_KEYS[kind]), args.config)
+    kind = cfg.pop("kind", "dfrft")
+    if not isinstance(kind, str) or kind not in _DUMP:
+        raise ConfigError(f"unknown operator kind {kind!r}; expected one of {', '.join(_DUMP)}")
+    cfg = read_config(_DUMP[kind], cfg)
     if kind == "dfrft":
-        n = _integer(cfg, "n", None, cap=MATERIALIZE_CAP)
-        matrix = dfrft_matrix(n, _number(cfg, "order", 1.0)).matrix
+        matrix = dfrft_matrix(cfg["n"], cfg["order"]).matrix
     elif kind in ("gft", "graph_frft"):
-        basis = eigendecompose(GraphSpec.from_dict(cfg["graph"]).build())
-        order = 1.0 if kind == "gft" else _number(cfg, "order", 1.0)
-        matrix = graph_frft(basis, order).matrix
+        basis = eigendecompose(cfg["graph"].build())
+        matrix = graph_frft(basis, cfg.get("order", 1.0)).matrix
     else:
-        ctx = _context_from_config({"spatial": cfg["temporal"], "temporal": cfg["temporal"]})
-        plan = ctx.plan("gcgfrft", (0.0, _number(cfg, "order", 0.5)),
-                        lam=_number(cfg, "lambda", 0.5))
-        matrix = plan.col_op.matrix
+        ctx = TransformContext(cfg["temporal"].build(), cfg["temporal"].build())
+        matrix = ctx.plan("gcgfrft", (0.0, cfg["order"]), lam=cfg["lambda"]).col_op.matrix
     out = args.out or "operator.csv"
     fio.write_operator_csv(matrix, out)
     print(f"wrote {out}")

@@ -12,19 +12,18 @@ contract).
 from __future__ import annotations
 
 import math
-import numbers
 import time
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, dataclass_table, read_config
 from .graphs import MATERIALIZE_CAP, Graph, knn_graph, path_graph
 from .operators import SpectralBasis, eigendecompose
 from .transforms import FAMILIES, TimeVertexSignal, TransformContext
-from .wiener import (DEFAULT_LAMBDA_GRID, FilterParams, TrainConfig, _grid_failure, _train_lanes,
-                     closed_form_h, denoise)
+from .wiener import (DEFAULT_LAMBDA_GRID, LAMBDA_GRID, TRAIN, FilterParams, TrainConfig,
+                     _grid_failure, _train_lanes, closed_form_h, denoise)
 
 __all__ = [
     "Metrics",
@@ -143,13 +142,11 @@ class GraphSpec:
     file: str | None = None
     points: tuple | None = None
 
+    def __post_init__(self):
+        read_config(GRAPH_SPEC, self, "graph spec")
+
     def build(self) -> Graph:
-        """The graph; a field of the wrong type, or a missing one, is a
-        configuration error."""
-        if self.kind in ("path", "knn_random") and isinstance(self.n, numbers.Real) \
-                and self.n > MATERIALIZE_CAP:
-            raise ConfigError(f"a {self.kind} graph of {self.n} nodes exceeds the cap of "
-                              f"{MATERIALIZE_CAP} nodes for a dense adjacency")
+        """The graph; a field its kind needs but the spec lacks is a configuration error."""
         try:
             if self.kind == "path":
                 return path_graph(self.n)
@@ -160,31 +157,22 @@ class GraphSpec:
                 from .io import read_points_csv
                 pts = np.asarray(self.points) if self.points is not None else read_points_csv(self.file)
                 return knn_graph(pts, self.k)
-            if self.kind == "edge_list":
-                from .io import read_edge_list_csv
-                return read_edge_list_csv(self.file)
+            from .io import read_edge_list_csv
+            return read_edge_list_csv(self.file)
         except TypeError as err:
             raise ConfigError(f"bad {self.kind!r} graph spec: {err}") from err
-        raise ConfigError(f"unknown graph spec kind {self.kind!r}")
 
     @classmethod
     def from_dict(cls, d: dict) -> "GraphSpec":
-        if not isinstance(d, dict):
-            raise ConfigError(f"a graph spec must be a JSON object, got {d!r}")
-        allowed = {"kind", "n", "k", "seed", "file", "points"}
-        unknown = set(d) - allowed
-        if unknown:
-            raise ConfigError(f"unknown graph spec fields {sorted(unknown)}")
-        seed = d.get("seed", 0)
-        if not isinstance(seed, numbers.Integral) or isinstance(seed, bool):
-            raise ConfigError(f"a graph spec seed must be an integer, got {seed!r}")
-        d = dict(d)
-        try:
-            if "points" in d and d["points"] is not None:
-                d["points"] = tuple(tuple(p) for p in d["points"])
-            return cls(**d)
-        except TypeError as err:
-            raise ConfigError(f"bad graph spec: {err}") from err
+        """Build from a JSON mapping checked against ``GRAPH_SPEC``."""
+        return cls(**read_config(GRAPH_SPEC, d, "graph spec"))
+
+
+#: the config table of ``GraphSpec`` (see ``errors.read_config``)
+GRAPH_SPEC = dataclass_table(GraphSpec, kind=(str, ..., ("path", "knn_random", "knn", "edge_list")),
+                             n=(int, ..., "[2, inf)", (MATERIALIZE_CAP, "nodes")),
+                             k=(int, ..., "[1, inf)"), seed=(int, ..., "[0, inf)"),
+                             file=(str, ...), points=([[float]], ...))
 
 
 @dataclass(frozen=True)
@@ -201,27 +189,16 @@ class BenchmarkConfig:
     persist_estimates: bool = False
 
     def __post_init__(self):
-        if not all(isinstance(s, numbers.Integral) and not isinstance(s, bool) for s in self.seeds):
-            raise ConfigError(f"seeds must be integers, got {self.seeds}")
-        values = (*self.sigma_list, *self.lambda_grid, self.bandwidth)
-        if not all(isinstance(v, numbers.Real) and not isinstance(v, bool) for v in values):
-            raise ConfigError("noise levels, coupling values and the bandwidth must be numbers")
-        if not self.families:
-            raise ConfigError("at least one transform family is required")
-        unknown = set(self.families) - set(FAMILIES)
-        if unknown:
-            raise ConfigError(f"unknown families {sorted(unknown)}")
-        if not self.seeds:
-            raise ConfigError("at least one seed is required")
-        if any(s < 0 for s in self.sigma_list):
-            raise ConfigError("noise levels must be nonnegative")
-        if not self.lambda_grid:
-            raise ConfigError("the coupling grid must be nonempty")
-        if any(not 0.0 <= lam <= 1.0 for lam in self.lambda_grid):
-            raise ConfigError("coupling grid values must lie in [0, 1]")
-        if not isinstance(self.persist_estimates, bool):
-            raise ConfigError(
-                f"persist_estimates must be true or false, got {self.persist_estimates!r}")
+        read_config(BENCHMARK, self, "benchmark config")
+
+
+#: the config table of ``BenchmarkConfig`` (see ``errors.read_config``)
+BENCHMARK = dataclass_table(BenchmarkConfig, spatial=(GraphSpec, ..., GRAPH_SPEC),
+                            temporal=(GraphSpec, ..., GRAPH_SPEC),
+                            sigma_list=({float}, ..., "[0, inf)"), lambda_grid=LAMBDA_GRID,
+                            families=({str}, ..., FAMILIES), train=(TrainConfig, ..., TRAIN),
+                            seeds=({int}, ..., "[0, inf)"), bandwidth=(float, ..., "(0, 1]"),
+                            output_dir=(str, ...), persist_estimates=(bool, ...))
 
 
 @dataclass(frozen=True)

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coupling import _coupling_parameter
-from .errors import ConfigError, MarginViolationError
+from .errors import ConfigError, MarginViolationError, dataclass_table, read_config
 from .operators import _lmul
 from .transforms import FAMILIES, TimeVertexSignal, TransformContext, TransformPlan
 
@@ -46,6 +46,8 @@ __all__ = [
 DEAD_BIN_REL_TOL = 1e-14
 #: coupling values a grid search tries when none are given
 DEFAULT_LAMBDA_GRID = tuple(round(0.1 * i, 1) for i in range(11))
+#: the config entry of a grid of coupling values (see ``errors.read_config``)
+LAMBDA_GRID = ({float}, DEFAULT_LAMBDA_GRID, "[0, 1]")
 
 
 @dataclass
@@ -89,14 +91,7 @@ class TrainConfig:
     optimizer: str = "gd"
 
     def __post_init__(self):
-        if any(isinstance(v, bool) for v in (self.lr_orders, self.lr_filter, self.epochs)):
-            raise ConfigError(f"learning rates and epochs must be numbers, not booleans: {self}")
-        if self.lr_orders < 0 or self.lr_filter < 0:
-            raise ConfigError("learning rates must be nonnegative")
-        if int(self.epochs) != self.epochs or self.epochs < 1:
-            raise ConfigError(f"epochs must be a positive integer, got {self.epochs}")
-        if self.optimizer not in ("gd", "adam"):
-            raise ConfigError(f"unknown optimizer {self.optimizer!r}")
+        read_config(TRAIN, self, "train config")
 
     @classmethod
     def adam(cls, **overrides) -> "TrainConfig":
@@ -106,12 +101,18 @@ class TrainConfig:
 
     @classmethod
     def from_dict(cls, d) -> "TrainConfig":
-        """Build from a JSON mapping; an unknown key or a value of the wrong
-        type is a configuration error."""
-        try:
-            return cls(**d)
-        except TypeError as err:
-            raise ConfigError(f"bad train config: {err}") from err
+        """Build from a JSON mapping checked against ``TRAIN``."""
+        return cls(**read_config(TRAIN, d, "train config"))
+
+
+#: the most epochs a train config may ask for: a recorded trace holds
+#: (3, epochs, lanes) floats, 25 MiB for an 11-lane grid at the cap
+EPOCH_CAP = 100_000
+#: the config table of ``TrainConfig`` (see ``errors.read_config``)
+TRAIN = dataclass_table(TrainConfig, lr_orders=(float, ..., "[0, inf)"),
+                        lr_filter=(float, ..., "[0, inf)"),
+                        epochs=(int, ..., "[1, inf)", (EPOCH_CAP, "epochs")),
+                        optimizer=(str, ..., ("gd", "adam")))
 
 
 @dataclass(frozen=True)
@@ -424,16 +425,10 @@ def lambda_grid_search(y: TimeVertexSignal, x_true: TimeVertexSignal, grid,
     last evaluation, at the final parameters. Grid points whose coupling
     margin fails, in training or at the final orders, are recorded in the
     table and skipped; if every point fails, the margin error is re-raised as
-    an aggregate failure.
+    an aggregate failure. The grid must meet ``LAMBDA_GRID``.
     """
-    try:
-        grid = [float(g) for g in grid]
-    except TypeError as err:
-        raise ConfigError(f"the coupling grid must be a list of numbers, got {grid!r}") from err
-    if not grid:
-        raise ConfigError("the coupling grid must be nonempty")
-    if any(not 0.0 <= g <= 1.0 for g in grid):
-        raise ConfigError("coupling grid values must lie in [0, 1]")
+    grid = [float(lam) for lam in read_config(
+        {"grid": LAMBDA_GRID}, {"grid": list(grid) if np.iterable(grid) else grid})["grid"]]
 
     table = []
     for lam, (params, trace, final) in zip(

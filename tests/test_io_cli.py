@@ -1,18 +1,20 @@
 import contextlib
+import dataclasses
 import io
 import json
+import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fracspec import (
-    FAMILIES,
     FilterParams,
     GraphSpec,
     TimeVertexSignal,
@@ -28,8 +30,13 @@ from fracspec import (
     train,
 )
 from fracspec import io as fio
-from fracspec.cli import main
-from fracspec.graphs import MATERIALIZE_CAP
+from fracspec.cli import TABLES, main
+from fracspec.errors import interval
+from fracspec.harness import GRAPH_SPEC
+from fracspec.wiener import TRAIN
+
+#: the kinds of ``dump-operator``
+OPERATOR_KINDS = [name.split()[1] for name in TABLES if name.startswith("dump-operator")]
 
 
 class TestGraphFiles:
@@ -140,72 +147,126 @@ class TestReaderFuzz:
             assert run_transform(tmp, {"kind": "knn", "file": path, "k": 1})[0] in (0, 2)
 
 
-# JSON values of the wrong type, for any config entry
-ODD = st.one_of(st.none(), st.booleans(), st.sampled_from(["", "x", "0.5"]),
-                st.lists(st.integers(0, 1), max_size=2),
-                st.dictionaries(st.sampled_from(["a", "n"]), st.integers(0, 2), max_size=1))
-NUMBER = st.one_of(st.integers(-1, 2), st.floats(-0.5, 1.5))
-# a graph spec with a kind and some of its size fields, or no object at all
-GRAPH_SPEC = st.one_of(st.fixed_dictionaries(
-    {"kind": st.one_of(st.sampled_from(["path", "knn_random", "knn", "edge_list", "x"]), ODD)},
-    optional={"n": st.one_of(st.integers(-1, 5), ODD), "k": st.one_of(st.integers(-1, 3), ODD)}),
-    ODD)
-# well-formed 3 x 4 graphs, one of which a generated spec replaces now and then
+# JSON values that no config entry accepts: a null, and an object with a key
+# that no nested table reads
+NEVER = st.one_of(st.none(), st.just({"a": 1}))
+NON_FINITE = st.sampled_from([float("nan"), float("inf"), -float("inf")])
+TEXT = st.sampled_from(["", "x", "0.5"])
+#: how far above its lower bound a good integer goes where it is not 4:
+#: graphs of at most 6 nodes and at most 2 epochs keep every valid run quick
+SPAN = {"epochs": 1}
+#: every key that some table reads
+ALL_KEYS = sorted({key for table in (*TABLES.values(), GRAPH_SPEC, TRAIN) for key in table})
+# well-formed 3 x 4 graphs, which a generated spec replaces now and then
 GRAPHS = {"spatial": {"kind": "knn_random", "n": 3, "k": 1}, "temporal": {"kind": "path", "n": 4}}
-#: the keys each command reads besides the graphs: required, then optional
-RUN_KEYS = {
-    "transform": ({}, {"orders": st.one_of(NUMBER, st.lists(st.one_of(NUMBER, ODD), max_size=3), ODD)}),
-    "denoise": ({"train": st.just({"epochs": 1})},
-                {"lambda_grid": st.one_of(st.lists(st.one_of(NUMBER, ODD), max_size=3), ODD)}),
-}
+#: the base of a run config: the graphs and a train config, never the
+#: default 200 epochs
+RUN_BASE = {**GRAPHS, "train": {"epochs": 1}}
 
 
-def run_config(command):
-    """Configs of ``command``: well-formed graphs, one of which a generated
-    spec replaces now and then, and generated values of the keys it reads."""
-    required, optional = RUN_KEYS[command]
-    return st.builds(
-        lambda graphs, run: {**GRAPHS, **graphs, **run},
-        st.one_of(st.just({}), st.dictionaries(st.sampled_from(sorted(GRAPHS)), GRAPH_SPEC,
-                                               min_size=1, max_size=1)),
-        st.fixed_dictionaries(
-            required,
-            optional={"family": st.sampled_from([*FAMILIES, "x", None, 1, [], {}]),
-                      "lambda": st.one_of(NUMBER, ODD), **optional}))
+def bounds(rng):
+    """``errors.interval`` of a range; an unbounded number gets a small
+    interval."""
+    return (-2.0, 2.0, False, False) if rng is None else interval(rng)
 
 
-# sizes above the dense cap, which no command may start to allocate
-SIZE = st.one_of(st.integers(-1, 6), st.integers(MATERIALIZE_CAP + 1, 10**12), ODD)
-#: generated values of the ``gen`` and ``dump-operator`` keys
-VALUES = {"spatial": GRAPH_SPEC, "graph": GRAPH_SPEC, "temporal": GRAPH_SPEC,
-          "n2": SIZE, "n": SIZE, "seed": st.one_of(st.integers(-1, 2**70), ODD),
-          **{key: st.one_of(NUMBER, ODD) for key in ("bandwidth", "sigma", "order", "lambda")}}
-#: the keys each ``dump-operator`` kind reads besides ``kind``
-DUMP_KINDS = {"dfrft": ("n", "order"), "gft": ("graph",), "graph_frft": ("graph", "order"),
-              "geodesic_temporal": ("temporal", "order", "lambda")}
-GEN_CONFIG = st.fixed_dictionaries({}, optional={
-    **{key: VALUES[key] for key in ("spatial", "n2", "bandwidth", "sigma", "seed")},
-    "sigmaa": NUMBER})
+def slots(entry):
+    """``(kind, range, cap)`` of a table entry."""
+    kind, _, rng, cap, _ = (*entry, None, None, None)[:5]
+    return kind, rng, cap
 
 
-def dump_kind_keys(cfg):
-    """The keys a ``dump-operator`` config may hold, by its kind."""
-    kind = cfg.get("kind", "dfrft")
-    return ("kind", *DUMP_KINDS[kind]) if isinstance(kind, str) and kind in DUMP_KINDS else ()
+def good(entry, key):
+    """Values the entry accepts, small enough to run in milliseconds."""
+    kind, rng, cap = slots(entry)
+    if isinstance(kind, tuple):
+        return st.one_of(good((kind[0], None, rng), key), good((kind[1], None, rng), key))
+    if isinstance(kind, (list, set)):
+        return st.lists(good((next(iter(kind)), None, rng), key), min_size=1, max_size=3,
+                        unique=isinstance(kind, set))
+    if dataclasses.is_dataclass(kind):
+        return config(rng, refuse=False).map(lambda case: case[0])
+    if kind is bool:
+        return st.booleans()
+    if kind is str:
+        return st.sampled_from(rng) if rng else st.just("x")
+    lo, hi, lo_open, hi_open = bounds(rng)
+    if kind is int:
+        lo = int(lo) + lo_open
+        return st.integers(lo, min(hi, lo + SPAN.get(key, 4)))
+    return st.floats(lo, min(hi, lo + 2.0), exclude_min=lo_open, exclude_max=hi_open and hi <= lo + 2)
+
+
+def bad(entry, key):
+    """Values the entry refuses."""
+    kind, rng, cap = slots(entry)
+    if dataclasses.is_dataclass(kind):
+        return st.one_of(NEVER, st.booleans(), TEXT, st.just([]),
+                         config(rng, refuse=True).map(lambda case: case[0]))
+    if isinstance(kind, (tuple, list, set)):
+        item = (kind[0] if isinstance(kind, tuple) else next(iter(kind)), None, rng, cap)
+        wrong = [NEVER, st.booleans(), st.just([]), st.lists(bad(item, key), min_size=1, max_size=2),
+                 bad(item, key) if isinstance(kind, tuple) else st.sampled_from(["x", 1])]
+        if isinstance(kind, set):
+            wrong.append(good(item, key).map(lambda v: [v, v]))
+        return st.one_of(wrong)
+    wrong = [NEVER]
+    if kind is not bool:
+        wrong.append(st.booleans())
+    if kind is str:
+        wrong += [st.just(""), st.integers(0, 1)] + ([st.just("x")] if rng else [])
+    else:
+        wrong.append(TEXT)
+    if kind is bool:
+        wrong.append(st.integers(0, 1))
+    if kind in (int, float):
+        wrong += [NON_FINITE, st.just(2.0 if kind is int else 10**400)]
+        lo, hi, _, _ = bounds(rng)
+        wrong += [st.just(int(lo) - 1)] * (rng is not None and lo > -math.inf)
+        wrong += [st.just(hi + 1)] * (rng is not None and hi < math.inf)
+    if cap is not None:
+        wrong.append(st.integers(cap[0] + 1, 10**12))
+    return st.one_of(wrong)
+
+
+@st.composite
+def config(draw, table, refuse=None, base=None):
+    """A config of ``table`` and whether the table refuses it. A required
+    key, ``epochs`` and a key of ``base`` are always present, the latter
+    mostly with its value there; any other key now and then. With
+    ``refuse`` None, now and then one value is bad or a key that the table
+    does not read is added; True makes that so, False never."""
+    base = base or {}
+    keys = [key for key, entry in table.items()
+            if entry[1] is dataclasses.MISSING or key == "epochs" or key in base or draw(st.booleans())]
+    if refuse is None:
+        refuse = draw(st.integers(0, 3)) == 0
+    target = draw(st.sampled_from([*keys, None])) if refuse else ()
+    cfg = {}
+    for key in keys:
+        if key == target:
+            cfg[key] = draw(bad(table[key], key))
+        elif key in base and draw(st.integers(0, 3)) > 0:
+            cfg[key] = base[key]
+        else:
+            cfg[key] = draw(good(table[key], key))
+    if target is None:
+        cfg[draw(st.sampled_from([key for key in ALL_KEYS if key not in table] or ["x"]))] = 0
+    return cfg, refuse
 
 
 @st.composite
 def dump_config(draw):
-    """A ``dump-operator`` config: a kind (mostly a known one, else absent
-    or malformed), generated values of the keys that kind reads, and now and
-    then a key it does not read."""
-    cfg = draw(st.one_of(st.sampled_from([{"kind": kind} for kind in DUMP_KINDS] + [{}]),
-                         st.fixed_dictionaries({"kind": st.one_of(st.just("x"), ODD)})))
-    keys = dump_kind_keys(cfg)
-    cfg.update(draw(st.fixed_dictionaries({}, optional={k: VALUES[k] for k in keys[1:]})))
-    others = sorted({"mode", *(k for ks in DUMP_KINDS.values() for k in ks)} - set(keys))
-    cfg.update(draw(st.dictionaries(st.sampled_from(others), NUMBER, max_size=1)))
-    return cfg
+    """A ``dump-operator`` config: a known kind, none (dfrft) or a malformed
+    one, and a generated config of that kind's table."""
+    kind = draw(st.one_of(st.sampled_from([*OPERATOR_KINDS, None]),
+                          st.sampled_from(["x", ["dfrft"], 1])))
+    known = kind is None or kind in OPERATOR_KINDS
+    cfg, refused = draw(config(TABLES[f"dump-operator {kind or 'dfrft'}"] if known else {}))
+    if kind is not None:
+        # a "kind" key drawn as a key the table does not read replaces it
+        cfg = {"kind": kind, **cfg}
+    return cfg, refused or not known
 
 
 def one_line_error(code, err):
@@ -214,38 +275,102 @@ def one_line_error(code, err):
     return err == "" if code == 0 else err.count("\n") == 1 and "Traceback" not in err
 
 
-class TestConfigFuzz:
-    """Generated configs through the CLI: every config ends in a documented
-    exit code, never in an exception."""
+NAN = float("nan")
+BENCH = {**GRAPHS, "families": ["gbfrft2d"], "lambda_grid": [0.0], "seeds": [0],
+         "sigma_list": [0.5], "train": {"epochs": 1}}
+#: configs that the table refuses and that the CLI once ran or let raise,
+#: tried before any generated config
+PINNED = {
+    "transform": [{**GRAPHS, "family": "gbfrft2d", "orders": [True, 0.5]},
+                  {**GRAPHS, "family": "gcgfrft", "lambda": True},
+                  {**GRAPHS, "family": "gbfrft2d", "orders": [NAN, 0.5]}],
+    "denoise": [{**GRAPHS, "train": {"epochs": 2.0}},
+                {**GRAPHS, "train": {"epochs": 1, "lr_filter": NAN}},
+                {**GRAPHS, "lambda_grid": [True], "train": {"epochs": 1}},
+                {**GRAPHS, "lambda_grid": "0", "train": {"epochs": 1}}],
+    "benchmark": [{**BENCH, "families": ["gbfrft2d", "gbfrft2d"]}, {**BENCH, "sigma_list": []},
+                  {**BENCH, "train": {"epochs": 2.0}}, {**BENCH, "seeds": [0, 0]}],
+}
 
-    @pytest.mark.parametrize("command", ["transform", "denoise"])
-    def test_run_config(self, command):
-        @settings(max_examples=50, deadline=None)
-        @given(cfg=run_config(command))
-        def check(cfg):
-            with tempfile.TemporaryDirectory() as tmp:
-                assert run_cli(tmp, command, cfg)[0] in (0, 2, 3)
-        check()
 
-    @settings(max_examples=50, deadline=None)
-    @given(cfg=GEN_CONFIG)
-    def test_gen_config(self, cfg):
+def fuzz(command, strategy, codes=(0, 2, 3), margin=lambda cfg: True):
+    """A hypothesis test of ``command`` under generated configs, the pinned
+    ones first: every config ends in one of ``codes`` with a one-line error,
+    one that its table refuses ends in a configuration error, and exit 3 only
+    for a config that ``margin`` accepts."""
+    def check(case):
+        cfg, refused = case
         with tempfile.TemporaryDirectory() as tmp:
-            code, err = run_cli(tmp, "gen", cfg)
-        assert code in (0, 2) and one_line_error(code, err)
-
-    @settings(max_examples=50, deadline=None)
-    @given(cfg=dump_config())
-    def test_dump_operator_config(self, cfg):
-        # exit 3 is the documented code of a geodesic operator whose
-        # coupling has an eigenphase at the branch cut (a 2-node path)
-        with tempfile.TemporaryDirectory() as tmp:
-            code, err = run_cli(tmp, "dump-operator", cfg)
-        assert code in (0, 2, 3) and one_line_error(code, err)
-        if code == 3:
-            assert cfg["kind"] == "geodesic_temporal" and err.startswith("coupling margin violated")
-        if not set(cfg) <= set(dump_kind_keys(cfg)):
+            code, err = run_cli(tmp, command, cfg)
+        assert code in codes and one_line_error(code, err)
+        if refused:
             assert code == 2 and err.startswith("configuration error")
+        if code == 3:
+            # the documented code of a geodesic coupling with an eigenphase
+            # at the branch cut (a 2-node temporal path)
+            assert margin(cfg) and err.startswith("coupling margin violated")
+
+    for cfg in PINNED.get(command, ()):
+        check = example(case=(cfg, True))(check)
+    return settings(max_examples=50, deadline=None)(given(case=strategy)(check))
+
+
+class TestConfigFuzz:
+    """Generated configs through the CLI, drawn from the config tables."""
+
+    @pytest.mark.parametrize("command", ["transform", "denoise", "benchmark"])
+    def test_run_config(self, command):
+        fuzz(command, config(TABLES[command], base=RUN_BASE))()
+
+    def test_gen_config(self):
+        fuzz("gen", config(TABLES["gen"]), codes=(0, 2))()
+
+    def test_dump_operator_config(self):
+        fuzz("dump-operator", dump_config(), margin=lambda cfg: cfg["kind"] == "geodesic_temporal")()
+
+
+#: every config table by the heading of its README section
+DOC_TABLES = {**TABLES, "graph spec": GRAPH_SPEC, "train": TRAIN}
+KIND_NAMES = {int: "integer", float: "number", bool: "boolean", str: "string",
+              GraphSpec: "graph spec", TrainConfig: "train config"}
+
+
+def type_words(kind, plural=False):
+    s = "s" if plural else ""
+    if isinstance(kind, tuple):
+        return f"{type_words(kind[0])} or {type_words(kind[1])}"
+    if isinstance(kind, (list, set)):
+        distinct = "distinct " if isinstance(kind, set) else ""
+        return f"list{s} of {distinct}{type_words(next(iter(kind)), True)}"
+    return KIND_NAMES[kind] + s
+
+
+def readme_row(key, entry):
+    """The README table row of a config table entry."""
+    kind, default, rng, cap, _ = (*entry, None, None, None)[:5]
+    if default is dataclasses.MISSING:
+        default = "required"
+    elif default is None:
+        default = "none"
+    else:
+        if isinstance(default, (GraphSpec, TrainConfig)):
+            default = {k: v for k, v in dataclasses.asdict(default).items() if v is not None}
+        default = f"`{json.dumps(default)}`"
+    words = [] if rng is None or dataclasses.is_dataclass(kind) else [
+        rng if isinstance(rng, str) else "one of " + ", ".join(f"`{v}`" for v in rng)]
+    words += [f"at most {cap[0]} {cap[1]}"] if cap else []
+    return f"| `{key}` | {type_words(kind)} | {default} | {', '.join(words) or '-'} |"
+
+
+class TestConfigDocs:
+    @pytest.mark.parametrize("name", DOC_TABLES)
+    def test_readme_lists_every_key(self, name):
+        readme = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                              "README.md")
+        with open(readme) as fh:
+            section = fh.read().split(f"\n#### {name}\n", 1)[-1].split("\n#", 1)[0]
+        for key, entry in DOC_TABLES[name].items():
+            assert readme_row(key, entry) in section, f"README lacks the {name} key {key!r}"
 
 
 #: a finite number, in the form the signal writer uses
@@ -429,6 +554,14 @@ class TestCli:
         assert header == "family,sigma,seed,mse,psnr,ssim,alpha,beta,lambda,epochs,status"
         assert "wall_time" not in header
 
+    @pytest.mark.parametrize("command", ["transform", "benchmark"])
+    def test_bad_nested_graph_spec_names_its_key(self, tmp_path, command):
+        cfg = {"spatial": {"kind": "path", "n": 3}, "temporal": {"kind": "path", "n": 1}}
+        if command == "benchmark":
+            cfg["train"] = {"epochs": 1}
+        code, err = run_cli(str(tmp_path), command, cfg)
+        assert code == 2 and err.startswith("configuration error") and "temporal" in err
+
     @pytest.mark.parametrize("command", ["denoise", "benchmark"])
     @pytest.mark.parametrize("train_cfg", [{"grad_mode": "fd"}, {"bogus": 1}],
                              ids=["grad_mode", "bogus"])
@@ -466,7 +599,11 @@ class TestCli:
         assert err.startswith("configuration error") and repr(key) in err
         assert not os.path.exists(tmp_path / "out")
 
-    @pytest.mark.parametrize("key,value", [("seeds", 5), ("bandwidth", "x")])
+    @pytest.mark.parametrize("key,value", [
+        ("seeds", 5), ("bandwidth", "x"),
+        # a repeated entry gave two report rows with one row_id
+        ("families", ["gbfrft2d", "gbfrft2d"]), ("seeds", [0, 0]), ("sigma_list", [0.5, 0.5]),
+        ("lambda_grid", [0.0, 0.0]), ("sigma_list", [])])
     def test_wrongly_typed_benchmark_value_exits_2(self, tmp_path, capsys, key, value):
         cfg = {"spatial": {"kind": "knn_random", "n": 6, "k": 2, "seed": 7},
                "temporal": {"kind": "path", "n": 4}, "families": ["gbfrft2d"],
@@ -523,13 +660,58 @@ class TestCli:
         ("denoise", {"lambda_grid": [{}]}),
         ("transform", {"spatial": {"kind": "knn_random", "n": 3, "k": None}}),
         ("transform", {"spatial": {"kind": "knn_random", "n": 3}}),
-    ], ids=["orders_object", "orders_null", "grid_number", "grid_of_objects", "k_null", "k_missing"])
+        ("transform", {"orders": [True, 0.5], "family": "gbfrft2d"}),
+        ("transform", {"lambda": True}),
+        ("denoise", {"lambda_grid": [True]}),
+        ("denoise", {"lambda_grid": "0"}),
+    ], ids=["orders_object", "orders_null", "grid_number", "grid_of_objects", "k_null", "k_missing",
+            "orders_bool", "lambda_bool", "grid_of_bools", "grid_string"])
     def test_wrongly_typed_run_value_exits_2(self, tmp_path, command, cfg):
         cfg = {"spatial": {"kind": "path", "n": 3}, "temporal": {"kind": "path", "n": 4}, **cfg}
         if command == "denoise":
             cfg["train"] = {"epochs": 1}
         code, err = run_cli(str(tmp_path), command, cfg)
         assert code == 2 and err.startswith("configuration error")
+
+    def test_non_finite_orders_exit_2(self, tmp_path):
+        cfg = {"spatial": {"kind": "path", "n": 3}, "temporal": {"kind": "path", "n": 4},
+               "family": "gbfrft2d", "orders": [float("nan"), 0.5]}
+        code, err = run_cli(str(tmp_path), "transform", cfg)
+        assert code == 2 and err.startswith("configuration error") and "'orders'" in err
+
+    @pytest.mark.parametrize("command", ["denoise", "benchmark"])
+    @pytest.mark.parametrize("train_cfg", [{"epochs": 2.0}, {"epochs": float("inf")},
+                                           {"lr_filter": float("nan")},
+                                           {"lr_orders": float("inf")}],
+                             ids=["epochs_float", "epochs_inf", "rate_nan", "rate_inf"])
+    def test_bad_train_value_exits_2(self, tmp_path, command, train_cfg):
+        # json reads 1e400 as inf, as it reads the Infinity that json.dump writes
+        cfg = {"spatial": {"kind": "path", "n": 3}, "temporal": {"kind": "path", "n": 4},
+               "train": {"epochs": 2, **train_cfg}}
+        if command == "benchmark":
+            cfg.update({"families": ["gbfrft2d"], "lambda_grid": [0.0], "seeds": [0],
+                        "sigma_list": [0.5]})
+        code, err = run_cli(str(tmp_path), command, cfg)
+        assert code == 2 and err.startswith("configuration error") and one_line_error(code, err)
+        assert re.search(f"train'? {next(iter(train_cfg))}", err)
+        assert not (tmp_path / "out").exists()
+
+    def test_epochs_above_the_cap_exit_2(self, tmp_path):
+        # denoise records a trace, which would take 24 TiB for an 11-lane grid;
+        # benchmark records none and would train for 10^11 epochs
+        cfg = {"spatial": {"kind": "path", "n": 3}, "temporal": {"kind": "path", "n": 4},
+               "train": {"epochs": 10**11}}
+        code, err = run_cli(str(tmp_path), "denoise", cfg)
+        assert code == 2 and "'train' epochs of 100000000000 exceeds the cap of 100000" in err
+
+    def test_python_constructors_apply_the_tables(self):
+        from fracspec import BenchmarkConfig, ConfigError
+        with pytest.raises(ConfigError, match="epochs must be an integer"):
+            TrainConfig(epochs=2.0)
+        with pytest.raises(ConfigError, match="repeated"):
+            BenchmarkConfig(seeds=(0, 0))
+        with pytest.raises(ConfigError, match="exceeds the cap of 4096 nodes"):
+            GraphSpec(kind="path", n=10**7)
 
     @pytest.mark.parametrize("argv", [["benchmark", "--seed", "3"],
                                       ["verify", "--config", "nothing.json", "--seed", "9"]],

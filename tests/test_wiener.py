@@ -343,6 +343,18 @@ class TestLambdaGridSearch:
         with pytest.raises(ConfigError):
             lambda_grid_search(y, x, [], TrainConfig(), ctx)
 
+    @pytest.mark.parametrize("grid", [[True, 0.5], [0, False], ["0.5"], [0.5, 0.5], 0.5],
+                             ids=["bool", "bool_after_zero", "string", "repeated", "scalar"])
+    def test_malformed_grid_rejected(self, instance, grid):
+        ctx, x, y = instance
+        with pytest.raises(ConfigError):
+            lambda_grid_search(y, x, grid, TrainConfig(epochs=1), ctx)
+
+    def test_array_grid_accepted(self, instance):
+        ctx, x, y = instance
+        _, _, table = lambda_grid_search(y, x, np.array([0.0, 1.0]), TrainConfig(epochs=1), ctx)
+        assert [row.lam for row in table] == [0.0, 1.0]
+
     @pytest.mark.parametrize("config", [TrainConfig(), TrainConfig.adam()], ids=["gd", "adam"])
     def test_rows_equal_single_lane_training(self, bench_ctx, config):
         x = synth_signal(bench_ctx.spatial, 10, bandwidth=0.3, seed=11)

@@ -49,9 +49,12 @@ goes first, because a shared host's speed drifts over seconds; a worker
 times each row a fixed number of calls (``reps`` in the record). A row
 reports the best time over all rounds and the median of the rounds'
 medians. With ``--baseline`` (the ``src`` directory of another checkout,
-e.g. the parent commit) every row also holds the baseline's times and the
-speedups of both statistics. On a shared host the best time of a side can
-hinge on one quiet moment, so compare the medians first.
+e.g. the parent commit) every row also holds the baseline's times, the
+speedups of both statistics, and ``faster_in``: in how many rounds the
+checkout's median beat the baseline's of the same round ("k of n"). On a
+shared host the best time of a side can hinge on one quiet moment, and a
+median of round medians can read a row the change does not touch as 0.7x,
+so read the speedups together with ``faster_in``.
 """
 
 import os
@@ -248,6 +251,11 @@ def main(argv=None) -> int:
             for stat in ("best", "median"):
                 row[f"speedup_{stat}"] = {layer: round(before[layer][f"{stat}_ms"] / t[f"{stat}_ms"], 2)
                                           for layer, t in after["layers"].items()}
+            # a round's two workers ran back to back: compare them pairwise
+            wins = {layer: sum(a[i]["layers"][layer]["median_ms"] < b[i]["layers"][layer]["median_ms"]
+                               for a, b in zip(results["after"], results["before"]))
+                    for layer in after["layers"]}
+            row["faster_in"] = {layer: f"{k} of {ROUNDS}" for layer, k in wins.items()}
         rows.append(row)
     record = {"machine": machine(), "rounds": ROUNDS, "rows": rows}
     sys.stdout.write(json.dumps(record, indent=1) + "\n")
