@@ -56,7 +56,8 @@ def read_config(table: dict, cfg, where: str | None = None) -> dict:
 
     ``table`` maps a key to ``(kind, default, range, cap, rule)``, the last
     three optional. A kind is ``int``, ``float``, ``bool``, ``str``, ``[kind]``
-    (a nonempty list, read as a tuple), ``{kind}`` (one without repeats),
+    (a nonempty list, read as a tuple; the rows of a ``[[kind]]`` have one
+    length), ``{kind}`` (one without repeats),
     ``(kind, [kind])`` (either) or a dataclass, whose range is its table.
     Other ranges, an interval such as ``"(0, 1]"`` or the allowed strings,
     hold for each list entry; a cap is ``(limit, unit)``; a default of
@@ -91,6 +92,8 @@ def read_config(table: dict, cfg, where: str | None = None) -> dict:
                           for i, x in enumerate(v))
             if isinstance(kind, set) and len(set(items)) < len(items):
                 fail("a list without repeated entries")
+            if isinstance(next(iter(kind)), list) and len({len(row) for row in items}) > 1:
+                fail("a list of rows of one length")
             return items
         if dataclasses.is_dataclass(kind):
             return v if isinstance(v, kind) else kind(**read_config(rng, v, label))

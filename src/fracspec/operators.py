@@ -38,7 +38,9 @@ OUTPUT_UNITARITY_TOL = 1e-9
 PHASE_CLUSTER_TOL = 1e-8
 #: Cayley eigen-residual (per matrix dimension) above which a matrix cut at -1
 #: is decomposed again with the cut in its widest eigenphase gap, and above
-#: which that decomposition fails; a basis far from the cut reaches about 5e-16
+#: which that decomposition fails; a basis far from the cut reaches about 5e-16.
+#: A graph-Fourier basis whose real-path residual exceeds it falls back to the
+#: gap-cut eigensolve (the k-NN graph of 512 points reaches about 3e-15)
 CAYLEY_RESIDUAL_TOL = 1e-13
 
 
@@ -75,12 +77,23 @@ class SpectralBasis:
     @cached_property
     def fourier_phase_decomposition(self):
         """Real eigenphase decomposition ``(theta, Q, partner)`` of the graph
-        Fourier matrix, ``V^T = Q R(1) Q^T`` (``_sorted_eigenpairs``, then
-        ``_real_phase_factors``), computed once per basis; every fractional
-        order reuses it.
+        Fourier matrix, ``V^T = Q R(1) Q^T``, computed once per basis; every
+        fractional order reuses it.
+
+        It comes from one real ``eigh`` of the symmetric part
+        (``_symmetric_part_factors``). A basis that path cannot resolve, one
+        whose symmetric part has an eigenvalue cluster other than a rotation
+        plane or the eigenvalues +-1, goes whole to the gap-cut Cayley
+        eigensolve (``_sorted_eigenpairs``, then ``_real_phase_factors``).
+        No fixture basis does: for the k-NN graph of 512 random points the
+        real path takes 63 ms, where the Cayley eigensolve took 353 ms
+        (medians on one core, ``BENCH_real_schur.json``).
         """
-        theta, p = _sorted_eigenpairs(self.v.T[None])
-        return _real_phase_factors(theta[0], p[0])
+        factors = _symmetric_part_factors(self.v.T)
+        if factors is None:
+            theta, p = _sorted_eigenpairs(self.v.T[None])
+            factors = _real_phase_factors(theta[0], p[0])
+        return factors
 
 
 def _lmul(f: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -268,6 +281,12 @@ def _widest_gap_cut(stack: np.ndarray) -> np.ndarray:
     contains the eigenphases, so its widest gap lies inside an eigenphase gap
     and the cut is at least ``pi/(2n)`` from every eigenphase. ``cos(theta)``
     may round past +-1 (a path graph's eigenvalues 1 and -1), hence the clip.
+
+    It cuts a complex unitary (``unitary_fractional_power``), a coupling
+    matrix that the cut at -1 cannot resolve (17 of the 2,190 of a desk-scale
+    grid search) and a graph-Fourier basis that falls back from the real
+    ``eigh`` of its symmetric part (``SpectralBasis.fourier_phase_decomposition``;
+    none of the fixture bases does).
     """
     hermitian = stack + stack.conj().swapaxes(-1, -2)
     hermitian *= 0.5
@@ -358,11 +377,13 @@ def _sorted_eigenpairs(stack: np.ndarray, gap_cut: bool = True):
     With ``gap_cut`` each matrix is cut in an eigenphase gap found from the
     eigenvalues of its Hermitian part (``_widest_gap_cut``; the widest gap of
     a real stack), and a real stack stays real until the cut rotates it.
-    This serves any unitary input, including one with the eigenvalue -1, as
-    the one-off graph-Fourier bases may have. Without it the cut is -1, for
-    the coupling path (``coupling.phase_decompose``), whose margin check
-    excludes -1; the rare matrix the cut at -1 cannot resolve moves its cut
-    alone.
+    This serves any unitary input, including one with the eigenvalue -1: a
+    complex unitary (``unitary_fractional_power``), and a graph-Fourier
+    basis whose symmetric part has an eigenvalue cluster that its real
+    ``eigh`` cannot resolve (``SpectralBasis.fourier_phase_decomposition``),
+    which no fixture basis has. Without it the cut is -1, for the coupling
+    path (``coupling.phase_decompose``), whose margin check excludes -1; the
+    rare matrix the cut at -1 cannot resolve moves its cut alone.
 
     Phases are principal arguments in (-pi, pi], sorted descending (stable
     ties): every phase within ``PHASE_CLUSTER_TOL`` of +-pi is +pi, so the
@@ -467,12 +488,75 @@ def _real_phase_factors(theta, p):
             q[:, real] = (sub * (pivot.conj() / np.abs(pivot))).real
         elif sub.shape[1] > 1:
             q[:, real] = np.linalg.svd(np.hstack([sub.real, sub.imag]), full_matrices=False)[0][:, :sub.shape[1]]
+    return _checked_factors(theta, q, _mirrored_partner(n, k, m))
+
+
+def _checked_factors(theta, q, partner):
+    """``(theta, Q, partner)``, frozen, once ``Q`` passes the orthogonality
+    check."""
     ortho = unitarity_error(q)
-    if ortho > OUTPUT_UNITARITY_TOL * n:
+    if ortho > OUTPUT_UNITARITY_TOL * len(q):
         raise DecompositionError(f"real eigenvector basis is not orthonormal: ||Q^T Q - I|| = {ortho:.3e}")
-    partner = np.arange(n)
-    partner[pos], partner[neg] = np.arange(n - 1, n - m - 1, -1), np.arange(k + m - 1, k - 1, -1)
     return _freeze(theta), _freeze(q), _freeze(partner)
+
+
+def _mirrored_partner(n: int, k: int, m: int) -> np.ndarray:
+    """Column pairing of the ``_real_phase_factors`` layout: the ``m``
+    columns after the first ``k`` pair with the last ``m``, mirrored; every
+    other column is its own partner."""
+    partner = np.arange(n)
+    partner[k:k + m], partner[n - m:] = np.arange(n - 1, n - m - 1, -1), np.arange(k + m - 1, k - 1, -1)
+    return partner
+
+
+def _symmetric_part_factors(o: np.ndarray):
+    """``(theta, Q, partner)`` of a real orthogonal matrix ``O``, laid out as
+    by ``_real_phase_factors``, from one real ``eigh`` of its symmetric part
+    ``(O + O^T) / 2``; None when that cannot resolve them.
+
+    ``O`` is normal, so its symmetric part has its invariant subspaces, with
+    the eigenvalues ``cos(theta)`` (Golub and Van Loan, *Matrix
+    Computations*, sections 7.4 and 8.1): each rotation plane of ``O`` is a
+    2-D eigenspace, and an eigenvector at +-1 is one of ``O``. ``eigh``
+    sorts them by ascending ``cos(theta)``: the -1 space, the planes by
+    descending ``theta``, then the +1 space. A vector ``u`` is in a +-1 space
+    when ``||O u - cos(theta) u||``, which is ``|sin(theta)|`` on a plane, is
+    below ``PHASE_CLUSTER_TOL``. The others are taken in consecutive pairs
+    ``(u1, u2)``, ``u2`` oriented so that ``s = u2^T O u1 > 0``; the plane's
+    2x2 block gives ``theta = atan2(s, c)`` and the columns are ``u1`` and
+    ``-u2``. An eigenvalue cluster of the symmetric part other than one
+    plane or one +-1 space (two planes, or a plane and a +-1 space, whose
+    ``cos(theta)`` nearly agree) mixes their vectors; the result is then
+    None, because the +-1 vectors are not at the two ends with an even
+    number between them, or because the residual ``||O Q - Q R(1)||``
+    exceeds ``CAYLEY_RESIDUAL_TOL * n``. ``Q`` is checked for orthogonality.
+    """
+    n = len(o)
+    c, u = np.linalg.eigh((o + o.T) * 0.5)
+    ou = o @ u
+    real = np.sqrt(np.sum((ou - u * c) ** 2, axis=0)) < PHASE_CLUSTER_TOL
+    minus, plus = int(np.count_nonzero(real & (c < 0))), int(np.count_nonzero(real & (c > 0)))
+    m, odd = divmod(n - minus - plus, 2)
+    if odd or not (real[:minus].all() and real[n - plus:].all()):
+        return None
+    first, second = slice(minus, n - plus, 2), slice(minus + 1, n - plus, 2)
+    s = 0.5 * (np.sum(u[:, second] * ou[:, first], axis=0) - np.sum(u[:, first] * ou[:, second], axis=0))
+    cos = 0.5 * (np.sum(u[:, first] * ou[:, first], axis=0) + np.sum(u[:, second] * ou[:, second], axis=0))
+    phi = np.arctan2(np.abs(s), cos)
+    theta = np.concatenate([np.full(minus, np.pi), phi, np.zeros(plus), -phi[::-1]])
+    index = np.arange(n)
+    columns = np.concatenate([index[:minus], index[first], index[n - plus:], index[second][::-1]])
+    signs = np.concatenate([np.ones(n - m), np.where(s < 0, 1.0, -1.0)[::-1]])
+    q, oq = np.take(u, columns, axis=1), np.take(ou, columns, axis=1)
+    q *= signs
+    oq *= signs
+    # the residual O Q - Q R(1), formed in place
+    partner = _mirrored_partner(n, minus, m)
+    oq -= q * np.cos(theta)
+    oq += np.take(q, partner, axis=1) * np.sin(theta)
+    if not np.linalg.norm(oq) <= CAYLEY_RESIDUAL_TOL * n:
+        return None
+    return _checked_factors(theta, q, partner)
 
 
 def unitary_fractional_power(u, order: float) -> FractionalOperator:

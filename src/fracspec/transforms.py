@@ -312,6 +312,8 @@ class TransformContext:
             raise ConfigError(f"orders must be numbers, got {orders!r}") from err
         if any(isinstance(o, np.ndarray) and o.size == 0 for o in orders):
             raise ConfigError("orders must be numbers, got an empty list")
+        if not all(np.all(np.isfinite(o)) for o in orders):
+            raise ConfigError(f"orders must be finite, got {orders!r}")
 
         if family == "gfrft2d":
             if len(orders) not in (1, 2) or (len(orders) == 2 and np.any(orders[0] != orders[1])):

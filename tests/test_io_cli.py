@@ -181,6 +181,11 @@ def good(entry, key):
     kind, rng, cap = slots(entry)
     if isinstance(kind, tuple):
         return st.one_of(good((kind[0], None, rng), key), good((kind[1], None, rng), key))
+    if isinstance(kind, (list, set)) and isinstance(next(iter(kind)), list):
+        # rows of one length
+        item = good((next(iter(next(iter(kind)))), None, rng), key)
+        return st.integers(1, 3).flatmap(lambda width: st.lists(
+            st.lists(item, min_size=width, max_size=width), min_size=1, max_size=3))
     if isinstance(kind, (list, set)):
         return st.lists(good((next(iter(kind)), None, rng), key), min_size=1, max_size=3,
                         unique=isinstance(kind, set))
@@ -209,6 +214,8 @@ def bad(entry, key):
                  bad(item, key) if isinstance(kind, tuple) else st.sampled_from(["x", 1])]
         if isinstance(kind, set):
             wrong.append(good(item, key).map(lambda v: [v, v]))
+        if isinstance(item[0], list):
+            wrong.append(st.just([[0.5], [0.5, 1.0]]))
         return st.one_of(wrong)
     wrong = [NEVER]
     if kind is not bool:
@@ -289,7 +296,8 @@ PINNED = {
                 {**GRAPHS, "lambda_grid": [True], "train": {"epochs": 1}},
                 {**GRAPHS, "lambda_grid": "0", "train": {"epochs": 1}}],
     "benchmark": [{**BENCH, "families": ["gbfrft2d", "gbfrft2d"]}, {**BENCH, "sigma_list": []},
-                  {**BENCH, "train": {"epochs": 2.0}}, {**BENCH, "seeds": [0, 0]}],
+                  {**BENCH, "train": {"epochs": 2.0}}, {**BENCH, "seeds": [0, 0]},
+                  {**BENCH, "spatial": {"kind": "knn", "points": [[0.5], [0.5, 1.0]], "k": 1}}],
 }
 
 

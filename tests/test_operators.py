@@ -151,22 +151,26 @@ class TestPrincipalBranch:
         theta = basis.fourier_phase_decomposition[0]
         assert theta[0] == np.pi and theta[1] < np.pi - 1e-8 and theta[-1] > -np.pi + 1e-8
 
-    @pytest.mark.parametrize("graph", [path_graph(16), knn_graph(random_planar_points(30, seed=7), 4)],
-                             ids=["path16", "knn30"])
-    def test_basis_takes_one_gap_cut_eigensolve(self, monkeypatch, graph):
-        # a graph-Fourier matrix may have the eigenvalue -1, so its one
-        # Cayley eigensolve is cut in the widest eigenphase gap from the start
+    @pytest.mark.parametrize("name", ["path10", "path16", "path128", "path256",
+                                      "knn30", "knn64", "knn128", "knn512"])
+    def test_basis_takes_one_real_eigh(self, monkeypatch, name):
+        # the symmetric part's eigh resolves every fixture basis; the
+        # gap-cut Cayley eigensolve is only its fallback
         from fracspec import SpectralBasis, operators
-        basis = eigendecompose(graph)
-        cayley, cuts = operators._cayley_eigenpairs, []
+        basis = cut_basis(name)
+        eigh, dtypes = np.linalg.eigh, []
 
-        def recording_cayley(stack, cut=None):
-            cuts.append(cut)
-            return cayley(stack, cut)
+        def recording_eigh(a, *args, **kwargs):
+            dtypes.append(a.dtype)
+            return eigh(a, *args, **kwargs)
 
-        monkeypatch.setattr(operators, "_cayley_eigenpairs", recording_cayley)
+        def no_cayley(*args, **kwargs):
+            raise AssertionError("_cayley_eigenpairs called")
+
+        monkeypatch.setattr(np.linalg, "eigh", recording_eigh)
+        monkeypatch.setattr(operators, "_cayley_eigenpairs", no_cayley)
         SpectralBasis(v=basis.v, lam=basis.lam).fourier_phase_decomposition
-        assert len(cuts) == 1 and cuts[0] is not None
+        assert dtypes == [np.float64]
 
     def test_singleton_just_past_the_cut_is_plus_pi(self, rng):
         q, _ = np.linalg.qr(rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5)))
@@ -175,12 +179,15 @@ class TestPrincipalBranch:
         assert out.phases[0] == np.pi and np.all(out.phases[1:] < 2.0 + 1e-12)
 
 
-#: graphs whose graph-Fourier bases the gap-cut tests decompose
+#: the fixture graphs, whose graph-Fourier bases the basis and gap-cut tests
+#: decompose
 CUT_GRAPHS = {
     "path10": lambda: path_graph(10),
     "path16": lambda: path_graph(16),
     "path128": lambda: path_graph(128),
+    "path256": lambda: path_graph(256),
     "knn30": lambda: knn_graph(random_planar_points(30, seed=7), 4),
+    "knn64": lambda: knn_graph(random_planar_points(64, seed=7), 4),
     "knn128": lambda: knn_graph(random_planar_points(128, seed=7), 4),
     "knn512": lambda: knn_graph(random_planar_points(512, seed=7), 4),
 }
@@ -374,6 +381,8 @@ class TestRealFactors:
         basis, _, _ = real_factor_case(name)
         theta, q, partner = basis.fourier_phase_decomposition
         assert q.dtype == np.float64 and not np.iscomplexobj(graph_frft(basis, 0.5).right)
+        # an F-ordered factor makes every product with it slower
+        assert q.flags.c_contiguous
         assert np.abs(q.T @ q - np.eye(basis.n)).max() <= 1e-12
         assert np.array_equal(partner[partner], np.arange(basis.n))
         assert np.array_equal(theta[partner], np.where(partner == np.arange(basis.n), theta, -theta))
@@ -414,3 +423,65 @@ class TestRealFactors:
             swapped[partner[[i, j]]] = [j, i]
             op = type(op)(self.ORDERS, q_theta, q, q.T, swapped)
         assert factor_error(op, want) > 1e-3
+
+
+def engineered_orthogonal(phis, minus, plus, seed):
+    """``Z T Z^T`` for a random orthogonal ``Z``, with ``T`` a 2x2 rotation
+    by each angle of ``phis``, then ``minus`` eigenvalues -1 and ``plus``
+    eigenvalues +1."""
+    n = 2 * len(phis) + minus + plus
+    rng = np.random.default_rng(seed)
+    z, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    t = np.diag(np.r_[np.ones(2 * len(phis)), -np.ones(minus), np.ones(plus)])
+    for j, phi in enumerate(phis):
+        t[2 * j:2 * j + 2, 2 * j:2 * j + 2] = [[np.cos(phi), -np.sin(phi)], [np.sin(phi), np.cos(phi)]]
+    return z @ t @ z.T
+
+
+class TestSymmetricPartFactors:
+    """A basis is decomposed from one real ``eigh`` of the symmetric part
+    of ``V^T``, or, when that part has an eigenvalue cluster other than one
+    rotation plane or one +-1 space, by the gap-cut Cayley fallback; scipy's
+    real Schur form is the oracle, on engineered orthogonal matrices of odd
+    and even size."""
+
+    ORDERS = np.array([-1.3, 0.37, 1.0, 2.5])
+    SPREAD = [0.5, 1.5, 2.5]
+    #: name: (rotation angles, multiplicities of -1 and of +1, whether the
+    #: real path takes it (None: either), largest deviation from the oracle)
+    CASES = {
+        "pm1_multiplicity_0_0": (SPREAD, 0, 0, True, 1e-12),
+        "pm1_multiplicity_1_0": (SPREAD, 1, 0, True, 1e-12),
+        "pm1_multiplicity_0_1": (SPREAD, 0, 1, True, 1e-12),
+        "pm1_multiplicity_2_1": (SPREAD, 2, 1, True, 1e-12),
+        "pm1_multiplicity_3_4": (SPREAD, 3, 4, True, 1e-12),
+        "pm1_multiplicity_4_4": (SPREAD, 4, 4, True, 1e-12),
+        "pm1_multiplicity_4_0": (SPREAD, 4, 0, True, 1e-12),
+        "identity": ([], 0, 5, True, 1e-12),
+        "minus_identity": ([], 6, 0, True, 1e-12),
+        "theta_1e-7": ([1e-7, 1.3, 2.4], 1, 0, True, 1e-12),
+        "theta_pi-1e-7": ([np.pi - 1e-7, 1.3], 0, 1, True, 1e-12),
+        "theta_1e-7_and_pi-1e-7": ([1e-7, np.pi - 1e-7, 1.3], 0, 0, True, 1e-12),
+        "equal_pairs": ([1.0, 1.0, 2.2], 1, 1, None, 1e-12),
+        "pairs_1e-7_apart": ([1.0, 1.0 + 1e-7, 2.2], 1, 1, False, 1e-12),
+        # phases within PHASE_CLUSTER_TOL share their mean: |order| * 5e-11 off
+        "pairs_1e-10_apart": ([1.0, 1.0 + 1e-10, 2.2], 1, 1, False, 1e-9),
+        # the fallback's Cayley eigenvectors at 1 and exp(+-1e-7 j) mix by
+        # about 1e-9
+        "theta_1e-7_beside_1": ([1e-7, 1.3], 0, 2, None, 1e-8),
+        # the power jumps across the branch cut at -1: the oracle itself is
+        # about 2e-9 from the exact power
+        "theta_pi-1e-7_beside_-1": ([np.pi - 1e-7, 1.3], 1, 1, None, 1e-8),
+    }
+
+    @pytest.mark.parametrize("seed", [3, 4])
+    @pytest.mark.parametrize("name", list(CASES))
+    def test_matches_the_real_schur_oracle(self, name, seed):
+        from fracspec import SpectralBasis, operators
+        phis, minus, plus, real, tol = self.CASES[name]
+        o = engineered_orthogonal(phis, minus, plus, seed)
+        if real is not None:
+            assert (operators._symmetric_part_factors(o) is not None) == real
+        basis = SpectralBasis(v=o.T, lam=np.zeros(len(o)))
+        want = eigenphase_power(*real_schur_eigenpairs(o), self.ORDERS)
+        assert factor_error(graph_frft(basis, self.ORDERS), want) <= tol

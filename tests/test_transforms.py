@@ -146,6 +146,14 @@ class TestPlanConstruction:
         with pytest.raises(ConfigError):
             ctx.plan("nope", (0.5,))
 
+    @pytest.mark.parametrize("family, orders", [
+        ("gbfrft2d", (np.nan, 0.5)), ("jfrft", (0.5, np.inf)), ("gfrft2d", -np.inf),
+        ("gcgfrft", (np.array([0.1, 0.2]), np.array([0.5, np.nan])))])
+    def test_non_finite_orders_rejected(self, ctx, family, orders):
+        # a plan of them would fail in forward, which blames the signal
+        with pytest.raises(ConfigError, match="orders must be finite"):
+            ctx.plan(family, orders, lam=0.5)
+
     def test_coupling_cache_reused(self, ctx):
         d1 = ctx.coupling(0.37)
         d2 = ctx.coupling(0.37)

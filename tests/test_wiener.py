@@ -450,9 +450,9 @@ class TestLambdaGridSearch:
                                              rel=1e-12, abs=0)
 
     def test_desk_grid_runs_without_schur(self, monkeypatch):
-        # the graph-Fourier bases and every coupling build, including the
-        # rare matrix the cut at -1 cannot resolve, go through the Cayley
-        # eigensolve
+        # the graph-Fourier bases go through the real eigh of their symmetric
+        # part, and every coupling build, including the rare matrix the cut
+        # at -1 cannot resolve, through the Cayley eigensolve
         import scipy.linalg
 
         from fracspec import operators
@@ -474,8 +474,9 @@ class TestLambdaGridSearch:
         _, _, table = lambda_grid_search(y, x, [round(0.1 * i, 1) for i in range(11)],
                                          TrainConfig(), ctx)
         assert all(row.loss is not None for row in table)
-        # the two bases, then the coupling matrices that moved their cut
-        # (measured: 18 of 2,190)
+        # the coupling matrices that the cut at -1 could not resolve, which
+        # moved their cut (measured: 17 of 2,190); the two graph-Fourier
+        # bases take the real eigh and cut nothing
         assert sum(cut_matrices) > 2
 
     def test_divergence_in_the_grid_raises(self, instance):

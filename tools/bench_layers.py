@@ -13,10 +13,11 @@ Times, in wall-clock milliseconds:
   several orders also gets a ``hit`` row: a ``gcgfrft`` plan of those orders
   served entirely from the coupling cache, which stacks the cached rows.
 - the one-off eigenphase decomposition of a graph-Fourier basis
-  (``SpectralBasis.fourier_phase_decomposition``) of the k-NN graphs of 512
-  and 128 random points (the spatial graphs of ``spatial_heavy`` and
-  ``order_sweep``) and of path(256); for knn512 also its widest-gap cut
-  (``operators._widest_gap_cut``) alone.
+  (``SpectralBasis.fourier_phase_decomposition``) of the k-NN graphs of 512,
+  128 and 30 random points (the spatial graphs of ``spatial_heavy``,
+  ``order_sweep`` and ``desk_sweep``) and of path(256) and path(10); for
+  knn512 also the real ``eigh`` of the symmetric part ``(V + V^T) / 2``
+  alone, which is numpy's and the same on both sides of a comparison.
 - the graph bases of a 64x128 context (k-NN graph of 64 random points and
   path(128)): both adjacency eigendecompositions and both eigenphase
   decompositions, the set-up of every ``temporal_cli`` child process.
@@ -75,7 +76,8 @@ SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), 
 #: (spatial n1, temporal n2, numbers of temporal orders per request)
 SIZES = ((30, 10, (1, 11)), (256, 16, (1,)), (512, 16, (1,)), (64, 128, (1, 3)), (128, 256, (1,)))
 #: (row name, graph kind, n, repetitions) of the basis decompositions
-BASES = (("knn512", "knn", 512, 3), ("knn128", "knn", 128, 20), ("path256", "path", 256, 10))
+BASES = (("knn512", "knn", 512, 3), ("knn128", "knn", 128, 20), ("knn30", "knn", 30, 200),
+         ("path256", "path", 256, 10), ("path10", "path", 10, 200))
 #: repetitions of the 64x128 context's basis set-up
 CONTEXT_REPS = 20
 IMPORT_REPS = 10
@@ -146,7 +148,7 @@ def worker() -> list:
         layers = {"fourier_phase_decomposition": timed(
             lambda: fs.SpectralBasis(v=basis.v, lam=basis.lam).fourier_phase_decomposition, reps)}
         if n == 512:
-            layers["widest_gap_cut"] = timed(lambda: fs.operators._widest_gap_cut(basis.v.T[None]), reps)
+            layers["symmetric_eigh"] = timed(lambda: np.linalg.eigh((basis.v + basis.v.T) * 0.5), reps)
         rows.append({"row": f"basis {name}", "reps": reps, "layers": layers})
     g1 = fs.GraphSpec.from_dict({"kind": "knn_random", "n": 64, "k": 4, "seed": 7}).build()
     g2 = fs.path_graph(128)
