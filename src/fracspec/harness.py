@@ -101,8 +101,6 @@ def metrics(x_true, x_est, max_value: float | None = None) -> Metrics:
     b = x_est.data if isinstance(x_est, TimeVertexSignal) else np.asarray(x_est)
     if a.shape != b.shape:
         raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
-    a = a.real if np.iscomplexobj(a) and np.allclose(a.imag, 0) else a
-    b = b.real if np.iscomplexobj(b) and np.allclose(b.imag, 0) else b
     diff = a - b
     mse = float(np.mean(diff.real**2 + diff.imag**2)) if np.iscomplexobj(diff) \
         else float(np.mean(diff**2))

@@ -35,6 +35,8 @@ from .graphs import Graph
 from .operators import (
     FractionalOperator,
     SpectralBasis,
+    _lmul,
+    _rmul,
     dfrft_matrix,
     eigendecompose,
     graph_frft,
@@ -58,8 +60,11 @@ COUPLING_CACHE_SIZE = 16
 class TimeVertexSignal:
     """An n1 x n2 signal matrix (rows = vertices, columns = time instants).
 
-    Data is stored complex; ``real_flag`` records whether the source values
-    were real, which drives the final real projection of denoised estimates.
+    Data is kept in a read-only copy of its own: float64 for a real-dtype
+    input and complex128 for a complex one, so a real signal enters every
+    transform as real data. ``real_flag`` records whether the source values
+    were real, which drives the final real projection of denoised estimates;
+    a spectrum is complex but keeps the flag of its source.
     """
 
     data: np.ndarray
@@ -71,7 +76,8 @@ class TimeVertexSignal:
             raise ValueError(f"signal must be a 2-D matrix, got shape {d.shape}")
         if not np.all(np.isfinite(d)):
             raise ValueError("signal contains non-finite entries")
-        object.__setattr__(self, "data", d.astype(np.complex128))
+        dtype = np.float64 if np.isrealobj(d) else np.complex128
+        object.__setattr__(self, "data", np.array(d, dtype=dtype, order="C"))
         self.data.setflags(write=False)
 
     @classmethod
@@ -88,7 +94,8 @@ class TimeVertexSignal:
         return float(np.linalg.norm(self.data))
 
     def as_real(self) -> np.ndarray:
-        return np.ascontiguousarray(self.data.real)
+        """The real part of the data, read-only and uncopied."""
+        return self.data.real
 
 
 @dataclass(frozen=True)
@@ -107,8 +114,17 @@ class TransformPlan:
         return (self.row_op.n, self.col_op.n)
 
     def apply(self, x: np.ndarray) -> np.ndarray:
-        """``F_row X F_col^T`` on a raw n1 x n2 array, unchecked."""
-        return self.col_op.apply_right_transpose(self.row_op.apply_left(x))
+        """``F_row X F_col^T`` on a raw n1 x n2 array, unchecked.
+
+        With ``F = left R right`` on both sides, the two inner factors go
+        first (``right_row X right_col^T``), then the two rotations, then the
+        two outer factors. So a real ``X`` stays real until the rotations:
+        a real inner factor is a real GEMM and a complex one a half-width
+        real GEMM on the factor's float64 view (``_rmul``)."""
+        row, col = self.row_op, self.col_op
+        x = _rmul(_lmul(row.right, x), col.right.swapaxes(-1, -2))
+        x = col.mix(row.mix(x, row.rotation), col.rotation, axis=-1)
+        return _rmul(_lmul(row.left, x), col.left.swapaxes(-1, -2))
 
     def apply_inverse(self, xhat: np.ndarray) -> np.ndarray:
         """``F_row^H Xhat F_col^*`` on a raw n1 x n2 array, unchecked."""
@@ -275,7 +291,9 @@ class TransformContext:
 
         The misses are built together: one ``W = F^H E`` stack of the
         batched operators ``F`` (temporal graph FRFT) and ``E`` (DFRFT), its
-        batched eigensolve (``phase_decompose``), ``L = F S`` and ``S^H``.
+        batched eigensolve (``phase_decompose``), ``L = F S`` and ``S^H``,
+        the transpose of a C-contiguous ``S^*``, which ``TransformPlan.apply``
+        multiplies a real signal by through its float64 view, uncopied.
         """
         cache = self._coupling_cache
         distinct = list(dict.fromkeys(orders))
@@ -285,7 +303,8 @@ class TransformContext:
             f = graph_frft(self.temporal, betas)
             dec = phase_decompose(coupling_operator(f, dfrft_matrix(self.temporal.n, betas)),
                                   margin_tol=self.margin_tol)
-            batch = _CouplingBatch(dec, f.matrix @ dec.s, dec.s.conj().swapaxes(-1, -2))
+            s_conj = np.conjugate(dec.s, order="C")
+            batch = _CouplingBatch(dec, f.matrix @ dec.s, s_conj.swapaxes(-1, -2))
             for i, k in enumerate(misses):
                 cache[k] = dec.failed.get(i) or (batch, i)
         for k in distinct:
@@ -300,16 +319,22 @@ class TransformContext:
 
         Each order, and ``lam``, may also be an array over a batch of B
         parameter settings; the plan's operators then carry that leading
-        axis and ``apply`` maps one n1 x n2 signal to B spectra.
+        axis and ``apply`` maps one n1 x n2 signal to B spectra. A scalar
+        order beside an array one is broadcast to its length.
         """
         if family not in FAMILIES:
             raise ConfigError(f"unknown family {family!r}; expected one of {FAMILIES}")
         try:
-            orders = (orders,) if np.ndim(orders) == 0 else tuple(orders)
+            orders = tuple(orders) if np.iterable(orders) else (orders,)
             orders = tuple(float(o) if np.ndim(o) == 0 else np.asarray(o, dtype=np.float64)
                            for o in orders)
-        except TypeError as err:
+        except (TypeError, ValueError) as err:
             raise ConfigError(f"orders must be numbers, got {orders!r}") from err
+        if any(isinstance(o, np.ndarray) for o in orders):
+            try:
+                orders = tuple(np.broadcast_arrays(*orders))
+            except ValueError as err:
+                raise ConfigError(f"batched orders must have one length, got {orders!r}") from err
         if any(isinstance(o, np.ndarray) and o.size == 0 for o in orders):
             raise ConfigError("orders must be numbers, got an empty list")
         if not all(np.all(np.isfinite(o)) for o in orders):

@@ -160,7 +160,7 @@ def denoise(y: TimeVertexSignal, params: FilterParams, ctx: TransformContext,
     real field (the complex estimate remains the optimization variable)."""
     est = denoise_complex(y, params, ctx, family=family)
     if y.real_flag:
-        return TimeVertexSignal(est.as_real(), real_flag=True)
+        return TimeVertexSignal(est.data.real, real_flag=True)
     return est
 
 
@@ -258,8 +258,6 @@ def _stacked_coordinates(ctx: TransformContext, y: TimeVertexSignal, x: TimeVert
     ``r[partner]`` gathered by the factor's column pairing: the same at
     every spatial order, and real for real signals."""
     yx = np.concatenate([y.data, x.data], axis=-1)
-    if not yx.imag.any():
-        yx = yx.real
     _, q, partner = ctx.spatial.fourier_phase_decomposition
     r = _lmul(q.T, yx)
     return r, r[partner]
@@ -368,7 +366,9 @@ def _train_lanes(pairs: list, lams: list, config: TrainConfig, ctx: TransformCon
         if record:
             steps[:, epoch, lanes] = risk, v[:, 0], v[:, -1]
 
-        g_v = _order_gradient(ctx, plan, h, spectra, resid) if config.lr_orders > 0 else None
+        # at epoch 0 the filter is all ones, where the risk ||Y - X||^2 does
+        # not depend on the orders: their step is exactly zero, not rounding
+        g_v = _order_gradient(ctx, plan, h, spectra, resid) if epoch and config.lr_orders > 0 else None
         g_h = (2.0 / resid[0].size) * (resid * yhat.conj()).real if config.lr_filter > 0 else None
         if config.optimizer == "gd":
             if g_v is not None:
@@ -393,13 +393,15 @@ def train(y: TimeVertexSignal, x_true: TimeVertexSignal, lam: float | None,
 
     Orders start at 0.5 and the filter at all-ones; each epoch evaluates the
     loss at the current parameters (the trace records these pre-update values)
-    and applies one simultaneous update. The coupling parameter is fixed for
-    the whole run. The arguments are checked once, before the first epoch,
-    and spectral decompositions are cached on the context, so only the
-    temporal coupling factorization is redone, in one array pass, when the
-    temporal order moves. A non-finite epoch risk (a diverged run) raises
-    ``ValueError``. This is the one-lane case of the batched state that
-    ``lambda_grid_search`` trains, with the trace recorded.
+    and applies one simultaneous update. The first update leaves the orders
+    at 0.5 exactly, since at the all-ones filter the risk does not depend on
+    them. The coupling parameter is fixed for the whole run. The arguments
+    are checked once, before the first epoch, and spectral decompositions
+    are cached on the context, so only the temporal coupling factorization
+    is redone, in one array pass, when the temporal order moves. A
+    non-finite epoch risk (a diverged run) raises ``ValueError``. This is the
+    one-lane case of the batched state that ``lambda_grid_search`` trains,
+    with the trace recorded.
     """
     ((params, trace, final),) = _train_lanes([(y, x_true)], [lam], config, ctx, family,
                                              record=True)

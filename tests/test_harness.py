@@ -8,6 +8,7 @@ from fracspec import (
     FAMILIES,
     BenchmarkConfig,
     GraphSpec,
+    TimeVertexSignal,
     TrainConfig,
     TransformContext,
     add_awgn,
@@ -59,6 +60,11 @@ class TestAddAwgn:
     def test_sigma_zero_is_identity(self, bench_ctx):
         x = synth_signal(bench_ctx.spatial, 10, seed=0)
         assert np.array_equal(add_awgn(x, 0.0, seed=1).data, x.data)
+
+    def test_real_signals_stay_float64(self, bench_ctx):
+        x = synth_signal(bench_ctx.spatial, 10, seed=0)
+        y = add_awgn(x, 0.5, seed=1)
+        assert x.data.dtype == y.data.dtype == np.float64 and x.real_flag and y.real_flag
 
     def test_noise_power_concentration(self):
         # chi-square concentration at 10^4 samples; direct-simulation oracle
@@ -118,6 +124,16 @@ class TestMetrics:
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):
             metrics(np.zeros((2, 2)), np.zeros((3, 2)))
+
+    def test_complex_input_with_zero_imaginary_part_scores_as_real(self, rng):
+        a = rng.standard_normal((9, 7))
+        b = a + 0.3 * rng.standard_normal((9, 7))
+        want = metrics(a, b)
+        for got in (metrics(a.astype(np.complex128), b.astype(np.complex128)),
+                    metrics(TimeVertexSignal(a.astype(np.complex128), real_flag=False),
+                            TimeVertexSignal(b))):
+            for name in ("mse", "psnr", "ssim"):
+                assert getattr(got, name) == pytest.approx(getattr(want, name), rel=1e-14, abs=0)
 
 
 def tiny_config(**overrides):

@@ -154,6 +154,25 @@ class TestPlanConstruction:
         with pytest.raises(ConfigError, match="orders must be finite"):
             ctx.plan(family, orders, lam=0.5)
 
+    @pytest.mark.parametrize("family", ["gbfrft2d", "jfrft", "gcgfrft"])
+    @pytest.mark.parametrize("batched", [0, 1])
+    def test_scalar_order_broadcasts_beside_an_array(self, ctx, rng, family, batched):
+        orders = [0.5, 0.5]
+        orders[batched] = np.array([0.1, 0.2, 0.35])
+        plan = ctx.plan(family, tuple(orders), lam=0.4)
+        x = random_signal(rng, 6, 4)
+        spectra = plan.apply(x.data)
+        assert spectra.shape == (3, 6, 4)
+        for i, order in enumerate(orders[batched]):
+            one = list(orders)
+            one[batched] = order
+            assert np.abs(spectra[i] - ctx.plan(family, tuple(one), lam=0.4).apply(x.data)).max() \
+                <= 1e-12
+
+    def test_batched_orders_of_two_lengths_rejected(self, ctx):
+        with pytest.raises(ConfigError, match="one length"):
+            ctx.plan("gbfrft2d", (np.array([0.1, 0.2]), np.array([0.1, 0.2, 0.3])))
+
     def test_coupling_cache_reused(self, ctx):
         d1 = ctx.coupling(0.37)
         d2 = ctx.coupling(0.37)
@@ -246,6 +265,60 @@ class TestBatchedPlans:
                      lam=np.array([0.5, 1.5]))
 
 
+class TestRealSignals:
+    """A real signal is stored float64 and meets real GEMMs, or half-width
+    real GEMMs against a complex factor, until the rotations make it
+    complex; its spectra are those of the same signal stored complex."""
+
+    ALPHA = np.array([0.2, 0.7, 0.2, 0.5, 1.3])
+    BETA = np.array([0.6, 0.3, 0.6, 0.45, -0.4])
+    LAM = np.array([0.1, 0.5, 0.9, 0.3, 1.0])
+
+    @pytest.fixture(scope="class")
+    def wide_ctx(self):
+        return TransformContext(knn_graph(random_planar_points(12, seed=3), 3), path_graph(9))
+
+    def plans(self, ctx, family):
+        """A scalar plan, a batched plan, and for gcgfrft a batched plan whose
+        coupling rows come from two cached builds, so its factors are stacked."""
+        one = ctx.plan(family, (0.6,) if family == "gfrft2d" else (0.6, 0.3), lam=0.4)
+        orders = (self.ALPHA,) if family == "gfrft2d" else (self.ALPHA, self.BETA)
+        plans = [one, ctx.plan(family, orders, lam=self.LAM)]
+        if family == "gcgfrft":
+            ctx.coupling(0.8)
+            plans.append(ctx.plan(family, (self.ALPHA[:3], np.array([0.8, 0.3, 0.45])),
+                                  lam=self.LAM[:3]))
+        return plans
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_real_input_equals_complex_input(self, wide_ctx, rng, family):
+        x = rng.standard_normal((12, 9))
+        for plan in self.plans(wide_ctx, family):
+            got = plan.apply(x)
+            want = plan.apply(x.astype(np.complex128))
+            dense = plan.row_op.matrix @ x @ plan.col_op.matrix.swapaxes(-1, -2)
+            scale = np.abs(want).max(axis=(-2, -1), keepdims=True)
+            assert got.dtype == np.complex128 and got.shape == want.shape
+            assert np.all(np.abs(got - want) <= 1e-12 * scale)
+            assert np.all(np.abs(got - dense) <= 1e-12 * scale)
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_strided_real_input(self, wide_ctx, rng, family):
+        x = rng.standard_normal((24, 18))[::2, 1::2]
+        for plan in self.plans(wide_ctx, family):
+            want = plan.apply(np.ascontiguousarray(x))
+            assert np.abs(plan.apply(x) - want).max() <= 1e-12 * np.abs(want).max()
+
+    def test_forward_of_a_real_signal(self, wide_ctx, rng):
+        x = TimeVertexSignal(rng.standard_normal((12, 9)))
+        plan = wide_ctx.plan("gcgfrft", (0.6, 0.3), lam=0.4)
+        xhat = forward(plan, x)
+        assert x.data.dtype == np.float64 and xhat.data.dtype == np.complex128
+        assert xhat.real_flag
+        back = inverse(plan, xhat)
+        assert np.abs(back.data - x.data).max() <= 1e-12
+
+
 class TestTimeVertexSignal:
     def test_nonfinite_rejected(self):
         with pytest.raises(ValueError):
@@ -255,6 +328,25 @@ class TestTimeVertexSignal:
         assert TimeVertexSignal.from_array(rng.standard_normal((2, 3))).real_flag
         assert not TimeVertexSignal.from_array(
             rng.standard_normal((2, 3)) + 1j * rng.standard_normal((2, 3))).real_flag
+
+    def test_real_input_is_stored_float64(self, rng):
+        real = rng.standard_normal((2, 3))
+        cases = [(real, np.float64), (np.arange(6).reshape(2, 3), np.float64),
+                 (real.astype(np.float32), np.float64), (real + 1j * real, np.complex128),
+                 (real.astype(np.complex64), np.complex128)]
+        for arr, dtype in cases:
+            sig = TimeVertexSignal.from_array(arr)
+            assert sig.data.dtype == dtype and sig.real_flag == (dtype == np.float64)
+            assert np.array_equal(sig.data, arr)
+
+    def test_data_is_an_own_read_only_copy(self, rng):
+        arr = rng.standard_normal((2, 3))
+        sig, before = TimeVertexSignal(arr), arr[0, 0]
+        arr[0, 0] += 1.0
+        assert sig.data[0, 0] == before
+        assert not sig.data.flags.writeable and arr.flags.writeable
+        # a real signal's real part is its data, uncopied
+        assert sig.as_real() is sig.data
 
     def test_vector_rejected(self):
         with pytest.raises(ValueError):

@@ -30,6 +30,11 @@ Times, in wall-clock milliseconds:
   ``lambda_grid_search`` at 30x10. An epoch row times ``EPOCHS`` epochs from
   a fresh context (cold coupling cache, warm graph bases) and divides by
   ``EPOCHS``.
+- at 128x256 (the ``order_sweep`` size: knn_random(128, k=4, seed=7) x
+  path(256)), ``forward`` of a real signal and ``inverse`` of its spectrum for
+  ``gbfrft2d``, ``jfrft`` and ``gcgfrft`` (lambda 0.5) at orders (0.5, 0.5),
+  and one ``closed_form_h`` then ``denoise`` of ``gcgfrft`` there: one
+  ``order_sweep`` operation at one grid point.
 - ``run_benchmark`` on one graph of the desk-scale acceptance sweep:
   knn_random(30, k=4, seed=7) x path(10), gcgfrft only, 3 noise levels x 5
   seeds x 11 coupling values, 200 GD epochs. It runs once per round in a
@@ -87,6 +92,9 @@ REPS = 200
 TRAIN_SIZES = ((30, 10, 10), (256, 16, 10), (512, 16, 5))
 #: epochs per timed training call
 EPOCHS = 10
+#: (spatial n1, temporal n2, repetitions) of the real-signal applies and the
+#: closed-form Wiener filter
+REAL_SIZE = (128, 256, 20)
 #: the desk-sweep child: its run_benchmark time and peak RSS, as JSON
 SWEEP = """
 import json, time
@@ -202,6 +210,26 @@ def worker() -> list:
 
         name = "gd_epoch_11_lanes" if n1 == 30 else "adam_epoch"
         rows.append({"row": f"train {n1}x{n2}", "reps": reps, "layers": {name: timed(epochs, reps, EPOCHS)}})
+    n1, n2, reps = REAL_SIZE
+    ctx = fs.TransformContext(fs.GraphSpec(kind="knn_random", n=n1, k=4, seed=7).build(),
+                              fs.path_graph(n2))
+    x = fs.synth_signal(ctx.spatial, n2, bandwidth=0.3, seed=1)
+    y = fs.add_awgn(x, 0.9, seed=2)
+    layers = {}
+    for family, lam in (("gbfrft2d", None), ("jfrft", None), ("gcgfrft", 0.5)):
+        plan = ctx.plan(family, (0.5, 0.5), lam=lam)
+        yhat = fs.forward(plan, y)
+        layers[f"forward_real_{family}"] = timed(lambda: fs.forward(plan, y), reps)
+        layers[f"inverse_{family}"] = timed(lambda: fs.inverse(plan, yhat), reps)
+    rows.append({"row": f"apply {n1}x{n2} real", "reps": reps, "layers": layers})
+    params = fs.FilterParams(alpha=0.5, beta=0.5, h=np.ones(x.shape), lam=0.5)
+
+    def wiener():
+        params.h = fs.closed_form_h(y, x, params, ctx, family="gcgfrft")
+        fs.denoise(y, params, ctx, family="gcgfrft")
+
+    rows.append({"row": f"wiener {n1}x{n2}", "reps": reps, "layers": {
+        "closed_form_h_denoise_gcgfrft": timed(wiener, reps)}})
     run = json.loads(subprocess.run([sys.executable, "-c", SWEEP], check=True, capture_output=True,
                                     text=True).stdout)
     rows.append({"row": "run_benchmark knn30 k=4 x path10 gcgfrft", "reps": 1, "layers": {
