@@ -11,11 +11,12 @@ so one decomposition serves every lam.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import MarginViolationError, NotUnitaryError
+from .errors import ConfigError, MarginViolationError, NotUnitaryError
 from .operators import (
     INPUT_UNITARITY_TOL,
     FractionalOperator,
@@ -81,12 +82,20 @@ def coupling_operator(f_graph, f_dfrft) -> np.ndarray:
     return _freeze(a.conj().swapaxes(-1, -2) @ b)
 
 
+def _margin_tolerance(tol) -> float:
+    """Validate a branch-cut margin tolerance: a number of radians in
+    [0, pi], the range of an eigenphase's distance from the cut."""
+    if isinstance(tol, bool) or not isinstance(tol, numbers.Real) or not 0.0 <= tol <= np.pi:
+        raise ConfigError(f"margin tolerance must be a number in [0, pi], got {tol!r}")
+    return float(tol)
+
+
 def phase_decompose(w: np.ndarray, margin_tol: float = DEFAULT_MARGIN_TOL) -> CouplingDecomposition:
     """Eigenphase decomposition of a unitary coupling operator.
 
     Fails hard (no silent perturbation) when any eigenphase comes within
     ``margin_tol`` radians of the -1 branch cut, reporting the margin and the
-    offending phase index.
+    offending phase index. ``margin_tol`` must lie in [0, pi].
 
     A (B, n, n) stack is checked and decomposed as a whole: one batched
     Cayley solve and one batched ``eigh``, cut at -1
@@ -97,6 +106,7 @@ def phase_decompose(w: np.ndarray, margin_tol: float = DEFAULT_MARGIN_TOL) -> Co
     ``failed`` instead of raising, so one bad matrix does not cost the others
     their decomposition.
     """
+    margin_tol = _margin_tolerance(margin_tol)
     w = np.asarray(w, dtype=np.complex128)
     n = w.shape[-1]
     err = np.max(unitarity_error(w))

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -75,10 +76,10 @@ class SpectralBasis:
         return self.v.shape[0]
 
     @cached_property
-    def fourier_phase_decomposition(self):
-        """Real eigenphase decomposition ``(theta, Q, partner)`` of the graph
-        Fourier matrix, ``V^T = Q R(1) Q^T``, computed once per basis; every
-        fractional order reuses it.
+    def fourier_phase_decomposition(self) -> "RealPhaseFactors":
+        """Real eigenphase decomposition of the graph Fourier matrix,
+        ``V^T = Q R(1) Q^T`` (``RealPhaseFactors``), computed once per basis;
+        every fractional order reuses it.
 
         It comes from one real ``eigh`` of the symmetric part
         (``_symmetric_part_factors``). A basis that path cannot resolve, one
@@ -94,6 +95,20 @@ class SpectralBasis:
             theta, p = _sorted_eigenpairs(self.v.T[None])
             factors = _real_phase_factors(theta[0], p[0])
         return factors
+
+
+class RealPhaseFactors(NamedTuple):
+    """``(theta, Q, partner)`` of a real orthogonal matrix ``Q R(1) Q^T``
+    (``FractionalOperator`` with ``partner``), with what the column pairing
+    implies, derived once: ``unit``, 1 on a paired column and j on a
+    self-partnered one, and ``pi_columns``, the self-partnered columns at
+    phase pi. Those are the only columns on which ``R(order)`` is complex."""
+
+    theta: np.ndarray
+    q: np.ndarray
+    partner: np.ndarray
+    unit: np.ndarray
+    pi_columns: np.ndarray
 
 
 def _lmul(f: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -137,10 +152,11 @@ class FractionalOperator:
     its own partner (phase 0 or pi) and keeps ``exp(j*order*phase)``. Both
     are ``R w = a o w + b o w[partner]`` with ``a = cos(order*phases)`` and
     ``b = unit * sin(order*phases)``, ``unit`` 1 on a pair and j elsewhere
-    (``rotation``). Graph FRFTs are held that way, so a complex signal meets
-    only real GEMMs on its float64 view, half the arithmetic of complex
-    ones; the DFRFT has a real ``left = V`` and no partner. A geodesic
-    temporal basis ``F S diag(exp(j*lam*theta)) S^H`` has ``left = F S`` and
+    (``rotation``), given with ``partner`` (``RealPhaseFactors``). Graph
+    FRFTs are held that way, so a complex signal meets only real GEMMs on
+    its float64 view, half the arithmetic of complex ones; the DFRFT has a
+    real ``left = V`` and no partner. A geodesic temporal basis
+    ``F S diag(exp(j*lam*theta)) S^H`` has ``left = F S`` and
     ``right = S^H``, with ``order`` the coupling parameter, and a general
     unitary power ``left = P`` and ``right = P^H``. The dense ``matrix`` is
     materialized lazily; transforms apply the factors directly.
@@ -150,21 +166,18 @@ class FractionalOperator:
     shared by every member. The ``apply_*`` methods then broadcast over it.
     """
 
-    def __init__(self, order, phases, left, right, partner=None):
+    def __init__(self, order, phases, left, right, partner=None, unit=None):
         self.phases = _freeze(np.asarray(phases))
         self.left = _freeze(np.asarray(left))
         self.right = _freeze(np.asarray(right))
         self.partner = None if partner is None else _freeze(np.asarray(partner))
+        self.unit = None if unit is None else _freeze(np.asarray(unit))
         order = np.array(order, dtype=np.float64)
         self.order = float(order) if order.ndim == 0 else _freeze(order)
 
     @property
     def n(self) -> int:
         return self.left.shape[-1]
-
-    @cached_property
-    def _unit(self) -> np.ndarray:
-        return np.where(self.partner == np.arange(self.n), 1j, 1.0)
 
     @cached_property
     def rotation(self):
@@ -175,7 +188,7 @@ class FractionalOperator:
         if self.partner is None:
             return np.exp(1j * order * self.phases), None
         angle = order * self.phases
-        return np.cos(angle), np.sin(angle) * self._unit
+        return np.cos(angle), np.sin(angle) * self.unit
 
     @property
     def generator_coefficients(self):
@@ -184,7 +197,7 @@ class FractionalOperator:
         ``theta`` times the quarter turn, ``(G w)_i = theta_i w_partner(i)``."""
         if self.partner is None:
             return 1j * self.phases, None
-        return None, self.phases * self._unit
+        return None, self.phases * self.unit
 
     def mix(self, w: np.ndarray, coefficients, axis: int = -2, transpose: bool = False,
             gathered: np.ndarray | None = None):
@@ -467,7 +480,7 @@ def _real_phase_factors(theta, p):
     real axis, and several get a real orthonormal basis from an SVD of their
     real and imaginary parts. ``Q`` is checked for orthogonality.
 
-    Returns ``(theta, Q, partner)``, with ``partner[i] = i`` on the real
+    Returns its ``RealPhaseFactors``, with ``partner[i] = i`` on the real
     eigenspaces.
     """
     n = theta.size
@@ -489,29 +502,33 @@ def _real_phase_factors(theta, p):
             q[:, real] = (sub * (pivot.conj() / np.abs(pivot))).real
         elif sub.shape[1] > 1:
             q[:, real] = np.linalg.svd(np.hstack([sub.real, sub.imag]), full_matrices=False)[0][:, :sub.shape[1]]
-    return _checked_factors(theta, q, _mirrored_partner(n, k, m))
+    return _checked_factors(theta, q, _column_pairing(n, k, m))
 
 
-def _checked_factors(theta, q, partner):
-    """``(theta, Q, partner)``, frozen, once ``Q`` passes the orthogonality
+def _checked_factors(theta, q, pairing) -> RealPhaseFactors:
+    """The frozen ``RealPhaseFactors`` of ``theta``, ``Q`` and the column
+    ``pairing`` (``_column_pairing``), once ``Q`` passes the orthogonality
     check."""
     ortho = unitarity_error(q)
     if ortho > OUTPUT_UNITARITY_TOL * len(q):
         raise DecompositionError(f"real eigenvector basis is not orthonormal: ||Q^T Q - I|| = {ortho:.3e}")
-    return _freeze(theta), _freeze(q), _freeze(partner)
+    return RealPhaseFactors(*map(_freeze, (theta, q, *pairing)))
 
 
-def _mirrored_partner(n: int, k: int, m: int) -> np.ndarray:
-    """Column pairing of the ``_real_phase_factors`` layout: the ``m``
-    columns after the first ``k`` pair with the last ``m``, mirrored; every
-    other column is its own partner."""
+def _column_pairing(n: int, k: int, m: int) -> tuple:
+    """``(partner, unit, pi_columns)`` of the ``_real_phase_factors`` layout:
+    the ``m`` columns after the first ``k`` pair with the last ``m``,
+    mirrored; every other column is its own partner, and the first ``k``
+    are those at phase pi. ``unit`` is 1 on a pair and j elsewhere."""
     partner = np.arange(n)
     partner[k:k + m], partner[n - m:] = np.arange(n - 1, n - m - 1, -1), np.arange(k + m - 1, k - 1, -1)
-    return partner
+    unit = np.full(n, 1j)
+    unit[k:k + m] = unit[n - m:] = 1.0
+    return partner, unit, np.arange(k)
 
 
 def _symmetric_part_factors(o: np.ndarray):
-    """``(theta, Q, partner)`` of a real orthogonal matrix ``O``, laid out as
+    """The ``RealPhaseFactors`` of a real orthogonal matrix ``O``, laid out as
     by ``_real_phase_factors``, from one real ``eigh`` of its symmetric part
     ``(O + O^T) / 2``; None when that cannot resolve them.
 
@@ -552,12 +569,12 @@ def _symmetric_part_factors(o: np.ndarray):
     q *= signs
     oq *= signs
     # the residual O Q - Q R(1), formed in place
-    partner = _mirrored_partner(n, minus, m)
+    pairing = _column_pairing(n, minus, m)
     oq -= q * np.cos(theta)
-    oq += np.take(q, partner, axis=1) * np.sin(theta)
+    oq += np.take(q, pairing[0], axis=1) * np.sin(theta)
     if not np.linalg.norm(oq) <= CAYLEY_RESIDUAL_TOL * n:
         return None
-    return _checked_factors(theta, q, partner)
+    return _checked_factors(theta, q, pairing)
 
 
 def unitary_fractional_power(u, order: float) -> FractionalOperator:
@@ -589,8 +606,8 @@ def graph_frft(basis: SpectralBasis, order: float) -> FractionalOperator:
     basis, so sweeping orders only updates the rotation angles and phases of
     ``R``.
     """
-    theta, q, partner = basis.fourier_phase_decomposition
-    return FractionalOperator(order, theta, q, q.T, partner)
+    f = basis.fourier_phase_decomposition
+    return FractionalOperator(order, f.theta, f.q, f.q.T, f.partner, f.unit)
 
 
 @lru_cache(maxsize=64)

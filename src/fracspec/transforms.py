@@ -27,6 +27,7 @@ from .coupling import (
     DEFAULT_MARGIN_TOL,
     CouplingDecomposition,
     _coupling_parameter,
+    _margin_tolerance,
     coupling_operator,
     phase_decompose,
 )
@@ -197,12 +198,14 @@ class TransformContext:
     operator (phases and 2x2 rotation angles). The context owns each plan's
     temporal (column) factor: how it is built, cached per temporal order
     (``_couplings``), refused at the branch cut and differentiated.
+    ``margin_tol`` (radians, in [0, pi]) is the least distance of a coupling
+    eigenphase from that cut.
     """
 
     def __init__(self, spatial, temporal, margin_tol: float = DEFAULT_MARGIN_TOL):
+        self.margin_tol = _margin_tolerance(margin_tol)
         self.spatial = _as_basis(spatial)
         self.temporal = _as_basis(temporal)
-        self.margin_tol = margin_tol
         self._coupling_cache: dict[float, tuple | MarginViolationError] = {}
 
     @property

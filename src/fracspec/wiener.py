@@ -206,20 +206,78 @@ def closed_form_h(y: TimeVertexSignal, x_true: TimeVertexSignal, params: FilterP
     return h
 
 
-def _factored_spectra(plan: TransformPlan, r: np.ndarray, r_partner: np.ndarray):
+def _row_factor_first(plan: TransformPlan, r: np.ndarray, pi_rows: int) -> bool:
+    """Whether an epoch of ``plan`` costs fewer real multiply-adds with the
+    row factor ``Q`` applied before the column operator ``C`` than after it
+    (``_factored_spectra``); a property of the plan's shape and of the dtype
+    of the coordinates ``r``, not a setting.
+
+    Each product with ``C`` is counted as a complex one, 4 real
+    multiply-adds per complex multiply-add: a complex factor needs them, and
+    a real factor's product with a complex block goes through two transposed
+    copies of the block (``operators._rmul``), which cost about as much as
+    the halved arithmetic saves. Per lane, with the order gradient,
+    column-first multiplies ``Q`` by two complex n1 x 2 n2 blocks,
+    ``8 n1^2 n2``, and ``C^T`` by 2 n1 rows, ``16 n1 n2^2``. Row-first
+    multiplies ``Q`` by one n1 x 4 n2 block, which for real ``r`` is real but
+    for ``pi_rows`` rows, ``4 n1^2 n2 + 4 pi_rows n1 n2``, and ``C^T`` by
+    4 n1 rows, ``32 n1 n2^2``. So it is cheaper when
+    ``n1 > 4 n2 + pi_rows``. For complex ``r`` the block is complex
+    throughout, ``Q`` costs the same either way and column-first wins."""
+    n1, n2 = plan.shape
+    return r.dtype == np.float64 and n1 > 4 * n2 + pi_rows
+
+
+def _factored_spectra(ctx: TransformContext, plan: TransformPlan, r: np.ndarray,
+                      r_partner: np.ndarray, alpha_rates: bool = False):
     """Spectra of Y and X side by side, ``[Yhat | Xhat]``, from
     ``r = Q^T [Y | X]`` and ``r_partner`` (``_stacked_coordinates``), both
     batched like the plan, where ``Q`` is the row operator's real factor (its
-    right factor is ``Q^T`` at every order). With the row rotation ``R``,
-    ``[Yhat | Xhat] = Q Z`` and ``Z = R r (I_2 kron C^T)``; returns
-    ``(Z, [Yhat | Xhat], Yhat, Xhat)``, batched like the plan, the first two
-    ``(..., n1, 2 n2)``. The product with ``Q`` is one real GEMM per lane."""
-    row, (n1, n2) = plan.row_op, plan.shape
-    # R r is left unnamed, so the column operator frees it early
-    z = plan.col_op.apply_right_transpose(row.mix(r, row.rotation, gathered=r_partner).reshape(
-        *r.shape[:-2], 2 * n1, n2)).reshape(r.shape)
-    yx = _lmul(row.left, z)
-    return z, yx, yx[..., :n2], yx[..., n2:]
+    right factor is ``Q^T`` at every order), and, with ``alpha_rates``, their
+    derivatives in the spatial order, ``Q G Z``, ``G`` the row generator in
+    factor coordinates. With the row rotation ``R``, ``[Yhat | Xhat] = Q Z``
+    and ``Z = R r (I_2 kron C^T)``.
+
+    Returns ``([Yhat | Xhat], Yhat, Xhat, alpha_rate)``, batched like the
+    plan, the first ``(..., n1, 2 n2)``; ``alpha_rate()`` gives ``Q G Z``
+    when asked for. The order of the products follows
+    ``_row_factor_first``. Column-first forms ``Z``, then ``Q Z``, and
+    ``Q (G Z)`` only when ``alpha_rate`` is called: two passes over ``Q``.
+    Row-first multiplies ``[R r | G R r]`` by ``Q`` in one pass and then
+    both halves by ``C^T``: for real ``r`` the block is real except on the
+    self-partnered rows at phase pi (``RealPhaseFactors.pi_columns``), so
+    it is one real GEMM plus a rank-k GEMM of those rows' imaginary parts.
+    """
+    row, col, (n1, n2) = plan.row_op, plan.col_op, plan.shape
+    pi = ctx.spatial.fourier_phase_decomposition.pi_columns
+    if not _row_factor_first(plan, r, len(pi)):
+        # R r is left unnamed, so the column operator frees it early
+        z = col.apply_right_transpose(row.mix(r, row.rotation, gathered=r_partner).reshape(
+            *r.shape[:-2], 2 * n1, n2)).reshape(r.shape)
+        yx = _lmul(row.left, z)
+        return yx, yx[..., :n2], yx[..., n2:], lambda: _lmul(row.left, row.mix(z, row.generator_coefficients))
+    # Q [R r | G R r] is left unnamed, so the column operator frees it early
+    out = col.apply_right_transpose(_row_pass(row, r, r_partner, pi, alpha_rates).reshape(
+        *r.shape[:-2], -1, n2)).reshape(*r.shape[:-1], -1)
+    yx = out[..., :2 * n2]
+    return yx, yx[..., :n2], yx[..., n2:], lambda: out[..., 2 * n2:]
+
+
+def _row_pass(row, r: np.ndarray, r_partner: np.ndarray, pi: np.ndarray, alpha_rates: bool):
+    """``Q R r``, or with ``alpha_rates`` ``Q [R r | G R r]``, for real ``r``
+    and the row operator ``Q R Q^T``: the block is real but for the rows
+    ``pi``, so ``Q`` meets its real part in one real GEMM and the imaginary
+    part of those rows in a rank-``len(pi)`` one."""
+    u = row.mix(r, row.rotation, gathered=r_partner)
+    if alpha_rates:
+        u = np.concatenate([u, row.mix(u, row.generator_coefficients)], axis=-1)
+    qu = np.empty(u.shape, dtype=np.complex128)
+    qu.imag = _lmul(row.left[:, pi], u.imag[..., pi, :])
+    # the real part alone, so the complex block is freed before the GEMM
+    re = np.ascontiguousarray(u.real)
+    del u
+    qu.real = _lmul(row.left, re)
+    return qu
 
 
 def _order_gradient(ctx: TransformContext, plan: TransformPlan, h: np.ndarray,
@@ -228,13 +286,12 @@ def _order_gradient(ctx: TransformContext, plan: TransformPlan, h: np.ndarray,
     shape (..., 2), or (..., 1) for the shared order of gfrft2d (the sum).
 
     Every factor moves along a unitary one-parameter family, so an order
-    derivative is a generator times the spectra already computed. With
-    ``[Yhat | Xhat] = Q Z`` (``_factored_spectra``), the alpha derivatives are
-    ``Q (G Z)``, ``G`` the row generator in factor coordinates, and
-    ``dYhat/dbeta = Yhat D^T`` with the dense n2 x n2 ``D`` of
-    ``TransformContext.temporal_generator``.
+    derivative is a generator times the spectra already computed. The alpha
+    derivatives ``Q G Z`` come from ``_factored_spectra`` (asked for with
+    ``alpha_rates``), and ``dYhat/dbeta = Yhat D^T`` with the dense n2 x n2
+    ``D`` of ``TransformContext.temporal_generator``.
     """
-    z, yx = spectra[:2]
+    yx, alpha_rate = spectra[0], spectra[3]
     n1, n2 = plan.shape
     scale = 2.0 / (n1 * n2)
 
@@ -244,8 +301,7 @@ def _order_gradient(ctx: TransformContext, plan: TransformPlan, h: np.ndarray,
         d *= resid.conj()
         return scale * np.sum(d.real, axis=(-2, -1))
 
-    row = plan.row_op
-    g_alpha = rate(_lmul(row.left, row.mix(z, row.generator_coefficients)))
+    g_alpha = rate(alpha_rate())
     d_t = ctx.temporal_generator(plan).swapaxes(-1, -2)
     g_beta = rate((yx.reshape(*yx.shape[:-2], 2 * n1, n2) @ d_t).reshape(yx.shape))
     if plan.family == "gfrft2d":
@@ -258,9 +314,9 @@ def _stacked_coordinates(ctx: TransformContext, y: TimeVertexSignal, x: TimeVert
     ``r[partner]`` gathered by the factor's column pairing: the same at
     every spatial order, and real for real signals."""
     yx = np.concatenate([y.data, x.data], axis=-1)
-    _, q, partner = ctx.spatial.fourier_phase_decomposition
-    r = _lmul(q.T, yx)
-    return r, r[partner]
+    f = ctx.spatial.fourier_phase_decomposition
+    r = _lmul(f.q.T, yx)
+    return r, r[f.partner]
 
 
 def grad_orders(y: TimeVertexSignal, x_true: TimeVertexSignal, params: FilterParams,
@@ -270,8 +326,8 @@ def grad_orders(y: TimeVertexSignal, x_true: TimeVertexSignal, params: FilterPar
     if family == "gfrft2d":
         raise ConfigError("gfrft2d has a single shared order; train() handles it directly")
     (plan,) = _spectra(ctx, family, params.alpha, params.beta, params.lam)
-    spectra = _factored_spectra(plan, *_stacked_coordinates(ctx, y, x_true))
-    g = _order_gradient(ctx, plan, params.h, spectra, params.h * spectra[2] - spectra[3])
+    spectra = _factored_spectra(ctx, plan, *_stacked_coordinates(ctx, y, x_true), alpha_rates=True)
+    g = _order_gradient(ctx, plan, params.h, spectra, params.h * spectra[1] - spectra[2])
     return float(g[0]), float(g[1])
 
 
@@ -352,8 +408,11 @@ def _train_lanes(pairs: list, lams: list, config: TrainConfig, ctx: TransformCon
             if not lanes.size:
                 break
             plan = ctx._plan(family, tuple(v.T), lam)
-        spectra = _factored_spectra(plan, coords, coords_p)
-        yhat, xhat = spectra[2], spectra[3]
+        # at epoch 0 the filter is all ones, where the risk ||Y - X||^2 does
+        # not depend on the orders: their step is exactly zero, not rounding
+        order_step = epoch > 0 and not last and config.lr_orders > 0
+        spectra = _factored_spectra(ctx, plan, coords, coords_p, alpha_rates=order_step)
+        yhat, xhat = spectra[1], spectra[2]
         resid = h * yhat - xhat
         risk = np.mean(resid.real**2 + resid.imag**2, axis=(-2, -1))
         if not np.all(np.isfinite(risk)):
@@ -366,9 +425,7 @@ def _train_lanes(pairs: list, lams: list, config: TrainConfig, ctx: TransformCon
         if record:
             steps[:, epoch, lanes] = risk, v[:, 0], v[:, -1]
 
-        # at epoch 0 the filter is all ones, where the risk ||Y - X||^2 does
-        # not depend on the orders: their step is exactly zero, not rounding
-        g_v = _order_gradient(ctx, plan, h, spectra, resid) if epoch and config.lr_orders > 0 else None
+        g_v = _order_gradient(ctx, plan, h, spectra, resid) if order_step else None
         g_h = (2.0 / resid[0].size) * (resid * yhat.conj()).real if config.lr_filter > 0 else None
         if config.optimizer == "gd":
             if g_v is not None:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from fracspec import (
+    ConfigError,
     DecompositionError,
     Graph,
     MarginViolationError,
@@ -167,6 +168,22 @@ class TestPhaseDecompose:
             assert np.array_equal(got.s[k], want.s)
             assert got.margin[k] == want.margin
         assert got.theta[2, 1] == got.theta[2, 2] == pytest.approx(0.3)
+
+    #: margin tolerances that are not a number of radians in [0, pi]
+    BAD_MARGIN_TOLS = [True, "x", np.nan, -1.0, 3.5]
+
+    @pytest.mark.parametrize("tol", BAD_MARGIN_TOLS, ids=["bool", "str", "nan", "negative", "above_pi"])
+    def test_bad_margin_tolerance_rejected(self, tol):
+        # NaN refused every matrix, -1 let a phase at the cut through, a
+        # string failed in numpy's comparison and a bool read as 1 radian
+        at_cut = np.diag([-1.0 + 0j, 1.0])
+        with pytest.raises(ConfigError, match="margin tolerance"):
+            phase_decompose(at_cut, margin_tol=tol)
+
+    def test_margin_tolerance_of_pi_allowed(self):
+        # the largest tolerance: no margin exceeds it, so every matrix fails
+        with pytest.raises(MarginViolationError):
+            phase_decompose(np.eye(2), margin_tol=np.pi)
 
     def test_stack_keeps_each_margin_failure(self):
         fine = np.diag([np.exp(1j * np.pi / 2), np.exp(-1j * np.pi / 3)])

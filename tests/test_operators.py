@@ -378,8 +378,12 @@ class TestRealFactors:
     @pytest.mark.parametrize("name", CASES)
     def test_factor_is_real_orthogonal_and_order_one_is_the_gft(self, name):
         basis, _, _ = real_factor_case(name)
-        theta, q, partner = basis.fourier_phase_decomposition
+        theta, q, partner, unit, pi_columns = basis.fourier_phase_decomposition
         assert q.dtype == np.float64 and not np.iscomplexobj(graph_frft(basis, 0.5).right)
+        # what the pairing implies, derived once per basis
+        own = partner == np.arange(basis.n)
+        assert np.array_equal(unit, np.where(own, 1j, 1.0))
+        assert np.array_equal(pi_columns, np.flatnonzero(own & (theta == np.pi)))
         # an F-ordered factor makes every product with it slower
         assert q.flags.c_contiguous
         assert np.abs(q.T @ q - np.eye(basis.n)).max() <= 1e-12
@@ -415,12 +419,12 @@ class TestRealFactors:
             monkeypatch.setattr(type(op), "rotation", property(lambda self: (a, -b)))
         else:
             # the first two pairs exchange partners
-            q_theta, q, partner = basis.fourier_phase_decomposition
+            q_theta, q, partner, unit, _ = basis.fourier_phase_decomposition
             i, j = np.flatnonzero(partner > np.arange(basis.n))[:2]
             swapped = partner.copy()
             swapped[[i, j]] = partner[[j, i]]
             swapped[partner[[i, j]]] = [j, i]
-            op = type(op)(self.ORDERS, q_theta, q, q.T, swapped)
+            op = type(op)(self.ORDERS, q_theta, q, q.T, swapped, unit)
         assert factor_error(op, want) > 1e-3
 
 

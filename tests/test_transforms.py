@@ -173,6 +173,12 @@ class TestPlanConstruction:
         with pytest.raises(ConfigError, match="one length"):
             ctx.plan("gbfrft2d", (np.array([0.1, 0.2]), np.array([0.1, 0.2, 0.3])))
 
+    @pytest.mark.parametrize("tol", [True, "x", np.nan, -1.0, 3.5],
+                             ids=["bool", "str", "nan", "negative", "above_pi"])
+    def test_bad_margin_tolerance_rejected_at_construction(self, tol):
+        with pytest.raises(ConfigError, match="margin tolerance"):
+            TransformContext(path_graph(3), path_graph(4), margin_tol=tol)
+
     def test_coupling_cache_reused(self, ctx):
         d1 = ctx.coupling(0.37)
         d2 = ctx.coupling(0.37)

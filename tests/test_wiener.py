@@ -23,7 +23,8 @@ from fracspec import (
     synth_signal,
     train,
 )
-from fracspec.wiener import _train_lanes
+from fracspec import wiener
+from fracspec.wiener import _factored_spectra, _stacked_coordinates, _train_lanes
 from oracles import fd_order_gradient
 
 
@@ -525,3 +526,97 @@ class TestMarginFailurePropagation:
         x = TimeVertexSignal(np.random.default_rng(1).standard_normal((6, 4)))
         with pytest.raises(MarginViolationError, match="epoch 0"):
             train(x, x, 0.5, TrainConfig(epochs=2), ctx)
+
+
+class TestRowFirstOrder:
+    """Training multiplies by the spatial factor ``Q`` before the column
+    operator where that costs fewer multiply-adds (``_row_factor_first``).
+    path(16) x path(3) takes that order for real signals in every family;
+    its spatial basis has three self-partnered columns at phase pi, where
+    the block ``[R r | G R r]`` that meets ``Q`` is complex."""
+
+    @pytest.fixture(scope="class")
+    def row_ctx(self):
+        ctx = TransformContext(path_graph(16), path_graph(3))
+        assert len(ctx.spatial.fourier_phase_decomposition.pi_columns) == 3
+        return ctx
+
+    @staticmethod
+    def pairs(ctx, complex_signals, count=3):
+        rng = np.random.default_rng(5 + complex_signals)
+        out = []
+        for _ in range(count):
+            x = rng.standard_normal(ctx.shape)
+            if complex_signals:
+                x = x + 1j * rng.standard_normal(ctx.shape)
+            y = x + 0.6 * rng.standard_normal(ctx.shape)
+            out.append((TimeVertexSignal.from_array(y), TimeVertexSignal.from_array(x)))
+        return out
+
+    @pytest.mark.parametrize("complex_signals", [False, True], ids=["real", "complex"])
+    @pytest.mark.parametrize("family", ["gfrft2d", "gbfrft2d", "jfrft", "gcgfrft"])
+    def test_training_spectra_equal_the_plan(self, row_ctx, family, complex_signals):
+        # three lanes, each with its own signals and orders
+        pairs = self.pairs(row_ctx, complex_signals)
+        alpha, beta = np.array([0.3, 0.55, 0.8]), np.array([0.45, 0.6, 0.35])
+        orders = (alpha,) if family == "gfrft2d" else (alpha, beta)
+        plan = row_ctx.plan(family, orders, lam=np.array([0.2, 0.5, 0.9]) if family == "gcgfrft" else None)
+        coords, coords_p = (np.stack(c) for c in zip(*(_stacked_coordinates(row_ctx, y, x)
+                                                        for y, x in pairs)))
+        assert wiener._row_factor_first(plan, coords, 3) != complex_signals
+        _, yhat, xhat, _ = _factored_spectra(row_ctx, plan, coords, coords_p, alpha_rates=True)
+        for i, (y, x) in enumerate(pairs):
+            assert np.abs(yhat[i] - plan.apply(y.data)[i]).max() <= 1e-12
+            assert np.abs(xhat[i] - plan.apply(x.data)[i]).max() <= 1e-12
+
+    @pytest.mark.parametrize("complex_signals", [False, True], ids=["real", "complex"])
+    @pytest.mark.parametrize("family", ["gbfrft2d", "jfrft", "gcgfrft"])
+    def test_grad_orders_matches_fd(self, row_ctx, family, complex_signals):
+        (y, x), = self.pairs(row_ctx, complex_signals, count=1)
+        h = 0.3 + np.random.default_rng(11).uniform(size=row_ctx.shape)
+        params = FilterParams(0.45, 0.6, h, 0.4 if family == "gcgfrft" else 0.0)
+        ga = np.array(grad_orders(y, x, params, row_ctx, family=family))
+        gf = fd_order_gradient(y, x, params, row_ctx, family=family)
+        assert np.linalg.norm(ga - gf) <= 1e-5 * np.linalg.norm(gf)
+
+    @pytest.mark.parametrize("complex_signals", [False, True], ids=["real", "complex"])
+    @pytest.mark.parametrize("family", ["gfrft2d", "gbfrft2d", "jfrft", "gcgfrft"])
+    def test_order_step_of_each_lane_follows_fd(self, row_ctx, family, complex_signals):
+        # GD moves the orders first in epoch 1, against the filter of epoch 0's step
+        pairs = self.pairs(row_ctx, complex_signals, count=2)
+        lam = 0.4 if family == "gcgfrft" else None
+        cfg = TrainConfig(lr_orders=0.1, lr_filter=0.1, epochs=2)
+        lanes = _train_lanes(pairs, [lam, lam], cfg, row_ctx, family)
+        for (y, x), (params, _, _) in zip(pairs, lanes):
+            start = FilterParams(0.5, 0.5, np.ones(row_ctx.shape), lam or 0.0)
+            start.h = start.h - cfg.lr_filter * grad_h(y, x, start, row_ctx, family=family)
+            g = fd_order_gradient(y, x, start, row_ctx, family=family)
+            # the shared order of gfrft2d moves by its total derivative
+            want = -cfg.lr_orders * (np.full(2, g[0]) if family == "gfrft2d" else g)
+            step = np.array([params.alpha - 0.5, params.beta - 0.5])
+            assert np.linalg.norm(step - want) <= 1e-5 * np.linalg.norm(want)
+
+    @pytest.mark.parametrize("shape, passes", [((16, 3), 1), ((30, 10), 2)],
+                             ids=["row_heavy", "column_heavy"])
+    @pytest.mark.parametrize("family", ["gbfrft2d", "gcgfrft"])
+    def test_passes_over_the_spatial_factor(self, monkeypatch, shape, passes, family):
+        # every evaluation after epoch 0 also takes the order gradient: one
+        # product with Q where the row factor goes first, two where it goes last
+        n1, n2 = shape
+        spatial = path_graph(n1) if n1 == 16 else knn_graph(random_planar_points(n1, seed=7), 4)
+        ctx = TransformContext(spatial, path_graph(n2))
+        q = ctx.spatial.fourier_phase_decomposition.q
+        lmul, calls = wiener._lmul, []
+
+        def counting_lmul(f, x):
+            calls.append(f is q)
+            return lmul(f, x)
+
+        monkeypatch.setattr(wiener, "_lmul", counting_lmul)
+        x = synth_signal(ctx.spatial, n2, bandwidth=0.4, seed=1)
+        y = add_awgn(x, 0.6, seed=2)
+        epochs = 4
+        train(y, x, 0.5 if family == "gcgfrft" else None, TrainConfig.adam(epochs=epochs), ctx,
+              family=family)
+        # epoch 0 and the final evaluation take no order gradient
+        assert sum(calls) == 2 + (epochs - 1) * passes

@@ -26,9 +26,11 @@ Times, in wall-clock milliseconds:
 - ``forward`` and ``inverse`` of a ``gbfrft2d`` plan (real factors on both
   sides) and a ``gcgfrft`` plan (complex geodesic factors on the columns) at
   30x10, 256x16 and 512x16; one Adam epoch of ``train`` (gcgfrft, lambda
-  0.5) at 256x16 and 512x16; one epoch of the 11-lane GD grid of
-  ``lambda_grid_search`` at 30x10. An epoch row times ``EPOCHS`` epochs from
-  a fresh context (cold coupling cache, warm graph bases) and divides by
+  0.5) at 256x16 and 512x16, and at 512x16 also of gbfrft2d and jfrft; one
+  epoch of the 11-lane GD grid of ``lambda_grid_search`` at 30x10, and of
+  its 3-lane Adam grid (gcgfrft, lambda 0, 0.5 and 1) at 64x128 (the
+  ``temporal_cli`` training). An epoch row times ``EPOCHS`` epochs from a
+  fresh context (cold coupling cache, warm graph bases) and divides by
   ``EPOCHS``.
 - at 128x256 (the ``order_sweep`` size: knn_random(128, k=4, seed=7) x
   path(256)), ``forward`` of a real signal and ``inverse`` of its spectrum for
@@ -90,6 +92,10 @@ ROUNDS = 5
 REPS = 200
 #: (spatial n1, temporal n2, repetitions of an epoch row) of the applies and epochs
 TRAIN_SIZES = ((30, 10, 10), (256, 16, 10), (512, 16, 5))
+#: families besides gcgfrft whose Adam epoch is timed at 512x16
+SPATIAL_HEAVY_FAMILIES = ("gbfrft2d", "jfrft")
+#: (spatial n1, temporal n2, repetitions) of the 3-lane Adam grid epoch
+TEMPORAL_GRID = (64, 128, 3)
 #: epochs per timed training call
 EPOCHS = 10
 #: (spatial n1, temporal n2, repetitions) of the real-signal applies and the
@@ -199,17 +205,34 @@ def worker() -> list:
             layers[f"inverse_{family}"] = timed(lambda: fs.inverse(plan, yhat), REPS)
         rows.append({"row": f"apply {n1}x{n2}", "reps": REPS, "layers": layers})
 
-        def epochs():
+        def epochs(family="gcgfrft"):
             # a fresh context: the coupling cache starts cold, the bases are kept
             fresh = fs.TransformContext(ctx.spatial, ctx.temporal)
             if n1 == 30:
                 grid = [round(0.1 * i, 1) for i in range(11)]
                 fs.lambda_grid_search(y, x, grid, fs.TrainConfig(epochs=EPOCHS), fresh)
             else:
-                fs.train(y, x, 0.5, fs.TrainConfig.adam(epochs=EPOCHS), fresh)
+                lam = 0.5 if family == "gcgfrft" else None
+                fs.train(y, x, lam, fs.TrainConfig.adam(epochs=EPOCHS), fresh, family=family)
 
         name = "gd_epoch_11_lanes" if n1 == 30 else "adam_epoch"
-        rows.append({"row": f"train {n1}x{n2}", "reps": reps, "layers": {name: timed(epochs, reps, EPOCHS)}})
+        layers = {name: timed(epochs, reps, EPOCHS)}
+        if n1 == 512:
+            for family in SPATIAL_HEAVY_FAMILIES:
+                layers[f"adam_epoch_{family}"] = timed(lambda: epochs(family), reps, EPOCHS)
+        rows.append({"row": f"train {n1}x{n2}", "reps": reps, "layers": layers})
+    n1, n2, reps = TEMPORAL_GRID
+    ctx = fs.TransformContext(fs.GraphSpec(kind="knn_random", n=n1, k=4, seed=7).build(),
+                              fs.path_graph(n2))
+    x = fs.synth_signal(ctx.spatial, n2, bandwidth=0.3, seed=1)
+    y = fs.add_awgn(x, 0.9, seed=2)
+
+    def grid_epochs():
+        fresh = fs.TransformContext(ctx.spatial, ctx.temporal)
+        fs.lambda_grid_search(y, x, [0.0, 0.5, 1.0], fs.TrainConfig.adam(epochs=EPOCHS), fresh)
+
+    rows.append({"row": f"train {n1}x{n2}", "reps": reps, "layers": {
+        "adam_epoch_3_lanes": timed(grid_epochs, reps, EPOCHS)}})
     n1, n2, reps = REAL_SIZE
     ctx = fs.TransformContext(fs.GraphSpec(kind="knn_random", n=n1, k=4, seed=7).build(),
                               fs.path_graph(n2))
