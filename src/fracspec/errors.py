@@ -60,7 +60,9 @@ def read_config(table: dict, cfg, where: str | None = None) -> dict:
     length), ``{kind}`` (one without repeats),
     ``(kind, [kind])`` (either) or a dataclass, whose range is its table.
     Other ranges, an interval such as ``"(0, 1]"`` or the allowed strings,
-    hold for each list entry; a cap is ``(limit, unit)``; a default of
+    hold for each list entry. The allowed strings may map each to the keys
+    that the value needs, each key or a tuple of keys one of which must be
+    given. A cap is ``(limit, unit)``; a default of
     ``dataclasses.MISSING`` makes the key required; ``rule`` replaces the
     generated words.
 
@@ -117,6 +119,11 @@ def read_config(table: dict, cfg, where: str | None = None) -> dict:
         if key not in cfg and entry[1] is dataclasses.MISSING:
             raise ConfigError(f"{label} is required")
         out[key] = value(cfg[key], label, *entry) if key in cfg else entry[1]
+        needs = entry[2] if len(entry) > 2 and isinstance(entry[2], dict) else {}
+        for need in needs.get(out[key], ()):
+            need = (need,) if isinstance(need, str) else need
+            if not any(k in cfg for k in need):
+                raise ConfigError(f"{label} {out[key]!r} needs {' or '.join(map(repr, need))}")
     return out
 
 

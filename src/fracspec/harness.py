@@ -18,7 +18,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ConfigError, dataclass_table, read_config
+from .errors import dataclass_table, read_config
 from .graphs import MATERIALIZE_CAP, Graph, knn_graph, path_graph
 from .operators import SpectralBasis, eigendecompose
 from .transforms import FAMILIES, TimeVertexSignal, TransformContext
@@ -144,21 +144,19 @@ class GraphSpec:
         read_config(GRAPH_SPEC, self, "graph spec")
 
     def build(self) -> Graph:
-        """The graph; a field its kind needs but the spec lacks is a configuration error."""
-        try:
-            if self.kind == "path":
-                return path_graph(self.n)
-            if self.kind == "knn_random":
-                pts = random_planar_points(self.n, seed=self.seed)
-                return knn_graph(pts, self.k, label=f"knn_random(n={self.n},k={self.k},seed={self.seed})")
-            if self.kind == "knn":
-                from .io import read_points_csv
-                pts = np.asarray(self.points) if self.points is not None else read_points_csv(self.file)
-                return knn_graph(pts, self.k)
-            from .io import read_edge_list_csv
-            return read_edge_list_csv(self.file)
-        except TypeError as err:
-            raise ConfigError(f"bad {self.kind!r} graph spec: {err}") from err
+        """The graph; construction has checked that the fields its kind
+        needs (``GRAPH_SPEC``) are given."""
+        if self.kind == "path":
+            return path_graph(self.n)
+        if self.kind == "knn_random":
+            pts = random_planar_points(self.n, seed=self.seed)
+            return knn_graph(pts, self.k, label=f"knn_random(n={self.n},k={self.k},seed={self.seed})")
+        if self.kind == "knn":
+            from .io import read_points_csv
+            pts = np.asarray(self.points) if self.points is not None else read_points_csv(self.file)
+            return knn_graph(pts, self.k)
+        from .io import read_edge_list_csv
+        return read_edge_list_csv(self.file)
 
     @classmethod
     def from_dict(cls, d: dict) -> "GraphSpec":
@@ -167,7 +165,9 @@ class GraphSpec:
 
 
 #: the config table of ``GraphSpec`` (see ``errors.read_config``)
-GRAPH_SPEC = dataclass_table(GraphSpec, kind=(str, ..., ("path", "knn_random", "knn", "edge_list")),
+GRAPH_SPEC = dataclass_table(GraphSpec, kind=(str, ..., {"path": ("n",), "knn_random": ("n", "k"),
+                                                         "knn": ("k", ("file", "points")),
+                                                         "edge_list": ("file",)}),
                              n=(int, ..., "[2, inf)", (MATERIALIZE_CAP, "nodes")),
                              k=(int, ..., "[1, inf)"), seed=(int, ..., "[0, inf)"),
                              file=(str, ...), points=([[float]], ...))
@@ -259,8 +259,7 @@ def _family_rows(ctx, cfg, cells, family):
                         lam=[p.lam for p in params] if geodesic else None)
         y = np.stack([cells[i // len(lams)][3].data for i in ok])
         h = np.stack([p.h for p in params])
-        # contiguous, as a per-cell estimate is: a strided view sums in another order
-        estimates = dict(zip(ok, np.ascontiguousarray(plan.apply_inverse(h * plan.apply(y)).real)))
+        estimates = dict(zip(ok, plan.apply_inverse_real(h * plan.apply(y))))
     share = (time.perf_counter() - t0) / len(cells)
 
     for c, (sigma, seed, x, _) in enumerate(cells):

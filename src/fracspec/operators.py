@@ -152,10 +152,15 @@ class FractionalOperator:
     its own partner (phase 0 or pi) and keeps ``exp(j*order*phase)``. Both
     are ``R w = a o w + b o w[partner]`` with ``a = cos(order*phases)`` and
     ``b = unit * sin(order*phases)``, ``unit`` 1 on a pair and j elsewhere
-    (``rotation``), given with ``partner`` (``RealPhaseFactors``). Graph
-    FRFTs are held that way, so a complex signal meets only real GEMMs on
-    its float64 view, half the arithmetic of complex ones; the DFRFT has a
-    real ``left = V`` and no partner. A geodesic temporal basis
+    (``rotation``), given with ``partner`` (``RealPhaseFactors``). So ``b``
+    is real but on the self-partnered columns at phase pi (``pi_columns``),
+    where it is ``j sin(order*pi)``, and ``R`` maps a real block to a real
+    one plus an imaginary part on those k lines alone, which ``real_mix``
+    computes in real arithmetic. Graph FRFTs are held that way, so a
+    complex signal meets only real GEMMs on its float64 view, half the
+    arithmetic of complex ones, and a real one real GEMMs plus rank-k
+    corrections; the DFRFT has a real ``left = V`` and no partner. A
+    geodesic temporal basis
     ``F S diag(exp(j*lam*theta)) S^H`` has ``left = F S`` and
     ``right = S^H``, with ``order`` the coupling parameter, and a general
     unitary power ``left = P`` and ``right = P^H``. The dense ``matrix`` is
@@ -166,12 +171,13 @@ class FractionalOperator:
     shared by every member. The ``apply_*`` methods then broadcast over it.
     """
 
-    def __init__(self, order, phases, left, right, partner=None, unit=None):
+    def __init__(self, order, phases, left, right, partner=None, unit=None, pi_columns=None):
         self.phases = _freeze(np.asarray(phases))
         self.left = _freeze(np.asarray(left))
         self.right = _freeze(np.asarray(right))
         self.partner = None if partner is None else _freeze(np.asarray(partner))
         self.unit = None if unit is None else _freeze(np.asarray(unit))
+        self.pi_columns = None if pi_columns is None else _freeze(np.asarray(pi_columns))
         order = np.array(order, dtype=np.float64)
         self.order = float(order) if order.ndim == 0 else _freeze(order)
 
@@ -217,17 +223,35 @@ class FractionalOperator:
             out += a[index] * w
         return out
 
+    def real_mix(self, w: np.ndarray, coefficients, axis: int = -2,
+                 gathered: np.ndarray | None = None):
+        """``mix`` of a real ``w`` in real arithmetic, for coefficients whose
+        ``b`` is imaginary only on the lines ``pi_columns`` (``rotation`` and
+        ``generator_coefficients`` of a partnered operator): ``(re, im)``,
+        ``re = a o w + Re(b) o w[partner]``, the real part, and
+        ``im = Im(b) o w`` on those lines, ``(..., k, m)`` at -2 and
+        ``(..., m, k)`` at -1. ``re`` has the bits of ``mix(...).real``:
+        on every other line ``b`` is real, and a self-partnered line has
+        ``Re(b) = 0``."""
+        a, b = coefficients
+        index = (..., slice(None), None) if axis == -2 else (..., None, slice(None))
+        s = b.imag[..., self.pi_columns]
+        return (self.mix(w, (a, b.real), axis, gathered=gathered),
+                s[index] * np.take(w, self.pi_columns, axis=axis))
+
     @cached_property
     def matrix(self) -> np.ndarray:
         return _freeze(_lmul(self.left, self.mix(self.right, self.rotation)))
 
     # -- factored application (never forms the dense operator) ---------------
-    # A^H x is evaluated as (A^T x^*)^*: the signal is conjugated, no factor is.
+    # A^H x is evaluated as (A^T x^*)^* (TransformPlan.apply_inverse): the
+    # signal is conjugated, no factor is.
 
-    def apply_left_inverse(self, x: np.ndarray) -> np.ndarray:
-        """M^H @ x (closed-form inverse: the operator is unitary)."""
-        inner = self.mix(_lmul(self.left.swapaxes(-1, -2), x.conj()), self.rotation, transpose=True)
-        return _lmul(self.right.swapaxes(-1, -2), inner).conj()
+    def apply_left_transpose(self, x: np.ndarray) -> np.ndarray:
+        """M^T @ x; ``(M^T x^*)^*`` is the closed-form inverse ``M^H x`` (the
+        operator is unitary)."""
+        inner = self.mix(_lmul(self.left.swapaxes(-1, -2), x), self.rotation, transpose=True)
+        return _lmul(self.right.swapaxes(-1, -2), inner)
 
     def apply_right_transpose(self, x: np.ndarray) -> np.ndarray:
         """x @ M^T. A temporary ``x`` is freed once the first factor is
@@ -237,10 +261,11 @@ class FractionalOperator:
         inner = self.mix(inner, self.rotation, axis=-1)
         return _rmul(inner, self.left.swapaxes(-1, -2))
 
-    def apply_right_conj(self, x: np.ndarray) -> np.ndarray:
-        """x @ M^* (right factor of the inverse transform)."""
-        inner = self.mix(_rmul(x.conj(), self.left), self.rotation, axis=-1, transpose=True)
-        return _rmul(inner, self.right).conj()
+    def apply_right(self, x: np.ndarray) -> np.ndarray:
+        """x @ M; ``(x^* M)^*`` is the right factor ``x M^*`` of the inverse
+        transform."""
+        inner = self.mix(_rmul(x, self.left), self.rotation, axis=-1, transpose=True)
+        return _rmul(inner, self.right)
 
     # -- order derivative: d(matrix)/d(order) = G @ matrix -------------------
 
@@ -607,7 +632,7 @@ def graph_frft(basis: SpectralBasis, order: float) -> FractionalOperator:
     ``R``.
     """
     f = basis.fourier_phase_decomposition
-    return FractionalOperator(order, f.theta, f.q, f.q.T, f.partner, f.unit)
+    return FractionalOperator(order, f.theta, f.q, f.q.T, f.partner, f.unit, f.pi_columns)
 
 
 @lru_cache(maxsize=64)

@@ -119,17 +119,69 @@ class TransformPlan:
 
         With ``F = left R right`` on both sides, the two inner factors go
         first (``right_row X right_col^T``), then the two rotations, then the
-        two outer factors. So a real ``X`` stays real until the rotations:
-        a real inner factor is a real GEMM and a complex one a half-width
-        real GEMM on the factor's float64 view (``_rmul``)."""
+        two outer factors. A real inner factor is a real GEMM and a complex
+        one a half-width real GEMM on the factor's float64 view (``_rmul``),
+        so a real ``X`` leaves them real but for ``gcgfrft``, whose ``S^H``
+        makes it complex. A real block stays real through the graph FRFT's
+        rotations (``FractionalOperator.real_mix``) but on the k rows or
+        columns at phase pi: for ``gfrft2d`` and ``gbfrft2d`` it is
+        ``Q1 M Q2^T`` in real GEMMs, for the real part ``M`` of both
+        rotations, plus rank-k GEMMs for the imaginary parts on those rows
+        and columns. For ``jfrft`` the DFRFT's diagonal phases make it
+        complex, after ``Q1`` has met the rotated real block. Every lane of
+        a batched plan takes the arithmetic of a single plan."""
         row, col = self.row_op, self.col_op
         x = _rmul(_lmul(row.right, x), col.right.swapaxes(-1, -2))
-        x = col.mix(row.mix(x, row.rotation), col.rotation, axis=-1)
-        return _rmul(_lmul(row.left, x), col.left.swapaxes(-1, -2))
+        if np.iscomplexobj(x):
+            x = col.mix(row.mix(x, row.rotation), col.rotation, axis=-1)
+            return _rmul(_lmul(row.left, x), col.left.swapaxes(-1, -2))
+        # R_row x is re + j im, with im on the rows pi1 alone
+        re, im = row.real_mix(x, row.rotation)
+        q1, pi1 = row.left, row.pi_columns
+        out = np.empty(re.shape, dtype=np.complex128)
+        if col.partner is None:
+            out.real = _lmul(q1, re)
+            out.imag = _lmul(q1[:, pi1], im)
+            return _rmul(col.mix(out, col.rotation, axis=-1), col.left.swapaxes(-1, -2))
+        # (re + j im) R_col^T, with im below re as k1 more rows: the real
+        # parts of both rotations, less their product on (pi1, pi2); the
+        # imaginary part is on the rows pi1 and the columns pi2 alone, so
+        # Q1 and Q2^T meet it in one GEMM of inner size k1 + k2
+        (n1, n2), k1, q2t, pi2 = re.shape[-2:], len(pi1), col.left.swapaxes(-1, -2), col.pi_columns
+        re, re_pi = col.real_mix(np.concatenate([re, im], axis=-2), col.rotation, axis=-1)
+        re[..., pi1[:, None], pi2] -= re_pi[..., n1:, :]
+        out.real = _rmul(_lmul(q1, re[..., :n1, :]), q2t)
+        left = np.empty((*re.shape[:-2], n1, k1 + len(pi2)))
+        left[..., :k1], left[..., k1:] = q1[:, pi1], _lmul(q1, re_pi[..., :n1, :])
+        right = np.empty((*re.shape[:-2], k1 + len(pi2), n2))
+        right[..., :k1, :], right[..., k1:, :] = _rmul(re[..., n1:, :], q2t), q2t[pi2]
+        out.imag = left @ right
+        return out
 
     def apply_inverse(self, xhat: np.ndarray) -> np.ndarray:
-        """``F_row^H Xhat F_col^*`` on a raw n1 x n2 array, unchecked."""
-        return self.col_op.apply_right_conj(self.row_op.apply_left_inverse(xhat))
+        """``F_row^H Xhat F_col^*`` on a raw n1 x n2 array, unchecked, as
+        ``((F_row^T Xhat^*) F_col)^*``."""
+        return self.col_op.apply_right(self.row_op.apply_left_transpose(xhat.conj())).conj()
+
+    def apply_inverse_real(self, xhat: np.ndarray) -> np.ndarray:
+        """``Re(F_row^H Xhat F_col^*)``, the real projection of the inverse,
+        on a raw n1 x n2 array, unchecked.
+
+        It is ``Re((F_row^T Xhat^*) F_col)``, with ``F_row^T = right^T R^T
+        left^T`` and ``F_col = left R right``. The real part commutes with a
+        real outer factor: every row factor ``Q1``, and the column factor
+        ``Q2^T`` or the DFRFT's ``V^T``. So the inner factors and rotations
+        are applied, then the real part is taken, before both outer factors
+        for the real families and before ``Q1`` alone for ``gcgfrft``,
+        whose ``S^H`` is complex; a real outer factor is then a real GEMM
+        on half the data."""
+        row, col = self.row_op, self.col_op
+        x = row.mix(_lmul(row.left.swapaxes(-1, -2), xhat.conj()), row.rotation, transpose=True)
+        x = col.mix(_rmul(x, col.left), col.rotation, axis=-1, transpose=True)
+        if not np.iscomplexobj(col.right):
+            x = np.ascontiguousarray(x.real)
+        x = np.ascontiguousarray(_rmul(x, col.right).real)
+        return _lmul(row.right.swapaxes(-1, -2), x)
 
 
 def forward(plan: TransformPlan, x: TimeVertexSignal) -> TimeVertexSignal:

@@ -157,11 +157,13 @@ def denoise_complex(y: TimeVertexSignal, params: FilterParams, ctx: TransformCon
 def denoise(y: TimeVertexSignal, params: FilterParams, ctx: TransformContext,
             family: str = "gcgfrft") -> TimeVertexSignal:
     """Filtered estimate; real-sourced observations are projected back to the
-    real field (the complex estimate remains the optimization variable)."""
-    est = denoise_complex(y, params, ctx, family=family)
-    if y.real_flag:
-        return TimeVertexSignal(est.data.real, real_flag=True)
-    return est
+    real field (the complex estimate remains the optimization variable),
+    through ``TransformPlan.apply_inverse_real``, which takes the real part
+    before the real outer factors."""
+    if not y.real_flag:
+        return denoise_complex(y, params, ctx, family=family)
+    plan, yhat = _spectra(ctx, family, params.alpha, params.beta, params.lam, y)
+    return TimeVertexSignal(plan.apply_inverse_real(params.h * yhat), real_flag=True)
 
 
 def loss(y: TimeVertexSignal, x_true: TimeVertexSignal, params: FilterParams,
@@ -249,33 +251,39 @@ def _factored_spectra(ctx: TransformContext, plan: TransformPlan, r: np.ndarray,
     it is one real GEMM plus a rank-k GEMM of those rows' imaginary parts.
     """
     row, col, (n1, n2) = plan.row_op, plan.col_op, plan.shape
-    pi = ctx.spatial.fourier_phase_decomposition.pi_columns
-    if not _row_factor_first(plan, r, len(pi)):
+    if not _row_factor_first(plan, r, len(row.pi_columns)):
         # R r is left unnamed, so the column operator frees it early
         z = col.apply_right_transpose(row.mix(r, row.rotation, gathered=r_partner).reshape(
             *r.shape[:-2], 2 * n1, n2)).reshape(r.shape)
         yx = _lmul(row.left, z)
         return yx, yx[..., :n2], yx[..., n2:], lambda: _lmul(row.left, row.mix(z, row.generator_coefficients))
     # Q [R r | G R r] is left unnamed, so the column operator frees it early
-    out = col.apply_right_transpose(_row_pass(row, r, r_partner, pi, alpha_rates).reshape(
+    out = col.apply_right_transpose(_row_pass(row, r, r_partner, alpha_rates).reshape(
         *r.shape[:-2], -1, n2)).reshape(*r.shape[:-1], -1)
     yx = out[..., :2 * n2]
     return yx, yx[..., :n2], yx[..., n2:], lambda: out[..., 2 * n2:]
 
 
-def _row_pass(row, r: np.ndarray, r_partner: np.ndarray, pi: np.ndarray, alpha_rates: bool):
+def _row_pass(row, r: np.ndarray, r_partner: np.ndarray, alpha_rates: bool):
     """``Q R r``, or with ``alpha_rates`` ``Q [R r | G R r]``, for real ``r``
     and the row operator ``Q R Q^T``: the block is real but for the rows
-    ``pi``, so ``Q`` meets its real part in one real GEMM and the imaginary
-    part of those rows in a rank-``len(pi)`` one."""
-    u = row.mix(r, row.rotation, gathered=r_partner)
+    ``pi`` (``row.pi_columns``), so it is built in real arithmetic
+    (``FractionalOperator.real_mix``) as a real block and the imaginary
+    part of those rows, and ``Q`` meets the first in one real GEMM and the
+    second in a rank-``len(pi)`` one. ``G`` is ``j pi`` on the rows ``pi``,
+    where it turns the imaginary part of ``R r`` into a real one. Each
+    entry is the one the complex arithmetic of ``mix`` gives, up to the
+    sign of a zero: addition commutes, and a real ``b`` times a real
+    entry is the real part of the complex product."""
+    pi = row.pi_columns
+    re, im = row.real_mix(r, row.rotation, gathered=r_partner)
     if alpha_rates:
-        u = np.concatenate([u, row.mix(u, row.generator_coefficients)], axis=-1)
-    qu = np.empty(u.shape, dtype=np.complex128)
-    qu.imag = _lmul(row.left[:, pi], u.imag[..., pi, :])
-    # the real part alone, so the complex block is freed before the GEMM
-    re = np.ascontiguousarray(u.real)
-    del u
+        g = row.generator_coefficients
+        re_g, im_g = row.real_mix(re, g)
+        re_g[..., pi, :] -= g[1].imag[..., pi, None] * im
+        re, im = np.concatenate([re, re_g], axis=-1), np.concatenate([im, im_g], axis=-1)
+    qu = np.empty(re.shape, dtype=np.complex128)
+    qu.imag = _lmul(row.left[:, pi], im)
     qu.real = _lmul(row.left, re)
     return qu
 

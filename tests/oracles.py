@@ -3,6 +3,7 @@
 import numpy as np
 
 from fracspec import FilterParams, loss
+from fracspec.operators import _lmul, _rmul
 
 #: central-difference step for the fractional orders
 ORDER_FD_STEP = 1e-4
@@ -53,3 +54,24 @@ def eigenphase_power(theta, p, order):
     orders."""
     order = np.asarray(order, dtype=np.float64)
     return (p * np.exp(1j * order[..., None, None] * theta[None, :])) @ p.conj().T
+
+
+def complex_forward(plan, x):
+    """``F_row X F_col^T`` of a complex ``X`` in complex arithmetic: both
+    inner factors, both rotations, both outer factors, the order of
+    ``TransformPlan.apply``."""
+    row, col = plan.row_op, plan.col_op
+    x = _rmul(_lmul(row.right, x), col.right.swapaxes(-1, -2))
+    x = col.mix(row.mix(x, row.rotation), col.rotation, axis=-1)
+    return _rmul(_lmul(row.left, x), col.left.swapaxes(-1, -2))
+
+
+def conjugated_inverse(plan, xhat):
+    """``F_row^H Xhat F_col^*`` as ``M^H x = (M^T x^*)^*`` on the rows, then
+    ``x M^* = (x^* M)^*`` on the columns, each conjugating its input and its
+    output: four passes, two of which cancel."""
+    row, col = plan.row_op, plan.col_op
+    x = row.mix(_lmul(row.left.swapaxes(-1, -2), xhat.conj()), row.rotation, transpose=True)
+    x = _lmul(row.right.swapaxes(-1, -2), x).conj()
+    x = col.mix(_rmul(x.conj(), col.left), col.rotation, axis=-1, transpose=True)
+    return _rmul(x, col.right).conj()

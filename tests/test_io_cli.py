@@ -194,7 +194,7 @@ def good(entry, key):
     if kind is bool:
         return st.booleans()
     if kind is str:
-        return st.sampled_from(rng) if rng else st.just("x")
+        return st.sampled_from(list(rng)) if rng else st.just("x")
     lo, hi, lo_open, hi_open = bounds(rng)
     if kind is int:
         lo = int(lo) + lo_open
@@ -977,6 +977,33 @@ class TestConfigSeams:
         fio.write_edge_list_csv(g, path)
         back = GraphSpec.from_dict({"kind": "edge_list", "file": path}).build()
         assert np.array_equal(back.adjacency, g.adjacency)
+
+    @pytest.mark.parametrize("spec, missing", [({"kind": "path"}, "'n'"),
+                                               ({"kind": "knn_random", "n": 12}, "'k'"),
+                                               ({"kind": "knn", "k": 2}, "'file' or 'points'"),
+                                               ({"kind": "edge_list"}, "'file'")],
+                             ids=["path", "knn_random", "knn", "edge_list"])
+    def test_graph_spec_without_a_field_its_kind_needs(self, tmp_path, spec, missing):
+        # refused at construction, by a message that names the field
+        from fracspec import ConfigError, GraphSpec
+        words = f"kind '{spec['kind']}' needs {missing}"
+        for build in (GraphSpec.from_dict, lambda d: GraphSpec(**d)):
+            with pytest.raises(ConfigError) as err:
+                build(spec)
+            assert str(err.value) == f"graph spec {words}"
+        code, err = run_cli(str(tmp_path), "gen", {"spatial": spec})
+        assert code == 2 and err == f"configuration error: 'spatial' {words}\n"
+
+    def test_graph_spec_build_does_not_relabel_a_type_error(self, monkeypatch):
+        # a TypeError inside a graph constructor is a bug, not a configuration error
+        from fracspec import GraphSpec, harness
+
+        def broken(n):
+            raise TypeError("a bug")
+
+        monkeypatch.setattr(harness, "path_graph", broken)
+        with pytest.raises(TypeError, match="a bug"):
+            GraphSpec(kind="path", n=5).build()
 
     def test_graph_spec_unknown_field_rejected(self):
         from fracspec import ConfigError, GraphSpec

@@ -361,9 +361,9 @@ def factor_error(op, want):
     errs = [np.abs(op.matrix - want).max()]
     for x in inputs:
         assert not x.flags.c_contiguous
-        errs += [np.abs(op.apply_left_inverse(x) - want.conj().swapaxes(-1, -2) @ x).max(),
+        errs += [np.abs(op.apply_left_transpose(x) - want.swapaxes(-1, -2) @ x).max(),
                  np.abs(op.apply_right_transpose(x.T) - x.T @ want.swapaxes(-1, -2)).max(),
-                 np.abs(op.apply_right_conj(x.T) - x.T @ want.conj()).max()]
+                 np.abs(op.apply_right(x.T) - x.T @ want).max()]
     return max(errs)
 
 

@@ -1,3 +1,4 @@
+import functools
 import traceback
 
 import numpy as np
@@ -17,6 +18,8 @@ from fracspec import (
     path_graph,
     random_planar_points,
 )
+
+from oracles import complex_forward, conjugated_inverse
 
 
 def kron_vec_oracle(plan, x):
@@ -323,6 +326,82 @@ class TestRealSignals:
         assert xhat.real_flag
         back = inverse(plan, xhat)
         assert np.abs(back.data - x.data).max() <= 1e-12
+
+
+#: spatial x temporal bases by their self-partnered lines at phase pi, on
+#: which a graph FRFT's rotation is complex: path10 and path16 have three
+#: each, the k-NN graph of 30 points one
+PI_BASES = {
+    "path16 x path10": lambda: (path_graph(16), path_graph(10)),
+    "knn30 x path16": lambda: (knn_graph(random_planar_points(30, seed=7), 4), path_graph(16)),
+    "path10 x knn30": lambda: (path_graph(10), knn_graph(random_planar_points(30, seed=7), 4)),
+}
+
+
+@functools.lru_cache(maxsize=None)
+def pi_context(name):
+    ctx = TransformContext(*PI_BASES[name]())
+    counts = [len(b.fourier_phase_decomposition.pi_columns) for b in (ctx.spatial, ctx.temporal)]
+    assert counts == [1 if n == 30 else 3 for n in ctx.shape]
+    return ctx
+
+
+class TestRealRotations:
+    """A real block meets the graph FRFT's rotations in real arithmetic,
+    with the imaginary parts of the lines at phase pi as rank-k parts: the
+    forward of a real signal and the real projection of an inverse equal
+    the complex arithmetic, and each lane of a batched plan equals its
+    single plan bit for bit. A complex input keeps the complex arithmetic
+    bit for bit."""
+
+    ALPHA = np.array([0.2, 0.7, 1.3, -0.4])
+    BETA = np.array([0.6, 0.3, -0.45, 1.0])
+    LAM = np.array([0.1, 0.5, 0.9, 0.3])
+
+    def plans(self, ctx, family):
+        """A batched plan and each of its lanes as a single plan."""
+        orders = (self.ALPHA,) if family == "gfrft2d" else (self.ALPHA, self.BETA)
+        lanes = [ctx.plan(family, tuple(o[i] for o in orders), lam=self.LAM[i])
+                 for i in range(len(self.ALPHA))]
+        return ctx.plan(family, orders, lam=self.LAM), lanes
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    @pytest.mark.parametrize("name", PI_BASES)
+    def test_forward_of_a_real_signal(self, rng, name, family):
+        ctx = pi_context(name)
+        x = rng.standard_normal(ctx.shape)
+        batched, lanes = self.plans(ctx, family)
+        got = batched.apply(x)
+        for i, plan in enumerate(lanes):
+            want = complex_forward(plan, x.astype(np.complex128))
+            one = plan.apply(x)
+            assert one.dtype == np.complex128
+            assert np.abs(one - want).max() <= 1e-12 * np.abs(want).max()
+            assert np.array_equal(got[i], one)
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    @pytest.mark.parametrize("name", PI_BASES)
+    def test_real_projection_of_the_inverse(self, rng, name, family):
+        ctx = pi_context(name)
+        z = rng.standard_normal(ctx.shape) + 1j * rng.standard_normal(ctx.shape)
+        batched, lanes = self.plans(ctx, family)
+        got = batched.apply_inverse_real(z)
+        assert got.dtype == np.float64
+        for i, plan in enumerate(lanes):
+            want = conjugated_inverse(plan, z).real
+            one = plan.apply_inverse_real(z)
+            assert np.abs(one - want).max() <= 1e-12 * np.abs(want).max()
+            assert np.array_equal(got[i], one)
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    @pytest.mark.parametrize("name", PI_BASES)
+    def test_complex_input_keeps_the_complex_arithmetic(self, rng, name, family):
+        ctx = pi_context(name)
+        z = rng.standard_normal(ctx.shape) + 1j * rng.standard_normal(ctx.shape)
+        batched, lanes = self.plans(ctx, family)
+        for plan in (batched, lanes[0]):
+            assert np.array_equal(plan.apply(z), complex_forward(plan, z))
+            assert np.array_equal(plan.apply_inverse(z), conjugated_inverse(plan, z))
 
 
 class TestTimeVertexSignal:

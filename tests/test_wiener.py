@@ -13,6 +13,8 @@ from fracspec import (
     closed_form_h,
     denoise,
     denoise_complex,
+    eigendecompose,
+    graph_frft,
     grad_h,
     grad_orders,
     knn_graph,
@@ -25,7 +27,7 @@ from fracspec import (
 )
 from fracspec import wiener
 from fracspec.wiener import _factored_spectra, _stacked_coordinates, _train_lanes
-from oracles import fd_order_gradient
+from oracles import complex_forward, fd_order_gradient
 
 
 def trivial_graph(n=1):
@@ -86,6 +88,19 @@ class TestDenoise:
         est_c = denoise_complex(y, params, ctx)
         assert np.abs(est_c.data.imag).max() > 0
         assert np.allclose(est.data.real, est_c.data.real)
+
+
+    @pytest.mark.parametrize("family", ["gfrft2d", "gbfrft2d", "jfrft", "gcgfrft"])
+    def test_real_projection_equals_the_complex_estimate(self, family):
+        # path(16) x path(10): three lines at phase pi on each side
+        ctx = TransformContext(path_graph(16), path_graph(10))
+        rng = np.random.default_rng(3)
+        y = TimeVertexSignal(rng.standard_normal(ctx.shape))
+        params = FilterParams(0.35, 0.7, rng.uniform(size=ctx.shape), 0.6)
+        est = denoise(y, params, ctx, family=family)
+        want = denoise_complex(y, params, ctx, family=family).data.real
+        assert est.data.dtype == np.float64
+        assert np.abs(est.data - want).max() <= 1e-12 * np.abs(want).max()
 
 
 class TestLoss:
@@ -568,6 +583,58 @@ class TestRowFirstOrder:
         for i, (y, x) in enumerate(pairs):
             assert np.abs(yhat[i] - plan.apply(y.data)[i]).max() <= 1e-12
             assert np.abs(xhat[i] - plan.apply(x.data)[i]).max() <= 1e-12
+
+    @pytest.mark.parametrize("batched", [False, True], ids=["single", "batched"])
+    @pytest.mark.parametrize("alpha_rates", [False, True])
+    @pytest.mark.parametrize("name", ["path10", "path16", "knn30"])
+    def test_row_pass_is_the_complex_arithmetic(self, name, alpha_rates, batched):
+        # the real block and its pi rows hold the bits that the complex
+        # arithmetic of mix gives, so Q meets the same numbers
+        graph = knn_graph(random_planar_points(30, seed=7), 4) if name == "knn30" \
+            else path_graph(int(name[4:]))
+        basis = eigendecompose(graph)
+        f = basis.fourier_phase_decomposition
+        assert len(f.pi_columns) == (1 if name == "knn30" else 3)
+        row = graph_frft(basis, np.array([0.3, 0.55, 1.4]) if batched else 0.55)
+        r = np.random.default_rng(7).standard_normal((3, basis.n, 4) if batched else (basis.n, 4))
+        r_partner = r[..., f.partner, :]
+        got = wiener._row_pass(row, r, r_partner, alpha_rates)
+        u = row.mix(r, row.rotation, gathered=r_partner)
+        if alpha_rates:
+            u = np.concatenate([u, row.mix(u, row.generator_coefficients)], axis=-1)
+        want = np.empty(u.shape, dtype=np.complex128)
+        want.imag = f.q[:, f.pi_columns] @ u.imag[..., f.pi_columns, :]
+        want.real = f.q @ np.ascontiguousarray(u.real)
+        assert np.array_equal(got, want)
+        dense = row.matrix @ f.q @ r
+        if alpha_rates:
+            dense = np.concatenate([dense, row.generator() @ dense], axis=-1)
+        assert np.abs(got - dense).max() <= 1e-12 * np.abs(dense).max()
+
+    @pytest.mark.parametrize("batched", [False, True], ids=["single", "batched"])
+    @pytest.mark.parametrize("family", ["gfrft2d", "gbfrft2d", "jfrft", "gcgfrft"])
+    @pytest.mark.parametrize("shape", [(16, 3), (30, 5), (10, 4)])
+    def test_training_spectra_equal_the_complex_arithmetic(self, shape, family, batched):
+        # path(16) x path(3) and knn30 x path(5) take the row factor first,
+        # path(10) x path(4) last; their spatial bases have 3, 1 and 3 rows at phase pi
+        n1, n2 = shape
+        spatial = knn_graph(random_planar_points(30, seed=7), 4) if n1 == 30 else path_graph(n1)
+        ctx = TransformContext(spatial, path_graph(n2))
+        pairs = self.pairs(ctx, False, count=3 if batched else 1)
+        alpha, beta, lam = np.array([0.3, 0.55, 0.8]), np.array([0.45, 0.6, 0.35]), np.array([0.2, 0.5, 0.9])
+        if not batched:
+            alpha, beta, lam = alpha[1], beta[1], lam[1]
+        plan = ctx.plan(family, (alpha,) if family == "gfrft2d" else (alpha, beta),
+                        lam=lam if family == "gcgfrft" else None)
+        coords, coords_p = (np.stack(c) if batched else c[0] for c in zip(
+            *(_stacked_coordinates(ctx, y, x) for y, x in pairs)))
+        assert wiener._row_factor_first(plan, coords, 3 if n1 != 30 else 1) == (n1 != 10)
+        _, yhat, xhat, _ = _factored_spectra(ctx, plan, coords, coords_p, alpha_rates=True)
+        for i, (y, x) in enumerate(pairs):
+            for got, sig in ((yhat, y), (xhat, x)):
+                want = complex_forward(plan, sig.data.astype(np.complex128))
+                got, want = (got[i], want[i]) if batched else (got, want)
+                assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
     @pytest.mark.parametrize("complex_signals", [False, True], ids=["real", "complex"])
     @pytest.mark.parametrize("family", ["gbfrft2d", "jfrft", "gcgfrft"])

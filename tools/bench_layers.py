@@ -35,8 +35,8 @@ Times, in wall-clock milliseconds:
 - at 128x256 (the ``order_sweep`` size: knn_random(128, k=4, seed=7) x
   path(256)), ``forward`` of a real signal and ``inverse`` of its spectrum for
   ``gbfrft2d``, ``jfrft`` and ``gcgfrft`` (lambda 0.5) at orders (0.5, 0.5),
-  and one ``closed_form_h`` then ``denoise`` of ``gcgfrft`` there: one
-  ``order_sweep`` operation at one grid point.
+  and one ``closed_form_h`` then ``denoise`` of each of the three families
+  there: one ``order_sweep`` operation at one grid point.
 - ``run_benchmark`` on one graph of the desk-scale acceptance sweep:
   knn_random(30, k=4, seed=7) x path(10), gcgfrft only, 3 noise levels x 5
   seeds x 11 coupling values, 200 GD epochs. It runs once per round in a
@@ -52,17 +52,19 @@ names the machine.
 
     python tools/bench_layers.py [--baseline SRC] > record.json
 
-Each of the 5 rounds runs one worker process per checkout, alternating which
-goes first, because a shared host's speed drifts over seconds; a worker
-times each row a fixed number of calls (``reps`` in the record). A row
-reports the best time over all rounds and the median of the rounds'
-medians. With ``--baseline`` (the ``src`` directory of another checkout,
-e.g. the parent commit) every row also holds the baseline's times, the
-speedups of both statistics, and ``faster_in``: in how many rounds the
-checkout's median beat the baseline's of the same round ("k of n"). On a
-shared host the best time of a side can hinge on one quiet moment, and a
-median of round medians can read a row the change does not touch as 0.7x,
-so read the speedups together with ``faster_in``.
+One long-lived worker process per checkout times the rows, and this process
+asks the two for each row in turn, alternating which goes first, so that a
+row's two sides are timed seconds apart: a shared host's speed drifts over
+seconds, and workers timed one after the other, about 15 s each, could not
+resolve a change under about 40%. Each of the 5 rounds times every row once
+on each side; a worker times a row a fixed number of calls (``reps`` in the
+record). A row reports the best time over all rounds and the median of the
+rounds' medians. With ``--baseline`` (the ``src`` directory of another
+checkout, e.g. the parent commit) every row also holds the baseline's
+times, the speedups of both statistics, and ``faster_in``: in how many
+rounds the checkout's median beat the baseline's of the same round ("k of
+n"). On a shared host the best time of a side can hinge on one quiet
+moment, so read the speedups together with ``faster_in``.
 """
 
 import os
@@ -72,6 +74,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
 
 import argparse  # noqa: E402
+import itertools  # noqa: E402
 import json  # noqa: E402
 import platform  # noqa: E402
 import statistics  # noqa: E402
@@ -138,14 +141,12 @@ def machine() -> dict:
             "blas_threads": os.environ["OPENBLAS_NUM_THREADS"]}
 
 
-def worker() -> list:
-    """Time every size in this process; ``fracspec`` is the one on sys.path."""
+def layer_rows():
+    """Time every size in this process, yielding one row at a time;
+    ``fracspec`` is the one on sys.path."""
     import numpy as np
 
     import fracspec as fs
-
-    if hasattr(os, "sched_setaffinity"):
-        os.sched_setaffinity(0, {max(os.sched_getaffinity(0))})
 
     def timed(fn, n, per=1):
         samples = []
@@ -155,7 +156,6 @@ def worker() -> list:
             samples.append((time.perf_counter() - t0) * 1e3 / per)
         return {"best_ms": min(samples), "median_ms": statistics.median(samples)}
 
-    rows = []
     for name, kind, n, reps in BASES:
         g = fs.knn_graph(fs.random_planar_points(n, seed=7), 4) if kind == "knn" else fs.path_graph(n)
         basis = fs.eigendecompose(g)
@@ -163,15 +163,15 @@ def worker() -> list:
             lambda: fs.SpectralBasis(v=basis.v, lam=basis.lam).fourier_phase_decomposition, reps)}
         if n == 512:
             layers["symmetric_eigh"] = timed(lambda: np.linalg.eigh((basis.v + basis.v.T) * 0.5), reps)
-        rows.append({"row": f"basis {name}", "reps": reps, "layers": layers})
+        yield {"row": f"basis {name}", "reps": reps, "layers": layers}
     g1 = fs.GraphSpec.from_dict({"kind": "knn_random", "n": 64, "k": 4, "seed": 7}).build()
     g2 = fs.path_graph(128)
-    rows.append({"row": "bases knn64 x path128", "reps": CONTEXT_REPS, "layers": {
+    yield {"row": "bases knn64 x path128", "reps": CONTEXT_REPS, "layers": {
         "context_bases": timed(lambda: fs.TransformContext(g1, g2).plan("gbfrft2d", (0.5, 0.5)),
-                               CONTEXT_REPS)}})
+                               CONTEXT_REPS)}}
     cold = [sys.executable, "-c", "import fracspec.cli"]
-    rows.append({"row": "import fracspec.cli", "reps": IMPORT_REPS, "layers": {
-        "cold_import": timed(lambda: subprocess.run(cold, check=True), IMPORT_REPS)}})
+    yield {"row": "import fracspec.cli", "reps": IMPORT_REPS, "layers": {
+        "cold_import": timed(lambda: subprocess.run(cold, check=True), IMPORT_REPS)}}
     for n1, n2, batches in SIZES:
         ctx = fs.TransformContext(fs.knn_graph(fs.random_planar_points(n1, seed=7), 4),
                                   fs.path_graph(n2))
@@ -181,17 +181,17 @@ def worker() -> list:
             w = fs.coupling_operator(fs.graph_frft(ctx.temporal, betas), fs.dfrft_matrix(n2, betas))
             # n2 >= 128 takes tens of milliseconds per call: fewer repetitions
             n = REPS if n2 < 128 else REPS // 20
-            rows.append({"row": f"coupling {n1}x{n2} x{b}", "reps": n, "layers": {
+            yield {"row": f"coupling {n1}x{n2} x{b}", "reps": n, "layers": {
                 "phase_decompose": timed(lambda: fs.phase_decompose(w), n),
                 "coupling_miss": timed(lambda: fs.TransformContext(
-                    ctx.spatial, ctx.temporal).coupling(betas), n)}})
+                    ctx.spatial, ctx.temporal).coupling(betas), n)}}
             if b > 1:
                 # every order cached: the plan stacks the entries' rows
                 warm = fs.TransformContext(ctx.spatial, ctx.temporal)
                 warm.coupling(betas)
                 orders, lam = (np.full(b, 0.5), betas), np.linspace(0.0, 1.0, b)
-                rows.append({"row": f"coupling {n1}x{n2} x{b} hit", "reps": REPS, "layers": {
-                    "plan_hit": timed(lambda: warm.plan("gcgfrft", orders, lam=lam), REPS)}})
+                yield {"row": f"coupling {n1}x{n2} x{b} hit", "reps": REPS, "layers": {
+                    "plan_hit": timed(lambda: warm.plan("gcgfrft", orders, lam=lam), REPS)}}
     for n1, n2, reps in TRAIN_SIZES:
         ctx = fs.TransformContext(fs.knn_graph(fs.random_planar_points(n1, seed=7), 4),
                                   fs.path_graph(n2))
@@ -203,7 +203,7 @@ def worker() -> list:
             yhat = fs.forward(plan, y)
             layers[f"forward_{family}"] = timed(lambda: fs.forward(plan, y), REPS)
             layers[f"inverse_{family}"] = timed(lambda: fs.inverse(plan, yhat), REPS)
-        rows.append({"row": f"apply {n1}x{n2}", "reps": REPS, "layers": layers})
+        yield {"row": f"apply {n1}x{n2}", "reps": REPS, "layers": layers}
 
         def epochs(family="gcgfrft"):
             # a fresh context: the coupling cache starts cold, the bases are kept
@@ -220,7 +220,7 @@ def worker() -> list:
         if n1 == 512:
             for family in SPATIAL_HEAVY_FAMILIES:
                 layers[f"adam_epoch_{family}"] = timed(lambda: epochs(family), reps, EPOCHS)
-        rows.append({"row": f"train {n1}x{n2}", "reps": reps, "layers": layers})
+        yield {"row": f"train {n1}x{n2}", "reps": reps, "layers": layers}
     n1, n2, reps = TEMPORAL_GRID
     ctx = fs.TransformContext(fs.GraphSpec(kind="knn_random", n=n1, k=4, seed=7).build(),
                               fs.path_graph(n2))
@@ -231,8 +231,8 @@ def worker() -> list:
         fresh = fs.TransformContext(ctx.spatial, ctx.temporal)
         fs.lambda_grid_search(y, x, [0.0, 0.5, 1.0], fs.TrainConfig.adam(epochs=EPOCHS), fresh)
 
-    rows.append({"row": f"train {n1}x{n2}", "reps": reps, "layers": {
-        "adam_epoch_3_lanes": timed(grid_epochs, reps, EPOCHS)}})
+    yield {"row": f"train {n1}x{n2}", "reps": reps, "layers": {
+        "adam_epoch_3_lanes": timed(grid_epochs, reps, EPOCHS)}}
     n1, n2, reps = REAL_SIZE
     ctx = fs.TransformContext(fs.GraphSpec(kind="knn_random", n=n1, k=4, seed=7).build(),
                               fs.path_graph(n2))
@@ -244,28 +244,59 @@ def worker() -> list:
         yhat = fs.forward(plan, y)
         layers[f"forward_real_{family}"] = timed(lambda: fs.forward(plan, y), reps)
         layers[f"inverse_{family}"] = timed(lambda: fs.inverse(plan, yhat), reps)
-    rows.append({"row": f"apply {n1}x{n2} real", "reps": reps, "layers": layers})
+    yield {"row": f"apply {n1}x{n2} real", "reps": reps, "layers": layers}
     params = fs.FilterParams(alpha=0.5, beta=0.5, h=np.ones(x.shape), lam=0.5)
 
-    def wiener():
-        params.h = fs.closed_form_h(y, x, params, ctx, family="gcgfrft")
-        fs.denoise(y, params, ctx, family="gcgfrft")
+    def wiener(family):
+        params.h = fs.closed_form_h(y, x, params, ctx, family=family)
+        fs.denoise(y, params, ctx, family=family)
 
-    rows.append({"row": f"wiener {n1}x{n2}", "reps": reps, "layers": {
-        "closed_form_h_denoise_gcgfrft": timed(wiener, reps)}})
+    yield {"row": f"wiener {n1}x{n2}", "reps": reps, "layers": {
+        f"closed_form_h_denoise_{family}": timed(lambda: wiener(family), reps)
+        for family in ("gbfrft2d", "jfrft", "gcgfrft")}}
     run = json.loads(subprocess.run([sys.executable, "-c", SWEEP], check=True, capture_output=True,
                                     text=True).stdout)
-    rows.append({"row": "run_benchmark knn30 k=4 x path10 gcgfrft", "reps": 1, "layers": {
+    yield {"row": "run_benchmark knn30 k=4 x path10 gcgfrft", "reps": 1, "layers": {
         "desk_sweep_graph": {"best_ms": run["ms"], "median_ms": run["ms"], "runs_ms": [run["ms"]],
-                             "peak_rss_mib": run["rss_mib"]}}})
-    return rows
+                             "peak_rss_mib": run["rss_mib"]}}}
 
 
-def run_worker(src: str) -> list:
-    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
-    out = subprocess.run([sys.executable, os.path.abspath(__file__), "--worker"],
-                         env=env, check=True, capture_output=True, text=True).stdout
-    return json.loads(out)
+def serve() -> None:
+    """The worker: one row of ``layer_rows`` per line read from stdin, as a
+    line of JSON, and ``null`` once a round's rows are done; the next line
+    starts the next round."""
+    if hasattr(os, "sched_setaffinity"):
+        os.sched_setaffinity(0, {max(os.sched_getaffinity(0))})
+    rows = layer_rows()
+    for _ in sys.stdin:
+        row = next(rows, None)
+        if row is None:
+            rows = layer_rows()
+        sys.stdout.write(json.dumps(row) + "\n")
+        sys.stdout.flush()
+
+
+class Worker:
+    """A long-lived worker process that imports ``fracspec`` from ``src``."""
+
+    def __init__(self, src: str):
+        env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+        self.proc = subprocess.Popen([sys.executable, os.path.abspath(__file__), "--worker"],
+                                     env=env, stdin=subprocess.PIPE, stdout=subprocess.PIPE,
+                                     text=True)
+
+    def next_row(self):
+        """The worker's next row, or None at the end of a round."""
+        self.proc.stdin.write("\n")
+        self.proc.stdin.flush()
+        line = self.proc.stdout.readline()
+        if not line:
+            raise RuntimeError(f"worker exited with {self.proc.wait()}")
+        return json.loads(line)
+
+    def close(self):
+        self.proc.stdin.close()
+        self.proc.wait()
 
 
 def combine(rounds: list) -> list:
@@ -286,14 +317,27 @@ def main(argv=None) -> int:
     ap.add_argument("--worker", action="store_true", help=argparse.SUPPRESS)
     args = ap.parse_args(argv)
     if args.worker:
-        json.dump(worker(), sys.stdout)
+        serve()
         return 0
 
     sides = {"after": SRC} if not args.baseline else {"before": args.baseline, "after": SRC}
+    workers = {side: Worker(src) for side, src in sides.items()}
     results = {side: [] for side in sides}
-    for r in range(ROUNDS):
-        for side in (list(sides) if r % 2 == 0 else list(sides)[::-1]):
-            results[side].append(run_worker(sides[side]))
+    try:
+        for r in range(ROUNDS):
+            for side in sides:
+                results[side].append([])
+            # each row alternately on each side first, seconds apart
+            for i in itertools.count():
+                for side in (list(sides) if (r + i) % 2 == 0 else list(sides)[::-1]):
+                    row = workers[side].next_row()
+                    if row is not None:
+                        results[side][r].append(row)
+                if row is None:
+                    break
+    finally:
+        for w in workers.values():
+            w.close()
     combined = {side: combine(res) for side, res in results.items()}
     rows = []
     for i, after in enumerate(combined["after"]):
@@ -304,7 +348,7 @@ def main(argv=None) -> int:
             for stat in ("best", "median"):
                 row[f"speedup_{stat}"] = {layer: round(before[layer][f"{stat}_ms"] / t[f"{stat}_ms"], 2)
                                           for layer, t in after["layers"].items()}
-            # a round's two workers ran back to back: compare them pairwise
+            # a round's row ran on both sides back to back: compare them pairwise
             wins = {layer: sum(a[i]["layers"][layer]["median_ms"] < b[i]["layers"][layer]["median_ms"]
                                for a, b in zip(results["after"], results["before"]))
                     for layer in after["layers"]}
