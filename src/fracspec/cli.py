@@ -172,7 +172,8 @@ def _cmd_dump_operator(args) -> int:
         basis = eigendecompose(cfg["graph"].build())
         matrix = graph_frft(basis, cfg.get("order", 1.0)).matrix
     else:
-        ctx = TransformContext(cfg["temporal"].build(), cfg["temporal"].build())
+        basis = eigendecompose(cfg["temporal"].build())
+        ctx = TransformContext(basis, basis)
         matrix = ctx.plan("gcgfrft", (0.0, cfg["order"]), lam=cfg["lambda"]).col_op.matrix
     out = args.out or "operator.csv"
     fio.write_operator_csv(matrix, out)

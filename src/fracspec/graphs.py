@@ -23,7 +23,8 @@ __all__ = [
 ]
 
 #: largest graph whose dense adjacency may be materialized: a product graph's
-#: Kronecker sum, or a path or random k-NN factor that a graph spec asks for
+#: Kronecker sum, or a factor that a graph spec asks for, whether its size is
+#: given or read from a file or a list of points
 MATERIALIZE_CAP = 4096
 
 

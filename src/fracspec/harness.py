@@ -18,7 +18,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import dataclass_table, read_config
+from .errors import ConfigError, dataclass_table, read_config
 from .graphs import MATERIALIZE_CAP, Graph, knn_graph, path_graph
 from .operators import SpectralBasis, eigendecompose
 from .transforms import FAMILIES, TimeVertexSignal, TransformContext
@@ -153,8 +153,11 @@ class GraphSpec:
             return knn_graph(pts, self.k, label=f"knn_random(n={self.n},k={self.k},seed={self.seed})")
         if self.kind == "knn":
             from .io import read_points_csv
-            pts = np.asarray(self.points) if self.points is not None else read_points_csv(self.file)
-            return knn_graph(pts, self.k)
+            pts = self.points if self.points is not None else read_points_csv(self.file)
+            if len(pts) > MATERIALIZE_CAP:
+                raise ConfigError(f"graph spec {'points' if self.points is not None else self.file}: "
+                                  f"{len(pts)} points exceed the cap of {MATERIALIZE_CAP} nodes")
+            return knn_graph(np.asarray(pts), self.k)
         from .io import read_edge_list_csv
         return read_edge_list_csv(self.file)
 

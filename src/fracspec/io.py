@@ -16,7 +16,7 @@ from dataclasses import asdict
 import numpy as np
 
 from .errors import ConfigError
-from .graphs import Graph
+from .graphs import MATERIALIZE_CAP, Graph
 from .wiener import FilterParams
 
 __all__ = [
@@ -73,6 +73,8 @@ def read_edge_list_csv(path: str) -> Graph:
             edges.append((int(row[0]), int(row[1]), float(row[2])))
     ids = {v for i, j, _ in edges for v in (i, j)}
     n = 1 + max(ids, default=0)
+    if len(ids) > MATERIALIZE_CAP:
+        raise ConfigError(f"{path}: {len(ids)} nodes exceed the cap of {MATERIALIZE_CAP} nodes")
     if ids and len(ids) != n:
         raise ConfigError(f"{path}: every vertex id from 0 to {n - 1} must appear in some row")
     a = np.zeros((n, n))

@@ -101,14 +101,15 @@ class RealPhaseFactors(NamedTuple):
     """``(theta, Q, partner)`` of a real orthogonal matrix ``Q R(1) Q^T``
     (``FractionalOperator`` with ``partner``), with what the column pairing
     implies, derived once: ``unit``, 1 on a paired column and j on a
-    self-partnered one, and ``pi_columns``, the self-partnered columns at
-    phase pi. Those are the only columns on which ``R(order)`` is complex."""
+    self-partnered one, and ``pi_lines``, the number k of columns at phase
+    pi, which are the first k. Those are the only columns on which
+    ``R(order)`` is complex."""
 
     theta: np.ndarray
     q: np.ndarray
     partner: np.ndarray
     unit: np.ndarray
-    pi_columns: np.ndarray
+    pi_lines: int
 
 
 def _lmul(f: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -153,31 +154,31 @@ class FractionalOperator:
     are ``R w = a o w + b o w[partner]`` with ``a = cos(order*phases)`` and
     ``b = unit * sin(order*phases)``, ``unit`` 1 on a pair and j elsewhere
     (``rotation``), given with ``partner`` (``RealPhaseFactors``). So ``b``
-    is real but on the self-partnered columns at phase pi (``pi_columns``),
+    is real but on the first k = ``pi_lines`` columns, those at phase pi,
     where it is ``j sin(order*pi)``, and ``R`` maps a real block to a real
     one plus an imaginary part on those k lines alone, which ``real_mix``
     computes in real arithmetic. Graph FRFTs are held that way, so a
     complex signal meets only real GEMMs on its float64 view, half the
     arithmetic of complex ones, and a real one real GEMMs plus rank-k
-    corrections; the DFRFT has a real ``left = V`` and no partner. A
-    geodesic temporal basis
-    ``F S diag(exp(j*lam*theta)) S^H`` has ``left = F S`` and
-    ``right = S^H``, with ``order`` the coupling parameter, and a general
-    unitary power ``left = P`` and ``right = P^H``. The dense ``matrix`` is
-    materialized lazily; transforms apply the factors directly.
+    corrections (``real_row_pass``); the DFRFT has a real ``left = V`` and
+    no partner. A geodesic temporal basis ``F S diag(exp(j*lam*theta)) S^H``
+    has ``left = F S`` and ``right = S^H``, with ``order`` the coupling
+    parameter, and a general unitary power ``left = P`` and ``right = P^H``.
+    The dense ``matrix`` is materialized lazily; transforms apply the
+    factors directly.
 
     A batch of B operators shares the leading axis: ``order`` of shape (B,),
     and ``left``/``right`` (B, n, n) and ``phases`` (B, n) either stacked or
     shared by every member. The ``apply_*`` methods then broadcast over it.
     """
 
-    def __init__(self, order, phases, left, right, partner=None, unit=None, pi_columns=None):
+    def __init__(self, order, phases, left, right, partner=None, unit=None, pi_lines=0):
         self.phases = _freeze(np.asarray(phases))
         self.left = _freeze(np.asarray(left))
         self.right = _freeze(np.asarray(right))
         self.partner = None if partner is None else _freeze(np.asarray(partner))
         self.unit = None if unit is None else _freeze(np.asarray(unit))
-        self.pi_columns = None if pi_columns is None else _freeze(np.asarray(pi_columns))
+        self.pi_lines = pi_lines
         order = np.array(order, dtype=np.float64)
         self.order = float(order) if order.ndim == 0 else _freeze(order)
 
@@ -205,39 +206,79 @@ class FractionalOperator:
             return 1j * self.phases, None
         return None, self.phases * self.unit
 
-    def mix(self, w: np.ndarray, coefficients, axis: int = -2, transpose: bool = False,
-            gathered: np.ndarray | None = None):
+    def mix(self, w: np.ndarray, coefficients, axis: int = -2, transpose: bool = False):
         """``a o w + b o w[partner]`` along ``axis``, for ``coefficients``
         ``(a, b)`` (either may be None: zero): ``R w`` at -2, where the
         columns of ``w`` are the vectors, and ``w R^T`` at -1. With
-        ``transpose`` it applies ``R^T``, whose ``b`` is ``b[partner]``.
-        ``gathered`` is ``w[partner]`` along ``axis``, when already taken."""
+        ``transpose`` it applies ``R^T``, whose ``b`` is ``b[partner]``."""
         a, b = coefficients
         index = (..., slice(None), None) if axis == -2 else (..., None, slice(None))
         if b is None:
             return a[index] * w
         if transpose:
             b = b[..., self.partner]
-        out = b[index] * (np.take(w, self.partner, axis=axis) if gathered is None else gathered)
+        out = b[index] * np.take(w, self.partner, axis=axis)
         if a is not None:
             out += a[index] * w
         return out
 
-    def real_mix(self, w: np.ndarray, coefficients, axis: int = -2,
-                 gathered: np.ndarray | None = None):
+    def real_mix(self, w: np.ndarray, coefficients, axis: int = -2):
         """``mix`` of a real ``w`` in real arithmetic, for coefficients whose
-        ``b`` is imaginary only on the lines ``pi_columns`` (``rotation`` and
-        ``generator_coefficients`` of a partnered operator): ``(re, im)``,
-        ``re = a o w + Re(b) o w[partner]``, the real part, and
-        ``im = Im(b) o w`` on those lines, ``(..., k, m)`` at -2 and
-        ``(..., m, k)`` at -1. ``re`` has the bits of ``mix(...).real``:
-        on every other line ``b`` is real, and a self-partnered line has
-        ``Re(b) = 0``."""
+        ``b`` is imaginary only on the first k = ``pi_lines`` lines
+        (``rotation`` and ``generator_coefficients`` of a partnered
+        operator): ``(re, im)``, ``re = a o w + Re(b) o w[partner]``, the
+        real part, and ``im = Im(b) o w`` on those lines, ``(..., k, m)`` at
+        -2 and ``(..., m, k)`` at -1. ``re`` has the bits of
+        ``mix(...).real``: on every other line ``b`` is real, and a
+        self-partnered line has ``Re(b) = 0``."""
         a, b = coefficients
-        index = (..., slice(None), None) if axis == -2 else (..., None, slice(None))
-        s = b.imag[..., self.pi_columns]
-        return (self.mix(w, (a, b.real), axis, gathered=gathered),
-                s[index] * np.take(w, self.pi_columns, axis=axis))
+        k = self.pi_lines
+        if axis == -2:
+            return self.mix(w, (a, b.real), axis), b.imag[..., :k, None] * w[..., :k, :]
+        return self.mix(w, (a, b.real), axis), b.imag[..., None, :k] * w[..., :k]
+
+    def real_row_pass(self, w: np.ndarray, rates: bool = False) -> np.ndarray:
+        """``left R w`` of a real block ``w`` in factor coordinates, or with
+        ``rates`` ``left [R w | G R w]`` (``G`` the generator in factor
+        coordinates), for a partnered operator. Both blocks are real but on
+        their first k = ``pi_lines`` rows (``real_mix``; ``G`` is ``j pi``
+        there and turns the imaginary part of ``R w`` real), so ``left``
+        meets them in one real GEMM and one of rank k. Each entry is the one
+        the complex arithmetic of ``mix`` gives, up to the sign of a zero."""
+        k = self.pi_lines
+        re, im = self.real_mix(w, self.rotation)
+        if rates:
+            g = self.generator_coefficients
+            re_g, im_g = self.real_mix(re, g)
+            re_g[..., :k, :] -= g[1].imag[..., :k, None] * im
+            re, im = np.concatenate([re, re_g], axis=-1), np.concatenate([im, im_g], axis=-1)
+        out = np.empty(re.shape, dtype=np.complex128)
+        out.imag = _lmul(self.left[:, :k], im)
+        out.real = _lmul(self.left, re)
+        return out
+
+    def real_two_sided_pass(self, w: np.ndarray, col: "FractionalOperator") -> np.ndarray:
+        """``left R w R_col^T left_col^T`` of a real block ``w`` in factor
+        coordinates, for the partnered column operator ``col``. The
+        imaginary part is on the first k1 rows and k2 columns alone, so
+        ``left`` and ``left_col^T`` meet the real part in real GEMMs and the
+        imaginary part in one GEMM of inner size k1 + k2."""
+        # R w = re + j im, im on the first k1 rows; with im below re as k1
+        # more rows, col's real_mix gives the real parts of both rotations,
+        # less their product on the first k1 rows and k2 columns
+        re, im = self.real_mix(w, self.rotation)
+        (n1, n2), k1, k2 = re.shape[-2:], self.pi_lines, col.pi_lines
+        q1, q2t = self.left, col.left.swapaxes(-1, -2)
+        re, re_pi = col.real_mix(np.concatenate([re, im], axis=-2), col.rotation, axis=-1)
+        re[..., :k1, :k2] -= re_pi[..., n1:, :]
+        out = np.empty((*re.shape[:-2], n1, n2), dtype=np.complex128)
+        out.real = _rmul(_lmul(q1, re[..., :n1, :]), q2t)
+        left = np.empty((*re.shape[:-2], n1, k1 + k2))
+        left[..., :k1], left[..., k1:] = q1[:, :k1], _lmul(q1, re_pi[..., :n1, :])
+        right = np.empty((*re.shape[:-2], k1 + k2, n2))
+        right[..., :k1, :], right[..., k1:, :] = _rmul(re[..., n1:, :], q2t), q2t[:k2]
+        out.imag = left @ right
+        return out
 
     @cached_property
     def matrix(self) -> np.ndarray:
@@ -527,29 +568,29 @@ def _real_phase_factors(theta, p):
             q[:, real] = (sub * (pivot.conj() / np.abs(pivot))).real
         elif sub.shape[1] > 1:
             q[:, real] = np.linalg.svd(np.hstack([sub.real, sub.imag]), full_matrices=False)[0][:, :sub.shape[1]]
-    return _checked_factors(theta, q, _column_pairing(n, k, m))
+    return _checked_factors(theta, q, _column_pairing(n, k, m), k)
 
 
-def _checked_factors(theta, q, pairing) -> RealPhaseFactors:
-    """The frozen ``RealPhaseFactors`` of ``theta``, ``Q`` and the column
-    ``pairing`` (``_column_pairing``), once ``Q`` passes the orthogonality
-    check."""
+def _checked_factors(theta, q, pairing, k: int) -> RealPhaseFactors:
+    """The frozen ``RealPhaseFactors`` of ``theta``, ``Q``, the column
+    ``pairing`` (``_column_pairing``) and the number ``k`` of columns at
+    phase pi, once ``Q`` passes the orthogonality check."""
     ortho = unitarity_error(q)
     if ortho > OUTPUT_UNITARITY_TOL * len(q):
         raise DecompositionError(f"real eigenvector basis is not orthonormal: ||Q^T Q - I|| = {ortho:.3e}")
-    return RealPhaseFactors(*map(_freeze, (theta, q, *pairing)))
+    return RealPhaseFactors(*map(_freeze, (theta, q, *pairing)), k)
 
 
 def _column_pairing(n: int, k: int, m: int) -> tuple:
-    """``(partner, unit, pi_columns)`` of the ``_real_phase_factors`` layout:
-    the ``m`` columns after the first ``k`` pair with the last ``m``,
-    mirrored; every other column is its own partner, and the first ``k``
-    are those at phase pi. ``unit`` is 1 on a pair and j elsewhere."""
+    """``(partner, unit)`` of the ``_real_phase_factors`` layout: the ``m``
+    columns after the first ``k`` pair with the last ``m``, mirrored; every
+    other column is its own partner, and the first ``k`` are those at phase
+    pi. ``unit`` is 1 on a pair and j elsewhere."""
     partner = np.arange(n)
     partner[k:k + m], partner[n - m:] = np.arange(n - 1, n - m - 1, -1), np.arange(k + m - 1, k - 1, -1)
     unit = np.full(n, 1j)
     unit[k:k + m] = unit[n - m:] = 1.0
-    return partner, unit, np.arange(k)
+    return partner, unit
 
 
 def _symmetric_part_factors(o: np.ndarray):
@@ -599,7 +640,7 @@ def _symmetric_part_factors(o: np.ndarray):
     oq += np.take(q, pairing[0], axis=1) * np.sin(theta)
     if not np.linalg.norm(oq) <= CAYLEY_RESIDUAL_TOL * n:
         return None
-    return _checked_factors(theta, q, pairing)
+    return _checked_factors(theta, q, pairing, minus)
 
 
 def unitary_fractional_power(u, order: float) -> FractionalOperator:
@@ -632,7 +673,7 @@ def graph_frft(basis: SpectralBasis, order: float) -> FractionalOperator:
     ``R``.
     """
     f = basis.fourier_phase_decomposition
-    return FractionalOperator(order, f.theta, f.q, f.q.T, f.partner, f.unit, f.pi_columns)
+    return FractionalOperator(order, f.theta, f.q, f.q.T, f.partner, f.unit, f.pi_lines)
 
 
 @lru_cache(maxsize=64)

@@ -123,40 +123,23 @@ class TransformPlan:
         one a half-width real GEMM on the factor's float64 view (``_rmul``),
         so a real ``X`` leaves them real but for ``gcgfrft``, whose ``S^H``
         makes it complex. A real block stays real through the graph FRFT's
-        rotations (``FractionalOperator.real_mix``) but on the k rows or
-        columns at phase pi: for ``gfrft2d`` and ``gbfrft2d`` it is
-        ``Q1 M Q2^T`` in real GEMMs, for the real part ``M`` of both
-        rotations, plus rank-k GEMMs for the imaginary parts on those rows
-        and columns. For ``jfrft`` the DFRFT's diagonal phases make it
-        complex, after ``Q1`` has met the rotated real block. Every lane of
-        a batched plan takes the arithmetic of a single plan."""
+        rotations but on the k rows or columns at phase pi: for ``gfrft2d``
+        and ``gbfrft2d`` it is ``Q1 M Q2^T`` in real GEMMs, for the real
+        part ``M`` of both rotations, plus rank-k GEMMs for the imaginary
+        parts on those rows and columns
+        (``FractionalOperator.real_two_sided_pass``). For ``jfrft`` the
+        DFRFT's diagonal phases make it complex, after ``Q1`` has met the
+        rotated real block (``FractionalOperator.real_row_pass``). Every
+        lane of a batched plan takes the arithmetic of a single plan."""
         row, col = self.row_op, self.col_op
         x = _rmul(_lmul(row.right, x), col.right.swapaxes(-1, -2))
         if np.iscomplexobj(x):
             x = col.mix(row.mix(x, row.rotation), col.rotation, axis=-1)
             return _rmul(_lmul(row.left, x), col.left.swapaxes(-1, -2))
-        # R_row x is re + j im, with im on the rows pi1 alone
-        re, im = row.real_mix(x, row.rotation)
-        q1, pi1 = row.left, row.pi_columns
-        out = np.empty(re.shape, dtype=np.complex128)
         if col.partner is None:
-            out.real = _lmul(q1, re)
-            out.imag = _lmul(q1[:, pi1], im)
-            return _rmul(col.mix(out, col.rotation, axis=-1), col.left.swapaxes(-1, -2))
-        # (re + j im) R_col^T, with im below re as k1 more rows: the real
-        # parts of both rotations, less their product on (pi1, pi2); the
-        # imaginary part is on the rows pi1 and the columns pi2 alone, so
-        # Q1 and Q2^T meet it in one GEMM of inner size k1 + k2
-        (n1, n2), k1, q2t, pi2 = re.shape[-2:], len(pi1), col.left.swapaxes(-1, -2), col.pi_columns
-        re, re_pi = col.real_mix(np.concatenate([re, im], axis=-2), col.rotation, axis=-1)
-        re[..., pi1[:, None], pi2] -= re_pi[..., n1:, :]
-        out.real = _rmul(_lmul(q1, re[..., :n1, :]), q2t)
-        left = np.empty((*re.shape[:-2], n1, k1 + len(pi2)))
-        left[..., :k1], left[..., k1:] = q1[:, pi1], _lmul(q1, re_pi[..., :n1, :])
-        right = np.empty((*re.shape[:-2], k1 + len(pi2), n2))
-        right[..., :k1, :], right[..., k1:, :] = _rmul(re[..., n1:, :], q2t), q2t[pi2]
-        out.imag = left @ right
-        return out
+            x = col.mix(row.real_row_pass(x), col.rotation, axis=-1)
+            return _rmul(x, col.left.swapaxes(-1, -2))
+        return row.real_two_sided_pass(x, col)
 
     def apply_inverse(self, xhat: np.ndarray) -> np.ndarray:
         """``F_row^H Xhat F_col^*`` on a raw n1 x n2 array, unchecked, as
@@ -222,23 +205,21 @@ def _divided_difference_kernel(fvals: np.ndarray, points: np.ndarray,
 
 class _CouplingBatch:
     """One batched coupling build: the decomposition ``dec`` of a ``W`` stack
-    and the factor stacks ``L = F S`` and ``S^H``. A row's factors and its
-    ``CouplingDecomposition`` are built when first asked for, then kept."""
+    and the factor stacks ``L = F S`` and ``S^H``. A row's
+    ``CouplingDecomposition`` is built when first asked for, then kept."""
 
     def __init__(self, dec: CouplingDecomposition, left: np.ndarray, right: np.ndarray):
         self.dec, self.left, self.right = dec, left, right
-        self._factors, self._decompositions = {}, {}
+        self._decompositions = {}
 
     def factors(self, row: int) -> tuple:
         """``(theta, L, S^H)`` of one row, as views of the stacks."""
-        if row not in self._factors:
-            self._factors[row] = (self.dec.theta[row], self.left[row], self.right[row])
-        return self._factors[row]
+        return self.dec.theta[row], self.left[row], self.right[row]
 
     def decomposition(self, row: int) -> CouplingDecomposition:
         if row not in self._decompositions:
             self._decompositions[row] = CouplingDecomposition(
-                s=self.dec.s[row], theta=self.factors(row)[0], margin=float(self.dec.margin[row]))
+                s=self.dec.s[row], theta=self.dec.theta[row], margin=float(self.dec.margin[row]))
         return self._decompositions[row]
 
 

@@ -99,11 +99,6 @@ class TrainConfig:
         base.update(overrides)
         return cls(**base)
 
-    @classmethod
-    def from_dict(cls, d) -> "TrainConfig":
-        """Build from a JSON mapping checked against ``TRAIN``."""
-        return cls(**read_config(TRAIN, d, "train config"))
-
 
 #: the most epochs a train config may ask for: a recorded trace holds
 #: (3, epochs, lanes) floats, 25 MiB for an 11-lane grid at the cap
@@ -208,7 +203,7 @@ def closed_form_h(y: TimeVertexSignal, x_true: TimeVertexSignal, params: FilterP
     return h
 
 
-def _row_factor_first(plan: TransformPlan, r: np.ndarray, pi_rows: int) -> bool:
+def _row_factor_first(plan: TransformPlan, r: np.ndarray) -> bool:
     """Whether an epoch of ``plan`` costs fewer real multiply-adds with the
     row factor ``Q`` applied before the column operator ``C`` than after it
     (``_factored_spectra``); a property of the plan's shape and of the dtype
@@ -222,70 +217,43 @@ def _row_factor_first(plan: TransformPlan, r: np.ndarray, pi_rows: int) -> bool:
     column-first multiplies ``Q`` by two complex n1 x 2 n2 blocks,
     ``8 n1^2 n2``, and ``C^T`` by 2 n1 rows, ``16 n1 n2^2``. Row-first
     multiplies ``Q`` by one n1 x 4 n2 block, which for real ``r`` is real but
-    for ``pi_rows`` rows, ``4 n1^2 n2 + 4 pi_rows n1 n2``, and ``C^T`` by
-    4 n1 rows, ``32 n1 n2^2``. So it is cheaper when
-    ``n1 > 4 n2 + pi_rows``. For complex ``r`` the block is complex
-    throughout, ``Q`` costs the same either way and column-first wins."""
+    for the k rows at phase pi (``pi_lines``), ``4 n1^2 n2 + 4 k n1 n2``,
+    and ``C^T`` by 4 n1 rows, ``32 n1 n2^2``. So it is cheaper when
+    ``n1 > 4 n2 + k``. For complex ``r`` the block is complex throughout,
+    ``Q`` costs the same either way and column-first wins."""
     n1, n2 = plan.shape
-    return r.dtype == np.float64 and n1 > 4 * n2 + pi_rows
+    return r.dtype == np.float64 and n1 > 4 * n2 + plan.row_op.pi_lines
 
 
-def _factored_spectra(ctx: TransformContext, plan: TransformPlan, r: np.ndarray,
-                      r_partner: np.ndarray, alpha_rates: bool = False):
+def _factored_spectra(plan: TransformPlan, r: np.ndarray, alpha_rates: bool = False):
     """Spectra of Y and X side by side, ``[Yhat | Xhat]``, from
-    ``r = Q^T [Y | X]`` and ``r_partner`` (``_stacked_coordinates``), both
-    batched like the plan, where ``Q`` is the row operator's real factor (its
-    right factor is ``Q^T`` at every order), and, with ``alpha_rates``, their
-    derivatives in the spatial order, ``Q G Z``, ``G`` the row generator in
-    factor coordinates. With the row rotation ``R``, ``[Yhat | Xhat] = Q Z``
-    and ``Z = R r (I_2 kron C^T)``.
+    ``r = Q^T [Y | X]`` (``_stacked_coordinates``), batched like the plan,
+    where ``Q`` is the row operator's real factor (its right factor is
+    ``Q^T`` at every order), and, with ``alpha_rates``, their derivatives in
+    the spatial order, ``Q G Z``, ``G`` the row generator in factor
+    coordinates. With the row rotation ``R``, ``[Yhat | Xhat] = Q Z`` and
+    ``Z = R r (I_2 kron C^T)``.
 
     Returns ``([Yhat | Xhat], Yhat, Xhat, alpha_rate)``, batched like the
     plan, the first ``(..., n1, 2 n2)``; ``alpha_rate()`` gives ``Q G Z``
     when asked for. The order of the products follows
     ``_row_factor_first``. Column-first forms ``Z``, then ``Q Z``, and
     ``Q (G Z)`` only when ``alpha_rate`` is called: two passes over ``Q``.
-    Row-first multiplies ``[R r | G R r]`` by ``Q`` in one pass and then
-    both halves by ``C^T``: for real ``r`` the block is real except on the
-    self-partnered rows at phase pi (``RealPhaseFactors.pi_columns``), so
-    it is one real GEMM plus a rank-k GEMM of those rows' imaginary parts.
+    Row-first multiplies ``[R r | G R r]`` by ``Q`` in one pass
+    (``FractionalOperator.real_row_pass``) and then both halves by ``C^T``.
     """
     row, col, (n1, n2) = plan.row_op, plan.col_op, plan.shape
-    if not _row_factor_first(plan, r, len(row.pi_columns)):
+    if not _row_factor_first(plan, r):
         # R r is left unnamed, so the column operator frees it early
-        z = col.apply_right_transpose(row.mix(r, row.rotation, gathered=r_partner).reshape(
+        z = col.apply_right_transpose(row.mix(r, row.rotation).reshape(
             *r.shape[:-2], 2 * n1, n2)).reshape(r.shape)
         yx = _lmul(row.left, z)
         return yx, yx[..., :n2], yx[..., n2:], lambda: _lmul(row.left, row.mix(z, row.generator_coefficients))
     # Q [R r | G R r] is left unnamed, so the column operator frees it early
-    out = col.apply_right_transpose(_row_pass(row, r, r_partner, alpha_rates).reshape(
+    out = col.apply_right_transpose(row.real_row_pass(r, alpha_rates).reshape(
         *r.shape[:-2], -1, n2)).reshape(*r.shape[:-1], -1)
     yx = out[..., :2 * n2]
     return yx, yx[..., :n2], yx[..., n2:], lambda: out[..., 2 * n2:]
-
-
-def _row_pass(row, r: np.ndarray, r_partner: np.ndarray, alpha_rates: bool):
-    """``Q R r``, or with ``alpha_rates`` ``Q [R r | G R r]``, for real ``r``
-    and the row operator ``Q R Q^T``: the block is real but for the rows
-    ``pi`` (``row.pi_columns``), so it is built in real arithmetic
-    (``FractionalOperator.real_mix``) as a real block and the imaginary
-    part of those rows, and ``Q`` meets the first in one real GEMM and the
-    second in a rank-``len(pi)`` one. ``G`` is ``j pi`` on the rows ``pi``,
-    where it turns the imaginary part of ``R r`` into a real one. Each
-    entry is the one the complex arithmetic of ``mix`` gives, up to the
-    sign of a zero: addition commutes, and a real ``b`` times a real
-    entry is the real part of the complex product."""
-    pi = row.pi_columns
-    re, im = row.real_mix(r, row.rotation, gathered=r_partner)
-    if alpha_rates:
-        g = row.generator_coefficients
-        re_g, im_g = row.real_mix(re, g)
-        re_g[..., pi, :] -= g[1].imag[..., pi, None] * im
-        re, im = np.concatenate([re, re_g], axis=-1), np.concatenate([im, im_g], axis=-1)
-    qu = np.empty(re.shape, dtype=np.complex128)
-    qu.imag = _lmul(row.left[:, pi], im)
-    qu.real = _lmul(row.left, re)
-    return qu
 
 
 def _order_gradient(ctx: TransformContext, plan: TransformPlan, h: np.ndarray,
@@ -318,13 +286,10 @@ def _order_gradient(ctx: TransformContext, plan: TransformPlan, h: np.ndarray,
 
 
 def _stacked_coordinates(ctx: TransformContext, y: TimeVertexSignal, x: TimeVertexSignal):
-    """``r = Q^T [Y | X]`` for the spatial factor ``Q``, and its rows
-    ``r[partner]`` gathered by the factor's column pairing: the same at
-    every spatial order, and real for real signals."""
+    """``r = Q^T [Y | X]`` for the spatial factor ``Q``: the same at every
+    spatial order, and real for real signals."""
     yx = np.concatenate([y.data, x.data], axis=-1)
-    f = ctx.spatial.fourier_phase_decomposition
-    r = _lmul(f.q.T, yx)
-    return r, r[f.partner]
+    return _lmul(ctx.spatial.fourier_phase_decomposition.q.T, yx)
 
 
 def grad_orders(y: TimeVertexSignal, x_true: TimeVertexSignal, params: FilterParams,
@@ -334,7 +299,7 @@ def grad_orders(y: TimeVertexSignal, x_true: TimeVertexSignal, params: FilterPar
     if family == "gfrft2d":
         raise ConfigError("gfrft2d has a single shared order; train() handles it directly")
     (plan,) = _spectra(ctx, family, params.alpha, params.beta, params.lam)
-    spectra = _factored_spectra(ctx, plan, *_stacked_coordinates(ctx, y, x_true), alpha_rates=True)
+    spectra = _factored_spectra(plan, _stacked_coordinates(ctx, y, x_true), alpha_rates=True)
     g = _order_gradient(ctx, plan, params.h, spectra, params.h * spectra[1] - spectra[2])
     return float(g[0]), float(g[1])
 
@@ -382,8 +347,7 @@ def _train_lanes(pairs: list, lams: list, config: TrainConfig, ctx: TransformCon
     v = np.full((len(lams), 1 if family == "gfrft2d" else 2), 0.5)
     h = np.ones((len(lams), *ctx.shape), dtype=np.float64)
     m_v, s_v, m_h, s_h = np.zeros_like(v), np.zeros_like(v), np.zeros_like(h), np.zeros_like(h)
-    coords, coords_p = (np.stack(c) for c in zip(*(_stacked_coordinates(ctx, y, x_true)
-                                                    for y, x_true in pairs)))
+    coords = np.stack([_stacked_coordinates(ctx, y, x_true) for y, x_true in pairs])
     # (loss, alpha, beta) per epoch and lane, and the epochs each lane recorded
     steps = np.empty((3, config.epochs, len(lams))) if record else None
     recorded = np.full(len(lams), config.epochs)
@@ -410,8 +374,7 @@ def _train_lanes(pairs: list, lams: list, config: TrainConfig, ctx: TransformCon
                         f"coupling margin violated at epoch {epoch}, temporal order "
                         f"{v[i, -1]:.6g}: {found[i]}",
                         margin=found[i].margin, index=found[i].index))
-            lanes, v, h, lam = lanes[keep], v[keep], h[keep], lam[keep]
-            coords, coords_p = coords[keep], coords_p[keep]
+            lanes, v, h, lam, coords = lanes[keep], v[keep], h[keep], lam[keep], coords[keep]
             m_v, s_v, m_h, s_h = m_v[keep], s_v[keep], m_h[keep], s_h[keep]
             if not lanes.size:
                 break
@@ -419,7 +382,7 @@ def _train_lanes(pairs: list, lams: list, config: TrainConfig, ctx: TransformCon
         # at epoch 0 the filter is all ones, where the risk ||Y - X||^2 does
         # not depend on the orders: their step is exactly zero, not rounding
         order_step = epoch > 0 and not last and config.lr_orders > 0
-        spectra = _factored_spectra(ctx, plan, coords, coords_p, alpha_rates=order_step)
+        spectra = _factored_spectra(plan, coords, alpha_rates=order_step)
         yhat, xhat = spectra[1], spectra[2]
         resid = h * yhat - xhat
         risk = np.mean(resid.real**2 + resid.imag**2, axis=(-2, -1))

@@ -365,12 +365,13 @@ class TestGeodesicTemporalBasis:
         a = geodesic_temporal_basis(fg, decomp, 0.3)
         b = geodesic_temporal_basis(fg, decomp, 0.9)
         assert a.phases is b.phases
-        # a context forms L = F_graph^beta S and S^H once per temporal order
+        # a context forms L = F_graph^beta S and S^H once per temporal order,
+        # and each plan views that order's row of the stacks
         ctx = TransformContext(path_graph(4), path_graph(5))
         p = ctx.plan("gcgfrft", (0.4, 0.5), lam=0.3)
         q = ctx.plan("gcgfrft", (0.4, 0.5), lam=0.9)
-        assert p.col_op.left is q.col_op.left
-        assert p.col_op.right is q.col_op.right
+        assert np.shares_memory(p.col_op.left, q.col_op.left)
+        assert np.shares_memory(p.col_op.right, q.col_op.right)
         assert p.col_op.order == 0.3 and q.col_op.order == 0.9
 
 

@@ -32,6 +32,7 @@ from fracspec import (
 from fracspec import io as fio
 from fracspec.cli import TABLES, main
 from fracspec.errors import interval
+from fracspec.graphs import MATERIALIZE_CAP
 from fracspec.harness import GRAPH_SPEC
 from fracspec.wiener import TRAIN
 
@@ -105,6 +106,28 @@ class TestMalformedGraphFiles:
         assert np.array_equal(fio.read_edge_list_csv(str(edges)).adjacency,
                               path_graph(3).adjacency)
         assert np.array_equal(fio.read_points_csv(str(points)), [[0.0], [1.0], [2.0]])
+
+
+class TestNodeCap:
+    """A graph read from a file or from inline points has the node cap of a
+    spec's ``n``, checked before its adjacency or its pairwise distances
+    are allocated."""
+
+    @pytest.mark.parametrize("kind", ["edge_list", "knn_file", "knn_points"])
+    def test_one_node_over_the_cap_exits_2(self, tmp_path, kind):
+        n = MATERIALIZE_CAP + 1
+        points = np.column_stack([np.arange(n, dtype=np.float64), np.zeros(n)])
+        path = tmp_path / "graph.csv"
+        if kind == "edge_list":
+            path.write_text("src,dst,weight\n" + "".join(f"{i},{i + 1},1\n" for i in range(n - 1)))
+            spec = {"kind": "edge_list", "file": str(path)}
+        elif kind == "knn_file":
+            fio.write_points_csv(points, str(path))
+            spec = {"kind": "knn", "file": str(path), "k": 1}
+        else:
+            spec = {"kind": "knn", "points": points.tolist(), "k": 1}
+        code, err = run_transform(str(tmp_path), spec)
+        assert code == 2 and f"{n} " in err and f"exceed the cap of {MATERIALIZE_CAP} nodes" in err
 
 
 # CSV fields: numbers, ids near the valid range, and malformed tokens

@@ -20,7 +20,7 @@ from fracspec import (
     unitary_fractional_power,
 )
 
-from oracles import eigenphase_power, real_schur_eigenpairs
+from oracles import complex_forward, conjugated_inverse, eigenphase_power, real_schur_eigenpairs
 
 SQRT2 = np.sqrt(2.0)
 
@@ -378,12 +378,12 @@ class TestRealFactors:
     @pytest.mark.parametrize("name", CASES)
     def test_factor_is_real_orthogonal_and_order_one_is_the_gft(self, name):
         basis, _, _ = real_factor_case(name)
-        theta, q, partner, unit, pi_columns = basis.fourier_phase_decomposition
+        theta, q, partner, unit, pi_lines = basis.fourier_phase_decomposition
         assert q.dtype == np.float64 and not np.iscomplexobj(graph_frft(basis, 0.5).right)
         # what the pairing implies, derived once per basis
         own = partner == np.arange(basis.n)
         assert np.array_equal(unit, np.where(own, 1j, 1.0))
-        assert np.array_equal(pi_columns, np.flatnonzero(own & (theta == np.pi)))
+        assert np.array_equal(np.arange(pi_lines), np.flatnonzero(own & (theta == np.pi)))
         # an F-ordered factor makes every product with it slower
         assert q.flags.c_contiguous
         assert np.abs(q.T @ q - np.eye(basis.n)).max() <= 1e-12
@@ -488,3 +488,74 @@ class TestSymmetricPartFactors:
         basis = SpectralBasis(v=o.T, lam=np.zeros(len(o)))
         want = eigenphase_power(*real_schur_eigenpairs(o), self.ORDERS)
         assert factor_error(graph_frft(basis, self.ORDERS), want) <= tol
+
+
+@functools.lru_cache(maxsize=None)
+def leading_pi_context(name):
+    """A context over two engineered bases (seeds 3 and 4) of a
+    ``TestLeadingPiLines`` case, each checked to take its path."""
+    from fracspec import SpectralBasis, TransformContext, operators
+    phis, minus, plus, real = TestLeadingPiLines.CASES[name]
+    bases = []
+    for seed in (3, 4):
+        o = engineered_orthogonal(phis, minus, plus, seed)
+        assert (operators._symmetric_part_factors(o) is not None) == real
+        bases.append(SpectralBasis(v=o.T, lam=np.zeros(len(o))))
+    return TransformContext(*bases)
+
+
+class TestLeadingPiLines:
+    """The real arithmetic of a real block takes the lines at phase pi to
+    be the first ``pi_lines`` of the factor, on the real ``eigh`` path and
+    on the gap-cut Cayley fallback (``_real_phase_factors``) alike:
+    engineered orthogonal matrices with three eigenvalues -1 (the
+    ``TestSymmetricPartFactors`` spread, and pairs 1e-7 apart, which the
+    real path cannot resolve), against the complex arithmetic of the same
+    factors."""
+
+    #: name: (rotation angles, multiplicities of -1 and of +1, whether the
+    #: real path takes it)
+    CASES = {
+        "real_path": (TestSymmetricPartFactors.SPREAD, 3, 4, True),
+        "fallback": ([1.0, 1.0 + 1e-7, 2.2], 3, 1, False),
+    }
+    ALPHA = np.array([0.2, 0.7, 1.3, -0.4])
+    BETA = np.array([0.6, 0.3, -0.45, 1.0])
+    LAM = np.array([0.1, 0.5, 0.9, 0.3])
+
+    @pytest.mark.parametrize("name", CASES)
+    def test_pi_lines_lead(self, name):
+        ctx = leading_pi_context(name)
+        for basis in (ctx.spatial, ctx.temporal):
+            theta, _, partner, _, pi_lines = basis.fourier_phase_decomposition
+            own = partner == np.arange(basis.n)
+            assert pi_lines == 3
+            assert np.array_equal(np.flatnonzero(own & (theta == np.pi)), np.arange(pi_lines))
+
+    @pytest.mark.parametrize("batched", [False, True], ids=["single", "batched"])
+    @pytest.mark.parametrize("family", ["gfrft2d", "gbfrft2d", "jfrft", "gcgfrft"])
+    @pytest.mark.parametrize("name", CASES)
+    def test_real_signal_plans_are_the_complex_arithmetic(self, name, family, batched):
+        ctx = leading_pi_context(name)
+        alpha, beta, lam = (self.ALPHA, self.BETA, self.LAM) if batched else \
+            (self.ALPHA[1], self.BETA[1], self.LAM[1])
+        plan = ctx.plan(family, (alpha,) if family == "gfrft2d" else (alpha, beta), lam=lam)
+        rng = np.random.default_rng(9)
+        x = rng.standard_normal(ctx.shape)
+        z = x + 1j * rng.standard_normal(ctx.shape)
+        for got, want in ((plan.apply(x), complex_forward(plan, x.astype(np.complex128))),
+                          (plan.apply_inverse_real(z), conjugated_inverse(plan, z).real)):
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+    @pytest.mark.parametrize("batched", [False, True], ids=["single", "batched"])
+    @pytest.mark.parametrize("rates", [False, True])
+    @pytest.mark.parametrize("name", CASES)
+    def test_real_row_pass_is_the_complex_arithmetic(self, name, rates, batched):
+        basis = leading_pi_context(name).spatial
+        row = graph_frft(basis, self.ALPHA[:3] if batched else 0.55)
+        r = np.random.default_rng(7).standard_normal((3, basis.n, 4) if batched else (basis.n, 4))
+        u = row.mix(r, row.rotation)
+        if rates:
+            u = np.concatenate([u, row.mix(u, row.generator_coefficients)], axis=-1)
+        want = row.left @ u
+        assert np.abs(row.real_row_pass(r, rates) - want).max() <= 1e-12 * np.abs(want).max()

@@ -341,7 +341,7 @@ PI_BASES = {
 @functools.lru_cache(maxsize=None)
 def pi_context(name):
     ctx = TransformContext(*PI_BASES[name]())
-    counts = [len(b.fourier_phase_decomposition.pi_columns) for b in (ctx.spatial, ctx.temporal)]
+    counts = [b.fourier_phase_decomposition.pi_lines for b in (ctx.spatial, ctx.temporal)]
     assert counts == [1 if n == 30 else 3 for n in ctx.shape]
     return ctx
 

@@ -25,7 +25,7 @@ from fracspec import (
     synth_signal,
     train,
 )
-from fracspec import wiener
+from fracspec import operators, wiener
 from fracspec.wiener import _factored_spectra, _stacked_coordinates, _train_lanes
 from oracles import complex_forward, fd_order_gradient
 
@@ -553,7 +553,7 @@ class TestRowFirstOrder:
     @pytest.fixture(scope="class")
     def row_ctx(self):
         ctx = TransformContext(path_graph(16), path_graph(3))
-        assert len(ctx.spatial.fourier_phase_decomposition.pi_columns) == 3
+        assert ctx.spatial.fourier_phase_decomposition.pi_lines == 3
         return ctx
 
     @staticmethod
@@ -576,10 +576,9 @@ class TestRowFirstOrder:
         alpha, beta = np.array([0.3, 0.55, 0.8]), np.array([0.45, 0.6, 0.35])
         orders = (alpha,) if family == "gfrft2d" else (alpha, beta)
         plan = row_ctx.plan(family, orders, lam=np.array([0.2, 0.5, 0.9]) if family == "gcgfrft" else None)
-        coords, coords_p = (np.stack(c) for c in zip(*(_stacked_coordinates(row_ctx, y, x)
-                                                        for y, x in pairs)))
-        assert wiener._row_factor_first(plan, coords, 3) != complex_signals
-        _, yhat, xhat, _ = _factored_spectra(row_ctx, plan, coords, coords_p, alpha_rates=True)
+        coords = np.stack([_stacked_coordinates(row_ctx, y, x) for y, x in pairs])
+        assert wiener._row_factor_first(plan, coords) != complex_signals
+        _, yhat, xhat, _ = _factored_spectra(plan, coords, alpha_rates=True)
         for i, (y, x) in enumerate(pairs):
             assert np.abs(yhat[i] - plan.apply(y.data)[i]).max() <= 1e-12
             assert np.abs(xhat[i] - plan.apply(x.data)[i]).max() <= 1e-12
@@ -594,16 +593,15 @@ class TestRowFirstOrder:
             else path_graph(int(name[4:]))
         basis = eigendecompose(graph)
         f = basis.fourier_phase_decomposition
-        assert len(f.pi_columns) == (1 if name == "knn30" else 3)
+        assert f.pi_lines == (1 if name == "knn30" else 3)
         row = graph_frft(basis, np.array([0.3, 0.55, 1.4]) if batched else 0.55)
         r = np.random.default_rng(7).standard_normal((3, basis.n, 4) if batched else (basis.n, 4))
-        r_partner = r[..., f.partner, :]
-        got = wiener._row_pass(row, r, r_partner, alpha_rates)
-        u = row.mix(r, row.rotation, gathered=r_partner)
+        got = row.real_row_pass(r, alpha_rates)
+        u = row.mix(r, row.rotation)
         if alpha_rates:
             u = np.concatenate([u, row.mix(u, row.generator_coefficients)], axis=-1)
         want = np.empty(u.shape, dtype=np.complex128)
-        want.imag = f.q[:, f.pi_columns] @ u.imag[..., f.pi_columns, :]
+        want.imag = f.q[:, :f.pi_lines] @ u.imag[..., :f.pi_lines, :]
         want.real = f.q @ np.ascontiguousarray(u.real)
         assert np.array_equal(got, want)
         dense = row.matrix @ f.q @ r
@@ -626,10 +624,10 @@ class TestRowFirstOrder:
             alpha, beta, lam = alpha[1], beta[1], lam[1]
         plan = ctx.plan(family, (alpha,) if family == "gfrft2d" else (alpha, beta),
                         lam=lam if family == "gcgfrft" else None)
-        coords, coords_p = (np.stack(c) if batched else c[0] for c in zip(
-            *(_stacked_coordinates(ctx, y, x) for y, x in pairs)))
-        assert wiener._row_factor_first(plan, coords, 3 if n1 != 30 else 1) == (n1 != 10)
-        _, yhat, xhat, _ = _factored_spectra(ctx, plan, coords, coords_p, alpha_rates=True)
+        coords = np.stack([_stacked_coordinates(ctx, y, x) for y, x in pairs])
+        coords = coords if batched else coords[0]
+        assert wiener._row_factor_first(plan, coords) == (n1 != 10)
+        _, yhat, xhat, _ = _factored_spectra(plan, coords, alpha_rates=True)
         for i, (y, x) in enumerate(pairs):
             for got, sig in ((yhat, y), (xhat, x)):
                 want = complex_forward(plan, sig.data.astype(np.complex128))
@@ -679,7 +677,9 @@ class TestRowFirstOrder:
             calls.append(f is q)
             return lmul(f, x)
 
+        # the row-first pass multiplies inside FractionalOperator.real_row_pass
         monkeypatch.setattr(wiener, "_lmul", counting_lmul)
+        monkeypatch.setattr(operators, "_lmul", counting_lmul)
         x = synth_signal(ctx.spatial, n2, bandwidth=0.4, seed=1)
         y = add_awgn(x, 0.6, seed=2)
         epochs = 4
