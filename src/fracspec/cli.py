@@ -66,10 +66,19 @@ def _load_config(path: str | None) -> dict:
     return cfg
 
 
-def _context_from_config(cfg: dict) -> TransformContext:
+def _context_and_signals(cfg: dict, *paths) -> tuple:
+    """The context of the config's graphs and the signals in the files
+    ``paths``. The signals are read, and their shapes checked against the
+    graphs, before the context decomposes anything."""
     if cfg["lambda"] is not None and cfg["family"] != "gcgfrft":
         raise ConfigError(f"'lambda' applies to the gcgfrft family only, not to {cfg['family']!r}")
-    return TransformContext(cfg["spatial"].build(), cfg["temporal"].build())
+    sigs = [TimeVertexSignal.from_array(fio.read_signal(path)[0]) for path in paths]
+    g1, g2 = cfg["spatial"].build(), cfg["temporal"].build()
+    if any(sig.shape != sigs[0].shape for sig in sigs):
+        raise ValueError(f"shape mismatch: {sigs[0].shape} vs {sigs[-1].shape}")
+    if sigs[0].shape != (g1.n, g2.n):
+        raise ValueError(f"signal shape {sigs[0].shape} does not match plan {(g1.n, g2.n)}")
+    return TransformContext(g1, g2), *sigs
 
 
 def _cmd_gen(args) -> int:
@@ -93,10 +102,9 @@ def _cmd_gen(args) -> int:
 
 def _cmd_transform(args) -> int:
     cfg = read_config(TABLES["transform"], _load_config(args.config))
-    ctx = _context_from_config(cfg)
+    ctx, sig = _context_and_signals(cfg, args.signal)
     family, orders, lam = cfg["family"], cfg["orders"], cfg["lambda"]
     plan = ctx.plan(family, orders, lam=lam)
-    sig = TimeVertexSignal.from_array(fio.read_signal(args.signal)[0])
     result = inverse(plan, sig) if args.inverse else forward(plan, sig)
     out = args.out or "transformed.csv"
     fio.write_signal(result.data, out,
@@ -112,9 +120,7 @@ def _cmd_denoise(args) -> int:
     family, lam, train_cfg = cfg["family"], cfg["lambda"], cfg["train"]
     if "lambda_grid" in raw and (family != "gcgfrft" or lam is not None):
         raise ConfigError("'lambda_grid' applies to the gcgfrft family without a 'lambda' only")
-    ctx = _context_from_config(cfg)
-    y = TimeVertexSignal.from_array(fio.read_signal(args.noisy)[0])
-    x = TimeVertexSignal.from_array(fio.read_signal(args.clean)[0])
+    ctx, y, x = _context_and_signals(cfg, args.noisy, args.clean)
     out = args.out or "."
     os.makedirs(out, exist_ok=True)
 

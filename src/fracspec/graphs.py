@@ -99,8 +99,13 @@ def knn_graph(points, k: int, label: str = "") -> Graph:
         raise GraphError(f"k must satisfy 1 <= k < n = {n}, got {k}")
     k = int(k)
 
-    diff = pts[:, None, :] - pts[None, :, :]
-    d2 = np.einsum("ijk,ijk->ij", diff, diff)
+    # squared distances in row blocks, so the n x rows x d difference
+    # temporary stays near 8 MiB whatever the dimension d
+    d2 = np.empty((n, n))
+    rows = max(1, (1 << 20) // max(1, n * pts.shape[1]))
+    for lo in range(0, n, rows):
+        diff = pts[lo:lo + rows, None, :] - pts[None, :, :]
+        np.einsum("ijk,ijk->ij", diff, diff, out=d2[lo:lo + rows])
     off_diag = ~np.eye(n, dtype=bool)
     if np.any(d2[off_diag] == 0.0):
         i, j = np.argwhere((d2 == 0.0) & off_diag)[0]

@@ -262,7 +262,7 @@ def _family_rows(ctx, cfg, cells, family):
                         lam=[p.lam for p in params] if geodesic else None)
         y = np.stack([cells[i // len(lams)][3].data for i in ok])
         h = np.stack([p.h for p in params])
-        estimates = dict(zip(ok, plan.apply_inverse_real(h * plan.apply(y))))
+        estimates = dict(zip(ok, plan.apply_inverse(h * plan.apply(y), real=True)))
     share = (time.perf_counter() - t0) / len(cells)
 
     for c, (sigma, seed, x, _) in enumerate(cells):

@@ -169,7 +169,7 @@ class FractionalOperator:
 
     A batch of B operators shares the leading axis: ``order`` of shape (B,),
     and ``left``/``right`` (B, n, n) and ``phases`` (B, n) either stacked or
-    shared by every member. The ``apply_*`` methods then broadcast over it.
+    shared by every member. Its methods then broadcast over it.
     """
 
     def __init__(self, order, phases, left, right, partner=None, unit=None, pi_lines=0):
@@ -285,14 +285,6 @@ class FractionalOperator:
         return _freeze(_lmul(self.left, self.mix(self.right, self.rotation)))
 
     # -- factored application (never forms the dense operator) ---------------
-    # A^H x is evaluated as (A^T x^*)^* (TransformPlan.apply_inverse): the
-    # signal is conjugated, no factor is.
-
-    def apply_left_transpose(self, x: np.ndarray) -> np.ndarray:
-        """M^T @ x; ``(M^T x^*)^*`` is the closed-form inverse ``M^H x`` (the
-        operator is unitary)."""
-        inner = self.mix(_lmul(self.left.swapaxes(-1, -2), x), self.rotation, transpose=True)
-        return _lmul(self.right.swapaxes(-1, -2), inner)
 
     def apply_right_transpose(self, x: np.ndarray) -> np.ndarray:
         """x @ M^T. A temporary ``x`` is freed once the first factor is
@@ -301,12 +293,6 @@ class FractionalOperator:
         del x
         inner = self.mix(inner, self.rotation, axis=-1)
         return _rmul(inner, self.left.swapaxes(-1, -2))
-
-    def apply_right(self, x: np.ndarray) -> np.ndarray:
-        """x @ M; ``(x^* M)^*`` is the right factor ``x M^*`` of the inverse
-        transform."""
-        inner = self.mix(_rmul(x, self.left), self.rotation, axis=-1, transpose=True)
-        return _rmul(inner, self.right)
 
     # -- order derivative: d(matrix)/d(order) = G @ matrix -------------------
 

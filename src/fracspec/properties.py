@@ -151,25 +151,28 @@ def verify_properties(n1_sizes=(5, 8, 12), n2_sizes=(4, 6, 8), seeds=(0, 1),
     record("operator.inverse_hermitian", max(d1, d2) <= 1e-8 * n1_sizes[-1],
            f"|F^-a - (F^a)^H| = {max(d1, d2):.2e}")
 
-    # degenerate eigenspace: remixing eigenvectors must not move the power
-    u = graph_frft(eigendecompose(_cycle_graph(4)), 1.0).matrix
-    theta, p = _unitary_eigendecomposition(u)
-    p2 = np.array(p)
-    lo = 0
-    while lo < len(theta):
-        hi = lo
-        while hi < len(theta) and theta[hi] == theta[lo]:
-            hi += 1
-        if hi - lo > 1:
-            q, _ = np.linalg.qr(rng.standard_normal((hi - lo, hi - lo))
-                                + 1j * rng.standard_normal((hi - lo, hi - lo)))
-            p2[:, lo:hi] = p2[:, lo:hi] @ q
-        lo = hi
-    u2 = (p2 * np.exp(1j * theta)) @ p2.conj().T
-    d = np.abs(unitary_fractional_power(u, 0.3).matrix
-               - unitary_fractional_power(u2, 0.3).matrix).max()
-    record("operator.eigenspace_remix_invariance", d <= 1e-8 * 4,
-           f"4-cycle repeated eigenvalue, remix deviation {d:.2e}")
+    # degenerate eigenspaces: the unitary DFT of size 8 has the eigenvalues
+    # 1, -1 and -j repeated (F^4 = I, so (1/4) sum_k (F / w)^k projects onto
+    # the eigenvalue w). Its principal power, -1 at phase +pi, must not move
+    # when the eigenvectors inside each repeated eigenvalue are remixed
+    m = np.arange(8)
+    dft = np.exp(-2j * np.pi * np.outer(m, m) / 8) / np.sqrt(8)
+    powers = [np.linalg.matrix_power(dft, k) for k in range(4)]
+    want = sum(np.exp(0.3j * phi) * sum(w ** -k * f for k, f in enumerate(powers)) / 4
+               for phi, w in ((0.0, 1.0), (np.pi, -1.0), (-np.pi / 2, -1j), (np.pi / 2, 1j)))
+    theta, p = _unitary_eigendecomposition(dft)
+    w = np.exp(1j * theta)
+    remixed = [c for c in {tuple(np.flatnonzero(np.abs(w - wi) < 1e-6)) for wi in w} if len(c) > 1]
+    # a generator of its own leaves the later checks' draws as they were
+    remix_rng, p2 = np.random.default_rng(8), np.array(p)
+    for c in sorted(remixed):
+        q, _ = np.linalg.qr(remix_rng.standard_normal((len(c), len(c)))
+                            + 1j * remix_rng.standard_normal((len(c), len(c))))
+        p2[:, c] = p2[:, c] @ q
+    d = max(np.abs(unitary_fractional_power(u, 0.3).matrix - want).max()
+            for u in (dft, (p2 * w) @ p2.conj().T))
+    record("operator.eigenspace_remix_invariance", remixed and d <= 1e-8 * 8,
+           f"unitary DFT(8), {len(remixed)} repeated eigenvalues remixed, deviation {d:.2e}")
 
     worst = 0.0
     for n2 in n2_sizes:

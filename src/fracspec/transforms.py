@@ -141,30 +141,79 @@ class TransformPlan:
             return _rmul(x, col.left.swapaxes(-1, -2))
         return row.real_two_sided_pass(x, col)
 
-    def apply_inverse(self, xhat: np.ndarray) -> np.ndarray:
+    def apply_inverse(self, xhat: np.ndarray, real: bool = False) -> np.ndarray:
         """``F_row^H Xhat F_col^*`` on a raw n1 x n2 array, unchecked, as
-        ``((F_row^T Xhat^*) F_col)^*``."""
-        return self.col_op.apply_right(self.row_op.apply_left_transpose(xhat.conj())).conj()
+        ``(F_row^T Xhat^* F_col)^*``, or with ``real`` its real part.
 
-    def apply_inverse_real(self, xhat: np.ndarray) -> np.ndarray:
-        """``Re(F_row^H Xhat F_col^*)``, the real projection of the inverse,
-        on a raw n1 x n2 array, unchecked.
-
-        It is ``Re((F_row^T Xhat^*) F_col)``, with ``F_row^T = right^T R^T
-        left^T`` and ``F_col = left R right``. The real part commutes with a
+        With ``F_row^T = right^T R^T left^T`` and ``F_col = left R right``,
+        the two inner factors and rotations are applied first, then the
+        column outer factor, then the row one. The real part commutes with a
         real outer factor: every row factor ``Q1``, and the column factor
-        ``Q2^T`` or the DFRFT's ``V^T``. So the inner factors and rotations
-        are applied, then the real part is taken, before both outer factors
-        for the real families and before ``Q1`` alone for ``gcgfrft``,
-        whose ``S^H`` is complex; a real outer factor is then a real GEMM
-        on half the data."""
+        ``Q2^T`` or the DFRFT's ``V^T``. So with ``real`` it is taken before
+        both outer factors for the real families and before ``Q1`` alone for
+        ``gcgfrft``, whose ``S^H`` is complex; a real outer factor is then a
+        real GEMM on half the data."""
         row, col = self.row_op, self.col_op
         x = row.mix(_lmul(row.left.swapaxes(-1, -2), xhat.conj()), row.rotation, transpose=True)
         x = col.mix(_rmul(x, col.left), col.rotation, axis=-1, transpose=True)
-        if not np.iscomplexobj(col.right):
+        if real and not np.iscomplexobj(col.right):
             x = np.ascontiguousarray(x.real)
-        x = np.ascontiguousarray(_rmul(x, col.right).real)
-        return _lmul(row.right.swapaxes(-1, -2), x)
+        x = _rmul(x, col.right)
+        if real:
+            return _lmul(row.right.swapaxes(-1, -2), np.ascontiguousarray(x.real))
+        return _lmul(row.right.swapaxes(-1, -2), x).conj()
+
+    def _row_factor_first(self, r: np.ndarray) -> bool:
+        """Whether an epoch of the plan costs fewer real multiply-adds with
+        the row factor ``Q`` applied before the column operator ``C`` than
+        after it (``_factored_spectra``); a property of the plan's shape and
+        of the dtype of the coordinates ``r``, not a setting.
+
+        Each product with ``C`` is counted as a complex one, 4 real
+        multiply-adds per complex multiply-add: a complex factor needs them, and
+        a real factor's product with a complex block goes through two transposed
+        copies of the block (``operators._rmul``), which cost about as much as
+        the halved arithmetic saves. Per lane, with the order gradient,
+        column-first multiplies ``Q`` by two complex n1 x 2 n2 blocks,
+        ``8 n1^2 n2``, and ``C^T`` by 2 n1 rows, ``16 n1 n2^2``. Row-first
+        multiplies ``Q`` by one n1 x 4 n2 block, which for real ``r`` is real but
+        for the k rows at phase pi (``pi_lines``), ``4 n1^2 n2 + 4 k n1 n2``,
+        and ``C^T`` by 4 n1 rows, ``32 n1 n2^2``. So it is cheaper when
+        ``n1 > 4 n2 + k``. For complex ``r`` the block is complex throughout,
+        ``Q`` costs the same either way and column-first wins."""
+        n1, n2 = self.shape
+        return r.dtype == np.float64 and n1 > 4 * n2 + self.row_op.pi_lines
+
+    def _factored_spectra(self, r: np.ndarray, alpha_rates: bool = False):
+        """Spectra of Y and X side by side, ``[Yhat | Xhat]``, from
+        ``r = Q^T [Y | X]`` (``TransformContext._stacked_coordinates``),
+        batched like the plan, where ``Q`` is the row operator's real factor
+        (its right factor is ``Q^T`` at every order), and, with
+        ``alpha_rates``, their derivatives in the spatial order, ``Q G Z``,
+        ``G`` the row generator in factor coordinates. With the row rotation
+        ``R``, ``[Yhat | Xhat] = Q Z`` and ``Z = R r (I_2 kron C^T)``.
+
+        Returns ``([Yhat | Xhat], Yhat, Xhat, alpha_rate)``, batched like the
+        plan, the first ``(..., n1, 2 n2)``; ``alpha_rate`` is ``Q G Z`` with
+        ``alpha_rates`` and None without. The order of the products follows
+        ``_row_factor_first``. Column-first forms ``Z``, then ``Q Z``, and
+        ``Q (G Z)`` with ``alpha_rates``: two passes over ``Q``. Row-first
+        multiplies ``[R r | G R r]`` by ``Q`` in one pass
+        (``FractionalOperator.real_row_pass``) and then both halves by ``C^T``.
+        """
+        row, col, (n1, n2) = self.row_op, self.col_op, self.shape
+        if not self._row_factor_first(r):
+            # R r is left unnamed, so the column operator frees it early
+            z = col.apply_right_transpose(row.mix(r, row.rotation).reshape(
+                *r.shape[:-2], 2 * n1, n2)).reshape(r.shape)
+            yx = _lmul(row.left, z)
+            rate = _lmul(row.left, row.mix(z, row.generator_coefficients)) if alpha_rates else None
+            return yx, yx[..., :n2], yx[..., n2:], rate
+        # Q [R r | G R r] is left unnamed, so the column operator frees it early
+        out = col.apply_right_transpose(row.real_row_pass(r, alpha_rates).reshape(
+            *r.shape[:-2], -1, n2)).reshape(*r.shape[:-1], -1)
+        yx = out[..., :2 * n2]
+        return yx, yx[..., :n2], yx[..., n2:], out[..., 2 * n2:] if alpha_rates else None
 
 
 def forward(plan: TransformPlan, x: TimeVertexSignal) -> TimeVertexSignal:
@@ -244,6 +293,12 @@ class TransformContext:
     @property
     def shape(self):
         return (self.spatial.n, self.temporal.n)
+
+    def _stacked_coordinates(self, y: TimeVertexSignal, x: TimeVertexSignal) -> np.ndarray:
+        """``r = Q^T [Y | X]`` for the spatial factor ``Q``: the same at every
+        spatial order, and real for real signals."""
+        yx = np.concatenate([y.data, x.data], axis=-1)
+        return _lmul(self.spatial.fourier_phase_decomposition.q.T, yx)
 
     @cached_property
     def _temporal_graph_generator(self) -> np.ndarray:

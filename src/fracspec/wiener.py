@@ -25,7 +25,6 @@ import numpy as np
 
 from .coupling import _coupling_parameter
 from .errors import ConfigError, MarginViolationError, dataclass_table, read_config
-from .operators import _lmul
 from .transforms import FAMILIES, TimeVertexSignal, TransformContext, TransformPlan
 
 __all__ = [
@@ -153,12 +152,11 @@ def denoise(y: TimeVertexSignal, params: FilterParams, ctx: TransformContext,
             family: str = "gcgfrft") -> TimeVertexSignal:
     """Filtered estimate; real-sourced observations are projected back to the
     real field (the complex estimate remains the optimization variable),
-    through ``TransformPlan.apply_inverse_real``, which takes the real part
-    before the real outer factors."""
-    if not y.real_flag:
-        return denoise_complex(y, params, ctx, family=family)
+    through ``TransformPlan.apply_inverse`` with ``real``, which takes the
+    real part before the real outer factors."""
     plan, yhat = _spectra(ctx, family, params.alpha, params.beta, params.lam, y)
-    return TimeVertexSignal(plan.apply_inverse_real(params.h * yhat), real_flag=True)
+    return TimeVertexSignal(plan.apply_inverse(params.h * yhat, real=y.real_flag),
+                            real_flag=y.real_flag)
 
 
 def loss(y: TimeVertexSignal, x_true: TimeVertexSignal, params: FilterParams,
@@ -203,59 +201,6 @@ def closed_form_h(y: TimeVertexSignal, x_true: TimeVertexSignal, params: FilterP
     return h
 
 
-def _row_factor_first(plan: TransformPlan, r: np.ndarray) -> bool:
-    """Whether an epoch of ``plan`` costs fewer real multiply-adds with the
-    row factor ``Q`` applied before the column operator ``C`` than after it
-    (``_factored_spectra``); a property of the plan's shape and of the dtype
-    of the coordinates ``r``, not a setting.
-
-    Each product with ``C`` is counted as a complex one, 4 real
-    multiply-adds per complex multiply-add: a complex factor needs them, and
-    a real factor's product with a complex block goes through two transposed
-    copies of the block (``operators._rmul``), which cost about as much as
-    the halved arithmetic saves. Per lane, with the order gradient,
-    column-first multiplies ``Q`` by two complex n1 x 2 n2 blocks,
-    ``8 n1^2 n2``, and ``C^T`` by 2 n1 rows, ``16 n1 n2^2``. Row-first
-    multiplies ``Q`` by one n1 x 4 n2 block, which for real ``r`` is real but
-    for the k rows at phase pi (``pi_lines``), ``4 n1^2 n2 + 4 k n1 n2``,
-    and ``C^T`` by 4 n1 rows, ``32 n1 n2^2``. So it is cheaper when
-    ``n1 > 4 n2 + k``. For complex ``r`` the block is complex throughout,
-    ``Q`` costs the same either way and column-first wins."""
-    n1, n2 = plan.shape
-    return r.dtype == np.float64 and n1 > 4 * n2 + plan.row_op.pi_lines
-
-
-def _factored_spectra(plan: TransformPlan, r: np.ndarray, alpha_rates: bool = False):
-    """Spectra of Y and X side by side, ``[Yhat | Xhat]``, from
-    ``r = Q^T [Y | X]`` (``_stacked_coordinates``), batched like the plan,
-    where ``Q`` is the row operator's real factor (its right factor is
-    ``Q^T`` at every order), and, with ``alpha_rates``, their derivatives in
-    the spatial order, ``Q G Z``, ``G`` the row generator in factor
-    coordinates. With the row rotation ``R``, ``[Yhat | Xhat] = Q Z`` and
-    ``Z = R r (I_2 kron C^T)``.
-
-    Returns ``([Yhat | Xhat], Yhat, Xhat, alpha_rate)``, batched like the
-    plan, the first ``(..., n1, 2 n2)``; ``alpha_rate()`` gives ``Q G Z``
-    when asked for. The order of the products follows
-    ``_row_factor_first``. Column-first forms ``Z``, then ``Q Z``, and
-    ``Q (G Z)`` only when ``alpha_rate`` is called: two passes over ``Q``.
-    Row-first multiplies ``[R r | G R r]`` by ``Q`` in one pass
-    (``FractionalOperator.real_row_pass``) and then both halves by ``C^T``.
-    """
-    row, col, (n1, n2) = plan.row_op, plan.col_op, plan.shape
-    if not _row_factor_first(plan, r):
-        # R r is left unnamed, so the column operator frees it early
-        z = col.apply_right_transpose(row.mix(r, row.rotation).reshape(
-            *r.shape[:-2], 2 * n1, n2)).reshape(r.shape)
-        yx = _lmul(row.left, z)
-        return yx, yx[..., :n2], yx[..., n2:], lambda: _lmul(row.left, row.mix(z, row.generator_coefficients))
-    # Q [R r | G R r] is left unnamed, so the column operator frees it early
-    out = col.apply_right_transpose(row.real_row_pass(r, alpha_rates).reshape(
-        *r.shape[:-2], -1, n2)).reshape(*r.shape[:-1], -1)
-    yx = out[..., :2 * n2]
-    return yx, yx[..., :n2], yx[..., n2:], lambda: out[..., 2 * n2:]
-
-
 def _order_gradient(ctx: TransformContext, plan: TransformPlan, h: np.ndarray,
                     spectra, resid: np.ndarray) -> np.ndarray:
     """Gradient of the risk with respect to the plan's fractional orders,
@@ -263,11 +208,11 @@ def _order_gradient(ctx: TransformContext, plan: TransformPlan, h: np.ndarray,
 
     Every factor moves along a unitary one-parameter family, so an order
     derivative is a generator times the spectra already computed. The alpha
-    derivatives ``Q G Z`` come from ``_factored_spectra`` (asked for with
-    ``alpha_rates``), and ``dYhat/dbeta = Yhat D^T`` with the dense n2 x n2
-    ``D`` of ``TransformContext.temporal_generator``.
+    derivatives ``Q G Z`` come from ``TransformPlan._factored_spectra``
+    (asked for with ``alpha_rates``), and ``dYhat/dbeta = Yhat D^T`` with
+    the dense n2 x n2 ``D`` of ``TransformContext.temporal_generator``.
     """
-    yx, alpha_rate = spectra[0], spectra[3]
+    yx = spectra[0]
     n1, n2 = plan.shape
     scale = 2.0 / (n1 * n2)
 
@@ -277,19 +222,12 @@ def _order_gradient(ctx: TransformContext, plan: TransformPlan, h: np.ndarray,
         d *= resid.conj()
         return scale * np.sum(d.real, axis=(-2, -1))
 
-    g_alpha = rate(alpha_rate())
+    g_alpha = rate(spectra[3])
     d_t = ctx.temporal_generator(plan).swapaxes(-1, -2)
     g_beta = rate((yx.reshape(*yx.shape[:-2], 2 * n1, n2) @ d_t).reshape(yx.shape))
     if plan.family == "gfrft2d":
         return (g_alpha + g_beta)[..., None]
     return np.stack([g_alpha, g_beta], axis=-1)
-
-
-def _stacked_coordinates(ctx: TransformContext, y: TimeVertexSignal, x: TimeVertexSignal):
-    """``r = Q^T [Y | X]`` for the spatial factor ``Q``: the same at every
-    spatial order, and real for real signals."""
-    yx = np.concatenate([y.data, x.data], axis=-1)
-    return _lmul(ctx.spatial.fourier_phase_decomposition.q.T, yx)
 
 
 def grad_orders(y: TimeVertexSignal, x_true: TimeVertexSignal, params: FilterParams,
@@ -299,7 +237,7 @@ def grad_orders(y: TimeVertexSignal, x_true: TimeVertexSignal, params: FilterPar
     if family == "gfrft2d":
         raise ConfigError("gfrft2d has a single shared order; train() handles it directly")
     (plan,) = _spectra(ctx, family, params.alpha, params.beta, params.lam)
-    spectra = _factored_spectra(plan, _stacked_coordinates(ctx, y, x_true), alpha_rates=True)
+    spectra = plan._factored_spectra(ctx._stacked_coordinates(y, x_true), alpha_rates=True)
     g = _order_gradient(ctx, plan, params.h, spectra, params.h * spectra[1] - spectra[2])
     return float(g[0]), float(g[1])
 
@@ -347,7 +285,7 @@ def _train_lanes(pairs: list, lams: list, config: TrainConfig, ctx: TransformCon
     v = np.full((len(lams), 1 if family == "gfrft2d" else 2), 0.5)
     h = np.ones((len(lams), *ctx.shape), dtype=np.float64)
     m_v, s_v, m_h, s_h = np.zeros_like(v), np.zeros_like(v), np.zeros_like(h), np.zeros_like(h)
-    coords = np.stack([_stacked_coordinates(ctx, y, x_true) for y, x_true in pairs])
+    coords = np.stack([ctx._stacked_coordinates(y, x_true) for y, x_true in pairs])
     # (loss, alpha, beta) per epoch and lane, and the epochs each lane recorded
     steps = np.empty((3, config.epochs, len(lams))) if record else None
     recorded = np.full(len(lams), config.epochs)
@@ -382,7 +320,7 @@ def _train_lanes(pairs: list, lams: list, config: TrainConfig, ctx: TransformCon
         # at epoch 0 the filter is all ones, where the risk ||Y - X||^2 does
         # not depend on the orders: their step is exactly zero, not rounding
         order_step = epoch > 0 and not last and config.lr_orders > 0
-        spectra = _factored_spectra(plan, coords, alpha_rates=order_step)
+        spectra = plan._factored_spectra(coords, alpha_rates=order_step)
         yhat, xhat = spectra[1], spectra[2]
         resid = h * yhat - xhat
         risk = np.mean(resid.real**2 + resid.imag**2, axis=(-2, -1))

@@ -67,11 +67,11 @@ def complex_forward(plan, x):
 
 
 def conjugated_inverse(plan, xhat):
-    """``F_row^H Xhat F_col^*`` as ``M^H x = (M^T x^*)^*`` on the rows, then
-    ``x M^* = (x^* M)^*`` on the columns, each conjugating its input and its
-    output: four passes, two of which cancel."""
+    """``F_row^H Xhat F_col^*`` of a complex ``Xhat`` in complex arithmetic,
+    as ``(F_row^T Xhat^* F_col)^*``: the row inner factor and rotation, the
+    column inner factor and rotation, then the column and row outer factors,
+    the order of ``TransformPlan.apply_inverse``."""
     row, col = plan.row_op, plan.col_op
     x = row.mix(_lmul(row.left.swapaxes(-1, -2), xhat.conj()), row.rotation, transpose=True)
-    x = _lmul(row.right.swapaxes(-1, -2), x).conj()
-    x = col.mix(_rmul(x.conj(), col.left), col.rotation, axis=-1, transpose=True)
-    return _rmul(x, col.right).conj()
+    x = col.mix(_rmul(x, col.left), col.rotation, axis=-1, transpose=True)
+    return _lmul(row.right.swapaxes(-1, -2), _rmul(x, col.right)).conj()

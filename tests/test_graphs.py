@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -79,6 +81,41 @@ class TestKnnGraph:
     def test_deterministic(self, rng):
         pts = rng.uniform(size=(15, 2))
         assert np.array_equal(knn_graph(pts, 4).adjacency, knn_graph(pts, 4).adjacency)
+
+    @staticmethod
+    def full_array_knn(pts, k):
+        """The selection of ``knn_graph`` on distances from one n x n x d
+        difference array: the reference for its row blocks."""
+        diff = pts[:, None, :] - pts[None, :, :]
+        d2 = np.einsum("ijk,ijk->ij", diff, diff)
+        np.fill_diagonal(d2, np.inf)
+        a = np.zeros_like(d2)
+        for i, row in enumerate(d2):
+            a[i, np.lexsort((np.arange(len(row)), row))[:k]] = 1.0
+        return np.maximum(a, a.T)
+
+    @pytest.mark.parametrize("n", [50, 300])
+    @pytest.mark.parametrize("d", [1, 2, 16, 64])
+    def test_row_blocks_match_the_full_array(self, rng, n, d):
+        # ties decide the graph, so the distances must agree to the bit. Grid
+        # points at spacing 0.1 have many distances tied in exact arithmetic,
+        # which another summation order (np.sum) breaks differently at d = 16
+        grid = np.unique(rng.integers(0, 5, size=(4 * n, d)), axis=0)
+        for pts in (rng.standard_normal((n, d)), 0.1 * rng.permutation(grid)[:n]):
+            for k in (1, 4):
+                assert np.array_equal(knn_graph(pts, k).adjacency, self.full_array_knn(pts, k))
+
+    def test_memory_is_bounded_in_the_dimension(self, rng):
+        # the n x n x d difference array of 500 points with 64 coordinates
+        # would be 128 MB
+        pts = rng.standard_normal((500, 64))
+        tracemalloc.start()
+        try:
+            knn_graph(pts, 5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20
 
 
 class TestGraphValidation:

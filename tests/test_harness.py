@@ -23,7 +23,7 @@ from fracspec import (
     train,
     verify_properties,
 )
-from fracspec import harness
+from fracspec import harness, operators, properties
 from fracspec.harness import BASELINE_FAMILIES
 from fracspec.io import _matrix_from_csv
 
@@ -278,6 +278,31 @@ class TestVerifyProperties:
         assert not report.all_passed
         bad = {r.name for r in report.results if not r.passed}
         assert "operator.unitarity_sweep" in bad
+
+    @staticmethod
+    def remix_check(report):
+        (check,) = [r for r in report.results if r.name == "operator.eigenspace_remix_invariance"]
+        return check
+
+    def test_remix_check_remixes_repeated_eigenvalues(self):
+        check = self.remix_check(verify_properties(n1_sizes=(4,), n2_sizes=(4,), seeds=(0,)))
+        assert check.passed
+        assert int(check.detail.split(", ")[1].split()[0]) >= 1
+
+    def test_remix_check_fails_without_cluster_unification(self, monkeypatch):
+        # with no snap to +pi and no cluster unification, the branch of the
+        # eigenvalue -1 follows rounding and the remixed power moves
+        def faulty(fn):
+            def call(*args, **kwargs):
+                with monkeypatch.context() as m:
+                    m.setattr(operators, "PHASE_CLUSTER_TOL", 0.0)
+                    return fn(*args, **kwargs)
+            return call
+
+        for name in ("_unitary_eigendecomposition", "unitary_fractional_power"):
+            monkeypatch.setattr(properties, name, faulty(getattr(operators, name)))
+        check = self.remix_check(verify_properties(n1_sizes=(4,), n2_sizes=(4,), seeds=(0,)))
+        assert not check.passed
 
     def test_report_formatting(self):
         report = verify_properties(n1_sizes=(4,), n2_sizes=(4,), seeds=(0,))

@@ -23,6 +23,8 @@ from fracspec import (
     TransformContext,
     add_awgn,
     dfrft_matrix,
+    eigendecompose,
+    graph_frft,
     knn_graph,
     path_graph,
     random_planar_points,
@@ -128,6 +130,22 @@ class TestNodeCap:
             spec = {"kind": "knn", "points": points.tolist(), "k": 1}
         code, err = run_transform(str(tmp_path), spec)
         assert code == 2 and f"{n} " in err and f"exceed the cap of {MATERIALIZE_CAP} nodes" in err
+
+
+class TestSignalReadFirst:
+    """``transform`` and ``denoise`` read their signals and check their shape
+    against the graphs before the context decomposes anything."""
+
+    @pytest.mark.parametrize("command", ["transform", "denoise"])
+    def test_mismatched_signal_exits_2_before_the_context(self, tmp_path, monkeypatch, command):
+        def no_context(*args, **kwargs):
+            raise AssertionError("the context was built before the signal was checked")
+
+        monkeypatch.setattr("fracspec.cli.TransformContext", no_context)
+        code, err = run_cli(str(tmp_path), command, {"spatial": {"kind": "path", "n": 5},
+                                                     "temporal": {"kind": "path", "n": 4},
+                                                     "family": "gbfrft2d"})
+        assert code == 2 and "error: signal shape (3, 4) does not match plan (5, 4)" in err
 
 
 # CSV fields: numbers, ids near the valid range, and malformed tokens
@@ -857,6 +875,25 @@ class TestCli:
         assert main(["dump-operator", "--config", cfg_path, "--out", out]) == 0
         back = np.loadtxt(out, delimiter=",").view(np.complex128)
         assert np.array_equal(back, dfrft_matrix(6, 0.5).matrix)
+
+    @pytest.mark.parametrize("kind", ["gft", "graph_frft", "geodesic_temporal"])
+    def test_dump_operator_of_a_graph(self, tmp_path, kind):
+        # each kind writes the library operator bit for bit
+        spec = {"kind": "knn_random", "n": 9, "k": 3, "seed": 7}
+        basis = eigendecompose(GraphSpec.from_dict(spec).build())
+        if kind == "geodesic_temporal":
+            cfg = {"kind": kind, "temporal": spec, "order": 0.6, "lambda": 0.3}
+            want = TransformContext(basis, basis).plan("gcgfrft", (0.0, 0.6), lam=0.3).col_op.matrix
+        else:
+            order = 1.0 if kind == "gft" else 0.37
+            cfg = {"kind": kind, "graph": spec, **({"order": order} if kind == "graph_frft" else {})}
+            want = graph_frft(basis, order).matrix
+        cfg_path, out = str(tmp_path / "op.json"), str(tmp_path / "op.csv")
+        with open(cfg_path, "w") as fh:
+            json.dump(cfg, fh)
+        assert main(["dump-operator", "--config", cfg_path, "--out", out]) == 0
+        back = np.loadtxt(out, delimiter=",").view(np.complex128)
+        assert np.array_equal(back, want)
 
     @pytest.mark.parametrize("cfg,message", [
         ({"n2": None}, "'n2' must be an integer, got None"),

@@ -9,6 +9,7 @@ from fracspec import (
     DecompositionError,
     Graph,
     NotUnitaryError,
+    TransformPlan,
     dfrft_matrix,
     eigendecompose,
     gft_matrix,
@@ -349,21 +350,23 @@ def real_factor_case(name):
 
 def factor_error(op, want):
     """Largest deviation of the operator from the dense oracle ``want`` (one
-    matrix per order): the dense matrix and the three factored applies to
-    unit-norm complex columns. The inputs are not C-contiguous: an F-ordered
-    array, a row-strided view, and a column-strided view, whose float64 view
-    cannot be taken at all."""
+    matrix per order): the dense matrix, its factored apply from the right,
+    and the inverse ``M^H X M^*`` of a plan with the operator on both sides,
+    on n x n blocks of unit-norm complex columns. The blocks are not
+    C-contiguous: an F-ordered array, a row-strided view, and a
+    column-strided view, whose float64 view cannot be taken at all."""
     n = op.n
+    plan = TransformPlan("gbfrft2d", op, op, (op.order, op.order))
     rng = np.random.default_rng(5)
-    x = rng.standard_normal((2 * n, 12)) + 1j * rng.standard_normal((2 * n, 12))
+    x = rng.standard_normal((2 * n, 2 * n)) + 1j * rng.standard_normal((2 * n, 2 * n))
     x /= np.linalg.norm(x, axis=0)
-    inputs = (np.asfortranarray(x[:n, :6]), x[::2, :6], x[n:, ::2])
+    inputs = (np.asfortranarray(x[:n, :n]), x[::2, :n], x[n:, ::2])
+    want_h = want.conj().swapaxes(-1, -2)
     errs = [np.abs(op.matrix - want).max()]
     for x in inputs:
         assert not x.flags.c_contiguous
-        errs += [np.abs(op.apply_left_transpose(x) - want.swapaxes(-1, -2) @ x).max(),
-                 np.abs(op.apply_right_transpose(x.T) - x.T @ want.swapaxes(-1, -2)).max(),
-                 np.abs(op.apply_right(x.T) - x.T @ want).max()]
+        errs += [np.abs(op.apply_right_transpose(x.T) - x.T @ want.swapaxes(-1, -2)).max(),
+                 np.abs(plan.apply_inverse(x) - want_h @ x @ want.conj()).max()]
     return max(errs)
 
 
@@ -544,7 +547,7 @@ class TestLeadingPiLines:
         x = rng.standard_normal(ctx.shape)
         z = x + 1j * rng.standard_normal(ctx.shape)
         for got, want in ((plan.apply(x), complex_forward(plan, x.astype(np.complex128))),
-                          (plan.apply_inverse_real(z), conjugated_inverse(plan, z).real)):
+                          (plan.apply_inverse(z, real=True), conjugated_inverse(plan, z).real)):
             assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
     @pytest.mark.parametrize("batched", [False, True], ids=["single", "batched"])

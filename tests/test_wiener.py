@@ -25,8 +25,8 @@ from fracspec import (
     synth_signal,
     train,
 )
-from fracspec import operators, wiener
-from fracspec.wiener import _factored_spectra, _stacked_coordinates, _train_lanes
+from fracspec import operators, transforms
+from fracspec.wiener import _train_lanes
 from oracles import complex_forward, fd_order_gradient
 
 
@@ -101,6 +101,18 @@ class TestDenoise:
         want = denoise_complex(y, params, ctx, family=family).data.real
         assert est.data.dtype == np.float64
         assert np.abs(est.data - want).max() <= 1e-12 * np.abs(want).max()
+
+    @pytest.mark.parametrize("family", ["gfrft2d", "gbfrft2d", "jfrft", "gcgfrft"])
+    def test_complex_observation_is_the_complex_estimate(self, family):
+        # a complex observation keeps the complex estimate, to the bit
+        ctx = TransformContext(path_graph(16), path_graph(10))
+        rng = np.random.default_rng(4)
+        y = TimeVertexSignal.from_array(rng.standard_normal(ctx.shape)
+                                        + 1j * rng.standard_normal(ctx.shape))
+        params = FilterParams(0.35, 0.7, rng.uniform(size=ctx.shape), 0.6)
+        est = denoise(y, params, ctx, family=family)
+        assert not est.real_flag
+        assert np.array_equal(est.data, denoise_complex(y, params, ctx, family=family).data)
 
 
 class TestLoss:
@@ -318,8 +330,6 @@ class TestTrain:
         # the denoise run of the perfbench temporal_cli workload: 3 coupling
         # values, 5 Adam epochs at 64x128. Epoch 1 plans every lane at the
         # cached beta 0.5, so the run builds 1 + 4 x 3 = 13 couplings, not 16
-        from fracspec import transforms
-
         decompose, matrices = transforms.phase_decompose, []
 
         def counting_decompose(w, **kwargs):
@@ -455,8 +465,6 @@ class TestLambdaGridSearch:
         # the grid above: a lane's failed order is cached with its error, so
         # the fallback that plans the other lanes does not decompose it again
         # (measured: 554 matrices; 556 when failures were not cached)
-        from fracspec import transforms
-
         decompose, matrices = transforms.phase_decompose, []
 
         def counting_decompose(w, **kwargs):
@@ -545,7 +553,8 @@ class TestMarginFailurePropagation:
 
 class TestRowFirstOrder:
     """Training multiplies by the spatial factor ``Q`` before the column
-    operator where that costs fewer multiply-adds (``_row_factor_first``).
+    operator where that costs fewer multiply-adds
+    (``TransformPlan._row_factor_first``).
     path(16) x path(3) takes that order for real signals in every family;
     its spatial basis has three self-partnered columns at phase pi, where
     the block ``[R r | G R r]`` that meets ``Q`` is complex."""
@@ -576,9 +585,9 @@ class TestRowFirstOrder:
         alpha, beta = np.array([0.3, 0.55, 0.8]), np.array([0.45, 0.6, 0.35])
         orders = (alpha,) if family == "gfrft2d" else (alpha, beta)
         plan = row_ctx.plan(family, orders, lam=np.array([0.2, 0.5, 0.9]) if family == "gcgfrft" else None)
-        coords = np.stack([_stacked_coordinates(row_ctx, y, x) for y, x in pairs])
-        assert wiener._row_factor_first(plan, coords) != complex_signals
-        _, yhat, xhat, _ = _factored_spectra(plan, coords, alpha_rates=True)
+        coords = np.stack([row_ctx._stacked_coordinates(y, x) for y, x in pairs])
+        assert plan._row_factor_first(coords) != complex_signals
+        _, yhat, xhat, _ = plan._factored_spectra(coords, alpha_rates=True)
         for i, (y, x) in enumerate(pairs):
             assert np.abs(yhat[i] - plan.apply(y.data)[i]).max() <= 1e-12
             assert np.abs(xhat[i] - plan.apply(x.data)[i]).max() <= 1e-12
@@ -624,10 +633,10 @@ class TestRowFirstOrder:
             alpha, beta, lam = alpha[1], beta[1], lam[1]
         plan = ctx.plan(family, (alpha,) if family == "gfrft2d" else (alpha, beta),
                         lam=lam if family == "gcgfrft" else None)
-        coords = np.stack([_stacked_coordinates(ctx, y, x) for y, x in pairs])
+        coords = np.stack([ctx._stacked_coordinates(y, x) for y, x in pairs])
         coords = coords if batched else coords[0]
-        assert wiener._row_factor_first(plan, coords) == (n1 != 10)
-        _, yhat, xhat, _ = _factored_spectra(plan, coords, alpha_rates=True)
+        assert plan._row_factor_first(coords) == (n1 != 10)
+        _, yhat, xhat, _ = plan._factored_spectra(coords, alpha_rates=True)
         for i, (y, x) in enumerate(pairs):
             for got, sig in ((yhat, y), (xhat, x)):
                 want = complex_forward(plan, sig.data.astype(np.complex128))
@@ -671,14 +680,14 @@ class TestRowFirstOrder:
         spatial = path_graph(n1) if n1 == 16 else knn_graph(random_planar_points(n1, seed=7), 4)
         ctx = TransformContext(spatial, path_graph(n2))
         q = ctx.spatial.fourier_phase_decomposition.q
-        lmul, calls = wiener._lmul, []
+        lmul, calls = transforms._lmul, []
 
         def counting_lmul(f, x):
             calls.append(f is q)
             return lmul(f, x)
 
         # the row-first pass multiplies inside FractionalOperator.real_row_pass
-        monkeypatch.setattr(wiener, "_lmul", counting_lmul)
+        monkeypatch.setattr(transforms, "_lmul", counting_lmul)
         monkeypatch.setattr(operators, "_lmul", counting_lmul)
         x = synth_signal(ctx.spatial, n2, bandwidth=0.4, seed=1)
         y = add_awgn(x, 0.6, seed=2)
