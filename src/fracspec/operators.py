@@ -164,8 +164,10 @@ class FractionalOperator:
     no partner. A geodesic temporal basis ``F S diag(exp(j*lam*theta)) S^H``
     has ``left = F S`` and ``right = S^H``, with ``order`` the coupling
     parameter, and a general unitary power ``left = P`` and ``right = P^H``.
-    The dense ``matrix`` is materialized lazily; transforms apply the
-    factors directly.
+    The dense ``matrix`` is materialized lazily. An operator with real
+    outer factors is applied through its factors; one with complex outer
+    factors (``dense``) through its ``matrix``, one GEMM in place of the two
+    complex factor multiplies.
 
     A batch of B operators shares the leading axis: ``order`` of shape (B,),
     and ``left``/``right`` (B, n, n) and ``phases`` (B, n) either stacked or
@@ -280,15 +282,65 @@ class FractionalOperator:
         out.imag = left @ right
         return out
 
+    def real_two_sided_inverse(self, z: np.ndarray, col: "FractionalOperator") -> np.ndarray:
+        """``Re(M^H z M_col^*)`` of a complex block ``z``, for this operator
+        ``M = left R left^T`` and the partnered column operator ``col``.
+
+        It is ``left Re(R^T B R_col) left_col^T`` with ``B`` the conjugate of
+        ``left^T z left_col``. ``R^T`` and ``R_col`` are real but for ``j``
+        times a diagonal on their first k1 rows and k2 columns, so the real
+        part needs ``Re(B)``, two real GEMMs on ``Re(z)``, and ``Im(B)`` on
+        those rows and columns alone, GEMMs of rank k1 and k2 on ``Im(z)``."""
+        (a1, b1), (a2, b2) = self.rotation, col.rotation
+        (k1, k2), q1, q2 = (self.pi_lines, col.pi_lines), self.left, col.left
+        zi = np.ascontiguousarray(z.imag)
+        re = _rmul(_lmul(q1.swapaxes(-1, -2), np.ascontiguousarray(z.real)), q2)
+        # with R^T = D + jE, E on the first k1 rows, and Im(B) = -Im(A) for
+        # A = left^T z left_col: Re(R^T B) = D Re(B) + E Im(A)
+        rows = self.mix(re, (a1, b1.real), transpose=True)
+        rows[..., :k1, :] += b1.imag[..., :k1, None] * _rmul(_lmul(q1[:, :k1].T, zi), q2)
+        # -Im(R^T B) = D Im(A) - E Re(B), on the first k2 columns alone
+        cols = self.mix(_lmul(q1.swapaxes(-1, -2), _rmul(zi, q2[:, :k2])), (a1, b1.real),
+                        transpose=True)
+        cols[..., :k1, :] -= b1.imag[..., :k1, None] * re[..., :k1, :k2]
+        out = col.mix(rows, (a2, b2.real), axis=-1, transpose=True)
+        out[..., :k2] += b2.imag[..., None, :k2] * cols
+        return _rmul(_lmul(q1, out), q2.swapaxes(-1, -2))
+
+    @property
+    def dense(self) -> bool:
+        """Whether the operator is applied through its dense ``matrix``: its
+        outer factors are complex (a geodesic temporal basis, a general
+        unitary power), so one GEMM against ``M`` costs half the two complex
+        factor multiplies. Real factors are applied as they are."""
+        return np.iscomplexobj(self.left)
+
     @cached_property
     def matrix(self) -> np.ndarray:
-        return _freeze(_lmul(self.left, self.mix(self.right, self.rotation)))
+        """``left R right``, built once. A ``dense`` operator keeps it in
+        column-major layout: ``M^T`` is C-contiguous, so a real block meets
+        ``M^T`` in one real GEMM on its float64 view (``_rmul``), and
+        ``real_conj_product`` takes ``[Re M; Im M]`` as the transposed view."""
+        w = self.mix(self.right, self.rotation)
+        if self.dense:
+            # formed as the C-contiguous M^T = w^T left^T
+            return _freeze((w.swapaxes(-1, -2) @ self.left.swapaxes(-1, -2)).swapaxes(-1, -2))
+        return _freeze(_lmul(self.left, w))
 
-    # -- factored application (never forms the dense operator) ---------------
+    def real_conj_product(self, z: np.ndarray) -> np.ndarray:
+        """``Re(z M^*)`` of a complex block ``z``, for a ``dense`` operator:
+        ``Re(z) Re(M) + Im(z) Im(M)``, one real GEMM of the float64 view of
+        ``z``, whose columns interleave ``Re z`` and ``Im z``, against that
+        of ``M^T`` transposed, whose rows interleave ``Re M`` and ``Im M``."""
+        m = self.matrix.swapaxes(-1, -2).view(np.float64).swapaxes(-1, -2)
+        return np.ascontiguousarray(z).view(np.float64) @ m
 
     def apply_right_transpose(self, x: np.ndarray) -> np.ndarray:
-        """x @ M^T. A temporary ``x`` is freed once the first factor is
-        applied, before the other two make their own temporaries."""
+        """x @ M^T: one GEMM against ``M^T`` for a ``dense`` operator, else
+        through the factors. There a temporary ``x`` is freed once the first
+        factor is applied, before the other two make their own temporaries."""
+        if self.dense:
+            return _rmul(x, self.matrix.swapaxes(-1, -2))
         inner = _rmul(x, self.right.swapaxes(-1, -2))
         del x
         inner = self.mix(inner, self.rotation, axis=-1)

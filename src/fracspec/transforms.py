@@ -119,19 +119,31 @@ class TransformPlan:
 
         With ``F = left R right`` on both sides, the two inner factors go
         first (``right_row X right_col^T``), then the two rotations, then the
-        two outer factors. A real inner factor is a real GEMM and a complex
-        one a half-width real GEMM on the factor's float64 view (``_rmul``),
-        so a real ``X`` leaves them real but for ``gcgfrft``, whose ``S^H``
-        makes it complex. A real block stays real through the graph FRFT's
-        rotations but on the k rows or columns at phase pi: for ``gfrft2d``
-        and ``gbfrft2d`` it is ``Q1 M Q2^T`` in real GEMMs, for the real
-        part ``M`` of both rotations, plus rank-k GEMMs for the imaginary
-        parts on those rows and columns
+        two outer factors. A real inner factor is a real GEMM, so a real
+        ``X`` stays real through them. A real block stays real through the
+        graph FRFT's rotations but on the k rows or columns at phase pi: for
+        ``gfrft2d`` and ``gbfrft2d`` it is ``Q1 M Q2^T`` in real GEMMs, for
+        the real part ``M`` of both rotations, plus rank-k GEMMs for the
+        imaginary parts on those rows and columns
         (``FractionalOperator.real_two_sided_pass``). For ``jfrft`` the
         DFRFT's diagonal phases make it complex, after ``Q1`` has met the
-        rotated real block (``FractionalOperator.real_row_pass``). Every
-        lane of a batched plan takes the arithmetic of a single plan."""
+        rotated real block (``FractionalOperator.real_row_pass``).
+
+        The geodesic column operator ``C`` of ``gcgfrft`` is ``dense``: the
+        row operator goes first, then ``C^T`` in one GEMM. For a real ``X``
+        that is ``Q1 Re(R1 Q1^T X)`` times ``C^T`` in one real GEMM on the
+        float64 view of ``C^T``, plus the imaginary part on the k1 rows at
+        phase pi, those rows times ``C^T`` and then ``Q1``, of rank k1.
+        Every lane of a batched plan takes the arithmetic of a single plan."""
         row, col = self.row_op, self.col_op
+        if col.dense:
+            x = _lmul(row.right, x)
+            if np.iscomplexobj(x):
+                return col.apply_right_transpose(_lmul(row.left, row.mix(x, row.rotation)))
+            re, im = row.real_mix(x, row.rotation)
+            out = col.apply_right_transpose(_lmul(row.left, re))
+            out += _lmul(row.left[:, :row.pi_lines], 1j * col.apply_right_transpose(im))
+            return out
         x = _rmul(_lmul(row.right, x), col.right.swapaxes(-1, -2))
         if np.iscomplexobj(x):
             x = col.mix(row.mix(x, row.rotation), col.rotation, axis=-1)
@@ -146,22 +158,34 @@ class TransformPlan:
         ``(F_row^T Xhat^* F_col)^*``, or with ``real`` its real part.
 
         With ``F_row^T = right^T R^T left^T`` and ``F_col = left R right``,
-        the two inner factors and rotations are applied first, then the
-        column outer factor, then the row one. The real part commutes with a
-        real outer factor: every row factor ``Q1``, and the column factor
-        ``Q2^T`` or the DFRFT's ``V^T``. So with ``real`` it is taken before
-        both outer factors for the real families and before ``Q1`` alone for
-        ``gcgfrft``, whose ``S^H`` is complex; a real outer factor is then a
-        real GEMM on half the data."""
+        the row inner factor and rotation go first, then the column operator,
+        then the row outer factor; a ``dense`` column operator is one GEMM
+        with ``C``. ``real`` forms only the real part. For ``gfrft2d`` and
+        ``gbfrft2d`` that is real GEMMs on ``Re(Xhat)`` and rank-k ones on
+        ``Im(Xhat)`` (``FractionalOperator.real_two_sided_inverse``). For
+        ``jfrft`` it is taken before the DFRFT's ``V^T`` and ``Q1``, real
+        GEMMs on half the data. For ``gcgfrft`` it is ``Q1 Re(R1^H Q1^T Z)``
+        with ``Z = Xhat C^*``: ``Re(Z)`` is one real GEMM
+        (``FractionalOperator.real_conj_product``), and ``R1^H`` needs
+        ``Im(Q1^T Z)`` only on the k1 rows at phase pi, of rank k1."""
         row, col = self.row_op, self.col_op
+        if real and col.partner is not None:
+            return row.real_two_sided_inverse(xhat, col)
+        if real and col.dense:
+            (a, b), k, q1t = row.rotation, row.pi_lines, row.left.swapaxes(-1, -2)
+            x = row.mix(_lmul(q1t, col.real_conj_product(xhat)), (a, b.real), transpose=True)
+            # Im(Q1^T Z) on the rows at phase pi, as Re(-j Q1^T Z)
+            x[..., :k, :] += b.imag[..., :k, None] * col.real_conj_product(
+                -1j * _lmul(q1t[:k], xhat))
+            return _lmul(row.left, x)
         x = row.mix(_lmul(row.left.swapaxes(-1, -2), xhat.conj()), row.rotation, transpose=True)
+        if col.dense:
+            return _lmul(row.right.swapaxes(-1, -2), x @ col.matrix).conj()
         x = col.mix(_rmul(x, col.left), col.rotation, axis=-1, transpose=True)
-        if real and not np.iscomplexobj(col.right):
-            x = np.ascontiguousarray(x.real)
-        x = _rmul(x, col.right)
         if real:
-            return _lmul(row.right.swapaxes(-1, -2), np.ascontiguousarray(x.real))
-        return _lmul(row.right.swapaxes(-1, -2), x).conj()
+            x = np.ascontiguousarray(x.real)
+        x = _lmul(row.right.swapaxes(-1, -2), _rmul(x, col.right))
+        return x if real else x.conj()
 
     def _row_factor_first(self, r: np.ndarray) -> bool:
         """Whether an epoch of the plan costs fewer real multiply-adds with
@@ -180,7 +204,9 @@ class TransformPlan:
         for the k rows at phase pi (``pi_lines``), ``4 n1^2 n2 + 4 k n1 n2``,
         and ``C^T`` by 4 n1 rows, ``32 n1 n2^2``. So it is cheaper when
         ``n1 > 4 n2 + k``. For complex ``r`` the block is complex throughout,
-        ``Q`` costs the same either way and column-first wins."""
+        ``Q`` costs the same either way and column-first wins. The count
+        takes ``C`` as two factor products; the ``dense`` geodesic operator
+        is one, which would move its crossover to ``n1 > 2 n2 + k``."""
         n1, n2 = self.shape
         return r.dtype == np.float64 and n1 > 4 * n2 + self.row_op.pi_lines
 
@@ -200,6 +226,8 @@ class TransformPlan:
         ``Q (G Z)`` with ``alpha_rates``: two passes over ``Q``. Row-first
         multiplies ``[R r | G R r]`` by ``Q`` in one pass
         (``FractionalOperator.real_row_pass``) and then both halves by ``C^T``.
+        The geodesic ``C^T`` is one GEMM against the dense matrix of the
+        plan's column operator, built at its first use.
         """
         row, col, (n1, n2) = self.row_op, self.col_op, self.shape
         if not self._row_factor_first(r):
@@ -253,23 +281,42 @@ def _divided_difference_kernel(fvals: np.ndarray, points: np.ndarray,
 
 
 class _CouplingBatch:
-    """One batched coupling build: the decomposition ``dec`` of a ``W`` stack
-    and the factor stacks ``L = F S`` and ``S^H``. A row's
-    ``CouplingDecomposition`` is built when first asked for, then kept."""
+    """One batched coupling build: the phases ``theta`` and margins of a
+    ``W`` stack, and the factor stacks ``L = F S`` and ``S^H``, the
+    transpose of a C-contiguous ``S^*``, the build's one copy of ``S``. A
+    row's ``CouplingDecomposition`` is built when first asked for, then
+    kept; so is its column operator at the coupling value last asked for,
+    whose dense matrix every scalar plan at that (order, coupling value)
+    then shares. ``drop`` forgets both when the row's order leaves the
+    cache."""
 
-    def __init__(self, dec: CouplingDecomposition, left: np.ndarray, right: np.ndarray):
-        self.dec, self.left, self.right = dec, left, right
-        self._decompositions = {}
+    def __init__(self, dec: CouplingDecomposition, left: np.ndarray):
+        self.theta, self.margin, self.left = dec.theta, dec.margin, left
+        self.right = np.conjugate(dec.s, order="C").swapaxes(-1, -2)
+        self._decompositions, self._operators = {}, {}
 
     def factors(self, row: int) -> tuple:
         """``(theta, L, S^H)`` of one row, as views of the stacks."""
-        return self.dec.theta[row], self.left[row], self.right[row]
+        return self.theta[row], self.left[row], self.right[row]
 
     def decomposition(self, row: int) -> CouplingDecomposition:
         if row not in self._decompositions:
             self._decompositions[row] = CouplingDecomposition(
-                s=self.dec.s[row], theta=self.dec.theta[row], margin=float(self.dec.margin[row]))
+                s=self.right[row].T.conj(), theta=self.theta[row], margin=float(self.margin[row]))
         return self._decompositions[row]
+
+    def operator(self, row: int, lam: float) -> FractionalOperator:
+        """The column operator of one row at the coupling value ``lam``: the
+        row's last one when ``lam`` is its coupling value, else a new one,
+        which replaces it."""
+        op = self._operators.get(row)
+        if op is None or op.order != lam:
+            op = self._operators[row] = FractionalOperator(lam, *self.factors(row))
+        return op
+
+    def drop(self, row: int) -> None:
+        self._decompositions.pop(row, None)
+        self._operators.pop(row, None)
 
 
 class TransformContext:
@@ -382,9 +429,9 @@ class TransformContext:
 
         The misses are built together: one ``W = F^H E`` stack of the
         batched operators ``F`` (temporal graph FRFT) and ``E`` (DFRFT), its
-        batched eigensolve (``phase_decompose``), ``L = F S`` and ``S^H``,
-        the transpose of a C-contiguous ``S^*``, which ``TransformPlan.apply``
-        multiplies a real signal by through its float64 view, uncopied.
+        batched eigensolve (``phase_decompose``), ``L = F S`` and ``S^H``
+        (``_CouplingBatch``). An order that leaves the cache drops its row's
+        decomposition and column operator.
         """
         cache = self._coupling_cache
         distinct = list(dict.fromkeys(orders))
@@ -394,14 +441,15 @@ class TransformContext:
             f = graph_frft(self.temporal, betas)
             dec = phase_decompose(coupling_operator(f, dfrft_matrix(self.temporal.n, betas)),
                                   margin_tol=self.margin_tol)
-            s_conj = np.conjugate(dec.s, order="C")
-            batch = _CouplingBatch(dec, f.matrix @ dec.s, s_conj.swapaxes(-1, -2))
+            batch = _CouplingBatch(dec, f.matrix @ dec.s)
             for i, k in enumerate(misses):
                 cache[k] = dec.failed.get(i) or (batch, i)
         for k in distinct:
             cache[k] = cache.pop(k)
         while len(cache) > max(COUPLING_CACHE_SIZE, len(distinct)):
-            cache.pop(next(iter(cache)))
+            entry = cache.pop(next(iter(cache)))
+            if isinstance(entry, tuple):
+                entry[0].drop(entry[1])
         return [cache[k] for k in orders]
 
     def plan(self, family: str, orders, lam=None) -> TransformPlan:
@@ -457,17 +505,20 @@ class TransformContext:
         if family == "jfrft":
             return TransformPlan(family, row_op, dfrft_matrix(self.temporal.n, orders[1]), orders)
         # gcgfrft: each temporal order's rows of theta, L and S^H, shared by
-        # every coupling value; one batch requested in order is used uncopied
+        # every coupling value; one batch requested in order is used uncopied,
+        # and a scalar plan takes its row's operator at this coupling value
         entries = self._couplings(np.atleast_1d(orders[1]).tolist())
         for entry in entries:
             if isinstance(entry, MarginViolationError):
                 raise entry.with_traceback(None)
         batch, rows = entries[0][0], [row for _, row in entries]
         if np.ndim(orders[1]) == 0:
-            factors = batch.factors(rows[0])
-        elif any(b is not batch for b, _ in entries):
+            col_op = batch.operator(rows[0], lam) if np.ndim(lam) == 0 else \
+                FractionalOperator(lam, *batch.factors(rows[0]))
+            return TransformPlan(family, row_op, col_op, orders, lam=lam)
+        if any(b is not batch for b, _ in entries):
             factors = [np.stack(f) for f in zip(*(b.factors(row) for b, row in entries))]
         else:
             rows = slice(None) if rows == list(range(len(batch.left))) else rows
-            factors = batch.dec.theta[rows], batch.left[rows], batch.right[rows]
+            factors = batch.theta[rows], batch.left[rows], batch.right[rows]
         return TransformPlan(family, row_op, FractionalOperator(lam, *factors), orders, lam=lam)

@@ -195,10 +195,10 @@ def closed_form_h(y: TimeVertexSignal, x_true: TimeVertexSignal, params: FilterP
     _, yhat, xhat = _spectra(ctx, family, params.alpha, params.beta, params.lam, y, x_true)
     power = yhat.real**2 + yhat.imag**2
     floor = DEAD_BIN_REL_TOL * power.sum() / power.size
-    h = np.zeros_like(power)
     live = power >= max(floor, np.finfo(np.float64).tiny)
-    h[live] = (xhat * yhat.conj()).real[live] / power[live]
-    return h
+    cross = xhat.real * yhat.real
+    cross += xhat.imag * yhat.imag
+    return np.divide(cross, power, out=np.zeros_like(power), where=live)
 
 
 def _order_gradient(ctx: TransformContext, plan: TransformPlan, h: np.ndarray,

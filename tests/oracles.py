@@ -75,3 +75,21 @@ def conjugated_inverse(plan, xhat):
     x = row.mix(_lmul(row.left.swapaxes(-1, -2), xhat.conj()), row.rotation, transpose=True)
     x = col.mix(_rmul(x, col.left), col.rotation, axis=-1, transpose=True)
     return _lmul(row.right.swapaxes(-1, -2), _rmul(x, col.right)).conj()
+
+
+def dense_forward(plan, x):
+    """``F_row X C^T`` of a complex ``X`` in complex arithmetic, with the
+    row operator's factors and the column operator's dense matrix ``C``:
+    the order of ``TransformPlan.apply`` for a ``dense`` column operator."""
+    row = plan.row_op
+    x = row.mix(_lmul(row.right, x), row.rotation)
+    return _lmul(row.left, x) @ plan.col_op.matrix.swapaxes(-1, -2)
+
+
+def dense_conjugated_inverse(plan, xhat):
+    """``(F_row^T Xhat^* C)^*`` of a complex ``Xhat`` in complex arithmetic,
+    with the column operator's dense matrix ``C``: the order of
+    ``TransformPlan.apply_inverse`` for a ``dense`` column operator."""
+    row = plan.row_op
+    x = row.mix(_lmul(row.left.swapaxes(-1, -2), xhat.conj()), row.rotation, transpose=True)
+    return _lmul(row.right.swapaxes(-1, -2), x @ plan.col_op.matrix).conj()

@@ -1,5 +1,7 @@
 import functools
+import gc
 import traceback
+import weakref
 
 import numpy as np
 import pytest
@@ -12,14 +14,22 @@ from fracspec import (
     MarginViolationError,
     TimeVertexSignal,
     TransformContext,
+    TransformPlan,
     forward,
+    graph_frft,
     inverse,
     knn_graph,
     path_graph,
     random_planar_points,
 )
+from fracspec import transforms
 
-from oracles import complex_forward, conjugated_inverse
+from oracles import (
+    complex_forward,
+    conjugated_inverse,
+    dense_conjugated_inverse,
+    dense_forward,
+)
 
 
 def kron_vec_oracle(plan, x):
@@ -335,6 +345,7 @@ PI_BASES = {
     "path16 x path10": lambda: (path_graph(16), path_graph(10)),
     "knn30 x path16": lambda: (knn_graph(random_planar_points(30, seed=7), 4), path_graph(16)),
     "path10 x knn30": lambda: (path_graph(10), knn_graph(random_planar_points(30, seed=7), 4)),
+    "knn30 x path10": lambda: (knn_graph(random_planar_points(30, seed=7), 4), path_graph(10)),
 }
 
 
@@ -396,12 +407,102 @@ class TestRealRotations:
     @pytest.mark.parametrize("family", FAMILIES)
     @pytest.mark.parametrize("name", PI_BASES)
     def test_complex_input_keeps_the_complex_arithmetic(self, rng, name, family):
+        # the geodesic column operator is applied through its dense matrix
         ctx = pi_context(name)
         z = rng.standard_normal(ctx.shape) + 1j * rng.standard_normal(ctx.shape)
         batched, lanes = self.plans(ctx, family)
+        dense = family == "gcgfrft"
+        forward_oracle = dense_forward if dense else complex_forward
+        inverse_oracle = dense_conjugated_inverse if dense else conjugated_inverse
         for plan in (batched, lanes[0]):
-            assert np.array_equal(plan.apply(z), complex_forward(plan, z))
-            assert np.array_equal(plan.apply_inverse(z), conjugated_inverse(plan, z))
+            assert plan.col_op.dense == dense
+            got = plan.apply(z), plan.apply_inverse(z)
+            assert np.array_equal(got[0], forward_oracle(plan, z))
+            assert np.array_equal(got[1], inverse_oracle(plan, z))
+            # and the dense matrix is the operator's factors
+            for g, want in zip(got, (complex_forward(plan, z), conjugated_inverse(plan, z))):
+                scale = np.abs(want).max(axis=(-2, -1), keepdims=True)
+                assert np.all(np.abs(g - want) <= 1e-12 * scale)
+
+
+class TestDenseGeodesic:
+    """The geodesic column operator ``C`` is applied through its dense
+    matrix (``apply`` and ``apply_inverse``: ``TestRealRotations``): the
+    training spectra equal the factored complex arithmetic, on bases with
+    lines at phase pi on both sides. A scalar plan takes its temporal
+    order's operator at its coupling value, so plans at one (order,
+    coupling value) share one matrix."""
+
+    BASES = ("path16 x path10", "knn30 x path10")
+
+    def plans(self, ctx):
+        """A scalar plan and a 4-lane batched plan."""
+        lanes = TestRealRotations
+        return [ctx.plan("gcgfrft", (0.7, 0.3), lam=0.5),
+                ctx.plan("gcgfrft", (lanes.ALPHA, lanes.BETA), lam=lanes.LAM)]
+
+    @staticmethod
+    def assert_close(got, want):
+        scale = np.abs(want).max(axis=(-2, -1), keepdims=True)
+        assert got.shape == want.shape
+        assert np.all(np.abs(got - want) <= 1e-12 * scale)
+
+    @pytest.mark.parametrize("complex_input, row_first",
+                             [(False, False), (False, True), (True, False)],
+                             ids=["real-column_first", "real-row_first", "complex-column_first"])
+    @pytest.mark.parametrize("name", BASES)
+    def test_training_spectra_equal_the_factored_arithmetic(self, monkeypatch, rng, name,
+                                                            complex_input, row_first):
+        ctx = pi_context(name)
+        monkeypatch.setattr(TransformPlan, "_row_factor_first", lambda plan, r: row_first)
+        y, x = (random_signal(rng, *ctx.shape, complex_valued=complex_input) for _ in range(2))
+        coords = ctx._stacked_coordinates(y, x)
+        for plan in self.plans(ctx):
+            r = coords if isinstance(plan.lam, float) else np.stack([coords] * len(plan.lam))
+            yx, _, _, rate = plan._factored_spectra(r, alpha_rates=True)
+            want = np.concatenate([complex_forward(plan, s.data.astype(np.complex128))
+                                   for s in (y, x)], axis=-1)
+            self.assert_close(yx, want)
+            self.assert_close(rate, plan.row_op.generator() @ want)
+
+    def test_scalar_plans_share_one_matrix_per_coupling_value(self, monkeypatch):
+        ctx = TransformContext(path_graph(6), path_graph(8))
+        decompose, calls = transforms.phase_decompose, []
+
+        def counting_decompose(*args, **kwargs):
+            calls.append(1)
+            return decompose(*args, **kwargs)
+
+        monkeypatch.setattr(transforms, "phase_decompose", counting_decompose)
+        one = ctx.plan("gcgfrft", (0.3, 0.45), lam=0.4)
+        two = ctx.plan("gcgfrft", (0.8, 0.45), lam=0.4)
+        assert one.col_op.matrix is two.col_op.matrix
+        # another coupling value of the order gets its own matrix, and the
+        # order is not decomposed again
+        other = ctx.plan("gcgfrft", (0.3, 0.45), lam=0.6)
+        assert other.col_op.matrix is not one.col_op.matrix
+        assert ctx.plan("gcgfrft", (0.5, 0.45), lam=0.6).col_op.matrix is other.col_op.matrix
+        assert len(calls) == 1
+        dec, f = ctx.coupling(0.45), graph_frft(ctx.temporal, 0.45).matrix
+        for plan, lam in ((one, 0.4), (other, 0.6)):
+            want = f @ (dec.s * np.exp(1j * lam * dec.theta)) @ dec.s.conj().T
+            assert np.abs(plan.col_op.matrix - want).max() <= 1e-12
+
+    def test_an_evicted_order_drops_its_matrix(self):
+        ctx = TransformContext(path_graph(6), path_graph(8))
+        ctx.coupling(np.array([0.45, 0.55]))
+        batch, row = ctx._coupling_cache[0.45]
+        matrix = weakref.ref(ctx.plan("gcgfrft", (0.3, 0.45), lam=0.4).col_op.matrix)
+        kept = ctx.plan("gcgfrft", (0.3, 0.55), lam=0.4).col_op
+        gc.collect()
+        assert matrix() is not None
+        # 0.55 was asked for last, so one more order than the cache holds
+        # evicts 0.45 alone, and its batch stays alive through 0.55
+        ctx.coupling(np.linspace(0.6, 0.9, transforms.COUPLING_CACHE_SIZE - 1))
+        gc.collect()
+        assert 0.45 not in ctx._coupling_cache and ctx._coupling_cache[0.55][0] is batch
+        assert matrix() is None and row not in batch._operators
+        assert ctx.plan("gcgfrft", (0.3, 0.55), lam=0.4).col_op is kept
 
 
 class TestTimeVertexSignal:

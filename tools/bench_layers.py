@@ -33,10 +33,14 @@ Times, in wall-clock milliseconds:
   fresh context (cold coupling cache, warm graph bases) and divides by
   ``EPOCHS``.
 - at 128x256 (the ``order_sweep`` size: knn_random(128, k=4, seed=7) x
-  path(256)), ``forward`` of a real signal and ``inverse`` of its spectrum for
-  ``gbfrft2d``, ``jfrft`` and ``gcgfrft`` (lambda 0.5) at orders (0.5, 0.5),
-  and one ``closed_form_h`` then ``denoise`` of each of the three families
-  there: one ``order_sweep`` operation at one grid point.
+  path(256)), ``forward`` of a real signal, ``inverse`` of its spectrum and
+  its real projection ``apply_inverse(real=True)`` (the path of ``denoise``)
+  for ``gbfrft2d``, ``jfrft`` and ``gcgfrft`` (lambda 0.5) at orders
+  (0.5, 0.5); a ``gcgfrft`` plan there and its dense column matrix, at a
+  coupling value other than the one last asked for at that temporal order
+  (the matrix is built) and again at the same one (it is shared); and one
+  ``closed_form_h`` then ``denoise`` of each of the three families there:
+  one ``order_sweep`` operation at one grid point.
 - ``run_benchmark`` on one graph of the desk-scale acceptance sweep:
   knn_random(30, k=4, seed=7) x path(10), gcgfrft only, 3 noise levels x 5
   seeds x 11 coupling values, 200 GD epochs. It runs once per round in a
@@ -244,6 +248,15 @@ def layer_rows():
         yhat = fs.forward(plan, y)
         layers[f"forward_real_{family}"] = timed(lambda: fs.forward(plan, y), reps)
         layers[f"inverse_{family}"] = timed(lambda: fs.inverse(plan, yhat), reps)
+        layers[f"inverse_real_{family}"] = timed(
+            lambda: plan.apply_inverse(yhat.data, real=True), reps)
+    # the coupling values alternate, so each plan asks for a new matrix
+    lams = itertools.cycle((0.25, 0.75))
+    layers["plan_new_lam_gcgfrft"] = timed(
+        lambda: ctx.plan("gcgfrft", (0.5, 0.5), lam=next(lams)).col_op.matrix, reps)
+    ctx.plan("gcgfrft", (0.5, 0.5), lam=0.5).col_op.matrix
+    layers["plan_same_lam_gcgfrft"] = timed(
+        lambda: ctx.plan("gcgfrft", (0.5, 0.5), lam=0.5).col_op.matrix, reps)
     yield {"row": f"apply {n1}x{n2} real", "reps": reps, "layers": layers}
     params = fs.FilterParams(alpha=0.5, beta=0.5, h=np.ones(x.shape), lam=0.5)
 
