@@ -19,11 +19,12 @@ from dataclasses import MISSING
 import numpy as np
 
 from . import io as fio
+from .coupling import geodesic_temporal_basis
 from .errors import ConfigError, FracspecError, MarginViolationError, read_config, with_default
 from .harness import (BENCHMARK, GRAPH_SPEC, BenchmarkConfig, GraphSpec, add_awgn, run_benchmark,
                       synth_signal)
 from .operators import dfrft_matrix, eigendecompose, graph_frft
-from .transforms import FAMILIES, TimeVertexSignal, TransformContext, forward, inverse
+from .transforms import CONSTRAINTS, FAMILIES, TimeVertexSignal, TransformContext, forward, inverse
 from .wiener import lambda_grid_search, denoise, train
 from .properties import verify_properties
 
@@ -32,7 +33,7 @@ __all__ = ["main"]
 
 #: a required graph spec
 _SPEC = (GraphSpec, MISSING, GRAPH_SPEC)
-#: the keys that transform and denoise share; only the gcgfrft family reads "lambda"
+#: the keys that transform and denoise share; only a family with a free lam reads "lambda"
 _RUN = {"spatial": _SPEC, "temporal": _SPEC, "family": (str, "gcgfrft", FAMILIES),
         "lambda": (float, None, "[0, 1]", None, "coupling parameter must be a number in [0, 1]")}
 #: the config table of each ``dump-operator`` kind
@@ -70,7 +71,7 @@ def _context_and_signals(cfg: dict, *paths) -> tuple:
     """The context of the config's graphs and the signals in the files
     ``paths``. The signals are read, and their shapes checked against the
     graphs, before the context decomposes anything."""
-    if cfg["lambda"] is not None and cfg["family"] != "gcgfrft":
+    if cfg["lambda"] is not None and CONSTRAINTS[cfg["family"]].lam is not None:
         raise ConfigError(f"'lambda' applies to the gcgfrft family only, not to {cfg['family']!r}")
     sigs = [TimeVertexSignal.from_array(fio.read_signal(path)[0]) for path in paths]
     g1, g2 = cfg["spatial"].build(), cfg["temporal"].build()
@@ -118,13 +119,14 @@ def _cmd_denoise(args) -> int:
     raw = _load_config(args.config)
     cfg = read_config(TABLES["denoise"], raw)
     family, lam, train_cfg = cfg["family"], cfg["lambda"], cfg["train"]
-    if "lambda_grid" in raw and (family != "gcgfrft" or lam is not None):
+    search = CONSTRAINTS[family].lam is None and lam is None
+    if "lambda_grid" in raw and not search:
         raise ConfigError("'lambda_grid' applies to the gcgfrft family without a 'lambda' only")
     ctx, y, x = _context_and_signals(cfg, args.noisy, args.clean)
     out = args.out or "."
     os.makedirs(out, exist_ok=True)
 
-    if family == "gcgfrft" and lam is None:
+    if search:
         _, params, table = lambda_grid_search(y, x, cfg["lambda_grid"], train_cfg, ctx)
         with open(os.path.join(out, "grid.csv"), "w") as fh:
             fh.write("lambda,loss,alpha,beta,status\n")
@@ -179,8 +181,9 @@ def _cmd_dump_operator(args) -> int:
         matrix = graph_frft(basis, cfg.get("order", 1.0)).matrix
     else:
         basis = eigendecompose(cfg["temporal"].build())
-        ctx = TransformContext(basis, basis)
-        matrix = ctx.plan("gcgfrft", (0.0, cfg["order"]), lam=cfg["lambda"]).col_op.matrix
+        coupling = TransformContext(basis, basis).coupling(cfg["order"])
+        matrix = geodesic_temporal_basis(graph_frft(basis, cfg["order"]), coupling,
+                                         cfg["lambda"]).matrix
     out = args.out or "operator.csv"
     fio.write_operator_csv(matrix, out)
     print(f"wrote {out}")

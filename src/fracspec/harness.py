@@ -11,6 +11,7 @@ contract).
 
 from __future__ import annotations
 
+import itertools
 import math
 import time
 from dataclasses import dataclass, field
@@ -21,7 +22,7 @@ import numpy as np
 from .errors import ConfigError, dataclass_table, read_config
 from .graphs import MATERIALIZE_CAP, Graph, knn_graph, path_graph
 from .operators import SpectralBasis, eigendecompose
-from .transforms import FAMILIES, TimeVertexSignal, TransformContext
+from .transforms import CONSTRAINTS, FAMILIES, TimeVertexSignal, TransformContext, _column_groups
 from .wiener import (DEFAULT_LAMBDA_GRID, LAMBDA_GRID, TRAIN, FilterParams, TrainConfig,
                      _grid_failure, _train_lanes, closed_form_h, denoise)
 
@@ -216,8 +217,8 @@ class MetricRow:
     epochs: int | None
     wall_time: float
     status: str = "ok"
-    # per-coupling-value MSE diagnostic for the geodesic family (in-memory
-    # only; not part of the serialized report)
+    # per-coupling-value MSE diagnostic for a family with a free coupling
+    # value (in-memory only; not part of the serialized report)
     lambda_mse: tuple | None = None
 
     @property
@@ -242,42 +243,50 @@ def _noise_seed(seed: int, sigma_index: int) -> int:
     return int(np.random.SeedSequence(entropy=(seed, 104729 + sigma_index)).generate_state(1)[0])
 
 
-def _family_rows(ctx, cfg, cells, family):
-    """Train every (sigma, seed) cell of ``family`` as one batched state, one
-    lane per cell and coupling value, and score the lanes from one batched
-    plan; yields each cell's metric row and real estimate. A cell reports its
-    lane with the lowest error on the reported metric, so endpoint membership
-    makes the grid's dominance claim exact; lanes that fail the coupling
-    margin are skipped, and a cell with none left gets a margin row."""
+def _trained_rows(ctx, cfg, cells):
+    """Train every family of every (sigma, seed) cell as one batched state,
+    one lane per (cell, tie, lam) of the families' constraints, so a lane
+    two families share (gcgfrft at lam 0 and gbfrft2d) trains once; score
+    the lanes from one plan per column operator and yield each row and its
+    real estimate. A row reports its lane with the lowest error on the
+    reported metric, so endpoint membership makes the grid's dominance
+    claim exact; lanes that fail the coupling margin are skipped, and a row
+    with none left gets a margin status."""
     t0 = time.perf_counter()
-    geodesic = family == "gcgfrft"
-    lams = [float(lam) for lam in cfg.lambda_grid] if geodesic else [None]
-    results = _train_lanes([(y, x) for *_, x, y in cells for _ in lams], lams * len(cells),
-                           cfg.train, ctx, family)
-    ok = [i for i, (_, _, final) in enumerate(results) if isinstance(final, float)]
+    lanes, rows = {}, []
+    for c, family in itertools.product(range(len(cells)), cfg.families):
+        tie, fixed = CONSTRAINTS[family]
+        grid = [float(lam) for lam in cfg.lambda_grid] if fixed is None else [fixed]
+        rows.append((c, family, fixed is None,
+                     [(lam, lanes.setdefault((c, tie, lam), (len(lanes), family))[0]) for lam in grid]))
+    (lane_cell, _, lams), families = zip(*lanes), [family for _, family in lanes.values()]
+    results = _train_lanes([(cells[c][3], cells[c][2]) for c in lane_cell], list(lams), cfg.train,
+                           ctx, families)
+    ok, lams = np.flatnonzero([isinstance(final, float) for *_, final in results]), np.array(lams)
     estimates = {}
-    if ok:
-        params = [results[i][0] for i in ok]
-        plan = ctx.plan(family, ([p.alpha for p in params], [p.beta for p in params]),
-                        lam=[p.lam for p in params] if geodesic else None)
-        y = np.stack([cells[i // len(lams)][3].data for i in ok])
+    for group in _column_groups(lams[ok]):
+        params = [results[i][0] for i in ok[group]]
+        plan = ctx._plan(None, (np.array([p.alpha for p in params]), np.array([p.beta for p in params])),
+                         lams[ok[group]])
+        y = np.stack([cells[lane_cell[i]][3].data for i in ok[group]])
         h = np.stack([p.h for p in params])
-        estimates = dict(zip(ok, plan.apply_inverse(h * plan.apply(y), real=True)))
-    share = (time.perf_counter() - t0) / len(cells)
+        estimates.update(zip(ok[group].tolist(), plan.apply_inverse(h * plan.apply(y), real=True)))
+    share = (time.perf_counter() - t0) / len(rows)
 
-    for c, (sigma, seed, x, _) in enumerate(cells):
+    for c, family, free, members in rows:
         t1 = time.perf_counter()
-        scored = [(metrics(x.as_real(), estimates[i]), results[i][0], estimates[i])
-                  for i in range(c * len(lams), (c + 1) * len(lams)) if i in estimates]
+        sigma, seed, x, _ = cells[c]
+        scored = [(metrics(x.as_real(), estimates[i]), lam, results[i][0], estimates[i])
+                  for lam, i in members if i in estimates]
         if not scored:
             yield MetricRow(family, sigma, seed, None, None, None, None, None, None, None,
                             share + time.perf_counter() - t1,
-                            status=f"margin: {_grid_failure(lams)}"), None
+                            status=f"margin: {_grid_failure([lam for lam, _ in members])}"), None
             continue
-        m, p, est = min(scored, key=lambda t: (t[0].mse, t[1].lam))
-        lambda_mse = tuple((q.lam, sc.mse) for sc, q, _ in scored) if geodesic else None
+        m, lam, p, est = min(scored, key=lambda t: (t[0].mse, t[1]))
+        lambda_mse = tuple((q, sc.mse) for sc, q, _, _ in scored) if free else None
         yield MetricRow(family, sigma, seed, m.mse, m.psnr, m.ssim, p.alpha, p.beta,
-                        p.lam if geodesic else None, cfg.train.epochs,
+                        lam if free else None, cfg.train.epochs,
                         share + time.perf_counter() - t1, lambda_mse=lambda_mse), est
 
 
@@ -287,8 +296,8 @@ def run_benchmark(cfg: BenchmarkConfig) -> MetricReport:
     Baselines: the noisy observation itself, and the closed-form filter in the
     plain (order-1, decoupled) spectral domain. Rows are deterministic
     functions of the configuration; estimates are optionally persisted for
-    score recomputation. A row's wall time is its share of its family's
-    batched training and estimates plus its own scoring.
+    score recomputation. A trained row's wall time is its share of the one
+    batched training and its estimates plus its own scoring.
     """
     g1 = cfg.spatial.build()
     g2 = cfg.temporal.build()
@@ -300,7 +309,7 @@ def run_benchmark(cfg: BenchmarkConfig) -> MetricReport:
             x = synth_signal(ctx.spatial, ctx.temporal.n, bandwidth=cfg.bandwidth, seed=seed)
             cells.append((sigma, seed, x, add_awgn(x, sigma, seed=_noise_seed(seed, sigma_idx))))
 
-    outcomes = [out for family in cfg.families for out in _family_rows(ctx, cfg, cells, family)]
+    outcomes = list(_trained_rows(ctx, cfg, cells))
     for sigma, seed, x, y in cells:
         t0 = time.perf_counter()
         m = metrics(x.as_real(), y.as_real())

@@ -9,7 +9,7 @@ unitarity check actually trips.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -25,7 +25,7 @@ from .operators import (
     unitarity_error,
     unitary_fractional_power,
 )
-from .transforms import FAMILIES, TimeVertexSignal, TransformContext, forward, inverse
+from .transforms import TimeVertexSignal, TransformContext, forward, inverse
 from .wiener import (DEFAULT_LAMBDA_GRID, FilterParams, TrainConfig, closed_form_h,
                      denoise_complex, grad_h, loss, train)
 
@@ -248,12 +248,13 @@ def verify_properties(n1_sizes=(5, 8, 12), n2_sizes=(4, 6, 8), seeds=(0, 1),
         rel = np.linalg.norm(forward(ctx.plan("gbfrft2d", (0.6, 0.6)), x).data
                              - forward(plans["gfrft2d"], x).data) / x.norm
         chain = max(chain, float(rel))
-        rel = np.linalg.norm(forward(ctx.plan("gcgfrft", (0.6, 0.3), lam=0.0), x).data
-                             - forward(plans["gbfrft2d"], x).data) / x.norm
-        chain = max(chain, float(rel))
-        rel = np.linalg.norm(forward(ctx.plan("gcgfrft", (0.6, 0.3), lam=1.0), x).data
-                             - forward(plans["jfrft"], x).data) / x.norm
-        chain = max(chain, float(rel))
+        # the plans at lam 0 and 1 are factored: against the geodesic operator
+        # built from the coupling, as their column operator
+        for lam, plan in ((0.0, plans["gbfrft2d"]), (1.0, plans["jfrft"])):
+            geodesic = geodesic_temporal_basis(graph_frft(ctx.temporal, 0.3), ctx.coupling(0.3), lam)
+            rel = np.linalg.norm(forward(replace(plan, col_op=geodesic), x).data
+                                 - forward(plan, x).data) / x.norm
+            chain = max(chain, float(rel))
         two_step = forward(ctx.plan("gbfrft2d", (0.5, -0.2)), forward(plans["gbfrft2d"], x))
         one_step = forward(ctx.plan("gbfrft2d", (1.1, 0.1)), x)
         addit = max(addit, float(np.linalg.norm(two_step.data - one_step.data) / x.norm))

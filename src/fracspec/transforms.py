@@ -1,23 +1,30 @@
 """Separable transforms for time-vertex signals.
 
-All four families act as ``Xhat = F_row X F_col^T`` (two dense factor
-multiplies, inverse ``X = F_row^H Xhat F_col^*``); the Kronecker operator on
-vec(X) is never materialized. Families differ only in where the column
-(temporal) operator comes from:
+A plan is a point (alpha, beta, lam) acting as ``Xhat = F_row X F_col^T``
+(two dense factor multiplies, inverse ``X = F_row^H Xhat F_col^*``; the
+Kronecker operator on vec(X) is never materialized): the graph FRFT of order
+alpha on the rows, and on the columns the point at lam of the unitary
+geodesic from the temporal graph FRFT to the DFRFT, both of order beta. A
+family is a row of constraints on the point (``CONSTRAINTS``):
 
-- ``gfrft2d``   - one shared graph fractional order on both factors
-- ``gbfrft2d``  - independent graph fractional orders per factor
-- ``jfrft``     - graph order on the rows, DFRFT on the columns
-- ``gcgfrft``   - graph order on the rows, geodesic-coupled temporal basis
-                  interpolating the graph-induced and DFRFT endpoints
+    family    orders        lam
+    gfrft2d   alpha = beta  0
+    gbfrft2d  free          0
+    jfrft     free          1
+    gcgfrft   free          free
 
-Order arguments are uniformly (spatial_order, temporal_order); note that some
-joint time-vertex conventions write the temporal DFRFT order first, so the
-plan API fixes one naming to prevent silent transposition.
+lam alone picks the column operator: the factored temporal graph FRFT at 0,
+the factored DFRFT at 1, the dense geodesic operator elsewhere. So a plan at
+lam 0 or 1 never decomposes a coupling and cannot fail its margin.
+
+Orders are uniformly (spatial_order, temporal_order), one shared order for
+a tie; some joint time-vertex conventions write the temporal DFRFT order
+first, so the plan API fixes one naming to prevent silent transposition.
 """
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -44,6 +51,7 @@ from .operators import (
 )
 
 __all__ = [
+    "CONSTRAINTS",
     "FAMILIES",
     "TimeVertexSignal",
     "TransformPlan",
@@ -52,7 +60,31 @@ __all__ = [
     "inverse",
 ]
 
-FAMILIES = ("gfrft2d", "gbfrft2d", "jfrft", "gcgfrft")
+#: a family's row of ``CONSTRAINTS``: whether it ties alpha = beta (one shared
+#: order), and the lam it fixes, None where lam is free
+Constraint = namedtuple("Constraint", ["tie", "lam"])
+#: every family as a row of constraints on the plan point (alpha, beta, lam)
+CONSTRAINTS = {"gfrft2d": Constraint(True, 0.0), "gbfrft2d": Constraint(False, 0.0),
+               "jfrft": Constraint(False, 1.0), "gcgfrft": Constraint(False, None)}
+FAMILIES = tuple(CONSTRAINTS)
+
+
+def constraint(family) -> Constraint:
+    """The family's row of ``CONSTRAINTS``, or a ``ConfigError``."""
+    if family not in FAMILIES:
+        raise ConfigError(f"unknown family {family!r}; expected one of {FAMILIES}")
+    return CONSTRAINTS[family]
+
+
+def _column_groups(lam: np.ndarray) -> list:
+    """The lanes of a batch by column operator (``TransformContext._plan``),
+    as index arrays: lam 0, lam 1 and the rest, each group that has a lane.
+    A plan of one group gives each lane its scalar plan's arithmetic; a
+    mixed batch is all geodesic."""
+    kind = np.where(lam == 0.0, 0, np.where(lam == 1.0, 1, 2))
+    return [np.flatnonzero(kind == k) for k in np.unique(kind)]
+
+
 #: temporal orders whose coupling decomposition and geodesic factors a context keeps
 COUPLING_CACHE_SIZE = 16
 
@@ -101,8 +133,9 @@ class TimeVertexSignal:
 
 @dataclass(frozen=True)
 class TransformPlan:
-    """A pair of unitary factor operators plus family metadata; the orders
-    and ``lam`` of a batched plan are arrays over its leading axis."""
+    """A pair of unitary factor operators at (orders, ``lam``), with the
+    family and orders as asked for; the orders and ``lam`` of a batched plan
+    are arrays over its leading axis, or scalars shared by every lane."""
 
     family: str
     row_op: FractionalOperator
@@ -121,15 +154,14 @@ class TransformPlan:
         first (``right_row X right_col^T``), then the two rotations, then the
         two outer factors. A real inner factor is a real GEMM, so a real
         ``X`` stays real through them. A real block stays real through the
-        graph FRFT's rotations but on the k rows or columns at phase pi: for
-        ``gfrft2d`` and ``gbfrft2d`` it is ``Q1 M Q2^T`` in real GEMMs, for
-        the real part ``M`` of both rotations, plus rank-k GEMMs for the
-        imaginary parts on those rows and columns
-        (``FractionalOperator.real_two_sided_pass``). For ``jfrft`` the
-        DFRFT's diagonal phases make it complex, after ``Q1`` has met the
-        rotated real block (``FractionalOperator.real_row_pass``).
+        graph FRFT's rotations but on the k rows or columns at phase pi: at
+        lam 0 it is ``Q1 M Q2^T`` in real GEMMs, for the real part ``M`` of
+        both rotations, plus rank-k GEMMs for the imaginary parts on those
+        rows and columns (``FractionalOperator.real_two_sided_pass``). At
+        lam 1 the DFRFT's diagonal phases make it complex, after ``Q1`` has
+        met the rotated real block (``FractionalOperator.real_row_pass``).
 
-        The geodesic column operator ``C`` of ``gcgfrft`` is ``dense``: the
+        Elsewhere the geodesic column operator ``C`` is ``dense``: the
         row operator goes first, then ``C^T`` in one GEMM. For a real ``X``
         that is ``Q1 Re(R1 Q1^T X)`` times ``C^T`` in one real GEMM on the
         float64 view of ``C^T``, plus the imaginary part on the k1 rows at
@@ -160,11 +192,11 @@ class TransformPlan:
         With ``F_row^T = right^T R^T left^T`` and ``F_col = left R right``,
         the row inner factor and rotation go first, then the column operator,
         then the row outer factor; a ``dense`` column operator is one GEMM
-        with ``C``. ``real`` forms only the real part. For ``gfrft2d`` and
-        ``gbfrft2d`` that is real GEMMs on ``Re(Xhat)`` and rank-k ones on
-        ``Im(Xhat)`` (``FractionalOperator.real_two_sided_inverse``). For
-        ``jfrft`` it is taken before the DFRFT's ``V^T`` and ``Q1``, real
-        GEMMs on half the data. For ``gcgfrft`` it is ``Q1 Re(R1^H Q1^T Z)``
+        with ``C``. ``real`` forms only the real part. At lam 0 that is real
+        GEMMs on ``Re(Xhat)`` and rank-k ones on ``Im(Xhat)``
+        (``FractionalOperator.real_two_sided_inverse``). At lam 1 it is taken
+        before the DFRFT's ``V^T`` and ``Q1``, real GEMMs on half the data.
+        Elsewhere it is ``Q1 Re(R1^H Q1^T Z)``
         with ``Z = Xhat C^*``: ``Re(Z)`` is one real GEMM
         (``FractionalOperator.real_conj_product``), and ``R1^H`` needs
         ``Im(Q1^T Z)`` only on the k1 rows at phase pi, of rank k1."""
@@ -367,10 +399,10 @@ class TransformContext:
         """``D = (dC/dbeta) C^H`` for the plan's column operator ``C``; one
         n2 x n2 matrix per member of a batched plan.
 
-        For the plain families ``C`` is an eigenphase power, and ``D`` is the
+        At lam 0 and lam 1 ``C`` is an eigenphase power, and ``D`` is the
         order-independent generator ``G_F`` of the temporal graph FRFT or
-        ``G_E`` of the DFRFT, both cached on the context. The geodesic
-        operator is ``C = F Q`` with ``F`` the temporal graph FRFT,
+        ``G_E`` of the DFRFT, both cached on the context. Elsewhere the
+        geodesic operator is ``C = F Q`` with ``F`` the temporal graph FRFT,
         ``Q = exp(lam log W)`` and ``W = F^H E`` (``E`` the DFRFT), so the
         product rule gives ``D = G_F + F (dQ Q^H) F^H`` with
         ``dW = F^H (G_E - G_F) E``. In the eigenbasis ``S`` of ``W`` the
@@ -381,11 +413,10 @@ class TransformContext:
         ``S^H dW S = (L^H (G_E - G_F) L) diag(exp(j theta))`` and
         ``D = G_F + L (S^H dQ Q^H S) L^H``.
         """
-        if plan.family == "jfrft":
-            return self._dfrft_generator
         g_f = self._temporal_graph_generator
-        if plan.family != "gcgfrft":
-            return g_f
+        if not plan.col_op.dense:
+            # an endpoint: the DFRFT holds no partner columns, a graph FRFT does
+            return self._dfrft_generator if plan.col_op.partner is None else g_f
         col = plan.col_op
         left, theta = col.left, col.phases
         left_h = left.conj().swapaxes(-1, -2)
@@ -453,16 +484,15 @@ class TransformContext:
         return [cache[k] for k in orders]
 
     def plan(self, family: str, orders, lam=None) -> TransformPlan:
-        """Build a transform plan; ``orders`` is (spatial, temporal) or a
-        single shared order for the gfrft2d family.
+        """Build a transform plan; ``orders`` is (spatial, temporal) or one
+        shared order for a tie, and ``lam`` is read only where it is free.
 
         Each order, and ``lam``, may also be an array over a batch of B
         parameter settings; the plan's operators then carry that leading
         axis and ``apply`` maps one n1 x n2 signal to B spectra. A scalar
         order beside an array one is broadcast to its length.
         """
-        if family not in FAMILIES:
-            raise ConfigError(f"unknown family {family!r}; expected one of {FAMILIES}")
+        rule = constraint(family)
         try:
             orders = tuple(orders) if np.iterable(orders) else (orders,)
             orders = tuple(float(o) if np.ndim(o) == 0 else np.asarray(o, dtype=np.float64)
@@ -479,40 +509,42 @@ class TransformContext:
         if not all(np.all(np.isfinite(o)) for o in orders):
             raise ConfigError(f"orders must be finite, got {orders!r}")
 
-        if family == "gfrft2d":
+        if rule.tie:
             if len(orders) not in (1, 2) or (len(orders) == 2 and np.any(orders[0] != orders[1])):
-                raise ConfigError("gfrft2d uses one shared order")
+                raise ConfigError(f"{family} uses one shared order")
             orders = orders[:1]
         elif len(orders) != 2:
             raise ConfigError(f"{family} needs (spatial_order, temporal_order), got {orders}")
-        if family == "gcgfrft":
-            if lam is None:
-                raise ConfigError("gcgfrft needs the coupling parameter lam")
-            lam = _coupling_parameter(lam)
+        if rule.lam is None and lam is None:
+            raise ConfigError(f"{family} needs the coupling parameter lam")
+        lam = rule.lam if rule.lam is not None else _coupling_parameter(lam)
         try:
             return self._plan(family, orders, lam)
         except MarginViolationError as err:
             # the order's cached error, raised afresh: its traceback does not grow
             raise err.with_traceback(None)
 
-    def _plan(self, family: str, orders: tuple, lam=None) -> TransformPlan:
-        """``plan`` for a known family, orders that are floats or float
-        arrays (one shared order for gfrft2d) and a checked ``lam``; the
-        training loop checks these once and calls this every epoch."""
-        row_op = graph_frft(self.spatial, orders[0])
-        if family in ("gfrft2d", "gbfrft2d"):
-            return TransformPlan(family, row_op, graph_frft(self.temporal, orders[-1]), orders)
-        if family == "jfrft":
-            return TransformPlan(family, row_op, dfrft_matrix(self.temporal.n, orders[1]), orders)
-        # gcgfrft: each temporal order's rows of theta, L and S^H, shared by
-        # every coupling value; one batch requested in order is used uncopied,
-        # and a scalar plan takes its row's operator at this coupling value
-        entries = self._couplings(np.atleast_1d(orders[1]).tolist())
+    def _plan(self, family: str | None, orders: tuple, lam) -> TransformPlan:
+        """``plan`` at float or float-array orders and a checked ``lam``,
+        ``family`` only recorded; the training loop checks these once and
+        calls this every epoch. Where every lane's lam is 0 the column
+        operator is the temporal graph FRFT, where every one is 1 the DFRFT,
+        else the geodesic operator, the one that requests couplings."""
+        row_op, beta = graph_frft(self.spatial, orders[0]), orders[-1]
+        end = lam if isinstance(lam, float) else lam[0]
+        if end in (0.0, 1.0) and (isinstance(lam, float) or np.all(lam == end)):
+            col_op = graph_frft(self.temporal, beta) if end == 0.0 else \
+                dfrft_matrix(self.temporal.n, beta)
+            return TransformPlan(family, row_op, col_op, orders, lam=lam)
+        # each temporal order's rows of theta, L and S^H, shared by every
+        # coupling value; one batch requested in order is used uncopied, and
+        # a scalar plan takes its row's operator at this coupling value
+        entries = self._couplings(np.atleast_1d(beta).tolist())
         for entry in entries:
             if isinstance(entry, MarginViolationError):
                 raise entry.with_traceback(None)
         batch, rows = entries[0][0], [row for _, row in entries]
-        if np.ndim(orders[1]) == 0:
+        if np.ndim(beta) == 0:
             col_op = batch.operator(rows[0], lam) if np.ndim(lam) == 0 else \
                 FractionalOperator(lam, *batch.factors(rows[0]))
             return TransformPlan(family, row_op, col_op, orders, lam=lam)

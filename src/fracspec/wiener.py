@@ -25,7 +25,8 @@ import numpy as np
 
 from .coupling import _coupling_parameter
 from .errors import ConfigError, MarginViolationError, dataclass_table, read_config
-from .transforms import FAMILIES, TimeVertexSignal, TransformContext, TransformPlan
+from .transforms import (TimeVertexSignal, TransformContext, TransformPlan, _column_groups,
+                         constraint)
 
 __all__ = [
     "FilterParams",
@@ -131,10 +132,10 @@ class GridRow:
 
 def _spectra(ctx: TransformContext, family: str, alpha: float, beta: float,
              lam: float | None, *signals: TimeVertexSignal):
-    """The plan at these parameters, then each signal's raw spectrum. Only the
-    geodesic family reads the coupling parameter."""
-    plan = ctx.plan(family, (alpha,) if family == "gfrft2d" else (alpha, beta),
-                    lam=lam if family == "gcgfrft" else None)
+    """The plan at these parameters, then each signal's raw spectrum. A tied
+    family takes ``alpha`` as its one order, and only a family that leaves
+    the coupling parameter free reads ``lam``."""
+    plan = ctx.plan(family, (alpha,) if constraint(family).tie else (alpha, beta), lam=lam)
     for sig in signals:
         if sig.shape != plan.shape:
             raise ValueError(f"signal shape {sig.shape} does not match plan {plan.shape}")
@@ -202,9 +203,10 @@ def closed_form_h(y: TimeVertexSignal, x_true: TimeVertexSignal, params: FilterP
 
 
 def _order_gradient(ctx: TransformContext, plan: TransformPlan, h: np.ndarray,
-                    spectra, resid: np.ndarray) -> np.ndarray:
+                    spectra, resid: np.ndarray, tie) -> np.ndarray:
     """Gradient of the risk with respect to the plan's fractional orders,
-    shape (..., 2), or (..., 1) for the shared order of gfrft2d (the sum).
+    shape (..., 2). Where ``tie`` (a bool, or one per lane) holds, both
+    entries are the derivative along alpha = beta, the sum of the two.
 
     Every factor moves along a unitary one-parameter family, so an order
     derivative is a generator times the spectra already computed. The alpha
@@ -225,20 +227,20 @@ def _order_gradient(ctx: TransformContext, plan: TransformPlan, h: np.ndarray,
     g_alpha = rate(spectra[3])
     d_t = ctx.temporal_generator(plan).swapaxes(-1, -2)
     g_beta = rate((yx.reshape(*yx.shape[:-2], 2 * n1, n2) @ d_t).reshape(yx.shape))
-    if plan.family == "gfrft2d":
-        return (g_alpha + g_beta)[..., None]
-    return np.stack([g_alpha, g_beta], axis=-1)
+    g = np.stack([g_alpha, g_beta], axis=-1)
+    if not np.any(tie):
+        return g
+    return np.where(np.asarray(tie)[..., None], (g_alpha + g_beta)[..., None], g)
 
 
 def grad_orders(y: TimeVertexSignal, x_true: TimeVertexSignal, params: FilterParams,
                 ctx: TransformContext, family: str = "gcgfrft") -> tuple[float, float]:
     """Analytic gradient of the risk with respect to the two fractional
-    orders."""
-    if family == "gfrft2d":
-        raise ConfigError("gfrft2d has a single shared order; train() handles it directly")
+    orders; for a tied family both are the derivative along the tie."""
     (plan,) = _spectra(ctx, family, params.alpha, params.beta, params.lam)
     spectra = plan._factored_spectra(ctx._stacked_coordinates(y, x_true), alpha_rates=True)
-    g = _order_gradient(ctx, plan, params.h, spectra, params.h * spectra[1] - spectra[2])
+    g = _order_gradient(ctx, plan, params.h, spectra, params.h * spectra[1] - spectra[2],
+                        constraint(family).tie)
     return float(g[0]), float(g[1])
 
 
@@ -250,42 +252,43 @@ def _adam_step(x, g, m, s, lr, t, b1=0.9, b2=0.999, eps=1e-8):
 
 
 def _train_lanes(pairs: list, lams: list, config: TrainConfig, ctx: TransformContext,
-                 family: str, record: bool = False):
-    """Train one lane per pair ``(y, x_true)`` in ``pairs`` and coupling value
-    in ``lams`` as one batched state, its arguments checked once, here.
+                 family, record: bool = False):
+    """Train one lane per pair ``(y, x_true)`` in ``pairs``, coupling value
+    in ``lams`` and family (one name, or one per lane) as one batched state,
+    its arguments checked once, here.
 
-    Orders ``v`` (B, 2) (one column for gfrft2d), filters ``h`` (B, n1, n2),
-    the Adam moments and each lane's ``Q^T [Y | X]`` (B, n1, 2 n2) share the
-    lane axis; each epoch is one array pass over it, with one batched
-    coupling build for its new temporal orders. After the last update the
-    loop evaluates the risk once more, at the final parameters. Returns
-    ``(params, trace, final)`` per lane, the trace (``TrainStep`` per epoch,
-    kept in preallocated (epochs, lanes) arrays) only with ``record``. A
-    lane whose coupling margin fails in training leaves the batch, with
-    ``params`` None and its error as ``final``; one whose final orders fail
-    keeps its parameters, with the error ``loss()`` would raise as
-    ``final``; otherwise ``final`` is the final risk. A non-finite risk in
-    any lane raises ``ValueError``.
+    A lane's family constrains its point (``transforms.CONSTRAINTS``): a
+    fixed lam replaces the lane's, and a tied lane steps both orders by
+    their summed rate. Orders ``v`` (B, 2), filters ``h`` (B, n1, n2), the
+    Adam moments and each lane's ``Q^T [Y | X]`` (B, n1, 2 n2) share the
+    lane axis. The lanes split once by column operator
+    (``transforms._column_groups``); each epoch of a group is one array
+    pass over it, and only the group off the endpoints builds couplings, in
+    one batch of its new temporal orders. After the last update the risk
+    is evaluated once more, at the final parameters. Returns ``(params,
+    trace, final)`` per lane, the trace (``TrainStep`` per epoch, kept in
+    preallocated (epochs, lanes) arrays) only with ``record``. A lane whose
+    coupling margin fails in training leaves the batch, with ``params``
+    None and its error as ``final``; one whose final orders fail keeps its
+    parameters, with the error ``loss()`` would raise as ``final``;
+    otherwise ``final`` is the final risk. A non-finite risk in any lane
+    raises ``ValueError``.
     """
-    if family not in FAMILIES:
-        raise ConfigError(f"unknown family {family!r}; expected one of {FAMILIES}")
+    rules = [constraint(f) for f in ([family] * len(lams) if isinstance(family, str) else family)]
     for y, x_true in pairs:
         if y.shape != x_true.shape:
             raise ValueError(f"shape mismatch: {y.shape} vs {x_true.shape}")
         if y.shape != ctx.shape:
             raise ValueError(f"signal shape {y.shape} does not match plan {ctx.shape}")
-    geodesic = family == "gcgfrft"
-    if geodesic and any(lam is None for lam in lams):
-        raise ConfigError("gcgfrft training needs a fixed coupling parameter")
+    if any(rule.lam is None and lam is None for rule, lam in zip(rules, lams)):
+        raise ConfigError("a family that leaves lam free needs a coupling value to train at")
     if not all(isinstance(lam, numbers.Real) for lam in lams if lam is not None):
         raise ConfigError(f"coupling parameters must be numbers, got {lams}")
 
-    lanes = np.arange(len(lams))
-    lam = _coupling_parameter(np.array(lams, dtype=np.float64)) if geodesic else None
-    v = np.full((len(lams), 1 if family == "gfrft2d" else 2), 0.5)
-    h = np.ones((len(lams), *ctx.shape), dtype=np.float64)
-    m_v, s_v, m_h, s_h = np.zeros_like(v), np.zeros_like(v), np.zeros_like(h), np.zeros_like(h)
-    coords = np.stack([ctx._stacked_coordinates(y, x_true) for y, x_true in pairs])
+    point_lam = _coupling_parameter(np.array([lam if rule.lam is None else rule.lam
+                                              for rule, lam in zip(rules, lams)], dtype=np.float64))
+    ties = np.array([rule.tie for rule in rules])
+    all_coords = np.stack([ctx._stacked_coordinates(y, x_true) for y, x_true in pairs])
     # (loss, alpha, beta) per epoch and lane, and the epochs each lane recorded
     steps = np.empty((3, config.epochs, len(lams))) if record else None
     recorded = np.full(len(lams), config.epochs)
@@ -295,57 +298,62 @@ def _train_lanes(pairs: list, lams: list, config: TrainConfig, ctx: TransformCon
                             lam=lams[lane] if lams[lane] is not None else 0.0)
 
     results: list = [None] * len(lams)
-    for epoch in range(config.epochs + 1):
-        last = epoch == config.epochs
-        try:
-            plan = ctx._plan(family, tuple(v.T), lam)
-        except MarginViolationError:
-            # the failed plan left every order's result in the coupling cache
-            found = ctx._couplings(v[:, -1].tolist())
-            keep = np.array([not isinstance(d, MarginViolationError) for d in found])
-            for i in np.flatnonzero(~keep):
-                recorded[lanes[i]] = epoch
-                if last:
-                    results[lanes[i]] = (lane_params(i, lanes[i]), found[i])
-                else:
-                    results[lanes[i]] = (None, MarginViolationError(
-                        f"coupling margin violated at epoch {epoch}, temporal order "
-                        f"{v[i, -1]:.6g}: {found[i]}",
-                        margin=found[i].margin, index=found[i].index))
-            lanes, v, h, lam, coords = lanes[keep], v[keep], h[keep], lam[keep], coords[keep]
-            m_v, s_v, m_h, s_h = m_v[keep], s_v[keep], m_h[keep], s_h[keep]
-            if not lanes.size:
+    for lanes in _column_groups(point_lam):
+        lam, tie, coords = point_lam[lanes], ties[lanes], all_coords[lanes]
+        v = np.full((len(lanes), 2), 0.5)
+        h = np.ones((len(lanes), *ctx.shape), dtype=np.float64)
+        m_v, s_v, m_h, s_h = np.zeros_like(v), np.zeros_like(v), np.zeros_like(h), np.zeros_like(h)
+        for epoch in range(config.epochs + 1):
+            last = epoch == config.epochs
+            try:
+                plan = ctx._plan(None, tuple(v.T), lam)
+            except MarginViolationError:
+                # the failed plan left every order's result in the coupling cache
+                found = ctx._couplings(v[:, -1].tolist())
+                keep = np.array([not isinstance(d, MarginViolationError) for d in found])
+                for i in np.flatnonzero(~keep):
+                    recorded[lanes[i]] = epoch
+                    if last:
+                        results[lanes[i]] = (lane_params(i, lanes[i]), found[i])
+                    else:
+                        results[lanes[i]] = (None, MarginViolationError(
+                            f"coupling margin violated at epoch {epoch}, temporal order "
+                            f"{v[i, -1]:.6g}: {found[i]}",
+                            margin=found[i].margin, index=found[i].index))
+                lanes, v, h, lam, tie, coords = (a[keep] for a in (lanes, v, h, lam, tie, coords))
+                m_v, s_v, m_h, s_h = m_v[keep], s_v[keep], m_h[keep], s_h[keep]
+                if not lanes.size:
+                    break
+                plan = ctx._plan(None, tuple(v.T), lam)
+            # at epoch 0 the filter is all ones, where the risk ||Y - X||^2 does
+            # not depend on the orders: their step is exactly zero, not rounding
+            order_step = epoch > 0 and not last and config.lr_orders > 0
+            spectra = plan._factored_spectra(coords, alpha_rates=order_step)
+            yhat, xhat = spectra[1], spectra[2]
+            resid = h * yhat - xhat
+            risk = np.mean(resid.real**2 + resid.imag**2, axis=(-2, -1))
+            if not np.all(np.isfinite(risk)):
+                raise ValueError(f"training diverged at epoch {epoch}: the risk is "
+                                 f"{risk[~np.isfinite(risk)][0]}")
+            if last:
+                for i, (lane, r) in enumerate(zip(lanes.tolist(), risk.tolist())):
+                    results[lane] = (lane_params(i, lane), r)
                 break
-            plan = ctx._plan(family, tuple(v.T), lam)
-        # at epoch 0 the filter is all ones, where the risk ||Y - X||^2 does
-        # not depend on the orders: their step is exactly zero, not rounding
-        order_step = epoch > 0 and not last and config.lr_orders > 0
-        spectra = plan._factored_spectra(coords, alpha_rates=order_step)
-        yhat, xhat = spectra[1], spectra[2]
-        resid = h * yhat - xhat
-        risk = np.mean(resid.real**2 + resid.imag**2, axis=(-2, -1))
-        if not np.all(np.isfinite(risk)):
-            raise ValueError(f"training diverged at epoch {epoch}: the risk is "
-                             f"{risk[~np.isfinite(risk)][0]}")
-        if last:
-            for i, (lane, r) in enumerate(zip(lanes.tolist(), risk.tolist())):
-                results[lane] = (lane_params(i, lane), r)
-            break
-        if record:
-            steps[:, epoch, lanes] = risk, v[:, 0], v[:, -1]
+            if record:
+                steps[:, epoch, lanes] = risk, v[:, 0], v[:, -1]
 
-        g_v = _order_gradient(ctx, plan, h, spectra, resid) if order_step else None
-        g_h = (2.0 / resid[0].size) * (resid * yhat.conj()).real if config.lr_filter > 0 else None
-        if config.optimizer == "gd":
-            if g_v is not None:
-                v = v - config.lr_orders * g_v
-            if g_h is not None:
-                h = h - config.lr_filter * g_h
-        else:
-            if g_v is not None:
-                v, m_v, s_v = _adam_step(v, g_v, m_v, s_v, config.lr_orders, epoch + 1)
-            if g_h is not None:
-                h, m_h, s_h = _adam_step(h, g_h, m_h, s_h, config.lr_filter, epoch + 1)
+            g_v = _order_gradient(ctx, plan, h, spectra, resid, tie) if order_step else None
+            g_h = (2.0 / resid[0].size) * (resid * yhat.conj()).real if config.lr_filter > 0 else None
+            if config.optimizer == "gd":
+                if g_v is not None:
+                    v = v - config.lr_orders * g_v
+                if g_h is not None:
+                    h = h - config.lr_filter * g_h
+            else:
+                if g_v is not None:
+                    v, m_v, s_v = _adam_step(v, g_v, m_v, s_v, config.lr_orders, epoch + 1)
+                if g_h is not None:
+                    h, m_h, s_h = _adam_step(h, g_h, m_h, s_h, config.lr_filter, epoch + 1)
 
     traces = [[TrainStep(epoch, *step) for epoch, step in enumerate(steps[:, :n, lane].T.tolist())]
               for lane, n in enumerate(recorded)] if record else [None] * len(lams)
@@ -364,7 +372,8 @@ def train(y: TimeVertexSignal, x_true: TimeVertexSignal, lam: float | None,
     them. The coupling parameter is fixed for the whole run. The arguments
     are checked once, before the first epoch, and spectral decompositions
     are cached on the context, so only the temporal coupling factorization
-    is redone, in one array pass, when the temporal order moves. A
+    is redone, in one array pass, when the temporal order moves at an
+    interior lam; at lam 0 or 1 nothing is decomposed. A
     non-finite epoch risk (a diverged run) raises ``ValueError``. This is the
     one-lane case of the batched state that ``lambda_grid_search`` trains,
     with the trace recorded.

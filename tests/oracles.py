@@ -1,8 +1,10 @@
 """Reference implementations that the tests compare the library against."""
 
+import dataclasses
+
 import numpy as np
 
-from fracspec import FilterParams, loss
+from fracspec import FilterParams, geodesic_temporal_basis, graph_frft, loss
 from fracspec.operators import _lmul, _rmul
 
 #: central-difference step for the fractional orders
@@ -22,6 +24,15 @@ def fd_order_gradient(y, x, params, ctx, family="gcgfrft", step=ORDER_FD_STEP):
             probes.append(loss(y, x, probe, ctx, family=family))
         grad.append((probes[0] - probes[1]) / (2.0 * step))
     return np.array(grad)
+
+
+def with_geodesic_columns(ctx, plan, lam):
+    """``plan`` with its column operator replaced by the geodesic operator
+    at ``lam``, built from the coupling at the plan's temporal order: what
+    a plan at lam 0 or 1 computes in factored form."""
+    beta = plan.orders[-1]
+    geodesic = geodesic_temporal_basis(graph_frft(ctx.temporal, beta), ctx.coupling(beta), lam)
+    return dataclasses.replace(plan, col_op=geodesic, lam=lam)
 
 
 def real_schur_eigenpairs(o):

@@ -41,7 +41,7 @@ from fracspec import (
     train,
     unitarity_error,
 )
-from oracles import fd_order_gradient
+from oracles import fd_order_gradient, with_geodesic_columns
 
 ORDERS = (-1.5, -0.5, 0.0, 0.3, 0.5, 1.0, 2.0)
 LAMBDA_GRID = tuple(round(0.1 * i, 1) for i in range(11))
@@ -112,10 +112,11 @@ def test_c02_degeneracy_chain():
         x = TimeVertexSignal(srng.standard_normal((8, 6)) + 1j * srng.standard_normal((8, 6)),
                              real_flag=False)
         a, b = rng.uniform(-1.5, 2.0, size=2)
-        gb = forward(ctx.plan("gbfrft2d", (a, b)), x).data
-        jf = forward(ctx.plan("jfrft", (a, b)), x).data
-        gc0 = forward(ctx.plan("gcgfrft", (a, b), lam=0.0), x).data
-        gc1 = forward(ctx.plan("gcgfrft", (a, b), lam=1.0), x).data
+        gb_plan, jf_plan = ctx.plan("gbfrft2d", (a, b)), ctx.plan("jfrft", (a, b))
+        gb, jf = forward(gb_plan, x).data, forward(jf_plan, x).data
+        # the geodesic operator built from the coupling, at both endpoints
+        gc0 = forward(with_geodesic_columns(ctx, gb_plan, 0.0), x).data
+        gc1 = forward(with_geodesic_columns(ctx, jf_plan, 1.0), x).data
         worst_gc = max(worst_gc,
                        float(np.linalg.norm(gc0 - gb) / np.linalg.norm(gb)),
                        float(np.linalg.norm(gc1 - jf) / np.linalg.norm(jf)))

@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import math
 
@@ -23,7 +24,7 @@ from fracspec import (
     train,
     verify_properties,
 )
-from fracspec import harness, operators, properties
+from fracspec import harness, operators, properties, transforms
 from fracspec.harness import BASELINE_FAMILIES
 from fracspec.io import _matrix_from_csv
 
@@ -241,7 +242,7 @@ class TestBatchedCells:
                     persisted = _matrix_from_csv(str(tmp_path / "estimates" / f"{row.row_id}.csv"))
                     assert np.array_equal(persisted, est)
 
-    def test_one_training_state_per_family(self, monkeypatch):
+    def test_one_training_state_for_every_family(self, monkeypatch):
         train_lanes, lanes = harness._train_lanes, []
 
         def counting_train_lanes(pairs, lams, *args, **kwargs):
@@ -250,18 +251,46 @@ class TestBatchedCells:
 
         monkeypatch.setattr(harness, "_train_lanes", counting_train_lanes)
         run_benchmark(tiny_config(families=FAMILIES))
-        # 2 sigmas x 2 seeds, times the 3 coupling values for gcgfrft
-        assert lanes == [4, 4, 4, 12]
+        # 2 sigmas x 2 seeds, times the lanes (tie, lam) of a cell: gfrft2d
+        # (tied, 0), gbfrft2d (0) and jfrft (1), which gcgfrft shares at its
+        # endpoints, and gcgfrft at 0.5
+        assert lanes == [16]
+
+    def test_endpoint_lanes_never_decompose(self, monkeypatch):
+        # every family of every cell decomposes only the orders of the
+        # interior coupling values: those of a gcgfrft-only run of them
+        decompose, matrices = transforms.phase_decompose, []
+
+        def counting_decompose(w, **kwargs):
+            matrices.append(len(w))
+            return decompose(w, **kwargs)
+
+        monkeypatch.setattr(transforms, "phase_decompose", counting_decompose)
+        cfg = BenchmarkConfig(train=TrainConfig(epochs=30))
+        run_benchmark(cfg)
+        every_family = sum(matrices)
+        matrices.clear()
+        run_benchmark(dataclasses.replace(cfg, families=("gcgfrft",), lambda_grid=tuple(
+            lam for lam in cfg.lambda_grid if 0.0 < lam < 1.0)))
+        assert every_family == sum(matrices) > 0
+        matrices.clear()
+        run_benchmark(dataclasses.replace(cfg, lambda_grid=(0.0, 1.0)))
+        assert matrices == []
 
     def test_every_refused_coupling_gives_margin_rows(self, monkeypatch):
-        # a margin tolerance of pi refuses every coupling at epoch 0
+        # a margin tolerance of pi refuses every coupling at epoch 0; the
+        # endpoint lanes of gcgfrft never build one, so they train
         monkeypatch.setattr(harness, "TransformContext",
                             functools.partial(TransformContext, margin_tol=np.pi))
         report = run_benchmark(tiny_config())
         for row in report.rows:
+            assert row.status == "ok" and row.mse is not None
+            if row.family == "gcgfrft":
+                assert [lam for lam, _ in row.lambda_mse] == [0.0, 1.0]
+        for row in run_benchmark(tiny_config(lambda_grid=(0.3, 0.7))).rows:
             if row.family == "gcgfrft":
                 assert row.status == ("margin: every coupling grid point violated the margin: "
-                                      "lam=0; lam=0.5; lam=1")
+                                      "lam=0.3; lam=0.7")
                 assert row.mse is None and row.alpha is None and row.lam is None
             else:
                 assert row.status == "ok" and row.mse is not None

@@ -326,10 +326,25 @@ class TestTrain:
         _, trace = train(y, x, 0.3 if family == "gcgfrft" else None, config, ctx, family=family)
         assert (trace[1].alpha, trace[1].beta) == (0.5, 0.5)
 
+    @pytest.mark.parametrize("config", [TrainConfig(epochs=40), TrainConfig.adam(epochs=40)],
+                             ids=["gd", "adam"])
+    def test_tied_lane_keeps_equal_orders(self, bench_ctx, config):
+        # a gfrft2d lane shares its batch with an untied lane at lam 0
+        x = synth_signal(bench_ctx.spatial, 10, bandwidth=0.3, seed=5)
+        y = add_awgn(x, 0.9, seed=6)
+        (tied, trace, final), (untied, _, _) = _train_lanes(
+            [(y, x)] * 2, [None, None], config, bench_ctx, ["gfrft2d", "gbfrft2d"], record=True)
+        assert all(step.alpha == step.beta for step in trace)
+        assert tied.alpha == tied.beta != 0.5 and untied.alpha != untied.beta
+        alone, alone_trace = train(y, x, None, config, bench_ctx, family="gfrft2d")
+        assert (alone.alpha, alone.beta) == (tied.alpha, tied.beta)
+        assert np.array_equal(alone.h, tied.h) and alone_trace == trace
+
     def test_epoch_one_plans_at_the_cached_starting_order(self, monkeypatch):
         # the denoise run of the perfbench temporal_cli workload: 3 coupling
-        # values, 5 Adam epochs at 64x128. Epoch 1 plans every lane at the
-        # cached beta 0.5, so the run builds 1 + 4 x 3 = 13 couplings, not 16
+        # values, 5 Adam epochs at 64x128. Only the lam 0.5 lane builds
+        # couplings, and epoch 1 plans it at the cached beta 0.5, so the run
+        # builds 1 + 4 = 5 couplings, not 6
         decompose, matrices = transforms.phase_decompose, []
 
         def counting_decompose(w, **kwargs):
@@ -343,7 +358,7 @@ class TestTrain:
         config = TrainConfig.adam(lr_orders=0.02, lr_filter=0.02, epochs=5)
         _, _, table = lambda_grid_search(y, x, [0.0, 0.5, 1.0], config, ctx)
         assert all(row.trace[1].beta == 0.5 for row in table)
-        assert sum(matrices) == 13
+        assert sum(matrices) == 5
 
     def test_no_jump_near_the_branch_cut(self, bench_ctx):
         # near epoch 151 this run passes within 2e-4 rad of the coupling's -1
@@ -463,8 +478,9 @@ class TestLambdaGridSearch:
 
     def test_failed_orders_are_decomposed_once(self, bench_ctx, monkeypatch):
         # the grid above: a lane's failed order is cached with its error, so
-        # the fallback that plans the other lanes does not decompose it again
-        # (measured: 554 matrices; 556 when failures were not cached)
+        # the fallback that plans the other lanes does not decompose it again;
+        # the lam 1 lane decomposes nothing (measured: 355 matrices, as many
+        # as the grid without lam 1)
         decompose, matrices = transforms.phase_decompose, []
 
         def counting_decompose(w, **kwargs):
@@ -477,7 +493,24 @@ class TestLambdaGridSearch:
         y = add_awgn(x, 0.9, seed=1002)
         _, _, table = lambda_grid_search(y, x, [0.1, 0.3, 0.6, 1.0], TrainConfig(), ctx)
         assert [row.params is None for row in table] == [True, True, False, False]
-        assert sum(matrices) == 554
+        assert sum(matrices) == 355
+
+    def test_endpoint_grid_decomposes_nothing(self, bench_ctx, monkeypatch):
+        # lam 0 and lam 1 take the factored endpoints: no coupling, so even a
+        # margin tolerance of pi refuses neither
+        decompose, matrices = transforms.phase_decompose, []
+
+        def counting_decompose(w, **kwargs):
+            matrices.append(len(w))
+            return decompose(w, **kwargs)
+
+        monkeypatch.setattr(transforms, "phase_decompose", counting_decompose)
+        ctx = TransformContext(bench_ctx.spatial, bench_ctx.temporal, margin_tol=np.pi)
+        x = synth_signal(ctx.spatial, 10, bandwidth=0.3, seed=1001)
+        y = add_awgn(x, 0.9, seed=1002)
+        _, _, table = lambda_grid_search(y, x, [0.0, 1.0], TrainConfig(epochs=30), ctx)
+        assert [row.params is None for row in table] == [False, False]
+        assert matrices == []
 
     def test_final_losses_equal_per_lane_loss(self, bench_ctx):
         # with 93 epochs the lam 0.1 lane of the 1e-3 margin setting above
