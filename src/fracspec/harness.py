@@ -22,7 +22,7 @@ import numpy as np
 from .errors import ConfigError, dataclass_table, read_config
 from .graphs import MATERIALIZE_CAP, Graph, knn_graph, path_graph
 from .operators import SpectralBasis, eigendecompose
-from .transforms import CONSTRAINTS, FAMILIES, TimeVertexSignal, TransformContext, _column_groups
+from .transforms import CONSTRAINTS, FAMILIES, TimeVertexSignal, TransformContext
 from .wiener import (DEFAULT_LAMBDA_GRID, LAMBDA_GRID, TRAIN, FilterParams, TrainConfig,
                      _grid_failure, _train_lanes, closed_form_h, denoise)
 
@@ -247,11 +247,13 @@ def _trained_rows(ctx, cfg, cells):
     """Train every family of every (sigma, seed) cell as one batched state,
     one lane per (cell, tie, lam) of the families' constraints, so a lane
     two families share (gcgfrft at lam 0 and gbfrft2d) trains once; score
-    the lanes from one plan per column operator and yield each row and its
-    real estimate. A row reports its lane with the lowest error on the
-    reported metric, so endpoint membership makes the grid's dominance
-    claim exact; lanes that fail the coupling margin are skipped, and a row
-    with none left gets a margin status."""
+    each lane that trained by ``denoise`` at its own point (a family only
+    constrains the one plan, so the gcgfrft plan at the lane's lam is its
+    family's) and yield each row and its real estimate. A row reports its
+    lane with the lowest error on the reported metric, so endpoint
+    membership makes the grid's dominance claim exact; lanes that fail the
+    coupling margin are skipped, and a row with none left gets a margin
+    status."""
     t0 = time.perf_counter()
     lanes, rows = {}, []
     for c, family in itertools.product(range(len(cells)), cfg.families):
@@ -262,15 +264,9 @@ def _trained_rows(ctx, cfg, cells):
     (lane_cell, _, lams), families = zip(*lanes), [family for _, family in lanes.values()]
     results = _train_lanes([(cells[c][3], cells[c][2]) for c in lane_cell], list(lams), cfg.train,
                            ctx, families)
-    ok, lams = np.flatnonzero([isinstance(final, float) for *_, final in results]), np.array(lams)
-    estimates = {}
-    for group in _column_groups(lams[ok]):
-        params = [results[i][0] for i in ok[group]]
-        plan = ctx._plan(None, (np.array([p.alpha for p in params]), np.array([p.beta for p in params])),
-                         lams[ok[group]])
-        y = np.stack([cells[lane_cell[i]][3].data for i in ok[group]])
-        h = np.stack([p.h for p in params])
-        estimates.update(zip(ok[group].tolist(), plan.apply_inverse(h * plan.apply(y), real=True)))
+    estimates = {i: denoise(cells[c][3], params, ctx).data
+                 for i, (c, (params, _, final)) in enumerate(zip(lane_cell, results))
+                 if isinstance(final, float)}
     share = (time.perf_counter() - t0) / len(rows)
 
     for c, family, free, members in rows:

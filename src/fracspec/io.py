@@ -37,6 +37,8 @@ __all__ = [
 def _fmt(x) -> str:
     if x is None:
         return ""
+    if isinstance(x, str):
+        return x
     if isinstance(x, float) and math.isinf(x):
         return "inf" if x > 0 else "-inf"
     if isinstance(x, (int, np.integer)):
@@ -204,19 +206,8 @@ REPORT_COLUMNS = ["family", "sigma", "seed", "mse", "psnr", "ssim",
 
 
 def _row_record(row) -> dict:
-    return {
-        "family": row.family,
-        "sigma": row.sigma,
-        "seed": row.seed,
-        "mse": row.mse,
-        "psnr": row.psnr,
-        "ssim": row.ssim,
-        "alpha": row.alpha,
-        "beta": row.beta,
-        "lambda": row.lam,
-        "epochs": row.epochs,
-        "status": row.status,
-    }
+    """A ``MetricRow`` by ``REPORT_COLUMNS``; the column ``lambda`` is its ``lam``."""
+    return {col: getattr(row, "lam" if col == "lambda" else col) for col in REPORT_COLUMNS}
 
 
 def write_benchmark_report(report, out_dir: str, estimates: dict | None = None) -> None:
@@ -229,11 +220,7 @@ def write_benchmark_report(report, out_dir: str, estimates: dict | None = None) 
         w = csv.writer(fh)
         w.writerow(REPORT_COLUMNS)
         for row in report.rows:
-            rec = _row_record(row)
-            w.writerow([rec["family"], _fmt(rec["sigma"]), rec["seed"],
-                        _fmt(rec["mse"]), _fmt(rec["psnr"]), _fmt(rec["ssim"]),
-                        _fmt(rec["alpha"]), _fmt(rec["beta"]), _fmt(rec["lambda"]),
-                        "" if rec["epochs"] is None else rec["epochs"], rec["status"]])
+            w.writerow([_fmt(v) for v in _row_record(row).values()])
 
     def jsonable(v):
         if isinstance(v, float) and math.isinf(v):

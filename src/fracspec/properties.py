@@ -32,6 +32,11 @@ from .wiener import (DEFAULT_LAMBDA_GRID, FilterParams, TrainConfig, closed_form
 __all__ = ["CheckResult", "PropertyReport", "verify_properties"]
 
 ORDER_GRID = (-1.5, -0.5, 0.0, 0.3, 0.5, 1.0, 2.0)
+#: spatial and temporal sizes of the operator and coupling checks, and the
+#: seeds of the random graphs and signals
+N1_SIZES = (5, 8, 12)
+N2_SIZES = (4, 6, 8)
+SEEDS = (0, 1)
 
 
 @dataclass(frozen=True)
@@ -80,8 +85,7 @@ def _kron_vec_oracle(row_mat: np.ndarray, col_mat: np.ndarray, x: np.ndarray) ->
     return (big @ x.ravel(order="F")).reshape((n1, n2), order="F")
 
 
-def verify_properties(n1_sizes=(5, 8, 12), n2_sizes=(4, 6, 8), seeds=(0, 1),
-                      fault_injection: bool = False) -> PropertyReport:
+def verify_properties(fault_injection: bool = False) -> PropertyReport:
     results: list[CheckResult] = []
 
     def record(name: str, passed: bool, detail: str):
@@ -91,11 +95,11 @@ def verify_properties(n1_sizes=(5, 8, 12), n2_sizes=(4, 6, 8), seeds=(0, 1),
 
     # -- graphs ---------------------------------------------------------------
     worst = 0.0
-    for g in _test_graphs(seeds[0]) + [path_graph(n) for n in n1_sizes]:
+    for g in _test_graphs(SEEDS[0]) + [path_graph(n) for n in N1_SIZES]:
         worst = max(worst, float(np.linalg.norm(g.adjacency - g.adjacency.T)))
     record("graph.symmetry_exact", worst == 0.0, f"max ||A - A^T|| = {worst:g}")
 
-    g1 = knn_graph(random_planar_points(6, seed=seeds[0]), 2)
+    g1 = knn_graph(random_planar_points(6, seed=SEEDS[0]), 2)
     g2 = path_graph(4)
     prod = cartesian_product(g1, g2).adjacency
     a1, a2 = g1.adjacency, g2.adjacency
@@ -109,14 +113,14 @@ def verify_properties(n1_sizes=(5, 8, 12), n2_sizes=(4, 6, 8), seeds=(0, 1),
                         ok = False
     record("graph.product_elementwise", ok, "brute-force over all index quadruples")
 
-    pts = random_planar_points(10, seed=seeds[0])
+    pts = random_planar_points(10, seed=SEEDS[0])
     same = np.array_equal(knn_graph(pts, 3).adjacency, knn_graph(pts, 3).adjacency)
     record("graph.knn_deterministic", same, "bit-identical rebuild")
 
     # -- operators ------------------------------------------------------------
     worst = 0.0
     worst_name = ""
-    for n1 in n1_sizes:
+    for n1 in N1_SIZES:
         basis = eigendecompose(path_graph(n1))
         for a in ORDER_GRID:
             ops = [("graph_frft", graph_frft(basis, a)), ("dfrft", dfrft_matrix(n1, a))]
@@ -133,7 +137,7 @@ def verify_properties(n1_sizes=(5, 8, 12), n2_sizes=(4, 6, 8), seeds=(0, 1),
            + (" [fault injected]" if fault_injection else ""))
 
     worst = 0.0
-    for n1 in n1_sizes:
+    for n1 in N1_SIZES:
         basis = eigendecompose(path_graph(n1))
         for a, b in [(0.3, 0.4), (-0.5, 1.2), (0.5, 0.5)]:
             d = np.abs(graph_frft(basis, a).matrix @ graph_frft(basis, b).matrix
@@ -144,11 +148,11 @@ def verify_properties(n1_sizes=(5, 8, 12), n2_sizes=(4, 6, 8), seeds=(0, 1),
             worst = max(worst, d / n1)
     record("operator.additivity", worst <= 1e-8, f"worst |F^a F^b - F^(a+b)|/n = {worst:.2e}")
 
-    basis = eigendecompose(path_graph(n1_sizes[-1]))
+    basis = eigendecompose(path_graph(N1_SIZES[-1]))
     d1 = np.abs(graph_frft(basis, -0.7).matrix - graph_frft(basis, 0.7).matrix.conj().T).max()
-    d2 = np.abs(dfrft_matrix(n1_sizes[-1], -0.7).matrix
-                - dfrft_matrix(n1_sizes[-1], 0.7).matrix.conj().T).max()
-    record("operator.inverse_hermitian", max(d1, d2) <= 1e-8 * n1_sizes[-1],
+    d2 = np.abs(dfrft_matrix(N1_SIZES[-1], -0.7).matrix
+                - dfrft_matrix(N1_SIZES[-1], 0.7).matrix.conj().T).max()
+    record("operator.inverse_hermitian", max(d1, d2) <= 1e-8 * N1_SIZES[-1],
            f"|F^-a - (F^a)^H| = {max(d1, d2):.2e}")
 
     # degenerate eigenspaces: the unitary DFT of size 8 has the eigenvalues
@@ -175,7 +179,7 @@ def verify_properties(n1_sizes=(5, 8, 12), n2_sizes=(4, 6, 8), seeds=(0, 1),
            f"unitary DFT(8), {len(remixed)} repeated eigenvalues remixed, deviation {d:.2e}")
 
     worst = 0.0
-    for n2 in n2_sizes:
+    for n2 in N2_SIZES:
         m = np.arange(n2)
         dft = np.exp(-2j * np.pi * np.outer(m, m) / n2) / np.sqrt(n2)
         worst = max(worst, np.abs(dfrft_matrix(n2, 1.0).matrix - dft).max() / n2)
@@ -192,7 +196,7 @@ def verify_properties(n1_sizes=(5, 8, 12), n2_sizes=(4, 6, 8), seeds=(0, 1),
     symmetry = 0.0
     phase_lin = 0.0
     round_trip = 0.0
-    for n2 in n2_sizes:
+    for n2 in N2_SIZES:
         tb = eigendecompose(path_graph(n2))
         for beta in (0.3, 0.5, 1.0):
             fg = graph_frft(tb, beta)
@@ -227,7 +231,7 @@ def verify_properties(n1_sizes=(5, 8, 12), n2_sizes=(4, 6, 8), seeds=(0, 1),
     kron = 0.0
     chain = 0.0
     addit = 0.0
-    for seed in seeds:
+    for seed in SEEDS:
         srng = np.random.default_rng(seed)
         n1, n2 = 6, 4
         ctx = TransformContext(knn_graph(random_planar_points(n1, seed=seed), 2), path_graph(n2))
@@ -266,9 +270,9 @@ def verify_properties(n1_sizes=(5, 8, 12), n2_sizes=(4, 6, 8), seeds=(0, 1),
 
     # -- learnable filtering ---------------------------------------------------
     n1, n2 = 8, 6
-    ctx = TransformContext(knn_graph(random_planar_points(n1, seed=seeds[0]), 3), path_graph(n2))
-    x = synth_signal(ctx.spatial, n2, bandwidth=0.4, seed=seeds[0])
-    y = add_awgn(x, 0.8, seed=seeds[0] + 1)
+    ctx = TransformContext(knn_graph(random_planar_points(n1, seed=SEEDS[0]), 3), path_graph(n2))
+    x = synth_signal(ctx.spatial, n2, bandwidth=0.4, seed=SEEDS[0])
+    y = add_awgn(x, 0.8, seed=SEEDS[0] + 1)
     params = FilterParams(alpha=0.5, beta=0.5, h=np.full((n1, n2), 0.7), lam=0.3)
 
     g = grad_h(y, x, params, ctx)

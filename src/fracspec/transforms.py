@@ -79,8 +79,8 @@ def constraint(family) -> Constraint:
 def _column_groups(lam: np.ndarray) -> list:
     """The lanes of a batch by column operator (``TransformContext._plan``),
     as index arrays: lam 0, lam 1 and the rest, each group that has a lane.
-    A plan of one group gives each lane its scalar plan's arithmetic; a
-    mixed batch is all geodesic."""
+    A batched plan takes the lanes of one group, each with its scalar plan's
+    arithmetic; ``TransformContext.plan`` refuses a batch of more."""
     kind = np.where(lam == 0.0, 0, np.where(lam == 1.0, 1, 2))
     return [np.flatnonzero(kind == k) for k in np.unique(kind)]
 
@@ -456,7 +456,8 @@ class TransformContext:
         order: ``(batch, row)``, the order's row of a ``_CouplingBatch``, or
         its ``MarginViolationError``; so while an order is cached it is
         decomposed only once. The cache keeps the most recently requested
-        orders, never fewer than one request's.
+        orders, never fewer than one request's, and trims only when a
+        request adds orders, so requests that hit it evict nothing.
 
         The misses are built together: one ``W = F^H E`` stack of the
         batched operators ``F`` (temporal graph FRFT) and ``E`` (DFRFT), its
@@ -477,7 +478,7 @@ class TransformContext:
                 cache[k] = dec.failed.get(i) or (batch, i)
         for k in distinct:
             cache[k] = cache.pop(k)
-        while len(cache) > max(COUPLING_CACHE_SIZE, len(distinct)):
+        while misses and len(cache) > max(COUPLING_CACHE_SIZE, len(distinct)):
             entry = cache.pop(next(iter(cache)))
             if isinstance(entry, tuple):
                 entry[0].drop(entry[1])
@@ -490,7 +491,9 @@ class TransformContext:
         Each order, and ``lam``, may also be an array over a batch of B
         parameter settings; the plan's operators then carry that leading
         axis and ``apply`` maps one n1 x n2 signal to B spectra. A scalar
-        order beside an array one is broadcast to its length.
+        order beside an array one is broadcast to its length. A batch has
+        one column operator: its lam values lie all at 0, all at 1 or all
+        inside (0, 1) (``_column_groups``), or it is a ``ConfigError``.
         """
         rule = constraint(family)
         try:
@@ -518,6 +521,9 @@ class TransformContext:
         if rule.lam is None and lam is None:
             raise ConfigError(f"{family} needs the coupling parameter lam")
         lam = rule.lam if rule.lam is not None else _coupling_parameter(lam)
+        if np.ndim(lam) and len(_column_groups(lam)) > 1:
+            raise ConfigError(f"a batched plan takes one column operator, so its lam values lie "
+                              f"all at 0, all at 1 or all inside (0, 1); got {lam}")
         try:
             return self._plan(family, orders, lam)
         except MarginViolationError as err:
@@ -525,14 +531,14 @@ class TransformContext:
             raise err.with_traceback(None)
 
     def _plan(self, family: str | None, orders: tuple, lam) -> TransformPlan:
-        """``plan`` at float or float-array orders and a checked ``lam``,
-        ``family`` only recorded; the training loop checks these once and
-        calls this every epoch. Where every lane's lam is 0 the column
-        operator is the temporal graph FRFT, where every one is 1 the DFRFT,
-        else the geodesic operator, the one that requests couplings."""
+        """``plan`` at float or float-array orders and a checked ``lam`` of
+        one column operator, ``family`` only recorded; the training loop
+        checks these once and calls this every epoch. At lam 0 the column
+        operator is the temporal graph FRFT, at lam 1 the DFRFT, else the
+        geodesic operator, the one that requests couplings."""
         row_op, beta = graph_frft(self.spatial, orders[0]), orders[-1]
         end = lam if isinstance(lam, float) else lam[0]
-        if end in (0.0, 1.0) and (isinstance(lam, float) or np.all(lam == end)):
+        if end in (0.0, 1.0):
             col_op = graph_frft(self.temporal, beta) if end == 0.0 else \
                 dfrft_matrix(self.temporal.n, beta)
             return TransformPlan(family, row_op, col_op, orders, lam=lam)

@@ -130,23 +130,25 @@ class GridRow:
     trace: list[TrainStep] | None = None
 
 
-def _spectra(ctx: TransformContext, family: str, alpha: float, beta: float,
-             lam: float | None, *signals: TimeVertexSignal):
-    """The plan at these parameters, then each signal's raw spectrum. A tied
-    family takes ``alpha`` as its one order, and only a family that leaves
-    the coupling parameter free reads ``lam``."""
-    plan = ctx.plan(family, (alpha,) if constraint(family).tie else (alpha, beta), lam=lam)
+def _checked_plan(ctx: TransformContext, family: str, params: FilterParams,
+                  *signals: TimeVertexSignal) -> TransformPlan:
+    """The plan at these parameters, checked against each signal's shape. A
+    tied family takes ``alpha`` as its one order, and only a family that
+    leaves the coupling parameter free reads ``lam``."""
+    plan = ctx.plan(family, (params.alpha,) if constraint(family).tie else
+                    (params.alpha, params.beta), lam=params.lam)
     for sig in signals:
         if sig.shape != plan.shape:
             raise ValueError(f"signal shape {sig.shape} does not match plan {plan.shape}")
-    return (plan, *(plan.apply(sig.data) for sig in signals))
+    return plan
 
 
 def denoise_complex(y: TimeVertexSignal, params: FilterParams, ctx: TransformContext,
                     family: str = "gcgfrft") -> TimeVertexSignal:
     """Filtered estimate without the final real projection."""
-    plan, yhat = _spectra(ctx, family, params.alpha, params.beta, params.lam, y)
-    return TimeVertexSignal(plan.apply_inverse(params.h * yhat), real_flag=y.real_flag)
+    plan = _checked_plan(ctx, family, params, y)
+    return TimeVertexSignal(plan.apply_inverse(params.h * plan.apply(y.data)),
+                            real_flag=y.real_flag)
 
 
 def denoise(y: TimeVertexSignal, params: FilterParams, ctx: TransformContext,
@@ -155,35 +157,57 @@ def denoise(y: TimeVertexSignal, params: FilterParams, ctx: TransformContext,
     real field (the complex estimate remains the optimization variable),
     through ``TransformPlan.apply_inverse`` with ``real``, which takes the
     real part before the real outer factors."""
-    plan, yhat = _spectra(ctx, family, params.alpha, params.beta, params.lam, y)
-    return TimeVertexSignal(plan.apply_inverse(params.h * yhat, real=y.real_flag),
+    plan = _checked_plan(ctx, family, params, y)
+    return TimeVertexSignal(plan.apply_inverse(params.h * plan.apply(y.data), real=y.real_flag),
                             real_flag=y.real_flag)
+
+
+def _risk(ctx: TransformContext, plan: TransformPlan, coords: np.ndarray, h: np.ndarray,
+          tie=None):
+    """The risk of the plan and filter ``h`` on ``coords = Q^T [Y | X]``
+    (``TransformContext._stacked_coordinates``), batched like the plan:
+    ``(risk, grad_h, grad_orders)``, one risk per lane.
+
+    The risk is ``mean |h o Yhat - Xhat|^2``, which by unitarity equals the
+    vertex-domain mean squared error of the complex estimate. Unitarity also
+    collapses the inverse transform out of the quadratic, so the filter
+    gradient is ``(2 / (n1 n2)) Re((h o Yhat - Xhat) o conj(Yhat))``. With
+    ``tie`` (a bool, or one per lane; see ``_order_gradient``) the order
+    gradient is formed too, from the spatial-order rates of the same
+    spectra; without, it is None.
+    """
+    spectra = plan._factored_spectra(coords, alpha_rates=tie is not None)
+    yhat, xhat = spectra[1], spectra[2]
+    resid = h * yhat - xhat
+    risk = np.mean(resid.real**2 + resid.imag**2, axis=(-2, -1))
+    g_h = (2.0 / (plan.shape[0] * plan.shape[1])) * (resid * yhat.conj()).real
+    g_v = None if tie is None else _order_gradient(ctx, plan, h, spectra, resid, tie)
+    return risk, g_h, g_v
+
+
+def _point_risk(y: TimeVertexSignal, x_true: TimeVertexSignal, params: FilterParams,
+                ctx: TransformContext, family: str, orders: bool = False):
+    """``_risk`` at one parameter point, its signals checked."""
+    if y.shape != x_true.shape:
+        raise ValueError(f"shape mismatch: {y.shape} vs {x_true.shape}")
+    plan = _checked_plan(ctx, family, params, y)
+    return _risk(ctx, plan, ctx._stacked_coordinates(y, x_true), params.h,
+                 constraint(family).tie if orders else None)
 
 
 def loss(y: TimeVertexSignal, x_true: TimeVertexSignal, params: FilterParams,
          ctx: TransformContext, family: str = "gcgfrft") -> float:
-    """Empirical risk: mean squared error of the complex estimate.
-
-    Evaluated in the spectral domain, ``mean |h o Yhat - Xhat|^2``, which by
-    unitarity equals the vertex-domain mean squared error of the estimate.
-    """
-    if y.shape != x_true.shape:
-        raise ValueError(f"shape mismatch: {y.shape} vs {x_true.shape}")
-    _, yhat, xhat = _spectra(ctx, family, params.alpha, params.beta, params.lam, y, x_true)
-    e = params.h * yhat - xhat
-    return float(np.mean(e.real**2 + e.imag**2))
+    """Empirical risk: mean squared error of the complex estimate, evaluated
+    in the spectral domain, ``mean |h o Yhat - Xhat|^2`` (``_risk``, as in
+    training)."""
+    return float(_point_risk(y, x_true, params, ctx, family)[0])
 
 
 def grad_h(y: TimeVertexSignal, x_true: TimeVertexSignal, params: FilterParams,
            ctx: TransformContext, family: str = "gcgfrft") -> np.ndarray:
-    """Exact gradient of the risk with respect to the diagonal filter.
-
-    Unitarity collapses the inverse transform out of the quadratic, giving
-    ``(2 / (n1 n2)) Re((h o Yhat - Xhat) o conj(Yhat))``.
-    """
-    _, yhat, xhat = _spectra(ctx, family, params.alpha, params.beta, params.lam, y, x_true)
-    resid = params.h * yhat - xhat
-    return (2.0 / resid.size) * (resid * yhat.conj()).real
+    """Exact gradient of the risk with respect to the diagonal filter,
+    ``(2 / (n1 n2)) Re((h o Yhat - Xhat) o conj(Yhat))`` (``_risk``)."""
+    return _point_risk(y, x_true, params, ctx, family)[1]
 
 
 def closed_form_h(y: TimeVertexSignal, x_true: TimeVertexSignal, params: FilterParams,
@@ -193,7 +217,8 @@ def closed_form_h(y: TimeVertexSignal, x_true: TimeVertexSignal, params: FilterP
     ``h_ij = Re(Xhat_ij conj(Yhat_ij)) / |Yhat_ij|^2`` on live bins; bins with
     negligible observed energy get the minimum-norm choice 0.
     """
-    _, yhat, xhat = _spectra(ctx, family, params.alpha, params.beta, params.lam, y, x_true)
+    plan = _checked_plan(ctx, family, params, y, x_true)
+    yhat, xhat = plan.apply(y.data), plan.apply(x_true.data)
     power = yhat.real**2 + yhat.imag**2
     floor = DEAD_BIN_REL_TOL * power.sum() / power.size
     live = power >= max(floor, np.finfo(np.float64).tiny)
@@ -236,11 +261,9 @@ def _order_gradient(ctx: TransformContext, plan: TransformPlan, h: np.ndarray,
 def grad_orders(y: TimeVertexSignal, x_true: TimeVertexSignal, params: FilterParams,
                 ctx: TransformContext, family: str = "gcgfrft") -> tuple[float, float]:
     """Analytic gradient of the risk with respect to the two fractional
-    orders; for a tied family both are the derivative along the tie."""
-    (plan,) = _spectra(ctx, family, params.alpha, params.beta, params.lam)
-    spectra = plan._factored_spectra(ctx._stacked_coordinates(y, x_true), alpha_rates=True)
-    g = _order_gradient(ctx, plan, params.h, spectra, params.h * spectra[1] - spectra[2],
-                        constraint(family).tie)
+    orders (``_risk``); for a tied family both are the derivative along the
+    tie."""
+    g = _point_risk(y, x_true, params, ctx, family, orders=True)[2]
     return float(g[0]), float(g[1])
 
 
@@ -264,8 +287,10 @@ def _train_lanes(pairs: list, lams: list, config: TrainConfig, ctx: TransformCon
     lane axis. The lanes split once by column operator
     (``transforms._column_groups``); each epoch of a group is one array
     pass over it, and only the group off the endpoints builds couplings, in
-    one batch of its new temporal orders. After the last update the risk
-    is evaluated once more, at the final parameters. Returns ``(params,
+    one batch of its new temporal orders. Each epoch's risk and gradients
+    come from ``_risk``, as ``loss``, ``grad_h`` and ``grad_orders`` do.
+    After the last update the risk is evaluated once more, at the final
+    parameters, so a final risk is ``loss()`` there. Returns ``(params,
     trace, final)`` per lane, the trace (``TrainStep`` per epoch, kept in
     preallocated (epochs, lanes) arrays) only with ``record``. A lane whose
     coupling margin fails in training leaves the batch, with ``params``
@@ -328,10 +353,7 @@ def _train_lanes(pairs: list, lams: list, config: TrainConfig, ctx: TransformCon
             # at epoch 0 the filter is all ones, where the risk ||Y - X||^2 does
             # not depend on the orders: their step is exactly zero, not rounding
             order_step = epoch > 0 and not last and config.lr_orders > 0
-            spectra = plan._factored_spectra(coords, alpha_rates=order_step)
-            yhat, xhat = spectra[1], spectra[2]
-            resid = h * yhat - xhat
-            risk = np.mean(resid.real**2 + resid.imag**2, axis=(-2, -1))
+            risk, g_h, g_v = _risk(ctx, plan, coords, h, tie if order_step else None)
             if not np.all(np.isfinite(risk)):
                 raise ValueError(f"training diverged at epoch {epoch}: the risk is "
                                  f"{risk[~np.isfinite(risk)][0]}")
@@ -342,17 +364,15 @@ def _train_lanes(pairs: list, lams: list, config: TrainConfig, ctx: TransformCon
             if record:
                 steps[:, epoch, lanes] = risk, v[:, 0], v[:, -1]
 
-            g_v = _order_gradient(ctx, plan, h, spectra, resid, tie) if order_step else None
-            g_h = (2.0 / resid[0].size) * (resid * yhat.conj()).real if config.lr_filter > 0 else None
             if config.optimizer == "gd":
                 if g_v is not None:
                     v = v - config.lr_orders * g_v
-                if g_h is not None:
+                if config.lr_filter > 0:
                     h = h - config.lr_filter * g_h
             else:
                 if g_v is not None:
                     v, m_v, s_v = _adam_step(v, g_v, m_v, s_v, config.lr_orders, epoch + 1)
-                if g_h is not None:
+                if config.lr_filter > 0:
                     h, m_h, s_h = _adam_step(h, g_h, m_h, s_h, config.lr_filter, epoch + 1)
 
     traces = [[TrainStep(epoch, *step) for epoch, step in enumerate(steps[:, :n, lane].T.tolist())]

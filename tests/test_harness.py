@@ -314,7 +314,7 @@ class TestVerifyProperties:
         return check
 
     def test_remix_check_remixes_repeated_eigenvalues(self):
-        check = self.remix_check(verify_properties(n1_sizes=(4,), n2_sizes=(4,), seeds=(0,)))
+        check = self.remix_check(verify_properties())
         assert check.passed
         assert int(check.detail.split(", ")[1].split()[0]) >= 1
 
@@ -330,11 +330,11 @@ class TestVerifyProperties:
 
         for name in ("_unitary_eigendecomposition", "unitary_fractional_power"):
             monkeypatch.setattr(properties, name, faulty(getattr(operators, name)))
-        check = self.remix_check(verify_properties(n1_sizes=(4,), n2_sizes=(4,), seeds=(0,)))
+        check = self.remix_check(verify_properties())
         assert not check.passed
 
     def test_report_formatting(self):
-        report = verify_properties(n1_sizes=(4,), n2_sizes=(4,), seeds=(0,))
+        report = verify_properties()
         text = report.format()
         assert "PASS" in text and "checks passed" in text
 

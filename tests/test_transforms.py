@@ -288,6 +288,24 @@ class TestBatchedPlans:
             ctx.plan("gcgfrft", (np.array([0.5, 0.5]), np.array([0.5, 0.6])),
                      lam=np.array([0.5, 1.5]))
 
+    @pytest.mark.parametrize("lam", [[0.0, 0.5], [0.5, 1.0], [1.0, 0.0], [0.0, 0.3, 1.0]])
+    def test_batched_plan_refuses_two_column_operators(self, monkeypatch, lam):
+        # lam values at an endpoint beside others would need two column
+        # operators: refused before anything is decomposed, while a batch
+        # all at one endpoint decomposes nothing at all
+        def no_decomposition(*args, **kwargs):
+            raise AssertionError("phase_decompose called")
+
+        monkeypatch.setattr(transforms, "phase_decompose", no_decomposition)
+        ctx = TransformContext(path_graph(4), path_graph(5))
+        orders = (np.full(len(lam), 0.5), np.linspace(0.4, 0.6, len(lam)))
+        with pytest.raises(ConfigError, match="one column operator"):
+            ctx.plan("gcgfrft", orders, lam=np.array(lam))
+        for end in (0.0, 1.0):
+            plan = ctx.plan("gcgfrft", orders, lam=np.full(len(lam), end))
+            assert not plan.col_op.dense
+        assert not ctx._coupling_cache
+
 
 class TestRealSignals:
     """A real signal is stored float64 and meets real GEMMs, or half-width
@@ -303,11 +321,14 @@ class TestRealSignals:
         return TransformContext(knn_graph(random_planar_points(12, seed=3), 3), path_graph(9))
 
     def plans(self, ctx, family):
-        """A scalar plan, a batched plan, and for gcgfrft a batched plan whose
-        coupling rows come from two cached builds, so its factors are stacked."""
+        """A scalar plan, two batched plans (a batch has one column operator,
+        so the lane at lam 1.0 is planned alone), and for gcgfrft a batched
+        plan whose coupling rows come from two cached builds, so its factors
+        are stacked."""
         one = ctx.plan(family, (0.6,) if family == "gfrft2d" else (0.6, 0.3), lam=0.4)
         orders = (self.ALPHA,) if family == "gfrft2d" else (self.ALPHA, self.BETA)
-        plans = [one, ctx.plan(family, orders, lam=self.LAM)]
+        plans = [one] + [ctx.plan(family, tuple(o[lanes] for o in orders), lam=self.LAM[lanes])
+                         for lanes in (slice(0, 4), slice(4, 5))]
         if family == "gcgfrft":
             ctx.coupling(0.8)
             plans.append(ctx.plan(family, (self.ALPHA[:3], np.array([0.8, 0.3, 0.45])),
@@ -508,6 +529,18 @@ class TestDenseGeodesic:
         assert 0.45 not in ctx._coupling_cache and ctx._coupling_cache[0.55][0] is batch
         assert matrix() is None and row not in batch._operators
         assert ctx.plan("gcgfrft", (0.3, 0.55), lam=0.4).col_op is kept
+
+    def test_requests_that_hit_evict_nothing(self, monkeypatch):
+        # scoring trained lanes one at a time must not evict the orders of
+        # the lanes still to come
+        ctx = TransformContext(path_graph(6), path_graph(8))
+        orders = np.linspace(0.1, 0.9, transforms.COUPLING_CACHE_SIZE + 4)
+        ctx.coupling(orders)
+        monkeypatch.setattr(transforms, "phase_decompose",
+                            lambda *a, **k: pytest.fail("decomposed again"))
+        for beta in orders:
+            ctx.coupling(beta)
+        assert len(ctx._coupling_cache) == len(orders)
 
 
 class TestTimeVertexSignal:

@@ -528,6 +528,18 @@ class TestLambdaGridSearch:
         for row in table[1:]:
             assert row.loss == pytest.approx(loss(y, x, row.params, ctx), rel=1e-12, abs=0)
 
+    @pytest.mark.parametrize("n1, n2, config", [(30, 10, TrainConfig(epochs=20)),
+                                                 (64, 128, TrainConfig.adam(epochs=5))])
+    def test_table_losses_are_loss_exactly(self, n1, n2, config):
+        # training and loss() evaluate the risk through one function, and a
+        # lane of a batched plan takes its scalar plan's arithmetic, so every
+        # table loss is loss() at its row's parameters to the last bit
+        ctx = TransformContext(knn_graph(random_planar_points(n1, seed=7), 4), path_graph(n2))
+        x = synth_signal(ctx.spatial, n2, bandwidth=0.3, seed=3)
+        y = add_awgn(x, 0.9, seed=4)
+        _, _, table = lambda_grid_search(y, x, [0.0, 0.3, 0.5, 1.0], config, ctx)
+        assert [row.loss == loss(y, x, row.params, ctx) for row in table] == [True] * 4
+
     @pytest.mark.parametrize("family", ["gbfrft2d", "gfrft2d"])
     def test_final_losses_of_other_families(self, instance, family):
         ctx, x, y = instance
