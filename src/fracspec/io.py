@@ -114,10 +114,11 @@ def read_points_csv(path: str) -> np.ndarray:
 
 
 def _matrix_to_csv(m: np.ndarray, path: str) -> None:
+    """The bytes of ``csv.writer`` rows of ``_fmt`` fields, one ``%`` format
+    of ``%.17g`` fields per row: the same digits, and "inf" for infinities."""
+    line = ",".join(["%.17g"] * m.shape[-1]) + "\r\n"
     with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        for row in m:
-            w.writerow([_fmt(v) for v in row])
+        fh.writelines(line % tuple(row.tolist()) for row in m)
 
 
 def _matrix_from_csv(path: str) -> np.ndarray:

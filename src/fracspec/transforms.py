@@ -360,7 +360,8 @@ class TransformContext:
     temporal (column) factor: how it is built, cached per temporal order
     (``_couplings``), refused at the branch cut and differentiated.
     ``margin_tol`` (radians, in [0, pi]) is the least distance of a coupling
-    eigenphase from that cut.
+    eigenphase from that cut. It also keeps one observation's spectrum at
+    one scalar plan point (``_observation_spectrum``).
     """
 
     def __init__(self, spatial, temporal, margin_tol: float = DEFAULT_MARGIN_TOL):
@@ -368,6 +369,7 @@ class TransformContext:
         self.spatial = _as_basis(spatial)
         self.temporal = _as_basis(temporal)
         self._coupling_cache: dict[float, tuple | MarginViolationError] = {}
+        self._observation = None
 
     @property
     def shape(self):
@@ -378,6 +380,25 @@ class TransformContext:
         spatial order, and real for real signals."""
         yx = np.concatenate([y.data, x.data], axis=-1)
         return _lmul(self.spatial.fourier_phase_decomposition.q.T, yx)
+
+    def _observation_spectrum(self, plan: TransformPlan, y: TimeVertexSignal) -> np.ndarray:
+        """``plan.apply(y.data)``, read-only, through the context's one entry:
+        the spectrum of the last observation at the last scalar plan point,
+        so a filter fitted on ``y`` and applied to it at one plan transforms
+        ``y`` once. The entry hits on an equal point (orders and ``lam``
+        after the family's constraint), dtype and shape, and values equal to
+        its private copy of the observation: not on identity, since the
+        array a signal owns can be made writable and changed in place. A
+        batched plan bypasses it."""
+        point = (plan.orders[0], plan.orders[-1], plan.lam)
+        if any(np.ndim(p) for p in point):
+            return plan.apply(y.data)
+        key, entry = (np.array(point).tobytes(), y.data.dtype, y.shape), self._observation
+        if entry is None or entry[0] != key or not np.array_equal(entry[1], y.data):
+            yhat = plan.apply(y.data)
+            yhat.setflags(write=False)
+            self._observation = entry = (key, y.data.copy(), yhat)
+        return entry[2]
 
     @cached_property
     def _temporal_graph_generator(self) -> np.ndarray:

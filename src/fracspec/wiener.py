@@ -147,7 +147,7 @@ def denoise_complex(y: TimeVertexSignal, params: FilterParams, ctx: TransformCon
                     family: str = "gcgfrft") -> TimeVertexSignal:
     """Filtered estimate without the final real projection."""
     plan = _checked_plan(ctx, family, params, y)
-    return TimeVertexSignal(plan.apply_inverse(params.h * plan.apply(y.data)),
+    return TimeVertexSignal(plan.apply_inverse(params.h * ctx._observation_spectrum(plan, y)),
                             real_flag=y.real_flag)
 
 
@@ -158,7 +158,8 @@ def denoise(y: TimeVertexSignal, params: FilterParams, ctx: TransformContext,
     through ``TransformPlan.apply_inverse`` with ``real``, which takes the
     real part before the real outer factors."""
     plan = _checked_plan(ctx, family, params, y)
-    return TimeVertexSignal(plan.apply_inverse(params.h * plan.apply(y.data), real=y.real_flag),
+    yhat = ctx._observation_spectrum(plan, y)
+    return TimeVertexSignal(plan.apply_inverse(params.h * yhat, real=y.real_flag),
                             real_flag=y.real_flag)
 
 
@@ -215,10 +216,12 @@ def closed_form_h(y: TimeVertexSignal, x_true: TimeVertexSignal, params: FilterP
     """Exact minimizer of the convex per-bin filter subproblem.
 
     ``h_ij = Re(Xhat_ij conj(Yhat_ij)) / |Yhat_ij|^2`` on live bins; bins with
-    negligible observed energy get the minimum-norm choice 0.
+    negligible observed energy get the minimum-norm choice 0. ``Yhat`` is the
+    context's observation entry (``TransformContext._observation_spectrum``),
+    so ``denoise`` of the same ``y`` at the same plan reuses it.
     """
     plan = _checked_plan(ctx, family, params, y, x_true)
-    yhat, xhat = plan.apply(y.data), plan.apply(x_true.data)
+    yhat, xhat = ctx._observation_spectrum(plan, y), plan.apply(x_true.data)
     power = yhat.real**2 + yhat.imag**2
     floor = DEAD_BIN_REL_TOL * power.sum() / power.size
     live = power >= max(floor, np.finfo(np.float64).tiny)

@@ -277,6 +277,29 @@ class TestBatchedCells:
         run_benchmark(dataclasses.replace(cfg, lambda_grid=(0.0, 1.0)))
         assert matrices == []
 
+    def test_closed_form_baseline_transforms_each_observation_once(self, monkeypatch):
+        # closed_form_h and denoise share Y's spectrum at gbfrft2d (1, 1):
+        # per cell the plan transforms Y once and X once
+        apply, seen = transforms.TransformPlan.apply, []
+
+        def counting_apply(plan, x):
+            if plan.family == "gbfrft2d" and plan.orders == (1.0, 1.0):
+                seen.append(np.array(x))
+            return apply(plan, x)
+
+        monkeypatch.setattr(transforms.TransformPlan, "apply", counting_apply)
+        cfg = tiny_config(sigma_list=(0.5, 0.8))
+        run_benchmark(cfg)
+        ctx = TransformContext(cfg.spatial.build(), cfg.temporal.build())
+        for sigma_idx, sigma in enumerate(cfg.sigma_list):
+            for seed in cfg.seeds:
+                x = synth_signal(ctx.spatial, ctx.temporal.n, bandwidth=cfg.bandwidth, seed=seed)
+                y = add_awgn(x, sigma, seed=harness._noise_seed(seed, sigma_idx))
+                assert sum(np.array_equal(a, y.data) for a in seen) == 1
+                # the cells of one seed share X
+                assert sum(np.array_equal(a, x.data) for a in seen) == len(cfg.sigma_list)
+        assert len(seen) == 2 * len(cfg.sigma_list) * len(cfg.seeds)
+
     def test_every_refused_coupling_gives_margin_rows(self, monkeypatch):
         # a margin tolerance of pi refuses every coupling at epoch 0; the
         # endpoint lanes of gcgfrft never build one, so they train

@@ -1,4 +1,5 @@
 import contextlib
+import csv
 import dataclasses
 import io
 import json
@@ -494,6 +495,20 @@ class TestSignalFiles:
         back, meta = fio.read_signal(path)
         assert meta["complex"] is True
         assert np.array_equal(back, data)
+
+
+    def test_matrix_bytes_are_the_csv_writer_bytes(self, tmp_path, rng):
+        # one %-format per row gives the bytes of csv.writer rows of _fmt fields
+        m = rng.standard_normal((5, 7)) * 10.0 ** rng.integers(-300, 300, size=(5, 7))
+        m[0, :5] = -0.0, 1e-300, 5e-324, 1.7976931348623157e308, np.inf
+        m[1, :3] = -np.inf, 0.1, 123456789012345678.0
+        want = io.StringIO(newline="")
+        writer = csv.writer(want)
+        for row in m:
+            writer.writerow([fio._fmt(v) for v in row])
+        path = tmp_path / "m.csv"
+        fio._matrix_to_csv(m, str(path))
+        assert path.read_bytes() == want.getvalue().encode()
 
 
 class TestOperatorFiles:

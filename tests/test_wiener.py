@@ -254,6 +254,85 @@ class TestClosedFormH:
         assert best <= loss(y, x, gd_params, ctx) + 1e-9
 
 
+class TestObservationEntry:
+    """``closed_form_h``, ``denoise`` and ``denoise_complex`` get ``Yhat``
+    through the context's one observation entry: fitting a filter on ``Y``
+    and applying it at one plan transforms ``Y`` once, and any other point,
+    dtype or values miss it and give what a fresh context gives."""
+
+    CASES = [("gfrft2d", 0.0), ("gbfrft2d", 0.0), ("jfrft", 1.0), ("gcgfrft", 0.3)]
+
+    @pytest.fixture
+    def applies(self, monkeypatch):
+        """A copy of every array that ``TransformPlan.apply`` is given."""
+        apply, seen = transforms.TransformPlan.apply, []
+
+        def counting_apply(plan, x):
+            seen.append(np.array(x))
+            return apply(plan, x)
+
+        monkeypatch.setattr(transforms.TransformPlan, "apply", counting_apply)
+        return seen
+
+    @staticmethod
+    def fresh(ctx):
+        return TransformContext(ctx.spatial, ctx.temporal)
+
+    @staticmethod
+    def fitted(y, x, params, ctx, family):
+        h = closed_form_h(y, x, params, ctx, family=family)
+        return FilterParams(params.alpha, params.beta, h, params.lam)
+
+    @pytest.mark.parametrize("family, lam", CASES)
+    def test_fit_then_denoise_transforms_y_once(self, instance, applies, family, lam):
+        small, x, y = instance
+        ctx = self.fresh(small)
+        params = self.fitted(y, x, unit_params(y.shape, lam=lam), ctx, family)
+        est = denoise(y, params, ctx, family=family)
+        est_c = denoise_complex(y, params, ctx, family=family)
+        assert sum(np.array_equal(a, y.data) for a in applies) == 1
+        assert sum(np.array_equal(a, x.data) for a in applies) == 1
+        want = self.fitted(y, x, unit_params(y.shape, lam=lam), self.fresh(small), family)
+        assert np.array_equal(params.h, want.h)
+        assert np.array_equal(est.data, denoise(y, want, self.fresh(small), family=family).data)
+        assert np.array_equal(est_c.data,
+                              denoise_complex(y, want, self.fresh(small), family=family).data)
+        assert not ctx._observation[2].flags.writeable
+
+    @staticmethod
+    def writable(y):
+        """A signal whose owned array is made writable again."""
+        sig = TimeVertexSignal(y.data)
+        sig.data.setflags(write=True)
+        return sig
+
+    @pytest.mark.parametrize("case", ["point", "lam", "complex", "in_place"])
+    def test_miss_equals_a_fresh_context(self, instance, applies, case):
+        small, x, y = instance
+        ctx = self.fresh(small)
+        y_fit = self.writable(y) if case == "in_place" else y
+        params = self.fitted(y_fit, x, unit_params(y.shape, lam=0.3), ctx, "gcgfrft")
+        y_est = y_fit
+        if case == "point":
+            params.beta = 0.7
+        elif case == "lam":
+            params.lam = 0.6
+        elif case == "complex":
+            y_est = TimeVertexSignal(y.data.astype(np.complex128), real_flag=y.real_flag)
+        else:
+            y_fit.data[2, 1] += 0.25
+        est = denoise(y_est, params, ctx)
+        assert len(applies) == 3
+        assert np.array_equal(est.data, denoise(y_est, params, self.fresh(small)).data)
+
+    def test_batched_plans_bypass_the_entry(self, instance):
+        small, _, y = instance
+        ctx = self.fresh(small)
+        plan = ctx.plan("gbfrft2d", (np.array([0.3, 0.6]), 0.5))
+        yhat = ctx._observation_spectrum(plan, y)
+        assert yhat.shape == (2, *y.shape) and ctx._observation is None
+
+
 class TestTrain:
     def test_zero_rates_leave_params_unchanged(self, instance):
         ctx, x, y = instance

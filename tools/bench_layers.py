@@ -40,7 +40,10 @@ Times, in wall-clock milliseconds:
   coupling value other than the one last asked for at that temporal order
   (the matrix is built) and again at the same one (it is shared); and one
   ``closed_form_h`` then ``denoise`` of each of the three families there:
-  one ``order_sweep`` operation at one grid point.
+  one ``order_sweep`` operation at one grid point. The calls take two noisy
+  draws in turn, so, as in ``order_sweep``, each ``closed_form_h`` meets an
+  observation that the context's observation entry does not hold, and the
+  ``denoise`` after it meets the one it does.
 - ``run_benchmark`` on one graph of the desk-scale acceptance sweep:
   knn_random(30, k=4, seed=7) x path(10), gcgfrft only, 3 noise levels x 5
   seeds x 11 coupling values, 200 GD epochs. It runs once per round in a
@@ -260,10 +263,13 @@ def layer_rows():
         lambda: ctx.plan("gcgfrft", (0.5, 0.5), lam=0.5).col_op.matrix, reps)
     yield {"row": f"apply {n1}x{n2} real", "reps": reps, "layers": layers}
     params = fs.FilterParams(alpha=0.5, beta=0.5, h=np.ones(x.shape), lam=0.5)
+    # two noisy draws in turn, so that each fit meets a new observation
+    draws = itertools.cycle((y, fs.add_awgn(x, 0.9, seed=3)))
 
     def wiener(family):
-        params.h = fs.closed_form_h(y, x, params, ctx, family=family)
-        fs.denoise(y, params, ctx, family=family)
+        obs = next(draws)
+        params.h = fs.closed_form_h(obs, x, params, ctx, family=family)
+        fs.denoise(obs, params, ctx, family=family)
 
     yield {"row": f"wiener {n1}x{n2}", "reps": reps, "layers": {
         f"closed_form_h_denoise_{family}": timed(lambda: wiener(family), reps)
