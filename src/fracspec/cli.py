@@ -24,7 +24,8 @@ from .errors import ConfigError, FracspecError, MarginViolationError, read_confi
 from .harness import (BENCHMARK, GRAPH_SPEC, BenchmarkConfig, GraphSpec, add_awgn, run_benchmark,
                       synth_signal)
 from .operators import dfrft_matrix, eigendecompose, graph_frft
-from .transforms import CONSTRAINTS, FAMILIES, TimeVertexSignal, TransformContext, forward, inverse
+from .transforms import (CONSTRAINTS, FAMILIES, TimeVertexSignal, TransformContext, _check_shapes,
+                         forward, inverse)
 from .wiener import lambda_grid_search, denoise, train
 from .properties import verify_properties
 
@@ -75,10 +76,7 @@ def _context_and_signals(cfg: dict, *paths) -> tuple:
         raise ConfigError(f"'lambda' applies to the gcgfrft family only, not to {cfg['family']!r}")
     sigs = [TimeVertexSignal.from_array(fio.read_signal(path)[0]) for path in paths]
     g1, g2 = cfg["spatial"].build(), cfg["temporal"].build()
-    if any(sig.shape != sigs[0].shape for sig in sigs):
-        raise ValueError(f"shape mismatch: {sigs[0].shape} vs {sigs[-1].shape}")
-    if sigs[0].shape != (g1.n, g2.n):
-        raise ValueError(f"signal shape {sigs[0].shape} does not match plan {(g1.n, g2.n)}")
+    _check_shapes((g1.n, g2.n), *sigs)
     return TransformContext(g1, g2), *sigs
 
 

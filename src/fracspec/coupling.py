@@ -131,12 +131,12 @@ def phase_decompose(w: np.ndarray, margin_tol: float = DEFAULT_MARGIN_TOL) -> Co
 
 
 def _coupling_parameter(lam):
-    """Validate a coupling parameter, or an array of them: the geodesic is
-    defined on [0, 1]."""
-    try:
-        value = np.asarray(lam, dtype=np.float64)
-    except (TypeError, ValueError) as err:
-        raise ValueError(f"coupling parameter must be a number, got {lam!r}") from err
+    """Validate a coupling parameter, or a list or array of them: each a real
+    number, not a bool, in [0, 1], where the geodesic is defined."""
+    for v in (lam if isinstance(lam, np.ndarray) else np.array(lam, dtype=object)).flat:
+        if isinstance(v, (bool, np.bool_)) or not isinstance(v, numbers.Real):
+            raise ConfigError(f"coupling parameter must be a real number, got {v!r}")
+    value = np.asarray(lam, dtype=np.float64)
     if not np.all((value >= 0.0) & (value <= 1.0)):
         raise ValueError(f"coupling parameter must lie in [0, 1], got {lam}")
     return float(value) if value.ndim == 0 else value

@@ -6,6 +6,9 @@ import numbers
 import os
 import sys
 
+__all__ = ["FracspecError", "GraphError", "NotUnitaryError", "DecompositionError",
+           "MarginViolationError", "ConfigError"]
+
 
 class FracspecError(Exception):
     """Base class for all library-specific failures."""

@@ -27,6 +27,7 @@ from .wiener import (DEFAULT_LAMBDA_GRID, LAMBDA_GRID, TRAIN, FilterParams, Trai
                      _grid_failure, _train_lanes, closed_form_h, denoise)
 
 __all__ = [
+    "GraphSpec",
     "Metrics",
     "BenchmarkConfig",
     "MetricRow",

@@ -228,17 +228,10 @@ def write_benchmark_report(report, out_dir: str, estimates: dict | None = None) 
             return "inf" if v > 0 else "-inf"
         return v
 
+    config = asdict(report.config)
+    del config["output_dir"], config["persist_estimates"]
     summary = {
-        "config": {
-            "spatial": asdict(report.config.spatial),
-            "temporal": asdict(report.config.temporal),
-            "sigma_list": list(report.config.sigma_list),
-            "lambda_grid": list(report.config.lambda_grid),
-            "families": list(report.config.families),
-            "train": asdict(report.config.train),
-            "seeds": list(report.config.seeds),
-            "bandwidth": report.config.bandwidth,
-        },
+        "config": config,
         "rows": [{k: jsonable(v) for k, v in _row_record(r).items()} for r in report.rows],
     }
     with open(os.path.join(out_dir, "summary.json"), "w") as fh:

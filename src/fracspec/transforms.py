@@ -276,17 +276,22 @@ class TransformPlan:
         return yx, yx[..., :n2], yx[..., n2:], out[..., 2 * n2:] if alpha_rates else None
 
 
+def _check_shapes(shape: tuple, *signals) -> None:
+    """Refuse a signal whose shape is not the plan's ``shape``."""
+    for sig in signals:
+        if sig.shape != shape:
+            raise ValueError(f"signal shape {sig.shape} does not match plan {shape}")
+
+
 def forward(plan: TransformPlan, x: TimeVertexSignal) -> TimeVertexSignal:
     """Spectral representation ``Xhat = F_row X F_col^T``."""
-    if x.shape != plan.shape:
-        raise ValueError(f"signal shape {x.shape} does not match plan {plan.shape}")
+    _check_shapes(plan.shape, x)
     return TimeVertexSignal(plan.apply(x.data), real_flag=x.real_flag)
 
 
 def inverse(plan: TransformPlan, xhat: TimeVertexSignal) -> TimeVertexSignal:
     """Inverse transform ``X = F_row^H Xhat F_col^*`` (unitary closed form)."""
-    if xhat.shape != plan.shape:
-        raise ValueError(f"signal shape {xhat.shape} does not match plan {plan.shape}")
+    _check_shapes(plan.shape, xhat)
     return TimeVertexSignal(plan.apply_inverse(xhat.data), real_flag=xhat.real_flag)
 
 

@@ -18,15 +18,14 @@ standard 0.1 learning rate is stable on unit-mean-power signals.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .coupling import _coupling_parameter
 from .errors import ConfigError, MarginViolationError, dataclass_table, read_config
-from .transforms import (TimeVertexSignal, TransformContext, TransformPlan, _column_groups,
-                         constraint)
+from .transforms import (TimeVertexSignal, TransformContext, TransformPlan, _check_shapes,
+                         _column_groups, constraint)
 
 __all__ = [
     "FilterParams",
@@ -71,8 +70,8 @@ class FilterParams:
             raise ValueError(f"fractional orders must be finite, got ({self.alpha}, {self.beta})")
         if not np.all(np.isfinite(self.h)):
             raise ValueError("filter coefficients must be finite")
-        if not 0.0 <= self.lam <= 1.0:
-            raise ValueError(f"coupling parameter must lie in [0, 1], got {self.lam}")
+        if not isinstance(_coupling_parameter(self.lam), float):
+            raise ConfigError(f"coupling parameter must be a real number, got {self.lam!r}")
 
 
 @dataclass(frozen=True)
@@ -137,9 +136,7 @@ def _checked_plan(ctx: TransformContext, family: str, params: FilterParams,
     leaves the coupling parameter free reads ``lam``."""
     plan = ctx.plan(family, (params.alpha,) if constraint(family).tie else
                     (params.alpha, params.beta), lam=params.lam)
-    for sig in signals:
-        if sig.shape != plan.shape:
-            raise ValueError(f"signal shape {sig.shape} does not match plan {plan.shape}")
+    _check_shapes(plan.shape, *signals)
     return plan
 
 
@@ -189,9 +186,7 @@ def _risk(ctx: TransformContext, plan: TransformPlan, coords: np.ndarray, h: np.
 def _point_risk(y: TimeVertexSignal, x_true: TimeVertexSignal, params: FilterParams,
                 ctx: TransformContext, family: str, orders: bool = False):
     """``_risk`` at one parameter point, its signals checked."""
-    if y.shape != x_true.shape:
-        raise ValueError(f"shape mismatch: {y.shape} vs {x_true.shape}")
-    plan = _checked_plan(ctx, family, params, y)
+    plan = _checked_plan(ctx, family, params, y, x_true)
     return _risk(ctx, plan, ctx._stacked_coordinates(y, x_true), params.h,
                  constraint(family).tie if orders else None)
 
@@ -303,18 +298,13 @@ def _train_lanes(pairs: list, lams: list, config: TrainConfig, ctx: TransformCon
     raises ``ValueError``.
     """
     rules = [constraint(f) for f in ([family] * len(lams) if isinstance(family, str) else family)]
-    for y, x_true in pairs:
-        if y.shape != x_true.shape:
-            raise ValueError(f"shape mismatch: {y.shape} vs {x_true.shape}")
-        if y.shape != ctx.shape:
-            raise ValueError(f"signal shape {y.shape} does not match plan {ctx.shape}")
+    _check_shapes(ctx.shape, *(sig for pair in pairs for sig in pair))
     if any(rule.lam is None and lam is None for rule, lam in zip(rules, lams)):
         raise ConfigError("a family that leaves lam free needs a coupling value to train at")
-    if not all(isinstance(lam, numbers.Real) for lam in lams if lam is not None):
-        raise ConfigError(f"coupling parameters must be numbers, got {lams}")
+    _coupling_parameter([lam for lam in lams if lam is not None])
 
-    point_lam = _coupling_parameter(np.array([lam if rule.lam is None else rule.lam
-                                              for rule, lam in zip(rules, lams)], dtype=np.float64))
+    point_lam = np.array([lam if rule.lam is None else rule.lam for rule, lam in zip(rules, lams)],
+                         dtype=np.float64)
     ties = np.array([rule.tie for rule in rules])
     all_coords = np.stack([ctx._stacked_coordinates(y, x_true) for y, x_true in pairs])
     # (loss, alpha, beta) per epoch and lane, and the epochs each lane recorded

@@ -16,8 +16,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fracspec import (
+    BenchmarkConfig,
     FilterParams,
     GraphSpec,
+    MetricReport,
     TimeVertexSignal,
     TrainConfig,
     TrainStep,
@@ -534,6 +536,23 @@ class TestParamsAndTraces:
         assert np.array_equal(back.h, params.h)
         payload = json.loads(open(path).read())
         assert payload["h"] == [float(v) for v in params.h.ravel(order="C")]
+
+    def test_summary_config_holds_the_run_fields(self, tmp_path):
+        # summary.json records what the run computed, not where it was written
+        cfg = BenchmarkConfig(
+            spatial=GraphSpec(kind="knn", k=2, points=((0.0, 0.0), (1.0, 0.5), (0.2, 1.0))),
+            temporal=GraphSpec(kind="path", n=4), sigma_list=(0.5,), lambda_grid=(0.0, 1.0),
+            families=("gbfrft2d",), train=TrainConfig.adam(epochs=3), seeds=(2,), bandwidth=0.5,
+            output_dir=str(tmp_path), persist_estimates=True)
+        fio.write_benchmark_report(MetricReport(rows=[], config=cfg), str(tmp_path))
+        assert json.loads((tmp_path / "summary.json").read_text())["config"] == {
+            "spatial": {"kind": "knn", "n": None, "k": 2, "seed": 0, "file": None,
+                        "points": [[0.0, 0.0], [1.0, 0.5], [0.2, 1.0]]},
+            "temporal": {"kind": "path", "n": 4, "k": None, "seed": 0, "file": None,
+                         "points": None},
+            "sigma_list": [0.5], "lambda_grid": [0.0, 1.0], "families": ["gbfrft2d"],
+            "train": {"lr_orders": 0.02, "lr_filter": 0.02, "epochs": 3, "optimizer": "adam"},
+            "seeds": [2], "bandwidth": 0.5}
 
     def test_trace_csv(self, tmp_path):
         trace = [TrainStep(0, 1.5, 0.5, 0.5), TrainStep(1, 1.2, 0.49, 0.51)]

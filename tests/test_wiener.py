@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -663,6 +665,73 @@ class TestLambdaGridSearch:
         cfg = TrainConfig(lr_orders=1e300, lr_filter=1e300, epochs=20)
         with np.errstate(all="ignore"), pytest.raises(ValueError, match="diverged at epoch"):
             lambda_grid_search(y, x, [0.0, 0.5, 1.0], cfg, ctx)
+
+
+class TestCouplingValue:
+    """``coupling._coupling_parameter`` is the one check of a coupling value:
+    a bool, None or a value that is not a real number is a ``ConfigError``
+    that names it, wherever the value enters, and one outside [0, 1] keeps
+    its range message."""
+
+    @staticmethod
+    def refused(value):
+        return pytest.raises(ConfigError, match=re.escape(
+            f"coupling parameter must be a real number, got {value!r}"))
+
+    @pytest.mark.parametrize("lam", [True, np.True_], ids=["bool", "numpy_bool"])
+    def test_train_refuses_a_bool(self, instance, lam):
+        # taken as a number, a bool would train at lam 1 and be written as
+        # "lambda": true
+        ctx, x, y = instance
+        with self.refused(lam):
+            train(y, x, lam, TrainConfig(epochs=1), ctx)
+
+    @pytest.mark.parametrize("lam", ["0.5", True], ids=["str", "bool"])
+    def test_plan_refuses_a_value_that_is_not_a_number(self, instance, lam):
+        with self.refused(lam):
+            instance[0].plan("gcgfrft", (0.5, 0.5), lam=lam)
+
+    def test_train_names_a_string_value(self, instance):
+        ctx, x, y = instance
+        with self.refused("0.5"):
+            train(y, x, "0.5", TrainConfig(epochs=1), ctx)
+
+    @pytest.mark.parametrize("lam", [None, "0.5", 0.5j, np.array([0.2, 0.3])],
+                             ids=["none", "str", "complex", "array"])
+    def test_filter_params_refuse(self, lam):
+        with self.refused(lam):
+            FilterParams(0.5, 0.5, np.ones((2, 3)), lam=lam)
+
+    def test_grid_search_and_lanes_refuse_a_bool_entry(self, instance):
+        ctx, x, y = instance
+        with pytest.raises(ConfigError, match="got True"):
+            lambda_grid_search(y, x, [True, 0.5], TrainConfig(epochs=1), ctx)
+        with self.refused(True):
+            _train_lanes([(y, x)] * 2, [0.5, True], TrainConfig(epochs=1), ctx, "gcgfrft")
+
+    @pytest.mark.parametrize("lam", [-0.1, 1.5, np.nan])
+    def test_range_message_is_kept(self, instance, lam):
+        ctx, x, y = instance
+        for call in (lambda: FilterParams(0.5, 0.5, np.ones(x.shape), lam=lam),
+                     lambda: ctx.plan("gcgfrft", (0.5, 0.5), lam=lam),
+                     lambda: train(y, x, lam, TrainConfig(epochs=1), ctx)):
+            with pytest.raises(ValueError, match=r"coupling parameter must lie in \[0, 1\]"):
+                call()
+
+
+class TestSignalShapes:
+    """Every entry point refuses a signal whose shape is not the plan's with
+    one message (``transforms._check_shapes``)."""
+
+    @pytest.mark.parametrize("call", [
+        loss, grad_h, grad_orders, closed_form_h,
+        lambda y, x, params, ctx: train(y, x, params.lam, TrainConfig(epochs=1), ctx)],
+        ids=["loss", "grad_h", "grad_orders", "closed_form_h", "train"])
+    def test_a_short_reference_names_both_shapes(self, instance, call):
+        ctx, x, y = instance
+        with pytest.raises(ValueError, match=re.escape("signal shape (8, 4) does not match plan "
+                                                       "(8, 5)")):
+            call(y, TimeVertexSignal(x.data[:, :4]), unit_params(y.shape), ctx)
 
 
 class TestMarginFailurePropagation:
