@@ -16,14 +16,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, MarginViolationError, NotUnitaryError
-from .operators import (
-    INPUT_UNITARITY_TOL,
-    FractionalOperator,
-    _freeze,
-    _unitary_eigendecomposition,
-    unitarity_error,
-)
+from .errors import ConfigError, MarginViolationError
+from .operators import FractionalOperator, _check_unitary, _freeze, _unitary_eigendecomposition
 
 __all__ = [
     "CouplingDecomposition",
@@ -72,13 +66,9 @@ def coupling_operator(f_graph, f_dfrft) -> np.ndarray:
     b = _as_matrix(f_dfrft)
     if a.shape != b.shape:
         raise ValueError(f"size mismatch: {a.shape} vs {b.shape}")
-    n = a.shape[-1]
     for name, op, m in (("graph basis", f_graph, a), ("dfrft basis", f_dfrft, b)):
-        if isinstance(op, FractionalOperator):
-            continue
-        err = unitarity_error(m)
-        if not err <= INPUT_UNITARITY_TOL * n:  # also rejects a non-finite matrix
-            raise NotUnitaryError(f"{name} is not unitary: ||U^H U - I|| = {err:.3e}")
+        if not isinstance(op, FractionalOperator):
+            _check_unitary(m, name)
     return _freeze(a.conj().swapaxes(-1, -2) @ b)
 
 
@@ -108,10 +98,7 @@ def phase_decompose(w: np.ndarray, margin_tol: float = DEFAULT_MARGIN_TOL) -> Co
     """
     margin_tol = _margin_tolerance(margin_tol)
     w = np.asarray(w, dtype=np.complex128)
-    n = w.shape[-1]
-    err = np.max(unitarity_error(w))
-    if not err <= INPUT_UNITARITY_TOL * n:  # also rejects a non-finite matrix
-        raise NotUnitaryError(f"coupling operator is not unitary: ||W^H W - I|| = {err:.3e}")
+    _check_unitary(w, "coupling operator")
     theta, s = _unitary_eigendecomposition(w, gap_cut=False)
     distance = np.abs(theta)
     margin = np.pi - np.max(distance, axis=-1)

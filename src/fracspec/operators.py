@@ -59,6 +59,16 @@ def unitarity_error(m: np.ndarray):
     return float(err) if m.ndim == 2 else err
 
 
+def _check_unitary(m: np.ndarray, what: str) -> None:
+    """Raise ``NotUnitaryError`` unless ``m``, a matrix or a (B, n, n) stack
+    given to a public function, is unitary to ``INPUT_UNITARITY_TOL`` per
+    dimension; a non-finite matrix fails too."""
+    tol = INPUT_UNITARITY_TOL * m.shape[-1]
+    err = np.max(unitarity_error(m))
+    if not err <= tol:  # also rejects a non-finite matrix
+        raise NotUnitaryError(f"{what} is not unitary: ||U^H U - I|| = {err:.3e} > {tol:.3e}")
+
+
 @dataclass(frozen=True)
 class SpectralBasis:
     """Orthonormal eigendecomposition of a symmetric adjacency matrix.
@@ -692,12 +702,7 @@ def unitary_fractional_power(u, order: float) -> FractionalOperator:
     mat = u.matrix if isinstance(u, FractionalOperator) else np.asarray(u, dtype=np.complex128)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise NotUnitaryError(f"expected a square matrix, got shape {mat.shape}")
-    n = mat.shape[0]
-    err = unitarity_error(mat)
-    if not err <= INPUT_UNITARITY_TOL * n:  # also rejects a non-finite matrix
-        raise NotUnitaryError(
-            f"input is not unitary: ||U^H U - I|| = {err:.3e} > {INPUT_UNITARITY_TOL * n:.3e}"
-        )
+    _check_unitary(mat, "input")
     theta, p = _unitary_eigendecomposition(mat)
     return FractionalOperator(order, theta, p, p.conj().T)
 

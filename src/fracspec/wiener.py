@@ -161,7 +161,7 @@ def denoise(y: TimeVertexSignal, params: FilterParams, ctx: TransformContext,
 
 
 def _risk(ctx: TransformContext, plan: TransformPlan, coords: np.ndarray, h: np.ndarray,
-          tie=None):
+          orders: bool = False):
     """The risk of the plan and filter ``h`` on ``coords = Q^T [Y | X]``
     (``TransformContext._stacked_coordinates``), batched like the plan:
     ``(risk, grad_h, grad_orders)``, one risk per lane.
@@ -170,16 +170,15 @@ def _risk(ctx: TransformContext, plan: TransformPlan, coords: np.ndarray, h: np.
     vertex-domain mean squared error of the complex estimate. Unitarity also
     collapses the inverse transform out of the quadratic, so the filter
     gradient is ``(2 / (n1 n2)) Re((h o Yhat - Xhat) o conj(Yhat))``. With
-    ``tie`` (a bool, or one per lane; see ``_order_gradient``) the order
-    gradient is formed too, from the spatial-order rates of the same
-    spectra; without, it is None.
+    ``orders`` the order gradient (``_order_gradient``) is formed too, from
+    the spatial-order rates of the same spectra; without, it is None.
     """
-    spectra = plan._factored_spectra(coords, alpha_rates=tie is not None)
+    spectra = plan._factored_spectra(coords, alpha_rates=orders)
     yhat, xhat = spectra[1], spectra[2]
     resid = h * yhat - xhat
     risk = np.mean(resid.real**2 + resid.imag**2, axis=(-2, -1))
     g_h = (2.0 / (plan.shape[0] * plan.shape[1])) * (resid * yhat.conj()).real
-    g_v = None if tie is None else _order_gradient(ctx, plan, h, spectra, resid, tie)
+    g_v = _order_gradient(ctx, plan, h, spectra, resid) if orders else None
     return risk, g_h, g_v
 
 
@@ -187,8 +186,7 @@ def _point_risk(y: TimeVertexSignal, x_true: TimeVertexSignal, params: FilterPar
                 ctx: TransformContext, family: str, orders: bool = False):
     """``_risk`` at one parameter point, its signals checked."""
     plan = _checked_plan(ctx, family, params, y, x_true)
-    return _risk(ctx, plan, ctx._stacked_coordinates(y, x_true), params.h,
-                 constraint(family).tie if orders else None)
+    return _risk(ctx, plan, ctx._stacked_coordinates(y, x_true), params.h, orders)
 
 
 def loss(y: TimeVertexSignal, x_true: TimeVertexSignal, params: FilterParams,
@@ -226,10 +224,10 @@ def closed_form_h(y: TimeVertexSignal, x_true: TimeVertexSignal, params: FilterP
 
 
 def _order_gradient(ctx: TransformContext, plan: TransformPlan, h: np.ndarray,
-                    spectra, resid: np.ndarray, tie) -> np.ndarray:
-    """Gradient of the risk with respect to the plan's fractional orders,
-    shape (..., 2). Where ``tie`` (a bool, or one per lane) holds, both
-    entries are the derivative along alpha = beta, the sum of the two.
+                    spectra, resid: np.ndarray) -> np.ndarray:
+    """Gradient of the risk with respect to the plan's two fractional
+    orders, shape (..., 2), whatever family the plan serves (``_tied``
+    projects it on a tie).
 
     Every factor moves along a unitary one-parameter family, so an order
     derivative is a generator times the spectra already computed. The alpha
@@ -250,10 +248,16 @@ def _order_gradient(ctx: TransformContext, plan: TransformPlan, h: np.ndarray,
     g_alpha = rate(spectra[3])
     d_t = ctx.temporal_generator(plan).swapaxes(-1, -2)
     g_beta = rate((yx.reshape(*yx.shape[:-2], 2 * n1, n2) @ d_t).reshape(yx.shape))
-    g = np.stack([g_alpha, g_beta], axis=-1)
+    return np.stack([g_alpha, g_beta], axis=-1)
+
+
+def _tied(g: np.ndarray, tie) -> np.ndarray:
+    """The order rates ``g`` (..., 2) projected on the family's tie: where
+    ``tie`` (a bool, or one per lane) holds, both are the rate along
+    alpha = beta, the sum of the two."""
     if not np.any(tie):
         return g
-    return np.where(np.asarray(tie)[..., None], (g_alpha + g_beta)[..., None], g)
+    return np.where(np.asarray(tie)[..., None], g.sum(axis=-1, keepdims=True), g)
 
 
 def grad_orders(y: TimeVertexSignal, x_true: TimeVertexSignal, params: FilterParams,
@@ -261,12 +265,16 @@ def grad_orders(y: TimeVertexSignal, x_true: TimeVertexSignal, params: FilterPar
     """Analytic gradient of the risk with respect to the two fractional
     orders (``_risk``); for a tied family both are the derivative along the
     tie."""
-    g = _point_risk(y, x_true, params, ctx, family, orders=True)[2]
+    g = _tied(_point_risk(y, x_true, params, ctx, family, orders=True)[2], constraint(family).tie)
     return float(g[0]), float(g[1])
 
 
-def _adam_step(x, g, m, s, lr, t, b1=0.9, b2=0.999, eps=1e-8):
-    """One Adam update of ``x`` at step ``t``; returns ``(x, m, s)``."""
+def _step(x, g, m, s, lr, t, adam, b1=0.9, b2=0.999, eps=1e-8):
+    """One update of ``x`` by its gradient ``g`` at step ``t``; returns
+    ``(x, m, s)``. Gradient descent leaves the moments ``m``, ``s`` as they
+    are; Adam moves them and scales the step by their bias-corrected ratio."""
+    if not adam:
+        return x - lr * g, m, s
     m = b1 * m + (1 - b1) * g
     s = b2 * s + (1 - b2) * g**2
     return x - lr * (m / (1 - b1**t)) / (np.sqrt(s / (1 - b2**t)) + eps), m, s
@@ -279,23 +287,25 @@ def _train_lanes(pairs: list, lams: list, config: TrainConfig, ctx: TransformCon
     its arguments checked once, here.
 
     A lane's family constrains its point (``transforms.CONSTRAINTS``): a
-    fixed lam replaces the lane's, and a tied lane steps both orders by
-    their summed rate. Orders ``v`` (B, 2), filters ``h`` (B, n1, n2), the
-    Adam moments and each lane's ``Q^T [Y | X]`` (B, n1, 2 n2) share the
-    lane axis. The lanes split once by column operator
-    (``transforms._column_groups``); each epoch of a group is one array
-    pass over it, and only the group off the endpoints builds couplings, in
-    one batch of its new temporal orders. Each epoch's risk and gradients
+    fixed lam replaces the lane's, and a tied lane's two order rates are
+    projected on the tie (``_tied``) before they step. An epoch moves the
+    orders and the filter by one ``_step`` each, GD or Adam alike. Orders
+    ``v`` (B, 2), filters ``h`` (B, n1, n2), the Adam moments and each
+    lane's ``Q^T [Y | X]`` (B, n1, 2 n2) share the lane axis. The lanes
+    split once by column operator (``transforms._column_groups``); each
+    epoch of a group is one array pass over it, and only the group off the
+    endpoints builds couplings, in one batch of its new temporal orders. Each epoch's risk and gradients
     come from ``_risk``, as ``loss``, ``grad_h`` and ``grad_orders`` do.
     After the last update the risk is evaluated once more, at the final
     parameters, so a final risk is ``loss()`` there. Returns ``(params,
     trace, final)`` per lane, the trace (``TrainStep`` per epoch, kept in
-    preallocated (epochs, lanes) arrays) only with ``record``. A lane whose
-    coupling margin fails in training leaves the batch, with ``params``
+    preallocated (epochs, lanes) arrays) only with ``record``, and each
+    ``params`` records the lam its lane trained at. A lane whose coupling
+    margin fails in training leaves the batch, with ``params`` and ``trace``
     None and its error as ``final``; one whose final orders fail keeps its
-    parameters, with the error ``loss()`` would raise as ``final``;
-    otherwise ``final`` is the final risk. A non-finite risk in any lane
-    raises ``ValueError``.
+    parameters and trace, with the error ``loss()`` would raise as
+    ``final``; otherwise ``final`` is the final risk. A non-finite risk in
+    any lane raises ``ValueError``.
     """
     rules = [constraint(f) for f in ([family] * len(lams) if isinstance(family, str) else family)]
     _check_shapes(ctx.shape, *(sig for pair in pairs for sig in pair))
@@ -307,13 +317,12 @@ def _train_lanes(pairs: list, lams: list, config: TrainConfig, ctx: TransformCon
                          dtype=np.float64)
     ties = np.array([rule.tie for rule in rules])
     all_coords = np.stack([ctx._stacked_coordinates(y, x_true) for y, x_true in pairs])
-    # (loss, alpha, beta) per epoch and lane, and the epochs each lane recorded
+    adam = config.optimizer == "adam"
+    # (loss, alpha, beta) per epoch and lane
     steps = np.empty((3, config.epochs, len(lams))) if record else None
-    recorded = np.full(len(lams), config.epochs)
 
-    def lane_params(i, lane):
-        return FilterParams(alpha=float(v[i, 0]), beta=float(v[i, -1]), h=h[i],
-                            lam=lams[lane] if lams[lane] is not None else 0.0)
+    def lane_params(i):
+        return FilterParams(alpha=float(v[i, 0]), beta=float(v[i, -1]), h=h[i], lam=float(lam[i]))
 
     results: list = [None] * len(lams)
     for lanes in _column_groups(point_lam):
@@ -330,9 +339,8 @@ def _train_lanes(pairs: list, lams: list, config: TrainConfig, ctx: TransformCon
                 found = ctx._couplings(v[:, -1].tolist())
                 keep = np.array([not isinstance(d, MarginViolationError) for d in found])
                 for i in np.flatnonzero(~keep):
-                    recorded[lanes[i]] = epoch
                     if last:
-                        results[lanes[i]] = (lane_params(i, lanes[i]), found[i])
+                        results[lanes[i]] = (lane_params(i), found[i])
                     else:
                         results[lanes[i]] = (None, MarginViolationError(
                             f"coupling margin violated at epoch {epoch}, temporal order "
@@ -346,30 +354,24 @@ def _train_lanes(pairs: list, lams: list, config: TrainConfig, ctx: TransformCon
             # at epoch 0 the filter is all ones, where the risk ||Y - X||^2 does
             # not depend on the orders: their step is exactly zero, not rounding
             order_step = epoch > 0 and not last and config.lr_orders > 0
-            risk, g_h, g_v = _risk(ctx, plan, coords, h, tie if order_step else None)
+            risk, g_h, g_v = _risk(ctx, plan, coords, h, order_step)
             if not np.all(np.isfinite(risk)):
                 raise ValueError(f"training diverged at epoch {epoch}: the risk is "
                                  f"{risk[~np.isfinite(risk)][0]}")
             if last:
                 for i, (lane, r) in enumerate(zip(lanes.tolist(), risk.tolist())):
-                    results[lane] = (lane_params(i, lane), r)
+                    results[lane] = (lane_params(i), r)
                 break
             if record:
                 steps[:, epoch, lanes] = risk, v[:, 0], v[:, -1]
 
-            if config.optimizer == "gd":
-                if g_v is not None:
-                    v = v - config.lr_orders * g_v
-                if config.lr_filter > 0:
-                    h = h - config.lr_filter * g_h
-            else:
-                if g_v is not None:
-                    v, m_v, s_v = _adam_step(v, g_v, m_v, s_v, config.lr_orders, epoch + 1)
-                if config.lr_filter > 0:
-                    h, m_h, s_h = _adam_step(h, g_h, m_h, s_h, config.lr_filter, epoch + 1)
+            if order_step:
+                v, m_v, s_v = _step(v, _tied(g_v, tie), m_v, s_v, config.lr_orders, epoch + 1, adam)
+            if config.lr_filter > 0:
+                h, m_h, s_h = _step(h, g_h, m_h, s_h, config.lr_filter, epoch + 1, adam)
 
-    traces = [[TrainStep(epoch, *step) for epoch, step in enumerate(steps[:, :n, lane].T.tolist())]
-              for lane, n in enumerate(recorded)] if record else [None] * len(lams)
+    traces = ([TrainStep(epoch, *step) for epoch, step in enumerate(steps[:, :, lane].T.tolist())]
+              if record and params is not None else None for lane, (params, _) in enumerate(results))
     return [(params, trace, final) for (params, final), trace in zip(results, traces)]
 
 

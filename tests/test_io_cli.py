@@ -25,6 +25,7 @@ from fracspec import (
     TrainStep,
     TransformContext,
     add_awgn,
+    denoise,
     dfrft_matrix,
     eigendecompose,
     graph_frft,
@@ -895,6 +896,31 @@ class TestCli:
         want = str(tmp_path / "want.csv")
         fio.write_trace_csv(trace, want)
         assert (out / "trace.csv").read_bytes() == open(want, "rb").read()
+
+    @pytest.mark.parametrize("family", ["gfrft2d", "gbfrft2d", "jfrft", "gcgfrft"])
+    def test_params_json_reapplies_under_the_default_family(self, tmp_path, family):
+        # a trained filter records the lam it trained at, so its own plan
+        # point is the family's, whatever family re-applies it
+        spatial = {"kind": "knn_random", "n": 30, "k": 4, "seed": 7}
+        ctx = TransformContext(GraphSpec.from_dict(spatial).build(), path_graph(10))
+        x = synth_signal(ctx.spatial, 10, bandwidth=0.3, seed=3)
+        clean, noisy = str(tmp_path / "clean.csv"), str(tmp_path / "noisy.csv")
+        fio.write_signal(x.as_real(), clean)
+        fio.write_signal(add_awgn(x, 0.9, seed=4).as_real(), noisy)
+        cfg = {"spatial": spatial, "temporal": {"kind": "path", "n": 10}, "family": family,
+               "train": {"epochs": 20}}
+        cfg_path = str(tmp_path / "run.json")
+        with open(cfg_path, "w") as fh:
+            json.dump(cfg, fh)
+        out = tmp_path / "out"
+        assert main(["denoise", "--config", cfg_path, "--noisy", noisy, "--clean", clean,
+                     "--out", str(out)]) == 0
+
+        params = fio.read_params_json(str(out / "params.json"))
+        y = TimeVertexSignal.from_array(fio.read_signal(noisy)[0])
+        want = str(tmp_path / "want.csv")
+        fio.write_signal(denoise(y, params, ctx).data, want)
+        assert (out / "estimate.csv").read_bytes() == open(want, "rb").read()
 
     def test_verify_subcommand_exit_codes(self, capsys):
         assert main(["verify"]) == 0

@@ -365,6 +365,13 @@ class TestTrain:
         params, _ = train(y, x, lam, TrainConfig(epochs=5), ctx)
         assert params.lam == lam
 
+    @pytest.mark.parametrize("family, lam, want", [("gfrft2d", None, 0.0), ("gbfrft2d", 0.3, 0.0),
+                                                   ("jfrft", None, 1.0), ("gcgfrft", 0.3, 0.3)])
+    def test_params_record_the_lam_trained_at(self, instance, family, lam, want):
+        ctx, x, y = instance
+        params, _ = train(y, x, lam, TrainConfig(epochs=5), ctx, family=family)
+        assert params.lam == want
+
     def test_deterministic_trace(self, instance):
         ctx, x, y = instance
         cfg = TrainConfig(epochs=20)
@@ -538,7 +545,7 @@ class TestLambdaGridSearch:
                              ids=["gd", "adam"])
     def test_trace_recording_leaves_training_unchanged(self, bench_ctx, config):
         # the margin setting above: in GD the lam 0.1 and 0.3 lanes leave the
-        # batch, and their traces stop at the epoch they left
+        # batch, and return no trace
         ctx = TransformContext(bench_ctx.spatial, bench_ctx.temporal, margin_tol=1e-3)
         x = synth_signal(ctx.spatial, 10, bandwidth=0.3, seed=1001)
         y = add_awgn(x, 0.9, seed=1002)
@@ -549,7 +556,7 @@ class TestLambdaGridSearch:
             assert no_trace is None
             if params is None:
                 assert same_params is None and str(final) == str(same_final)
-                assert len(trace) == int(str(final).split("epoch ")[1].split(",")[0])
+                assert trace is None
                 continue
             assert (params.alpha, params.beta) == (same_params.alpha, same_params.beta)
             assert np.array_equal(params.h, same_params.h) and final == same_final
